@@ -15,8 +15,12 @@ package bench
 
 import (
 	"bytes"
+	"compress/zlib"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +29,7 @@ import (
 
 	"rlz/internal/archive"
 	"rlz/internal/blockstore"
+	"rlz/internal/codec"
 	"rlz/internal/collection"
 	"rlz/internal/corpus"
 	"rlz/internal/experiment"
@@ -227,6 +232,85 @@ func BenchmarkBlockCodecs(b *testing.B) {
 			}
 			b.SetBytes(total / int64(b.N))
 			b.ReportMetric(100*float64(r.Size())/float64(raw), "enc-pct")
+		})
+	}
+}
+
+// BenchmarkInflate prices the inflate kernel against compress/zlib (its
+// reader reused through Reset, the best the standard library offers) on
+// the two shapes the serving path inflates: one document's ~1 KB
+// Z-coded position stream, where set-up and table building dominate, and
+// a 256 KiB block of the block backend, where the symbol loop does. The
+// kernel has to earn its place on both; it allocates nothing.
+func BenchmarkInflate(b *testing.B) {
+	c := cfg(b)
+	coll := corpus.Generate(corpus.Gov, c.GovBytes, c.Seed)
+	text := coll.Bytes()
+	dict, err := rlz.NewDictionary(rlz.SampleEven(text, len(text)/100, 1<<10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The median document by factor count stands for "a document".
+	byFactors := make([][]rlz.Factor, coll.Len())
+	for i, d := range coll.Docs {
+		byFactors[i] = dict.Factorize(d.Body, nil)
+	}
+	sort.Slice(byFactors, func(i, j int) bool { return len(byFactors[i]) < len(byFactors[j]) })
+	var positions []byte
+	for _, f := range byFactors[len(byFactors)/2] {
+		positions = binary.LittleEndian.AppendUint32(positions, f.Pos)
+	}
+	for _, in := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"positions", positions},
+		{"block256K", text[:min(len(text), 256<<10)]},
+	} {
+		comp := codec.ZlibCompress(nil, in.raw)
+		out := make([]byte, 0, len(in.raw))
+		check := func(b *testing.B, got []byte, err error) {
+			if err != nil || !bytes.Equal(got, in.raw) {
+				b.Fatalf("inflated %d of %d bytes: %v", len(got), len(in.raw), err)
+			}
+		}
+		b.Run(in.name+"/kernel", func(b *testing.B) {
+			var dec codec.ZlibDecoder
+			b.SetBytes(int64(len(in.raw)))
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(comp)), "comp-bytes")
+			for i := 0; i < b.N; i++ {
+				got, err := dec.Decode(out, comp, len(in.raw))
+				if i == 0 {
+					check(b, got, err)
+				}
+			}
+		})
+		b.Run(in.name+"/stdlib", func(b *testing.B) {
+			br := bytes.NewReader(comp)
+			zr, err := zlib.NewReader(br)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(in.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				br.Reset(comp)
+				if err := zr.(zlib.Resetter).Reset(br, nil); err != nil {
+					b.Fatal(err)
+				}
+				got := out[:len(in.raw)]
+				_, err := io.ReadFull(zr, got)
+				if err == nil { // the read that sees EOF verifies the Adler-32
+					_, err = zr.Read(got[:0:0])
+				}
+				if err == io.EOF {
+					err = nil
+				}
+				if i == 0 {
+					check(b, got, err)
+				}
+			}
 		})
 	}
 }

@@ -7,11 +7,11 @@
 //
 // Two design points matter for the hot read path:
 //
-//   - Decoders are stateful and pooled. zlib's decompressor allocates
-//     its window and Huffman tables on construction; constructing one
-//     per block read (what the blockstore originally did) dominates the
-//     allocation profile of an uncached read. Decoder + Reset reuse
-//     makes repeated block decodes allocation-free in steady state.
+//   - Decoders are stateful and pooled. A zlib decoder's Huffman tables
+//     are ~8 KB; constructing them per block read (what the blockstore
+//     originally did, with compress/zlib's ~40 KB reader) dominates the
+//     allocation profile of an uncached read. Pooled decoders make
+//     repeated decodes allocation-free in steady state.
 //   - Decode takes the block's exact uncompressed size, derived by the
 //     caller from metadata it already validated (the blockstore's
 //     document locators). A stream that inflates to any other size is
@@ -20,11 +20,11 @@
 package codec
 
 import (
-	"bytes"
 	"compress/zlib"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"hash/adler32"
 	"sort"
 	"sync"
 
@@ -140,9 +140,13 @@ func (p *Pool) Get() Decoder { return p.p.Get().(Decoder) }
 // Put returns a decoder to the pool.
 func (p *Pool) Put(d Decoder) { p.p.Put(d) }
 
+// zlibBest is the paper's compressor, "zlib with best compression": the
+// block backend's baseline and RLZ's Z coding of factor streams.
+var zlibBest = newZlibCodec(zlib.BestCompression, 'z', "zlib")
+
 func init() {
-	Register(zlibCodec{level: zlib.BestCompression, id: 'z', name: "zlib"})
-	Register(zlibCodec{level: zlib.BestSpeed, id: 'f', name: "flate"})
+	Register(zlibBest)
+	Register(newZlibCodec(zlib.BestSpeed, 'f', "flate"))
 	Register(LZMA(lz77.Options{}))
 	Register(LZR(lz77.Options{}))
 }
@@ -152,70 +156,119 @@ func init() {
 // zlib framing so every block carries an Adler-32 and corrupt blocks are
 // rejected rather than served.
 type zlibCodec struct {
-	level int
-	id    byte
-	name  string
+	id   byte
+	name string
+	// encoders pools *zlibEncoder: a BestCompression deflater is ~800 KB
+	// of hash chains and window, far more than the blocks and factor
+	// streams it is asked to compress, so building one per call dominates
+	// encoding. A Reset writer emits the same bytes as a fresh one.
+	encoders *sync.Pool
+}
+
+func newZlibCodec(level int, id byte, name string) zlibCodec {
+	return zlibCodec{id: id, name: name, encoders: &sync.Pool{New: func() any {
+		e := new(zlibEncoder)
+		zw, err := zlib.NewWriterLevel(&e.out, level)
+		if err != nil {
+			panic("codec: " + err.Error()) // level is one of zlib's constants
+		}
+		e.zw = zw
+		return e
+	}}}
+}
+
+// zlibEncoder is one pooled compressor writing to its own append buffer.
+type zlibEncoder struct {
+	zw  *zlib.Writer
+	out appendWriter
+}
+
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
 func (c zlibCodec) ID() byte     { return c.id }
 func (c zlibCodec) Name() string { return c.name }
 
 func (c zlibCodec) Compress(dst, src []byte) ([]byte, error) {
-	buf := bytes.NewBuffer(dst)
-	zw, err := zlib.NewWriterLevel(buf, c.level)
+	return c.compress(dst, src), nil
+}
+
+func (c zlibCodec) compress(dst, src []byte) []byte {
+	e := c.encoders.Get().(*zlibEncoder)
+	e.out.b = dst
+	e.zw.Reset(&e.out)
+	_, err := e.zw.Write(src)
+	if err == nil {
+		err = e.zw.Close()
+	}
+	dst, e.out.b = e.out.b, nil
+	c.encoders.Put(e)
 	if err != nil {
-		return dst, fmt.Errorf("codec: %w", err)
+		panic("codec: zlib to memory: " + err.Error()) // appendWriter cannot fail
 	}
-	if _, err := zw.Write(src); err != nil {
-		return dst, fmt.Errorf("codec: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return dst, fmt.Errorf("codec: %w", err)
-	}
-	return buf.Bytes(), nil
+	return dst
 }
 
-func (c zlibCodec) NewDecoder() Decoder { return &zlibDecoder{} }
+func (c zlibCodec) NewDecoder() Decoder { return new(ZlibDecoder) }
 
-// zlibDecoder reuses one inflate state across decodes via zlib.Resetter —
-// the allocation-heavy part of a block read (window, Huffman tables) is
-// paid once per pooled decoder instead of once per block.
-type zlibDecoder struct {
-	br bytes.Reader
-	zr io.ReadCloser // also zlib.Resetter after first use
+// ZlibCompress appends src compressed as a zlib stream at best
+// compression to dst, on a pooled compressor.
+func ZlibCompress(dst, src []byte) []byte { return zlibBest.compress(dst, src) }
+
+// ZlibDecoder is the one zlib inflater in the module: the block
+// backend's zlib and flate blocks and RLZ's Z-coded factor streams all
+// decode on it. It is the inflate kernel (inflate.go) under zlib framing
+// — header checked, Adler-32 verified — with the output length bounded by
+// the caller before a byte is produced. The zero value is ready; keep
+// decoders pooled, they are ~8 KB of tables and not safe for concurrent
+// use.
+type ZlibDecoder struct {
+	f inflater
 }
 
-func (d *zlibDecoder) Decode(dst, src []byte, rawLen int) ([]byte, error) {
-	d.br.Reset(src)
-	if d.zr == nil {
-		zr, err := zlib.NewReader(&d.br)
-		if err != nil {
-			return dst, fmt.Errorf("%w: %v", ErrCorruptBlock, err)
-		}
-		d.zr = zr
-	} else if err := d.zr.(zlib.Resetter).Reset(&d.br, nil); err != nil {
-		return dst, fmt.Errorf("%w: %v", ErrCorruptBlock, err)
+// Decode implements Decoder: the stream must inflate to exactly rawLen
+// bytes.
+func (d *ZlibDecoder) Decode(dst, src []byte, rawLen int) ([]byte, error) {
+	out, err := d.DecodeUpTo(dst, src, rawLen)
+	if err == nil && len(out)-len(dst) != rawLen {
+		return dst, fmt.Errorf("%w: inflates to %d bytes, metadata says %d", ErrCorruptBlock, len(out)-len(dst), rawLen)
+	}
+	return out, err
+}
+
+// DecodeUpTo appends the inflated form of the zlib stream src to dst,
+// for callers that know only a ceiling on its size (RLZ's vbyte length
+// streams): a stream that would inflate past maxLen bytes is rejected at
+// the byte that crosses it, and no more than maxLen bytes are ever
+// allocated. On error dst is returned as it came.
+func (d *ZlibDecoder) DecodeUpTo(dst, src []byte, maxLen int) ([]byte, error) {
+	// RFC 1950: deflate with a window of at most 32 KiB, header a
+	// multiple of 31. Nothing here writes preset dictionaries.
+	if len(src) < 2 || src[0]&0x0f != 8 || src[0]>>4 > 7 || (uint(src[0])<<8|uint(src[1]))%31 != 0 || src[1]&0x20 != 0 {
+		return dst, fmt.Errorf("%w: invalid zlib header", ErrCorruptBlock)
+	}
+	if maxLen < 0 { // a size computed from hostile counts can wrap
+		return dst, fmt.Errorf("%w: declared size overflows", ErrCorruptBlock)
 	}
 	base := len(dst)
-	dst = grow(dst, rawLen)
-	if _, err := io.ReadFull(d.zr, dst[base:base+rawLen]); err != nil {
-		return dst[:base], fmt.Errorf("%w: %v", ErrCorruptBlock, err)
+	out := grow(dst, maxLen)
+	n, used, err := d.f.inflate(out[base:], src[2:])
+	if err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrCorruptBlock, err)
 	}
-	// The stream must end exactly at rawLen. Draining the final zero-byte
-	// read also makes zlib verify the trailing Adler-32.
-	var one [1]byte
-	for {
-		n, err := d.zr.Read(one[:])
-		if n > 0 {
-			return dst[:base], fmt.Errorf("%w: inflates past its declared %d bytes", ErrCorruptBlock, rawLen)
-		}
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst[:base], fmt.Errorf("%w: %v", ErrCorruptBlock, err)
-		}
+	sum := src[2+used:]
+	if len(sum) < 4 {
+		return dst, fmt.Errorf("%w: %v", ErrCorruptBlock, errInflateTruncated)
 	}
+	out = out[:base+n]
+	if binary.BigEndian.Uint32(sum) != adler32.Checksum(out[base:]) {
+		return dst, fmt.Errorf("%w: Adler-32 mismatch", ErrCorruptBlock)
+	}
+	return out, nil
 }
 
 // grow extends dst by n bytes, reallocating at most once.

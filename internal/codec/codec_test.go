@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"compress/zlib"
 	"errors"
 	"math/rand"
 	"strings"
@@ -230,5 +231,41 @@ func TestLZROptionsDecodeAnyStream(t *testing.T) {
 	got, err := plain.NewDecoder().Decode(nil, comp, len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("cross-tuning decode: %v", err)
+	}
+}
+
+// TestZlibCompressMatchesFreshWriter pins the pooled compressors: a
+// stream from a warm, reused writer is byte-identical to what a writer
+// built for that one call emits, at both levels — archives must not
+// depend on what was compressed before them.
+func TestZlibCompressMatchesFreshWriter(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		level int
+	}{{"zlib", zlib.BestCompression}, {"flate", zlib.BestSpeed}} {
+		cd, err := ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			for i, src := range corpus() {
+				var fresh bytes.Buffer
+				zw, err := zlib.NewWriterLevel(&fresh, c.level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zw.Write(src)
+				zw.Close()
+				got, err := cd.Compress([]byte("prefix"), src)
+				if err != nil || !bytes.Equal(got, append([]byte("prefix"), fresh.Bytes()...)) {
+					t.Fatalf("%s round %d block %d: pooled writer differs from a fresh one (%v)", c.name, round, i, err)
+				}
+			}
+		}
+	}
+	src := bytes.Repeat([]byte("factor stream "), 100)
+	zc, _ := ByID('z')
+	if want, _ := zc.Compress(nil, src); !bytes.Equal(ZlibCompress(nil, src), want) {
+		t.Fatal("ZlibCompress is not the zlib codec")
 	}
 }

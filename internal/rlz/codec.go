@@ -1,12 +1,10 @@
 package rlz
 
 import (
-	"bytes"
-	"compress/zlib"
 	"errors"
 	"fmt"
-	"io"
 
+	"rlz/internal/codec"
 	"rlz/internal/coding"
 )
 
@@ -18,7 +16,8 @@ type LenCoding byte
 
 // The paper's codings: U stores each position as an unsigned 32-bit
 // integer; V stores each length as a vbyte; Z compresses the respective
-// stream for a document with zlib at best compression, exploiting the
+// stream for a document with zlib at best compression (internal/codec
+// owns the pooled deflaters and the inflate kernel), exploiting the
 // higher-order within-document patterns the paper observed in both
 // positions and lengths. S (Simple9 word-aligned packing) implements the
 // alternative integer coding the paper's future-work section proposes for
@@ -112,7 +111,7 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 		posRaw = coding.PutU32(posRaw, f.Pos)
 	}
 	if c.Pos == PosZ {
-		posRaw = deflateBlob(posRaw)
+		posRaw = codec.ZlibCompress(nil, posRaw)
 	}
 	switch c.Len {
 	case LenS:
@@ -137,7 +136,7 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 			lenRaw = coding.PutUvarint32(lenRaw, f.Len)
 		}
 		if c.Len == LenZ {
-			lenRaw = deflateBlob(lenRaw)
+			lenRaw = codec.ZlibCompress(nil, lenRaw)
 		}
 	}
 	dst = coding.PutUvarint32(dst, uint32(len(posRaw)))
@@ -148,57 +147,17 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 }
 
 // Decode parses one document's factors from src, appending to factors. It
-// returns the factors, the number of bytes consumed, and any error.
+// returns the factors, the number of bytes consumed, and any error. It is
+// the first half of Dictionary.DecodeRecord, for callers that want the
+// factors themselves.
 func (c PairCodec) Decode(factors []Factor, src []byte) ([]Factor, int, error) {
-	k32, used, err := coding.Uvarint32(src)
-	if err != nil {
-		return factors, 0, fmt.Errorf("%w: count: %v", ErrCorruptEncoding, err)
+	sc := scratch.get()
+	rec, err := c.open(sc, src)
+	if err == nil {
+		factors, err = c.appendFactors(factors, rec)
 	}
-	pos := used
-	k := int(k32)
-	if k == 0 {
-		return factors, pos, nil
-	}
-	if k > len(src)*256 { // each factor needs at least some encoded bytes somewhere
-		return factors, pos, fmt.Errorf("%w: implausible factor count %d", ErrCorruptEncoding, k)
-	}
-
-	posBlob, n, err := readBlob(src[pos:])
-	if err != nil {
-		return factors, pos, fmt.Errorf("%w: position stream: %v", ErrCorruptEncoding, err)
-	}
-	pos += n
-	lenBlob, n, err := readBlob(src[pos:])
-	if err != nil {
-		return factors, pos, fmt.Errorf("%w: length stream: %v", ErrCorruptEncoding, err)
-	}
-	pos += n
-
-	if c.Pos == PosZ {
-		posBlob, err = inflateBlob(posBlob, 4*k)
-		if err != nil {
-			return factors, pos, fmt.Errorf("%w: position zlib: %v", ErrCorruptEncoding, err)
-		}
-	}
-	if c.Len == LenZ {
-		lenBlob, err = inflateBlob(lenBlob, 2*k)
-		if err != nil {
-			return factors, pos, fmt.Errorf("%w: length zlib: %v", ErrCorruptEncoding, err)
-		}
-	}
-
-	if len(posBlob) != 4*k {
-		return factors, pos, fmt.Errorf("%w: position stream holds %d bytes for %d factors", ErrCorruptEncoding, len(posBlob), k)
-	}
-	base := len(factors)
-	for i := 0; i < k; i++ {
-		p, _ := coding.U32(posBlob[4*i:])
-		factors = append(factors, Factor{Pos: p})
-	}
-	if err := c.decodeLens(factors[base:], lenBlob); err != nil {
-		return factors[:base], pos, err
-	}
-	return factors, pos, nil
+	scratch.put(sc)
+	return factors, rec.used, err
 }
 
 // decodeLens fills in the Len field of factors from the (already
@@ -256,42 +215,6 @@ func readBlob(src []byte) ([]byte, int, error) {
 		return nil, 0, coding.ErrShortBuffer
 	}
 	return src[n : n+int(size)], n + int(size), nil
-}
-
-// deflateBlob compresses raw with zlib at best compression, as the paper's
-// Z coding does ("zlib with z best compression").
-func deflateBlob(raw []byte) []byte {
-	var buf bytes.Buffer
-	zw, err := zlib.NewWriterLevel(&buf, zlib.BestCompression)
-	if err != nil {
-		panic("rlz: zlib writer: " + err.Error()) // level is a valid constant
-	}
-	if _, err := zw.Write(raw); err != nil {
-		panic("rlz: zlib write to memory: " + err.Error())
-	}
-	if err := zw.Close(); err != nil {
-		panic("rlz: zlib close: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func inflateBlob(blob []byte, sizeHint int) ([]byte, error) {
-	zr, err := zlib.NewReader(bytes.NewReader(blob))
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	if sizeHint < 64 {
-		sizeHint = 64
-	}
-	out := bytes.NewBuffer(make([]byte, 0, sizeHint))
-	// The blob length is bounded by the enclosing document record, so a
-	// plain copy (no LimitReader) cannot be zip-bombed beyond the 4k/2k
-	// factor streams a document can legitimately declare.
-	if _, err := io.Copy(out, zr); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
 }
 
 // EncodedSize returns the size in bytes of the encoded form of factors

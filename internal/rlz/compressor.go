@@ -51,20 +51,10 @@ func (c *Compressor) Compress(dst, doc []byte) []byte {
 // src to dst, returning the output and the number of record bytes
 // consumed — records concatenate, so callers can walk a stream.
 func (c *Compressor) Decompress(dst, src []byte) ([]byte, int, error) {
-	factors, used, err := c.codec.Decode(nil, src)
-	if err != nil {
-		return dst, used, err
-	}
-	out, err := c.dict.Decode(dst, factors)
-	return out, used, err
+	return c.dict.DecodeRecord(dst, c.codec, src)
 }
 
 // DecompressRange appends bytes [from, to) of the record's document.
 func (c *Compressor) DecompressRange(dst, src []byte, from, to int) ([]byte, int, error) {
-	factors, used, err := c.codec.Decode(nil, src)
-	if err != nil {
-		return dst, used, err
-	}
-	out, err := c.dict.DecodeRange(dst, factors, from, to)
-	return out, used, err
+	return c.dict.DecodeRecordRange(dst, c.codec, src, from, to)
 }

@@ -52,17 +52,5 @@ func (r *Reader) FindAll(pattern []byte, limit int) ([]Match, error) {
 // rest of the document (see rlz.Dictionary.DecodeRange). Requests beyond
 // the document's extent are clamped.
 func (r *Reader) GetRange(id, from, to int) ([]byte, error) {
-	off, n, err := r.Extent(id)
-	if err != nil {
-		return nil, err
-	}
-	rec := make([]byte, n)
-	if _, err := r.r.ReadAt(rec, off); err != nil {
-		return nil, err
-	}
-	factors, _, err := r.codec.Decode(nil, rec)
-	if err != nil {
-		return nil, err
-	}
-	return r.dict.DecodeRange(nil, factors, from, to)
+	return r.decodeRange(nil, id, from, to)
 }

@@ -21,7 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
+	"sync"
 
 	"rlz/internal/coding"
 	"rlz/internal/docmap"
@@ -238,12 +241,16 @@ func (w *Writer) Close() error {
 //
 // Concurrency: all Reader methods, including FindAll and GetRange, are
 // safe for concurrent use by multiple goroutines as long as each call
-// passes a distinct destination buffer. Per-call decode state (records,
-// factor slices, zlib inflaters) is allocated per Get, the document map
-// and dictionary text are immutable after Open, and the dictionary's
-// lazily built suffix array is guarded by a sync.Once.
+// passes a distinct destination buffer. Per-call decode state is drawn
+// from pools for the length of the call — the record buffer from this
+// package's, the zlib inflater, inflated streams and factor slice from
+// internal/rlz's — so a warm Reader allocates nothing per Get beyond what
+// dst needs to grow. The document map and dictionary text are immutable
+// after Open, and the dictionary's lazily built suffix array is guarded
+// by a sync.Once.
 type Reader struct {
 	r            io.ReaderAt
+	view         slicer // r's zero-copy capability, nil when it has none
 	dict         *rlz.Dictionary
 	codec        rlz.PairCodec
 	m            *docmap.Map
@@ -323,8 +330,10 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	if int64(m.Total()) != mapOff-payloadStart {
 		return nil, fmt.Errorf("%w: docmap covers %d bytes, payload is %d", ErrCorruptArchive, m.Total(), mapOff-payloadStart)
 	}
+	view, _ := r.(slicer)
 	return &Reader{
 		r:            r,
+		view:         view,
 		dict:         dict,
 		codec:        codec,
 		m:            m,
@@ -381,22 +390,85 @@ func (r *Reader) Extent(id int) (off, n int64, err error) {
 	return r.payloadStart + int64(o), int64(l), nil
 }
 
-// GetAppend retrieves document id, appending its text to dst. This is the
-// zero-steady-state-allocation path: pass the same buffers across calls.
-func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
+// slicer is the zero-copy capability of a memory-mapped backing store
+// (internal/mmapio.Mapping satisfies it); duck-typed so this package
+// stays independent of how the caller produced its ReaderAt.
+type slicer interface {
+	//rlz:view
+	Slice(off, n int64) ([]byte, error)
+}
+
+// recPool holds the buffers records are staged in when the backing store
+// can only ReadAt.
+//
+//rlz:pool get=get put=put
+type recPool struct{ p sync.Pool }
+
+var recBufs recPool
+
+func (p *recPool) get() *[]byte {
+	if b, ok := p.p.Get().(*[]byte); ok {
+		return b
+	}
+	return new([]byte)
+}
+
+func (p *recPool) put(b *[]byte) { p.p.Put(b) }
+
+// decodeRange appends bytes [from, to) of document id to dst. The record
+// is a view of the mapping when the backing store has one (no syscall, no
+// copy), else a pooled buffer filled by ReadAt; either way it is decoded
+// straight into dst on internal/rlz's pooled state. On error dst is
+// returned as it came.
+//
+//rlz:hotpath
+func (r *Reader) decodeRange(dst []byte, id, from, to int) ([]byte, error) {
 	off, n, err := r.Extent(id)
 	if err != nil {
 		return dst, err
 	}
-	rec := make([]byte, n)
-	if _, err := r.r.ReadAt(rec, off); err != nil {
-		return dst, fmt.Errorf("store: reading document %d: %w", id, err)
+	var out []byte
+	if r.view != nil {
+		rec, verr := r.view.Slice(off, n)
+		if verr != nil {
+			return dst, fmt.Errorf("store: reading document %d: %w", id, verr)
+		}
+		out, err = r.decodeRecord(dst, rec, from, to)
+	} else {
+		bp := recBufs.get()
+		rec := slices.Grow((*bp)[:0], int(n))[:n]
+		*bp = rec
+		if _, err = r.r.ReadAt(rec, off); err == nil {
+			out, err = r.decodeRecord(dst, rec, from, to)
+		}
+		recBufs.put(bp)
 	}
-	factors, _, err := r.codec.Decode(nil, rec)
 	if err != nil {
 		return dst, fmt.Errorf("store: document %d: %w", id, err)
 	}
-	return r.dict.Decode(dst, factors)
+	return out, nil
+}
+
+// decodeRecord decodes one record; a range covering any document takes
+// the fused whole-document path.
+//
+//rlz:hotpath
+func (r *Reader) decodeRecord(dst, rec []byte, from, to int) (out []byte, err error) {
+	if from <= 0 && to == math.MaxInt {
+		out, _, err = r.dict.DecodeRecord(dst, r.codec, rec)
+	} else {
+		out, _, err = r.dict.DecodeRecordRange(dst, r.codec, rec, from, to)
+	}
+	return out, err
+}
+
+// GetAppend retrieves document id, appending its text to dst. Pass the
+// same buffer across calls and a warm Reader allocates nothing (see
+// decodeRange).
+//
+//rlz:hotpath
+func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
+	return r.decodeRange(dst, id, 0, math.MaxInt)
 }
 
 // Get retrieves document id.

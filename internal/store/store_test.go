@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"rlz/internal/mmapio"
 	"rlz/internal/rlz"
 )
 
@@ -282,5 +284,116 @@ func TestArchiveCompressionIsEffective(t *testing.T) {
 	// boilerplate-heavy corpus.
 	if len(arc) > total/2 {
 		t.Errorf("archive %d bytes for %d raw; expected < 50%%", len(arc), total)
+	}
+}
+
+// openMapped writes arc to a file and opens it through a memory mapping,
+// the way archive.Open serves every segment of a live collection.
+func openMapped(t *testing.T, arc []byte) *Reader {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "arc.rlz")
+	if err := os.WriteFile(path, arc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mmapio.Map(f, int64(len(arc)))
+	if err != nil {
+		f.Close()
+		t.Skipf("no memory mapping here: %v", err)
+	}
+	t.Cleanup(func() {
+		m.Close()
+		f.Close()
+	})
+	r, err := Open(m, int64(len(arc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.view == nil {
+		t.Fatal("a mapped archive should be read through views")
+	}
+	return r
+}
+
+// TestGetAppendSteadyStateAllocs pins the read path's pooling: a warm
+// Reader decodes into a reused buffer without allocating, whether records
+// are views of a mapping or staged through ReadAt, with one Z-coded
+// stream per record or two. (Before pooling: 55 allocations and 55 KB
+// per read, most of it a zlib reader built for one 1 KB stream.)
+func TestGetAppendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	docs := makeDocs(60, 57)
+	for _, codec := range []rlz.PairCodec{rlz.CodecZV, rlz.CodecZZ} {
+		arc := buildArchive(t, docs, codec)
+		inMemory, err := OpenBytes(arc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]*Reader{"mapped": openMapped(t, arc), "bytes.Reader": inMemory} {
+			buf := make([]byte, 0, 64<<10)
+			for i := range docs { // warm the pools, check the bytes
+				if buf, err = r.GetAppend(buf[:0], i); err != nil || !bytes.Equal(buf, docs[i]) {
+					t.Fatalf("%s %s: document %d: %v", codec, name, i, err)
+				}
+			}
+			id := 0
+			avg := testing.AllocsPerRun(300, func() {
+				buf, _ = r.GetAppend(buf[:0], id%len(docs))
+				id++
+			})
+			if avg > 1 {
+				t.Errorf("%s %s: GetAppend allocates %.2f objects per read in steady state, want <= 1", codec, name, avg)
+			}
+		}
+	}
+}
+
+// TestConcurrentReadersShareThePools hammers one Reader from 8
+// goroutines through every entry point that draws on the decode pools;
+// run it under -race. Each goroutine checks every byte it gets back, so
+// scratch handed to two decodes at once shows up as a wrong document
+// even without the detector.
+func TestConcurrentReadersShareThePools(t *testing.T) {
+	docs := makeDocs(80, 59)
+	for _, codec := range []rlz.PairCodec{rlz.CodecZZ, rlz.CodecZS} {
+		arc := buildArchive(t, docs, codec)
+		inMemory, err := OpenBytes(arc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Reader{openMapped(t, arc), inMemory} {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					var buf []byte
+					for i := 0; i < 400; i++ {
+						id := rng.Intn(len(docs))
+						var err error
+						if i%4 == 3 {
+							from := rng.Intn(len(docs[id]))
+							to := from + rng.Intn(len(docs[id])-from+1)
+							if buf, err = r.GetRange(id, from, to); err != nil || !bytes.Equal(buf, docs[id][from:to]) {
+								t.Errorf("%s: goroutine %d: range [%d,%d) of document %d: %v", codec, g, from, to, id, err)
+								return
+							}
+							continue
+						}
+						if buf, err = r.GetAppend(buf[:0], id); err != nil || !bytes.Equal(buf, docs[id]) {
+							t.Errorf("%s: goroutine %d: document %d: %v", codec, g, id, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		}
 	}
 }
