@@ -577,13 +577,11 @@ func BenchmarkMixedAppendRead(b *testing.B) {
 
 // BenchmarkDurableAppend costs the write path's durability modes
 // (BENCH_wal.json): group commit (the default — appends join a shared
-// WAL batch and one fsync acknowledges all of them), per-append fsync
-// (SyncAppends), and async (pre-WAL acknowledgment from memory, the
-// durability-free ceiling). Workers are explicit goroutines, each a
-// closed loop over one shared collection: group commit's whole point is
-// that concurrent appends amortize the fsync, so the 8-worker rows are
-// the headline — the acceptance floor is group commit at or above 5x
-// the per-append-fsync throughput there.
+// WAL batch and one fsync acknowledges all of them) and async (pre-WAL
+// acknowledgment from memory, the durability-free ceiling). Workers are
+// explicit goroutines, each a closed loop over one shared collection:
+// group commit's whole point is that concurrent appends amortize the
+// fsync, so the 8-worker rows are the headline.
 func BenchmarkDurableAppend(b *testing.B) {
 	doc := bytes.Repeat([]byte("durable-append-payload."), 45) // ~1 KiB
 	modes := []struct {
@@ -591,7 +589,6 @@ func BenchmarkDurableAppend(b *testing.B) {
 		opts collection.Options
 	}{
 		{"group-commit", collection.Options{}},
-		{"fsync-per-append", collection.Options{SyncAppends: true}},
 		{"async", collection.Options{Async: true}},
 	}
 	for _, mode := range modes {

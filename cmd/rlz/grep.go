@@ -30,7 +30,7 @@ func cmdGrep(args []string) error {
 		return err
 	}
 	defer r.Close()
-	s, ok := archive.AsSearcher(r)
+	s, ok := archive.As[archive.Searcher](r)
 	if !ok {
 		return fmt.Errorf("grep: %s archives do not support search (rebuild with -backend rlz)", r.Stats().Backend)
 	}

@@ -22,7 +22,6 @@ func cmdAppend(args []string) error {
 	dir := fs.String("a", "", "collection directory (required; created if absent)")
 	srcDir := fs.String("dir", "", "treat every regular file under this directory as a document")
 	warcPath := fs.String("warc", "", "read documents from a warc collection file")
-	syncAppends := fs.Bool("sync", false, "fsync every append before acknowledging it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -62,7 +61,7 @@ func cmdAppend(args []string) error {
 		}
 		fmt.Printf("%s: initialized empty collection\n", *dir)
 	}
-	col, err := collection.Open(*dir, collection.Options{SyncAppends: *syncAppends})
+	col, err := collection.Open(*dir, collection.Options{})
 	if err != nil {
 		return err
 	}

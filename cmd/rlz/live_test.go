@@ -50,7 +50,7 @@ func TestLiveLifecycleCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, ok := collection.FromReader(r)
+	col, ok := archive.As[*collection.Collection](r)
 	if !ok {
 		t.Fatal("not a collection")
 	}
@@ -72,7 +72,7 @@ func TestLiveLifecycleCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _ = collection.FromReader(r)
+	col, _ = archive.As[*collection.Collection](r)
 	if err := col.Delete(3); err != nil {
 		t.Fatal(err)
 	}

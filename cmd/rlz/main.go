@@ -108,7 +108,7 @@ func usage() {
   rlz stats  -a ARCHIVE
   rlz verify -a ARCHIVE [-workers N]
   rlz grep   -a ARCHIVE [-n LIMIT] [-c RADIUS] PATTERN
-  rlz append -a DIR [-sync] FILE... | -dir DIR | -warc FILE
+  rlz append -a DIR FILE... | -dir DIR | -warc FILE
              appends to a live collection, creating it if absent;
              documents are readable (rlzd, get, grep) immediately
   rlz compact -a DIR [-codec ZV] [-dict SIZE] [-sample SIZE] [-factq 1-3] [-nojump] [-workers N]
@@ -470,7 +470,7 @@ func cmdVerify(args []string) error {
 			badID, badErr = id, err
 		}
 	}
-	if br, ok := archive.AsBatchReader(r); ok {
+	if br, ok := archive.As[archive.BatchReader](r); ok {
 		// Batched verification: sequential id chunks decode each
 		// compressed block exactly once instead of once per resident
 		// document, with the blocks of a chunk fanned across the workers.

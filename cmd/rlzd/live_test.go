@@ -30,7 +30,7 @@ func newLiveServer(t *testing.T, cacheDocs int) (*httptest.Server, *serve.Server
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	col, ok := collection.FromReader(r)
+	col, ok := archive.As[*collection.Collection](r)
 	if !ok {
 		t.Fatal("archive.Open did not yield a collection")
 	}
@@ -356,7 +356,7 @@ func TestAppendTooLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r2.Close() })
-	col, _ := collection.FromReader(r2)
+	col, _ := archive.As[*collection.Collection](r2)
 	srv := serve.New(r2, serve.Options{})
 	ts2 := httptest.NewServer(newMux(srv, col, muxOptions{maxBatch: 16, maxDoc: 64}))
 	t.Cleanup(ts2.Close)

@@ -13,17 +13,17 @@
 // keep their ids and bytes across the swap.
 //
 // Appends are durable by default: each is acknowledged when the WAL
-// batch it joined is fsynced (group commit), -sync-appends fsyncs the
-// segment per append, -async-appends acknowledges from memory. When the
-// in-flight WAL budget (-wal-max-pending) is exhausted, writes answer
-// 429 Too Many Requests with Retry-After — back off and retry.
+// batch it joined is fsynced (group commit); -async-appends
+// acknowledges from memory instead. When the in-flight WAL budget
+// (-wal-max-pending) is exhausted, writes answer 429 Too Many Requests
+// with Retry-After — back off and retry.
 //
 // Usage:
 //
 //	rlzd -a archive.rlz [-addr :8087] [-cache 1024] [-workers 0]
 //	rlzd -a sharddir/
-//	rlzd -a collectiondir/ [-compact-after 10000] [-sync-appends]
-//	     [-async-appends] [-wal-max-pending 8MB] [-append-batch 256]
+//	rlzd -a collectiondir/ [-compact-after 10000] [-async-appends]
+//	     [-wal-max-pending 8MB] [-append-batch 256]
 //
 // Endpoints:
 //
@@ -64,7 +64,6 @@ func main() {
 	workers := fs.Int("workers", 0, "batch fan-out per request; 0 means GOMAXPROCS")
 	maxBatch := fs.Int("max-batch", 4096, "largest accepted POST /docs batch")
 	maxDoc := fs.String("max-doc", "16MB", "largest accepted POST /append document (and /append/batch body)")
-	syncAppends := fs.Bool("sync-appends", false, "fsync every append before acknowledging it (live collections)")
 	asyncAppends := fs.Bool("async-appends", false, "acknowledge appends before they are durable; loses the tail on crash (live collections)")
 	walMaxPending := fs.String("wal-max-pending", "8MB", "WAL bytes in flight before appends answer 429 (live collections)")
 	appendBatch := fs.Int("append-batch", 256, "largest accepted POST /append/batch document count")
@@ -93,13 +92,12 @@ func main() {
 		log.Fatalf("rlzd: %v", err)
 	}
 	defer r.Close()
-	col, live := collection.FromReader(r)
+	col, live := archive.As[*collection.Collection](r)
 	if live {
 		// archive.Open used default options; reopen with the daemon's
 		// durability and admission configuration.
 		_ = r.Close()
 		col, err = collection.Open(*arc, collection.Options{
-			SyncAppends:   *syncAppends,
 			Async:         *asyncAppends,
 			MaxWALPending: int64(walPendingBytes),
 		})

@@ -115,7 +115,7 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 	// so that breakdown is computed once, not per /stats request (a live
 	// collection's shape changes; its breakdown is per-request below).
 	var shardStats []shardStat
-	if sr, ok := shard.FromReader(srv.Reader()); ok {
+	if sr, ok := archive.As[*shard.Reader](srv.Reader()); ok {
 		m := sr.Manifest()
 		for i, st := range sr.ShardStats() {
 			shardStats = append(shardStats, shardStat{Path: m.Shards[i].Path, NumDocs: st.NumDocs, SizeBytes: st.Size})
@@ -370,12 +370,12 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 // generation shape.
 func backendLabel(r archive.Reader) string {
 	st := r.Stats()
-	if c, ok := collection.FromReader(r); ok {
+	if c, ok := archive.As[*collection.Collection](r); ok {
 		info := c.Info()
 		return "live collection, generation " + strconv.FormatUint(info.Generation, 10) +
 			", " + strconv.Itoa(len(info.Segments)) + " sealed segments"
 	}
-	if sr, ok := shard.FromReader(r); ok {
+	if sr, ok := archive.As[*shard.Reader](r); ok {
 		return string(st.Backend) + " backend, " + strconv.Itoa(sr.NumShards()) + " shards"
 	}
 	return string(st.Backend) + " backend"

@@ -128,9 +128,10 @@ type Stats struct {
 	NumBlocks int    // compressed block count
 }
 
-// Searcher is the optional compressed-domain search interface; only the
-// RLZ backend implements it (search runs over factors without full
-// decompression). Callers type-assert a Reader to Searcher.
+// Searcher is the optional search interface. The RLZ backend implements
+// it in the compressed domain (search runs over factors without full
+// decompression); a Set routes it across its members, scanning those
+// that cannot search themselves. Callers discover it with As[Searcher].
 type Searcher interface {
 	// FindAll collects occurrences of pattern, up to limit (0 = all).
 	FindAll(pattern []byte, limit int) ([]Match, error)
@@ -145,17 +146,20 @@ type Match struct {
 	Offset int
 }
 
-// AsSearcher reports whether r supports compressed-domain search,
-// looking through file-owning wrappers (a plain type assertion would
-// miss the Searcher methods behind the Reader returned by Open).
-func AsSearcher(r Reader) (Searcher, bool) {
+// As finds the first reader in r's Unwrap chain that is a T — the one
+// way to discover an optional capability (Searcher, Viewer, BatchReader)
+// or a concrete reader (*shard.Reader, *collection.Collection) behind
+// the file-owning wrapper Open returns, which a plain type assertion
+// would miss.
+func As[T any](r Reader) (T, bool) {
 	for {
-		if s, ok := r.(Searcher); ok {
-			return s, true
+		if t, ok := r.(T); ok {
+			return t, true
 		}
 		u, ok := r.(interface{ Unwrap() Reader })
 		if !ok {
-			return nil, false
+			var zero T
+			return zero, false
 		}
 		r = u.Unwrap()
 	}
@@ -180,21 +184,6 @@ type Viewer interface {
 	View(id int, fn func(doc []byte) error) (ok bool, err error)
 }
 
-// AsViewer reports whether r supports zero-copy views, looking through
-// file-owning wrappers like AsSearcher does.
-func AsViewer(r Reader) (Viewer, bool) {
-	for {
-		if v, ok := r.(Viewer); ok {
-			return v, true
-		}
-		u, ok := r.(interface{ Unwrap() Reader })
-		if !ok {
-			return nil, false
-		}
-		r = u.Unwrap()
-	}
-}
-
 // BatchReader is the optional batched-retrieval interface: backends
 // whose storage amortizes across documents (the block backend, where
 // documents sharing a block share one decompression; a collection
@@ -205,21 +194,6 @@ func AsViewer(r Reader) (Viewer, bool) {
 // void the batch.
 type BatchReader interface {
 	GetBatch(ids []int, workers int, visit func(i int, doc []byte, err error))
-}
-
-// AsBatchReader reports whether r supports batched retrieval, looking
-// through file-owning wrappers like AsSearcher does.
-func AsBatchReader(r Reader) (BatchReader, bool) {
-	for {
-		if b, ok := r.(BatchReader); ok {
-			return b, true
-		}
-		u, ok := r.(interface{ Unwrap() Reader })
-		if !ok {
-			return nil, false
-		}
-		r = u.Unwrap()
-	}
 }
 
 // OpenFunc opens one backend's archive from r covering size bytes.
@@ -336,7 +310,7 @@ type fileReader struct {
 	m *mmapio.Mapping // nil when reads go through the file
 }
 
-// Unwrap exposes the backend reader, e.g. for AsSearcher.
+// Unwrap exposes the backend reader to As.
 func (r *fileReader) Unwrap() Reader { return r.Reader }
 
 func (r *fileReader) Close() error {
@@ -355,11 +329,11 @@ func (r *fileReader) Close() error {
 }
 
 // Open opens an archive, auto-detecting its backend. Single-file
-// archives dispatch on their magic bytes; multi-file formats (see
-// RegisterPathFormat) dispatch on their manifest's magic and open their
-// sibling files themselves. A directory path is resolved to the
-// DirManifest file inside it, so a shard set opens from its directory.
-// Close the Reader to release the underlying files.
+// archives dispatch on their magic bytes (see OpenFile); multi-file
+// formats (see RegisterPathFormat) dispatch on their manifest's magic
+// and open their sibling files themselves. A directory path is resolved
+// to the DirManifest file inside it, so a shard set opens from its
+// directory. Close the Reader to release the underlying files.
 func Open(path string) (Reader, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		path = filepath.Join(path, DirManifest)
@@ -368,17 +342,9 @@ func Open(path string) (Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	if len(pathRegistry) > 0 && st.Size() >= 4 {
-		var magic [4]byte
-		if _, err := f.ReadAt(magic[:], 0); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("archive: reading magic: %w", err)
-		}
+	// A file too short for a magic falls through to openFile's report.
+	var magic [4]byte
+	if _, err := f.ReadAt(magic[:], 0); err == nil {
 		for _, e := range pathRegistry {
 			if string(magic[:]) == e.magic {
 				_ = f.Close()
@@ -386,25 +352,46 @@ func Open(path string) (Reader, error) {
 			}
 		}
 	}
+	return openFile(f)
+}
+
+// OpenFile opens one single-file archive, memory-mapped where the
+// platform allows — the member opener every multi-file format (shard
+// sets, live collections) uses for its parts. Multi-file magics are
+// refused with ErrNeedsPath, so a hostile manifest naming another
+// manifest (or itself) as a member fails cleanly instead of recursing.
+func OpenFile(path string) (Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return openFile(f)
+}
+
+// openFile opens the archive in f, taking ownership of f.
+func openFile(f *os.File) (Reader, error) {
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
 	// Serve through a memory mapping when the platform has one: backend
 	// reads become copies out of the page cache (no syscall per read), and
 	// backends that understand the mapping's Slice method (rawstore's
 	// zero-copy views, the blockstore's compressed-block reads) skip even
 	// that copy. Any mmap failure — unsupported platform, unmappable
 	// filesystem — falls back to pread on the file, same semantics.
+	fr := &fileReader{f: f}
+	var src io.ReaderAt = f
 	if m, err := mmapio.Map(f, st.Size()); err == nil {
-		rd, err := OpenReaderAt(m, st.Size())
-		if err != nil {
-			_ = m.Close()
-			_ = f.Close()
-			return nil, err
-		}
-		return &fileReader{Reader: rd, f: f, m: m}, nil
+		fr.m, src = m, m
 	}
-	rd, err := OpenReaderAt(f, st.Size())
-	if err != nil {
+	if fr.Reader, err = OpenReaderAt(src, st.Size()); err != nil {
+		if fr.m != nil {
+			_ = fr.m.Close()
+		}
 		_ = f.Close()
 		return nil, err
 	}
-	return &fileReader{Reader: rd, f: f}, nil
+	return fr, nil
 }

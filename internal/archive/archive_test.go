@@ -269,7 +269,7 @@ func TestSearcherOnlyRLZ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := AsSearcher(r)
+		s, ok := As[Searcher](r)
 		if backend != RLZ {
 			if ok {
 				t.Errorf("%s unexpectedly implements Searcher", backend)
@@ -289,7 +289,7 @@ func TestSearcherOnlyRLZ(t *testing.T) {
 		}
 
 		// The file-owning wrapper returned by Open must still be
-		// searchable through AsSearcher.
+		// searchable through As[Searcher].
 		path := filepath.Join(t.TempDir(), "arc")
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -298,8 +298,8 @@ func TestSearcherOnlyRLZ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := AsSearcher(fr); !ok {
-			t.Error("AsSearcher fails through the Open wrapper")
+		if _, ok := As[Searcher](fr); !ok {
+			t.Error("As[Searcher] fails through the Open wrapper")
 		}
 		fr.Close()
 	}

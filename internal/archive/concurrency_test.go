@@ -77,7 +77,7 @@ func TestConcurrentSearchAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := AsSearcher(r)
+	s, ok := As[Searcher](r)
 	if !ok {
 		t.Fatal("RLZ reader does not expose Searcher")
 	}

@@ -23,7 +23,7 @@ func TestOpenServesRawZeroCopy(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	vw, ok := AsViewer(r)
+	vw, ok := As[Viewer](r)
 	if !ok {
 		t.Fatalf("file-backed raw archive does not expose Viewer")
 	}
@@ -67,7 +67,7 @@ func TestViewSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	vw, ok := AsViewer(r)
+	vw, ok := As[Viewer](r)
 	if !ok {
 		t.Fatalf("no Viewer on file-backed raw archive")
 	}
@@ -102,7 +102,7 @@ func TestViewerConcurrent(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	vw, ok := AsViewer(r)
+	vw, ok := As[Viewer](r)
 	if !ok {
 		t.Skip("no Viewer on this platform")
 	}
@@ -142,7 +142,7 @@ func TestBatchReaderFileBacked(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	br, ok := AsBatchReader(r)
+	br, ok := As[BatchReader](r)
 	if !ok {
 		t.Fatalf("file-backed block archive does not expose BatchReader")
 	}

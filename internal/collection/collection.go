@@ -1,10 +1,11 @@
 package collection
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,11 +25,9 @@ func init() {
 	})
 }
 
-// ErrDeleted is wrapped by reads of a tombstoned document. It wraps
-// docmap.ErrNoSuchDoc, so callers that only care about "not found"
-// (rlzd's 404 path) need no new check, while callers that iterate every
-// id (rlz verify) can skip tombstones specifically.
-var ErrDeleted = fmt.Errorf("%w: deleted", docmap.ErrNoSuchDoc)
+// ErrDeleted is wrapped by reads of a tombstoned document (see
+// archive.ErrDeleted: it wraps docmap.ErrNoSuchDoc).
+var ErrDeleted = archive.ErrDeleted
 
 // ErrCompacting is returned when a mutation that restructures the
 // segment list (Compact, GC) is requested while a compaction is already
@@ -43,25 +42,18 @@ var ErrBackpressure = wal.ErrBackpressure
 
 // Options configures an open Collection.
 //
-// Durability modes, strongest to weakest:
+// Durability modes:
 //
-//   - SyncAppends: every append fsyncs the open segment before its id
-//     returns. Strongest latency cost, no WAL.
-//   - default (both flags false): group commit — appends are logged to a
-//     write-ahead log and acknowledged after the WAL batch they joined
-//     is fsynced; one fsync amortizes over every append in flight. An
-//     acknowledged append survives any crash.
+//   - default: group commit — appends are logged to a write-ahead log
+//     and acknowledged after the WAL batch they joined is fsynced; one
+//     fsync amortizes over every append in flight. An acknowledged
+//     append survives any crash.
 //   - Async: appends are acknowledged from memory and are durable only
 //     at the next seal, sync or manifest publish; a crash loses at most
 //     the buffered tail (never a torn document). This was the default
 //     before the WAL existed.
 type Options struct {
-	// SyncAppends fsyncs the open segment's data and length files after
-	// every append, making each append durable before its id is
-	// returned — one fsync per append, no batching.
-	SyncAppends bool
-	// Async acknowledges appends before they are durable. Mutually
-	// exclusive with SyncAppends.
+	// Async acknowledges appends before they are durable.
 	Async bool
 	// FS routes the write path's filesystem operations; nil means the
 	// real filesystem (faultfs.OS). Tests install faultfs.NewSim() to
@@ -82,100 +74,83 @@ type Options struct {
 	MaxPendingDocs int
 }
 
-// resource is one closable a view references — a segment reader or the
-// open segment's file pair — refcounted by the number of views that
-// still reference it, so superseded resources close as soon as the last
-// view using them drains (not at Collection.Close): a long-running
-// daemon compacting continuously neither leaks descriptors nor pins
-// unlinked files' disk space.
-//
-//rlz:refcounted acquire=ref release=unref
-type resource struct {
-	c    io.Closer
-	refs atomic.Int64
+// member is one closable a view routes to — a sealed segment's reader
+// or the open segment — counted by the views that reference it, so a
+// superseded member closes as soon as the last view using it drains
+// (not at Collection.Close): a long-running daemon compacting
+// continuously neither leaks descriptors nor pins unlinked files' disk
+// space.
+type member struct {
+	refcount
+	r    archive.Reader
+	path string // manifest name: Segment.Path, or OpenSeg for the open segment
 }
 
-// newResource wraps c unreferenced; views take references at install,
-// so a resource created for a view that never publishes must be closed
-// by its creator's error path.
-func newResource(c io.Closer) *resource {
-	return &resource{c: c}
+// newMember wraps r holding one reference, the creator's: the creator
+// hands the member to a view (newView takes the view's own reference)
+// and then unrefs, so a member whose view never publishes closes when
+// that view is dropped.
+func newMember(r archive.Reader, path string) *member {
+	m := &member{r: r, path: path}
+	m.init(func() { _ = r.Close() })
+	return m
 }
 
-func (r *resource) ref() { r.refs.Add(1) }
-
-func (r *resource) unref() {
-	if r.refs.Add(-1) == 0 {
-		_ = r.c.Close()
-	}
-}
-
-// view is one immutable routing snapshot: the sealed segments with their
-// cumulative id offsets, the tombstone set, and the open segment (whose
-// document count grows independently under its own lock). Reads pin the
-// current view with a reference count (two atomic ops), so a mutation
-// can publish a fresh view and the replaced resources close exactly
-// when their last in-flight reader finishes.
-//
-//rlz:refcounted acquire=tryRef release=unref
+// view is one immutable routing snapshot: the segment set (sealed
+// segments in id order, then the open segment when there is one — its
+// document count grows independently under its own lock) behind the
+// tombstone mask. Reads pin the current view with a reference (two
+// atomic ops), so a mutation can publish a fresh view and the replaced
+// members close exactly when their last in-flight reader finishes.
 type view struct {
-	gen     uint64
-	segs    []archive.Reader
-	segRes  []*resource // lifetime entries, parallel to segs
-	paths   []string    // manifest paths, parallel to segs
-	starts  []int       // len(segs)+1 cumulative doc offsets
-	sizes   int64       // total sealed segment bytes
-	tomb    map[int]struct{}
-	open    *openSegment // nil when no open segment
-	openRes *resource    // lifetime entry for open's file handles
-
-	// refs counts 1 for being installed plus 1 per in-flight read;
-	// dying is set when the view is replaced, and the ref that drops
-	// refs to 0 releases the view's hold on every resource.
-	refs  atomic.Int64
-	dying atomic.Bool
+	refcount // 1 for being installed plus 1 per in-flight read
+	gen      uint64
+	set      *archive.Set
+	members  []*member // lifetimes and manifest names, parallel to set.Members()
+	tomb     map[int]struct{}
+	open     *openSegment // the last member's reader, or nil when no segment is open
 }
 
-func (v *view) tryRef() bool {
-	for {
-		n := v.refs.Load()
-		if n == 0 {
-			return false
-		}
-		if v.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (v *view) unref() {
-	if v.refs.Add(-1) == 0 && v.dying.Load() {
-		for _, r := range v.segRes {
-			r.unref()
-		}
-		if v.openRes != nil {
-			v.openRes.unref()
-		}
-	}
-}
-
-// install activates v: one installed self-ref plus one resource ref per
-// referenced closable (released when the view later drains).
+// newView routes over members (shared, never mutated afterwards) and
+// takes one reference on each, released when the view drains. The caller
+// holds the view's installed reference: publishLocked hands it to the
+// collection, or drops it when the publish fails.
 //
-//rlz:unbalanced resource refs taken here are released by unref when the view drains
-func (v *view) install() {
-	v.refs.Store(1)
-	for _, r := range v.segRes {
-		r.ref()
+//rlz:unbalanced member refs taken here are released by the view's drain
+func newView(members []*member, tomb map[int]struct{}, open *openSegment) *view {
+	readers := make([]archive.Reader, len(members))
+	for i, m := range members {
+		if !m.tryRef() {
+			panic("collection: view built over a drained member")
+		}
+		readers[i] = m.r
 	}
-	if v.openRes != nil {
-		v.openRes.ref()
-	}
+	v := &view{set: archive.NewSet(archive.Live, readers, tomb), members: members, tomb: tomb, open: open}
+	v.init(func() {
+		for _, m := range members {
+			m.unref()
+		}
+	})
+	return v
 }
 
-// sealed returns the sealed-document count (global ids below this route
-// to segments, at or above it to the open segment).
-func (v *view) sealed() int { return v.starts[len(v.segs)] }
+// sealed returns the members that are sealed segments: all but the open
+// one.
+func (v *view) sealed() []*member {
+	if v.open != nil {
+		return v.members[:len(v.members)-1]
+	}
+	return v.members
+}
+
+// sealedDocs returns the sealed-document count, i.e. the global id of
+// the open segment's first document.
+func (v *view) sealedDocs() int {
+	if v.open != nil {
+		return v.set.Start(len(v.members) - 1)
+	}
+	return v.set.NumDocs()
+}
 
 // Collection is a live generational document store implementing
 // archive.Reader plus the write API (Append, Delete, Seal, Compact, GC).
@@ -188,7 +163,7 @@ func (v *view) sealed() int { return v.starts[len(v.segs)] }
 // internal mutex; one process must own the directory (there is no
 // cross-process locking).
 //
-// Superseded resources (segment readers replaced by compaction, sealed
+// Superseded members (segment readers replaced by compaction, sealed
 // open-segment handles) are refcounted by the views that reference them
 // and close as soon as the last in-flight read on any such view drains
 // — a continuously compacting daemon holds descriptors only for the
@@ -203,8 +178,8 @@ type Collection struct {
 	compacting bool       // guarded by mu
 	closed     bool       // guarded by mu
 
-	// wal is the group-commit write-ahead log; nil in SyncAppends and
-	// Async modes. Enqueues happen under mu; the commit waits do not.
+	// wal is the group-commit write-ahead log; nil in Async mode.
+	// Enqueues happen under mu; the commit waits do not.
 	wal             *wal.Log
 	checkpointBytes int64
 
@@ -242,9 +217,6 @@ func Init(dir string) error {
 // absorbed. archive.Open dispatches here automatically when it sees a
 // collection manifest, so read-only callers never call this directly.
 func Open(dir string, opts Options) (*Collection, error) {
-	if opts.SyncAppends && opts.Async {
-		return nil, fmt.Errorf("collection: SyncAppends and Async are mutually exclusive")
-	}
 	if opts.FS == nil {
 		opts.FS = faultfs.OS
 	}
@@ -261,33 +233,33 @@ func Open(dir string, opts Options) (*Collection, error) {
 	if c.checkpointBytes <= 0 {
 		c.checkpointBytes = 4 << 20
 	}
-	v := &view{gen: man.Generation, starts: man.Starts(), tomb: tombSet(man.Tombstones)}
+	// Every member is held by this function until the view has its own
+	// references, so any failure below closes what was opened so far.
+	var members []*member
+	defer func() {
+		for _, m := range members {
+			m.unref()
+		}
+	}()
 	for i, s := range man.Segments {
-		sr, err := openSegmentReader(dir, s.Path)
+		sr, err := openSegmentFile(dir, s.Path)
 		if err != nil {
-			c.closeView(v)
 			return nil, fmt.Errorf("collection: segment %d (%s): %w", i, s.Path, err)
 		}
-		v.segs = append(v.segs, sr)
-		v.segRes = append(v.segRes, newResource(sr))
-		v.paths = append(v.paths, s.Path)
-		v.sizes += sr.Size()
+		members = append(members, newMember(sr, s.Path))
 		if sr.NumDocs() != s.Docs {
-			c.closeView(v)
 			return nil, fmt.Errorf("%w: segment %d (%s) holds %d documents, manifest says %d",
 				ErrCorruptManifest, i, s.Path, sr.NumDocs(), s.Docs)
 		}
 	}
+	var open *openSegment
 	if man.OpenSeg != "" {
-		v.open, err = recoverOpenSegment(c.fs, dir, man.OpenSeg, opts.SyncAppends)
-		if err != nil {
-			c.closeView(v)
+		if open, err = recoverOpenSegment(c.fs, dir, man.OpenSeg); err != nil {
 			return nil, err
 		}
-		v.openRes = newResource(closerFunc(v.open.closeFiles))
+		members = append(members, newMember(open, man.OpenSeg))
 	}
-	if err := c.openWAL(v); err != nil {
-		c.closeView(v)
+	if err := c.openWAL(open, man.NumSealedDocs()); err != nil {
 		return nil, err
 	}
 	// Clamp tombstones to the recovered document count: a tombstone can
@@ -297,19 +269,12 @@ func Open(dir string, opts Options) (*Collection, error) {
 	// tombstone would silently swallow them forever. Dropping it here
 	// (and at the next publish, since the manifest is held pruned)
 	// restores the id-stability contract for every id that survived.
-	total := v.sealed()
-	if v.open != nil {
-		total += v.open.count()
+	total := man.NumSealedDocs()
+	if open != nil {
+		total += open.NumDocs()
 	}
 	if n := len(man.Tombstones); n > 0 && man.Tombstones[n-1] >= total {
-		kept := man.Tombstones[:0]
-		for _, t := range man.Tombstones {
-			if t < total {
-				kept = append(kept, t)
-			}
-		}
-		man.Tombstones = kept
-		v.tomb = tombSet(kept)
+		man.Tombstones = man.Tombstones[:sort.SearchInts(man.Tombstones, total)]
 		// Publish the pruned set now: appends do not rewrite the
 		// manifest, so an in-memory-only clamp would resurrect the stale
 		// tombstones (over freshly re-allocated ids) at the next crash.
@@ -318,29 +283,27 @@ func Open(dir string, opts Options) (*Collection, error) {
 			if c.wal != nil {
 				_ = c.wal.Close()
 			}
-			c.closeView(v)
 			return nil, err
 		}
-		v.gen = man.Generation
 	}
-	v.install()
+	v := newView(members, tombSet(man.Tombstones), open)
+	v.gen = man.Generation
 	c.view.Store(v)
 	return c, nil
 }
 
-// openWAL opens (or, outside group-commit mode, drains and removes) the
-// collection's write-ahead log and replays surviving records into the
-// recovered open segment. Records the segment already holds durably are
-// skipped; the rest are appended, fsynced, and the log truncated — so
-// every acknowledged append is readable before Open returns, whatever
-// the crash looked like.
-func (c *Collection) openWAL(v *view) error {
-	group := !c.opts.SyncAppends && !c.opts.Async
+// openWAL opens (or, in Async mode, drains and removes) the collection's
+// write-ahead log and replays surviving records into the recovered open
+// segment, whose first document has global id sealed. Records the
+// segment already holds durably are skipped; the rest are appended,
+// fsynced, and the log truncated — so every acknowledged append is
+// readable before Open returns, whatever the crash looked like.
+func (c *Collection) openWAL(open *openSegment, sealed int) error {
 	walPath := filepath.Join(c.dir, wal.FileName)
-	if !group {
-		// Per-append-fsync and async modes do not run a WAL, but a log
-		// left by a previous group-commit process may still hold acked
-		// appends — drain it before removing it.
+	if c.opts.Async {
+		// Async mode does not run a WAL, but a log left by a previous
+		// group-commit process may still hold acked appends — drain it
+		// before removing it.
 		if _, err := c.fs.Stat(walPath); err != nil {
 			return nil
 		}
@@ -350,7 +313,7 @@ func (c *Collection) openWAL(v *view) error {
 		return err
 	}
 	replayed := 0
-	if len(recs) > 0 && v.open != nil {
+	if len(recs) > 0 && open != nil {
 		// The open segment recovered to a whole-document boundary; WAL
 		// records at or past that boundary are acked appends whose
 		// segment bytes were lost. Re-append them in order. Records
@@ -358,7 +321,7 @@ func (c *Collection) openWAL(v *view) error {
 		// at or after their checkpoint); a gap cannot occur — the log
 		// is truncated only after the segment durably absorbed it — but
 		// stop defensively rather than misnumber documents.
-		total := uint64(v.sealed() + v.open.count())
+		total := uint64(sealed + open.NumDocs())
 		for _, r := range recs {
 			if r.Seq < total {
 				continue
@@ -366,7 +329,7 @@ func (c *Collection) openWAL(v *view) error {
 			if r.Seq > total {
 				break
 			}
-			if _, err := v.open.append(r.Doc); err != nil {
+			if _, err := open.append(r.Doc); err != nil {
 				_ = l.Close()
 				return fmt.Errorf("collection: replaying WAL record %d: %w", r.Seq, err)
 			}
@@ -375,7 +338,7 @@ func (c *Collection) openWAL(v *view) error {
 		}
 	}
 	if replayed > 0 {
-		if err := v.open.syncFiles(); err != nil {
+		if err := open.syncFiles(); err != nil {
 			_ = l.Close()
 			return fmt.Errorf("collection: syncing WAL replay: %w", err)
 		}
@@ -384,7 +347,7 @@ func (c *Collection) openWAL(v *view) error {
 		_ = l.Close()
 		return err
 	}
-	if group {
+	if !c.opts.Async {
 		c.wal = l
 		return nil
 	}
@@ -394,26 +357,15 @@ func (c *Collection) openWAL(v *view) error {
 	return l.Remove()
 }
 
-// openSegmentReader opens one sealed segment — a single-file archive or
-// a shard-set directory — rejecting nested collections so a hostile
-// manifest cannot recurse.
-func openSegmentReader(dir, path string) (archive.Reader, error) {
-	full := filepath.Join(dir, path)
-	probe := full
-	if st, err := os.Stat(full); err == nil && st.IsDir() {
-		probe = filepath.Join(full, archive.DirManifest)
+// openSegmentFile opens one sealed segment through the member opener
+// shard sets use too: a single-file archive, memory-mapped. A manifest
+// naming anything else (another collection, a shard set) is corrupt.
+func openSegmentFile(dir, path string) (archive.Reader, error) {
+	sr, err := archive.OpenFile(filepath.Join(dir, path))
+	if errors.Is(err, archive.ErrNeedsPath) {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptManifest, err)
 	}
-	var magic [4]byte
-	f, err := os.Open(probe)
-	if err != nil {
-		return nil, err
-	}
-	_, rerr := io.ReadFull(f, magic[:])
-	_ = f.Close()
-	if rerr == nil && string(magic[:]) == headerMagic {
-		return nil, fmt.Errorf("%w: segment %q is itself a collection", ErrCorruptManifest, path)
-	}
-	return archive.Open(full)
+	return sr, err
 }
 
 // tombSet builds the O(1) membership set from the manifest's sorted list.
@@ -423,16 +375,6 @@ func tombSet(ids []int) map[int]struct{} {
 		m[id] = struct{}{}
 	}
 	return m
-}
-
-// closeView closes the resources a partially constructed view holds.
-func (c *Collection) closeView(v *view) {
-	for _, sr := range v.segs {
-		_ = sr.Close()
-	}
-	if v.open != nil {
-		v.open.closeFiles()
-	}
 }
 
 // cloneManifest deep-copies the current manifest for mutation.
@@ -449,51 +391,29 @@ func (c *Collection) cloneManifest() *Manifest {
 	return m
 }
 
-// cloneView shallow-copies the current view for mutation; slices and the
-// tombstone map are copied so the published old view stays immutable.
-// Resource entries are carried by pointer — the clone takes its own
-// references at install time.
-func cloneView(v *view) *view {
-	nv := &view{
-		segs:    append([]archive.Reader(nil), v.segs...),
-		segRes:  append([]*resource(nil), v.segRes...),
-		paths:   append([]string(nil), v.paths...),
-		starts:  append([]int(nil), v.starts...),
-		sizes:   v.sizes,
-		tomb:    v.tomb,
-		open:    v.open,
-		openRes: v.openRes,
-	}
-	return nv
-}
-
 // publishLocked atomically persists m as the next generation and
-// installs v as the live view; the replaced view is marked dying and
-// releases its resource references once its in-flight reads drain.
-// Called with mu held.
+// installs v as the live view; the replaced view loses its installed
+// reference and releases its members once its in-flight reads drain.
+// When the publish fails v is dropped instead, closing any member only
+// it referenced. Called with mu held.
 func (c *Collection) publishLocked(m *Manifest, v *view) error {
 	m.Generation = c.man.Generation + 1
 	if err := writeManifest(c.fs, c.dir, m); err != nil {
+		v.unref()
 		return err
 	}
 	c.man = m
 	v.gen = m.Generation
-	v.install()
-	old := c.view.Load()
-	c.view.Store(v)
-	if old != nil {
-		old.dying.Store(true)
-		old.unref()
-	}
+	c.view.Swap(v).unref()
 	return nil
 }
 
 // acquireView pins the current view for one read, returning it with its
-// release func. Mirrors the serving layer's acquire: a view being
-// drained cannot be resurrected, and a pointer move between load and
-// ref retries on the fresh view. After Close the current view is
-// drained for good; reads then get it unpinned (and fail on the closed
-// files — the documented post-Close behavior) instead of spinning.
+// release func: a view being drained cannot be resurrected, and a
+// pointer move between load and ref retries on the fresh view. After
+// Close the current view is drained for good; reads then get it
+// unpinned (and fail on the closed files — the documented post-Close
+// behavior) instead of spinning.
 //
 //rlz:acquire release=closure
 func (c *Collection) acquireView() (*view, func()) {
@@ -517,10 +437,9 @@ func (c *Collection) Generation() uint64 { return c.view.Load().gen }
 
 // Append stores one document at the tail of the collection, returning
 // its stable global id. The document is readable immediately — before
-// any seal or compaction — and durable per the collection's mode: with
-// SyncAppends before the call returns (own fsync), by default when the
-// WAL batch it joined commits (group fsync, still before the call
-// returns), with Async at the next seal or sync. The first append after
+// any seal or compaction — and durable per the collection's mode: by
+// default when the WAL batch it joined commits (group fsync, before the
+// call returns), with Async at the next seal or sync. The first append after
 // a seal (or on a fresh collection) creates a new open segment, which
 // publishes a manifest so crash recovery knows where the write head is.
 //
@@ -603,15 +522,12 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 	v := c.view.Load()
 	if v.open == nil {
 		m := c.cloneManifest()
-		var (
-			name string
-			open *openSegment
-		)
+		var open *openSegment
 		for {
-			name = segFileName(m.NextSeq)
+			m.OpenSeg = segFileName(m.NextSeq)
 			m.NextSeq++
 			var err error
-			open, err = createOpenSegment(c.fs, c.dir, name, c.opts.SyncAppends)
+			open, err = createOpenSegment(c.fs, c.dir, m.OpenSeg)
 			if err == nil {
 				break
 			}
@@ -625,17 +541,16 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 			}
 			return 0, nil, err
 		}
-		m.OpenSeg = name
-		nv := cloneView(v)
-		nv.open = open
-		nv.openRes = newResource(closerFunc(open.closeFiles))
+		om := newMember(open, m.OpenSeg)
+		nv := newView(append(slices.Clip(v.members), om), v.tomb, open)
+		om.unref() // the view holds it now
+		// A failed publish drops nv, which closes the handles but leaves
+		// the files in place: an error after the rename (a failed
+		// directory fsync) means the on-disk manifest may already name
+		// them, and deleting them would break the old-or-new-generation
+		// recovery contract. If the manifest never landed they are
+		// unreferenced orphans for gc.
 		if err := c.publishLocked(m, nv); err != nil {
-			// Leave the files in place: a publish error after the rename
-			// (a failed directory fsync) means the on-disk manifest may
-			// already name them, and deleting them would break the
-			// old-or-new-generation recovery contract. If the manifest
-			// never landed they are unreferenced orphans for gc.
-			open.closeFiles()
 			return 0, nil, err
 		}
 		v = nv
@@ -644,7 +559,7 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	id := v.sealed() + local
+	id := v.sealedDocs() + local
 	if c.wal == nil {
 		return id, nil, nil
 	}
@@ -676,18 +591,14 @@ func (c *Collection) checkpointLocked(v *view) {
 	_ = c.wal.Checkpoint()
 }
 
-// pendingDocsLocked counts the compaction backlog: open-segment
-// documents plus documents in raw (uncompacted) sealed segments.
+// pendingDocsLocked counts the compaction backlog: documents in raw
+// members — uncompacted sealed segments and the open segment.
 func (c *Collection) pendingDocsLocked() int {
-	v := c.view.Load()
 	n := 0
-	for _, sr := range v.segs {
-		if sr.Stats().Backend == archive.Raw {
-			n += sr.NumDocs()
+	for _, m := range c.view.Load().members {
+		if m.r.Stats().Backend == archive.Raw {
+			n += m.r.NumDocs()
 		}
-	}
-	if v.open != nil {
-		n += v.open.count()
 	}
 	return n
 }
@@ -702,11 +613,7 @@ func (c *Collection) Delete(id int) error {
 		return fmt.Errorf("collection: delete on closed collection")
 	}
 	v := c.view.Load()
-	total := v.sealed()
-	if v.open != nil {
-		total += v.open.count()
-	}
-	if id < 0 || id >= total {
+	if total := v.set.NumDocs(); id < 0 || id >= total {
 		return fmt.Errorf("%w: id %d of %d", docmap.ErrNoSuchDoc, id, total)
 	}
 	if _, dead := v.tomb[id]; dead {
@@ -717,23 +624,15 @@ func (c *Collection) Delete(id int) error {
 	// buffers, a crash could lose the document but keep its tombstone,
 	// and recovery's clamp would then misjudge later ids. Make the open
 	// segment at least as durable as the tombstone first.
-	if id >= v.sealed() && v.open != nil && !c.opts.SyncAppends {
+	if v.open != nil && id >= v.sealedDocs() {
 		if err := v.open.syncFiles(); err != nil {
 			return err
 		}
 	}
 	m := c.cloneManifest()
 	at := sort.SearchInts(m.Tombstones, id)
-	m.Tombstones = append(m.Tombstones, 0)
-	copy(m.Tombstones[at+1:], m.Tombstones[at:])
-	m.Tombstones[at] = id
-	nv := cloneView(v)
-	nv.tomb = make(map[int]struct{}, len(v.tomb)+1)
-	for t := range v.tomb {
-		nv.tomb[t] = struct{}{}
-	}
-	nv.tomb[id] = struct{}{}
-	return c.publishLocked(m, nv)
+	m.Tombstones = slices.Insert(m.Tombstones, at, id)
+	return c.publishLocked(m, newView(v.members, tombSet(m.Tombstones), v.open))
 }
 
 // Seal finalizes the open append segment into an immutable raw-archive
@@ -750,38 +649,31 @@ func (c *Collection) Seal() error {
 
 func (c *Collection) sealLocked() error {
 	v := c.view.Load()
-	if v.open == nil || v.open.count() == 0 {
+	if v.open == nil || v.open.NumDocs() == 0 {
 		return nil
 	}
 	open := v.open
-	docs := open.count()
-	raw := open.size() - rawstore.HeaderSize
+	docs := open.NumDocs()
+	raw := open.Size() - rawstore.HeaderSize
 	if err := open.seal(); err != nil {
 		return err
 	}
-	sr, err := openSegmentReader(c.dir, open.name)
+	sr, err := openSegmentFile(c.dir, open.name)
 	if err != nil {
 		return fmt.Errorf("collection: reopening sealed segment %s: %w", open.name, err)
 	}
+	sm := newMember(sr, open.name)
+	defer sm.unref() // the new view holds it from here on, or nothing does
 	if sr.NumDocs() != docs {
-		_ = sr.Close()
 		return fmt.Errorf("collection: sealed segment %s holds %d documents, expected %d", open.name, sr.NumDocs(), docs)
 	}
 	m := c.cloneManifest()
 	m.Segments = append(m.Segments, Segment{Path: open.name, Docs: docs, Raw: raw})
 	m.OpenSeg = ""
-	nv := cloneView(v)
-	nv.starts = append(nv.starts, nv.sealed()+docs)
-	nv.segs = append(nv.segs, sr)
-	nv.segRes = append(nv.segRes, newResource(sr))
-	nv.paths = append(nv.paths, open.name)
-	nv.sizes += sr.Size()
-	// The new view reads the sealed bytes through sr; dropping the open
-	// segment's entry closes its handles once older views drain.
-	nv.open = nil
-	nv.openRes = nil
+	// The new view reads the sealed bytes through sr; the open segment
+	// drops out of it and closes its handles once older views drain.
+	nv := newView(append(slices.Clip(v.sealed()), sm), v.tomb, nil)
 	if err := c.publishLocked(m, nv); err != nil {
-		_ = sr.Close()
 		return err
 	}
 	// Every WAL record is now covered by the sealed (fsynced) segment:
@@ -796,40 +688,15 @@ func (c *Collection) sealLocked() error {
 	return nil
 }
 
-type closerFunc func() error
-
-func (f closerFunc) Close() error { return f() }
-
-// route maps a global id to its segment and local id within the view.
-func (v *view) route(id int) (seg, local int, err error) {
-	if id < 0 || id >= v.sealed() {
-		return 0, 0, fmt.Errorf("%w: id %d", docmap.ErrNoSuchDoc, id)
-	}
-	s := sort.Search(len(v.segs), func(i int) bool { return v.starts[i+1] > id })
-	return s, id - v.starts[s], nil
-}
+// The read side: pin the current view, delegate to its segment set (the
+// router in archive.Set owns tombstones, routing, capability fallbacks
+// and the open segment alike).
 
 // GetAppend retrieves document id, appending its text to dst.
 func (c *Collection) GetAppend(dst []byte, id int) ([]byte, error) {
 	v, release := c.acquireView()
 	defer release()
-	if _, dead := v.tomb[id]; dead {
-		return dst, fmt.Errorf("collection: document %d: %w", id, ErrDeleted)
-	}
-	if id >= 0 && id >= v.sealed() {
-		if v.open != nil {
-			local := id - v.sealed()
-			if local < v.open.count() {
-				return v.open.get(dst, local)
-			}
-		}
-		return dst, fmt.Errorf("%w: id %d of %d", docmap.ErrNoSuchDoc, id, c.numDocs(v))
-	}
-	s, local, err := v.route(id)
-	if err != nil {
-		return dst, fmt.Errorf("%w of %d", err, c.numDocs(v))
-	}
-	return v.segs[s].GetAppend(dst, local)
+	return v.set.GetAppend(dst, id)
 }
 
 // Get retrieves document id.
@@ -844,106 +711,21 @@ func (c *Collection) Get(id int) ([]byte, error) {
 // the moment fn returns. ok=false means this document has no zero-copy
 // path (unmapped platform, compressed segment, beyond the open segment's
 // mapped prefix) — fall back to GetAppend.
+//
+//rlz:view callback
 func (c *Collection) View(id int, fn func(doc []byte) error) (bool, error) {
 	v, release := c.acquireView()
 	defer release()
-	if _, dead := v.tomb[id]; dead {
-		return true, fmt.Errorf("collection: document %d: %w", id, ErrDeleted)
-	}
-	if id >= 0 && id >= v.sealed() {
-		if v.open != nil {
-			local := id - v.sealed()
-			if local < v.open.count() {
-				return v.open.view(local, fn)
-			}
-		}
-		return true, fmt.Errorf("%w: id %d of %d", docmap.ErrNoSuchDoc, id, c.numDocs(v))
-	}
-	s, local, err := v.route(id)
-	if err != nil {
-		return true, fmt.Errorf("%w of %d", err, c.numDocs(v))
-	}
-	if vw, ok := archive.AsViewer(v.segs[s]); ok {
-		return vw.View(local, fn)
-	}
-	return false, nil
+	return v.set.View(id, fn)
 }
 
-// GetBatch retrieves every id, routing contiguous work per segment and
-// delegating to segments that batch natively (the block backend decodes
-// each distinct block once), implementing archive.BatchReader. visit is
-// called exactly once per index of ids, from a single goroutine, in
-// segment order; doc is only valid during the call.
+// GetBatch retrieves every id, implementing archive.BatchReader: one
+// sub-batch per segment, delegated to segments that batch natively (see
+// archive.Set.GetBatch for the visit contract).
 func (c *Collection) GetBatch(ids []int, workers int, visit func(i int, doc []byte, err error)) {
-	if len(ids) == 0 {
-		return
-	}
 	v, release := c.acquireView()
 	defer release()
-	// Partition: per-segment sub-batches, everything else (tombstones,
-	// open segment, out of range) answered inline.
-	type sub struct {
-		idx    []int // indices into ids
-		locals []int
-	}
-	subs := make(map[int]*sub)
-	var buf []byte
-	for i, id := range ids {
-		if _, dead := v.tomb[id]; dead {
-			visit(i, nil, fmt.Errorf("collection: document %d: %w", id, ErrDeleted))
-			continue
-		}
-		if id >= 0 && id >= v.sealed() {
-			if v.open != nil {
-				local := id - v.sealed()
-				if local < v.open.count() {
-					var err error
-					buf, err = v.open.get(buf[:0], local)
-					if err != nil {
-						visit(i, nil, err)
-					} else {
-						visit(i, buf, nil)
-					}
-					continue
-				}
-			}
-			visit(i, nil, fmt.Errorf("%w: id %d of %d", docmap.ErrNoSuchDoc, id, c.numDocs(v)))
-			continue
-		}
-		s, local, err := v.route(id)
-		if err != nil {
-			visit(i, nil, fmt.Errorf("%w of %d", err, c.numDocs(v)))
-			continue
-		}
-		sb := subs[s]
-		if sb == nil {
-			sb = &sub{}
-			subs[s] = sb
-		}
-		sb.idx = append(sb.idx, i)
-		sb.locals = append(sb.locals, local)
-	}
-	for s := 0; s < len(v.segs); s++ {
-		sb := subs[s]
-		if sb == nil {
-			continue
-		}
-		if br, ok := archive.AsBatchReader(v.segs[s]); ok {
-			br.GetBatch(sb.locals, workers, func(j int, doc []byte, err error) {
-				visit(sb.idx[j], doc, err)
-			})
-			continue
-		}
-		for j, local := range sb.locals {
-			var err error
-			buf, err = v.segs[s].GetAppend(buf[:0], local)
-			if err != nil {
-				visit(sb.idx[j], nil, err)
-			} else {
-				visit(sb.idx[j], buf, nil)
-			}
-		}
-	}
+	v.set.GetBatch(ids, workers, visit)
 }
 
 // Extent returns the extent a Get for id physically reads, within the
@@ -951,75 +733,53 @@ func (c *Collection) GetBatch(ids []int, workers int, visit func(i int, doc []by
 func (c *Collection) Extent(id int) (off, n int64, err error) {
 	v, release := c.acquireView()
 	defer release()
-	if _, dead := v.tomb[id]; dead {
-		return 0, 0, fmt.Errorf("collection: document %d: %w", id, ErrDeleted)
-	}
-	if id >= 0 && id >= v.sealed() {
-		if v.open != nil {
-			local := id - v.sealed()
-			if local < v.open.count() {
-				return v.open.extent(local)
-			}
-		}
-		return 0, 0, fmt.Errorf("%w: id %d of %d", docmap.ErrNoSuchDoc, id, c.numDocs(v))
-	}
-	s, local, err := v.route(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	return v.segs[s].Extent(local)
+	return v.set.Extent(id)
 }
 
-func (c *Collection) numDocs(v *view) int {
-	total := v.sealed()
-	if v.open != nil {
-		total += v.open.count()
-	}
-	return total
+// FindAll collects occurrences of pattern across the whole live
+// collection in global-id order, up to limit (0 = all), implementing
+// archive.Searcher: compacted RLZ segments search in the compressed
+// domain, raw segments and the open append segment are scanned.
+// Tombstoned documents never match. Together with GetRange this makes
+// rlz grep work over a collection unchanged.
+func (c *Collection) FindAll(pattern []byte, limit int) ([]archive.Match, error) {
+	v, release := c.acquireView()
+	defer release()
+	return v.set.FindAll(pattern, limit)
+}
+
+// GetRange retrieves bytes [from, to) of document id, without decoding
+// the whole document where the owning segment supports it (RLZ).
+func (c *Collection) GetRange(id, from, to int) ([]byte, error) {
+	v, release := c.acquireView()
+	defer release()
+	return v.set.GetRange(id, from, to)
 }
 
 // NumDocs returns the total number of allocated document ids, tombstoned
 // ids included (they are routable and return not-found — ids are never
 // renumbered).
-func (c *Collection) NumDocs() int { return c.numDocs(c.view.Load()) }
+func (c *Collection) NumDocs() int { return c.view.Load().set.NumDocs() }
 
 // NumSegments returns the sealed segment count of the current view.
-func (c *Collection) NumSegments() int { return len(c.view.Load().segs) }
+func (c *Collection) NumSegments() int { return len(c.view.Load().sealed()) }
 
 // Size returns the total on-disk payload size: sealed segment bytes
 // plus the open segment's current extent.
 func (c *Collection) Size() int64 {
 	v, release := c.acquireView()
 	defer release()
-	size := v.sizes
-	if v.open != nil {
-		size += v.open.size()
-	}
-	return size
+	return v.set.Size()
 }
 
 // Stats reports the collection's aggregate figures under the Live
 // backend label (segments may mix backends; per-segment identity is in
-// Info).
+// Info). One pinned view supplies every figure, so the snapshot cannot
+// tear across a concurrent generation swap.
 func (c *Collection) Stats() archive.Stats {
 	v, release := c.acquireView()
 	defer release()
-	// One pinned view supplies every figure, so the snapshot cannot tear
-	// across a concurrent generation swap.
-	size := v.sizes
-	if v.open != nil {
-		size += v.open.size()
-	}
-	st := archive.Stats{Backend: archive.Live, NumDocs: c.numDocs(v), Size: size}
-	for _, sr := range v.segs {
-		s := sr.Stats()
-		st.DictLen += s.DictLen
-		st.NumBlocks += s.NumBlocks
-		if st.Codec == "" {
-			st.Codec = s.Codec
-		}
-	}
-	return st
+	return v.set.Stats()
 }
 
 // SegmentInfo describes one segment for stats and tooling.
@@ -1073,7 +833,7 @@ func (c *Collection) Info() Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v := c.view.Load()
-	info := Info{Generation: v.gen, Tombstones: len(v.tomb), NumDocs: c.numDocs(v)}
+	info := Info{Generation: v.gen, Tombstones: len(v.tomb), NumDocs: v.set.NumDocs()}
 	perDict := make(map[uint64]*DictInfo, len(c.man.Dicts))
 	for _, d := range c.man.Dicts {
 		di := &DictInfo{ID: d.ID, Path: d.Path, UnusedPercent: -1}
@@ -1082,10 +842,11 @@ func (c *Collection) Info() Info {
 		}
 		perDict[d.ID] = di
 	}
-	for i, sr := range v.segs {
+	for i, seg := range v.sealed() {
+		sr := seg.r
 		st := sr.Stats()
 		info.Segments = append(info.Segments, SegmentInfo{
-			Path: v.paths[i], Backend: st.Backend, Docs: st.NumDocs, Size: sr.Size(),
+			Path: seg.path, Backend: st.Backend, Docs: st.NumDocs, Size: sr.Size(),
 		})
 		if st.Backend == archive.Raw {
 			info.PendingDocs += st.NumDocs
@@ -1115,7 +876,7 @@ func (c *Collection) Info() Info {
 	}
 	if v.open != nil {
 		info.OpenSeg = v.open.name
-		info.OpenDocs = v.open.count()
+		info.OpenDocs = v.open.NumDocs()
 		info.PendingDocs += info.OpenDocs
 	}
 	return info
@@ -1133,19 +894,11 @@ func (c *Collection) GC() ([]string, error) {
 		return nil, ErrCompacting
 	}
 	keep := map[string]bool{ManifestName: true, wal.FileName: true}
-	// The legacy unversioned DICT file is sacred only until it is either
-	// migrated into the dictionary list (where it is kept by path like
-	// any generation) or superseded; an unreferenced DICT alongside a
-	// versioned list is a leftover from its retirement.
-	if len(c.man.Dicts) == 0 {
-		keep[DictName] = true
-	}
 	for _, d := range c.man.Dicts {
 		keep[filepath.ToSlash(filepath.Clean(d.Path))] = true
 	}
 	for _, s := range c.man.Segments {
-		// Keep the whole first path element: a shard-set segment is a
-		// subdirectory.
+		// Keep the whole first path element of a nested segment path.
 		first := strings.SplitN(filepath.ToSlash(filepath.Clean(s.Path)), "/", 2)[0]
 		keep[first] = true
 	}
@@ -1164,10 +917,10 @@ func (c *Collection) GC() ([]string, error) {
 			continue
 		}
 		// Only touch files this package created: segment files, dictionary
-		// generations, their sidecars, temporaries, and a retired legacy
-		// DICT. Anything else in the directory is the user's business.
+		// generations, their sidecars and temporaries. Anything else in
+		// the directory is the user's business.
 		if !strings.HasPrefix(name, "seg-") && !strings.HasPrefix(name, "dict-") &&
-			!strings.HasSuffix(name, ".tmp") && name != DictName {
+			!strings.HasSuffix(name, ".tmp") {
 			continue
 		}
 		if err := c.fs.RemoveAll(filepath.Join(c.dir, name)); err != nil {
@@ -1188,8 +941,8 @@ func (c *Collection) GC() ([]string, error) {
 
 // Close releases the collection's resources: the write-ahead log
 // flushes its queued batch (in-flight Appends get their final
-// acknowledgment) and closes, then the current view is marked dying and
-// its segment readers and open-segment handles close as soon as
+// acknowledgment) and closes, then the current view loses its installed
+// reference and its segment readers and open-segment handles close as soon as
 // in-flight reads drain (immediately, when none are in flight). Reads
 // arriving after Close race its drain and may return errors.
 func (c *Collection) Close() error {
@@ -1203,24 +956,6 @@ func (c *Collection) Close() error {
 	if c.wal != nil {
 		err = c.wal.Close()
 	}
-	v := c.view.Load()
-	v.dying.Store(true)
-	v.unref()
+	c.view.Load().unref()
 	return err
-}
-
-// FromReader unwraps r (through any wrappers) to the live Collection,
-// reporting whether r serves one. cmd/rlzd uses it to light up the write
-// API when archive.Open handed it a collection.
-func FromReader(r archive.Reader) (*Collection, bool) {
-	for {
-		if c, ok := r.(*Collection); ok {
-			return c, true
-		}
-		u, ok := r.(interface{ Unwrap() archive.Reader })
-		if !ok {
-			return nil, false
-		}
-		r = u.Unwrap()
-	}
 }

@@ -242,8 +242,8 @@ func TestOpenViaArchiveOpen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("archive.Open(%s): %v", p, err)
 		}
-		if _, ok := FromReader(r); !ok {
-			t.Fatalf("FromReader failed for %s", p)
+		if _, ok := archive.As[*Collection](r); !ok {
+			t.Fatalf("archive.As[*Collection] failed for %s", p)
 		}
 		if r.Stats().Backend != archive.Live {
 			t.Fatalf("backend = %s", r.Stats().Backend)
@@ -457,12 +457,15 @@ func TestNestedCollectionRejected(t *testing.T) {
 	}
 }
 
+// TestSyncAppendsOption keeps its name from the removed per-append-fsync
+// option: the default mode is the one way to get an append durable
+// before its id returns.
 func TestSyncAppendsOption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "coll")
 	if err := Init(dir); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(dir, Options{SyncAppends: true})
+	c, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

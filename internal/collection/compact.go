@@ -174,29 +174,33 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 	}
 
 	// Open and verify every replacement before touching shared state, so
-	// a failure leaves the collection exactly as it was.
-	newReaders := make([]archive.Reader, len(runs))
-	cleanup := func() {
-		for _, sr := range newReaders {
-			if sr != nil {
-				_ = sr.Close()
-			}
+	// a failure leaves the collection exactly as it was. This function
+	// holds each replacement's creator reference until it returns: the
+	// published view takes its own, and on any other path dropping ours
+	// closes the reader.
+	fresh := make([]*member, 0, len(runs))
+	defer func() {
+		for _, m := range fresh {
+			m.unref()
 		}
+	}()
+	removeBuilt := func() {
 		for _, b := range built {
 			_ = c.fs.Remove(filepath.Join(c.dir, b))
 		}
 	}
 	for i := range runs {
-		sr, err := openSegmentReader(c.dir, built[i])
-		if err == nil && sr.NumDocs() != runs[i].docs {
-			_ = sr.Close()
-			err = fmt.Errorf("collection: compacted segment %s holds %d documents, expected %d", built[i], sr.NumDocs(), runs[i].docs)
+		sr, err := openSegmentFile(c.dir, built[i])
+		if err == nil {
+			fresh = append(fresh, newMember(sr, built[i]))
+			if sr.NumDocs() != runs[i].docs {
+				err = fmt.Errorf("collection: compacted segment %s holds %d documents, expected %d", built[i], sr.NumDocs(), runs[i].docs)
+			}
 		}
 		if err != nil {
-			cleanup()
+			removeBuilt()
 			return finish(err)
 		}
-		newReaders[i] = sr
 	}
 
 	// Splice the manifest and view. Segment indices are stable while
@@ -211,11 +215,12 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		// unreferenced (no publish happened), so removing them is safe.
 		c.compacting = false
 		c.mu.Unlock()
-		cleanup()
+		removeBuilt()
 		return res, fmt.Errorf("collection: compact on closed collection")
 	}
 	m := c.cloneManifest()
-	nv := cloneView(c.view.Load())
+	cur := c.view.Load()
+	members := cur.members
 	var superseded []string
 	for i := len(runs) - 1; i >= 0; i-- {
 		r := runs[i]
@@ -223,13 +228,11 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		for _, p := range m.Segments[r.lo:r.hi] {
 			superseded = append(superseded, p.Path)
 		}
-		res.BytesAfter += newReaders[i].Size()
+		res.BytesAfter += fresh[i].r.Size()
 		m.Segments = splice(m.Segments, r.lo, r.hi, Segment{Path: name, Docs: r.docs, Dict: chosen.id, Raw: rawBytes[i]})
-		// The replaced readers simply drop out of the new view; their
-		// resource entries close once the older views drain.
-		nv.segs = splice(nv.segs, r.lo, r.hi, newReaders[i])
-		nv.segRes = splice(nv.segRes, r.lo, r.hi, newResource(newReaders[i]))
-		nv.paths = splice(nv.paths, r.lo, r.hi, name)
+		// The replaced members simply drop out of the new view; they
+		// close once the older views drain.
+		members = splice(members, r.lo, r.hi, fresh[i])
 		res.Compacted += r.hi - r.lo
 		res.Docs += r.docs
 		res.BytesBefore += r.bytes
@@ -239,12 +242,6 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 	// like every other segment list in the system.
 	for i, j := 0, len(res.NewSegments)-1; i < j; i, j = i+1, j-1 {
 		res.NewSegments[i], res.NewSegments[j] = res.NewSegments[j], res.NewSegments[i]
-	}
-	nv.starts = make([]int, len(nv.segs)+1)
-	nv.sizes = 0
-	for i, sr := range nv.segs {
-		nv.starts[i+1] = nv.starts[i] + sr.NumDocs()
-		nv.sizes += sr.Size()
 	}
 	// Maintain the dictionary list: add the adopted generation, retire
 	// generations no live segment references any more. The newest
@@ -272,16 +269,14 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		}
 		m.Dicts = kept
 	}
-	if err := c.publishLocked(m, nv); err != nil {
+	if err := c.publishLocked(m, newView(members, cur.tomb, cur.open)); err != nil {
 		c.compacting = false
 		c.mu.Unlock()
-		// Close the replacement readers but leave their files: a publish
-		// error after writeFileAtomic's rename (a failed directory
-		// fsync) means the on-disk manifest may already reference them;
-		// deleting them would strand it. Unreferenced files are gc'd.
-		for _, sr := range newReaders {
-			_ = sr.Close()
-		}
+		// The replacement readers close with the dropped view, but their
+		// files stay: a publish error after the manifest's rename (a
+		// failed directory fsync) means the on-disk manifest may already
+		// reference them; deleting them would strand it. Unreferenced
+		// files are gc'd.
 		return res, err
 	}
 	res.Generation = m.Generation
@@ -338,8 +333,9 @@ func findRuns(v *view, man *Manifest, nextSeq *uint64, upgrade bool) []run {
 	if len(man.Dicts) > 0 {
 		newest = man.Dicts[len(man.Dicts)-1].ID
 	}
+	segs := v.sealed()
 	compactable := func(i int) bool {
-		switch v.segs[i].Stats().Backend {
+		switch segs[i].r.Stats().Backend {
 		case archive.Raw:
 			return true
 		case archive.RLZ:
@@ -349,16 +345,17 @@ func findRuns(v *view, man *Manifest, nextSeq *uint64, upgrade bool) []run {
 	}
 	var runs []run
 	i := 0
-	for i < len(v.segs) {
+	for i < len(segs) {
 		if !compactable(i) {
 			i++
 			continue
 		}
-		r := run{lo: i, start: v.starts[i]}
-		for i < len(v.segs) && compactable(i) {
-			r.docs += v.segs[i].NumDocs()
-			r.bytes += v.segs[i].Size()
-			r.segs = append(r.segs, v.segs[i])
+		r := run{lo: i, start: v.set.Start(i)}
+		for i < len(segs) && compactable(i) {
+			sr := segs[i].r
+			r.docs += sr.NumDocs()
+			r.bytes += sr.Size()
+			r.segs = append(r.segs, sr)
 			i++
 		}
 		r.hi = i

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"rlz/internal/archive"
+	"rlz/internal/faultfs"
 	"rlz/internal/rlz"
 )
 
@@ -98,10 +99,9 @@ func (c *Collection) preparedDictCount() int {
 //
 //  1. Explicit opts.Dict bytes become a new generation (unless they equal
 //     the current one).
-//  2. No dictionary yet: the legacy DICT file is migrated as generation 1
-//     if present; otherwise a fresh even sample over the pending
-//     documents becomes generation 1 (or the unversioned placeholder when
-//     every pending document is empty).
+//  2. No dictionary yet: a fresh even sample over the pending documents
+//     becomes generation 1 (or the unversioned placeholder when every
+//     pending document is empty).
 //  3. A dictionary exists and opts.Adapt is set: build a candidate with
 //     AdaptiveSampler from the current dictionary's observed usage and
 //     the pending documents, trial-factorize a bounded sample against
@@ -123,7 +123,7 @@ func (c *Collection) chooseDict(dicts []Dict, runs []run, tomb map[int]struct{},
 
 	publish := func(data []byte) (chosenDict, error) {
 		name := dictFileName(nextID)
-		if err := writeFileAtomic(c.fs, filepath.Join(c.dir, name), data); err != nil {
+		if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(c.dir, name), data); err != nil {
 			return chosenDict{}, fmt.Errorf("collection: publishing dictionary %d: %w", nextID, err)
 		}
 		d, err := rlz.NewDictionary(data)
@@ -155,20 +155,6 @@ func (c *Collection) chooseDict(dicts []Dict, runs []run, tomb map[int]struct{},
 	}
 
 	if latest == nil {
-		// Legacy collections persisted one dictionary as DICT before
-		// versioning existed; adopt it as generation 1 so its segments'
-		// attribution starts now.
-		if b, err := c.fs.ReadFile(filepath.Join(c.dir, DictName)); err == nil && len(b) > 0 {
-			d, err := rlz.NewDictionary(b)
-			if err != nil {
-				return chosenDict{}, err
-			}
-			c.dictMu.Lock()
-			c.dicts[1] = d
-			c.dictMu.Unlock()
-			return chosenDict{dict: d, id: 1, path: DictName, fresh: true,
-				heat: rlz.NewRegionHeat(d.Len(), 0)}, nil
-		}
 		data, _, err := archive.SampleDict(func() (archive.DocSource, error) {
 			return &multiRunSource{runs: runs, tomb: tomb}, nil
 		}, opts.DictSize, opts.SampleSize)

@@ -20,7 +20,7 @@ import (
 // bytes a real crash would have left.
 //
 // The durability contract under test: an append acknowledged in the
-// default (group commit) or SyncAppends mode survives any single
+// default (group commit) mode survives any single
 // injected fault plus a crash, byte-identical; an unacknowledged append
 // may vanish but never leaves torn bytes behind a readable id.
 
@@ -116,12 +116,16 @@ func TestFaultMatrix(t *testing.T) {
 			acked: 10,
 		},
 		{
+			// Every append checkpoints, so the first one after the script
+			// installs hits the failing segment fsync: it is still
+			// acknowledged (its WAL record committed and is replayed at
+			// recovery), the segment is poisoned, and the rest are refused.
 			name:   "open segment poisoned on first fsync failure",
-			opts:   Options{SyncAppends: true},
+			opts:   Options{CheckpointBytes: 1},
 			prime:  2,
 			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: "seg-"}},
 			post:   4,
-			acked:  2,
+			acked:  3,
 			sticky: true,
 		},
 	}

@@ -25,12 +25,15 @@ func FuzzManifestUnmarshal(f *testing.F) {
 			{Path: "seg-00000002", Docs: 1},
 		},
 	}).Marshal(nil))
-	// A version-1 manifest (no dictionary list): must stay parseable.
+	// A version-1 manifest (no dictionary list): retired, must be rejected.
 	f.Add([]byte("LIVC\x01\x05\x02\x00\x01\x0cseg-00000001\x04\x00LIVE"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalManifest(data)
 		if err != nil {
 			return
+		}
+		if data[4] != version {
+			t.Fatalf("accepted a version-%d manifest", data[4])
 		}
 		re := m.Marshal(nil)
 		m2, err := UnmarshalManifest(re)

@@ -8,14 +8,14 @@
 //   - MANIFEST — the current generation manifest (this file's format),
 //     written via tmp+rename so a crash leaves either the old or the new
 //     generation, never a torn one.
-//   - sealed segments — immutable archives of any registered backend
-//     (single-file rlz/block/raw archives or whole shard sets), each
-//     owning a contiguous global doc-id range in manifest order.
+//   - sealed segments — immutable single-file archives of any registered
+//     backend (rlz, block, raw), each owning a contiguous global doc-id
+//     range in manifest order.
 //   - at most one open append segment — a rawstore archive still being
 //     written (see openSegment), where newly appended documents land and
 //     become readable immediately.
-//   - DICT — the shared RLZ dictionary the compactor factorizes against,
-//     sampled once and reused (prepared once per process, PR 4 style).
+//   - dict-<id> — the dictionary generations the compactor factorizes
+//     against, listed in the manifest (prepared once per process).
 //
 // Global document ids are append order and are stable for the lifetime
 // of the collection: sealing and compaction reorganize bytes, never ids.
@@ -31,7 +31,6 @@ package collection
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -41,12 +40,9 @@ import (
 )
 
 const (
-	// version is the manifest format written by Marshal. Version 1 had no
-	// dictionary list and no per-segment dictionary/raw-size fields;
-	// UnmarshalManifest still reads it (collections created before
-	// per-generation dictionaries upgrade on their first publish).
+	// version is the manifest format Marshal writes and the only one
+	// UnmarshalManifest accepts.
 	version     = 2
-	versionV1   = 1
 	headerMagic = "LIVC"
 	footerMagic = "LIVE"
 
@@ -66,12 +62,6 @@ var ErrCorruptManifest = errors.New("collection: corrupt manifest")
 // directory. It equals archive.DirManifest so archive.Open(dir) finds it.
 const ManifestName = archive.DirManifest
 
-// DictName is the legacy shared compaction dictionary's file name
-// (manifest v1 collections). Open migrates it into the versioned
-// dictionary list as generation 1; new dictionaries are numbered files
-// (see dictFileName) listed in the manifest.
-const DictName = "DICT"
-
 // Dict names one immutable dictionary generation: the id segments refer
 // to it by and the file (relative to the collection directory) holding
 // its text. Dictionary files are published atomically before any
@@ -83,7 +73,7 @@ type Dict struct {
 }
 
 // Segment describes one immutable segment of a generation: a sealed
-// archive file (or shard-set directory) and the document count it owns.
+// single-file archive and the document count it owns.
 // Global ids follow manifest order, so segment i serves
 // [starts[i], starts[i]+Docs).
 type Segment struct {
@@ -95,15 +85,15 @@ type Segment struct {
 	// tombstones mask documents, they do not renumber them).
 	Docs int
 	// Dict is the id of the dictionary this segment was factorized
-	// against, or 0 for segments that used none (raw segments) or predate
-	// dictionary versioning. The id is attribution only — RLZ archives
+	// against, or 0 for segments that used none (raw segments). The id is
+	// attribution only — RLZ archives
 	// embed their dictionary bytes, so a segment decodes standalone —
 	// but it is what lets GC retire dictionary files and the stats
 	// surface report per-generation ratios.
 	Dict uint64
 	// Raw is the segment's uncompressed payload size in bytes (0 when
-	// unknown, e.g. segments written before manifest v2). With the file
-	// size it yields the segment's compression ratio.
+	// unknown). With the file size it yields the segment's compression
+	// ratio.
 	Raw int64
 }
 
@@ -285,9 +275,8 @@ func UnmarshalManifest(src []byte) (*Manifest, error) {
 	if len(src) < len(headerMagic)+1 || string(src[:4]) != headerMagic {
 		return nil, fmt.Errorf("%w: missing %q header", ErrCorruptManifest, headerMagic)
 	}
-	ver := src[4]
-	if ver != version && ver != versionV1 {
-		return nil, fmt.Errorf("%w: version %d, want %d or %d", ErrCorruptManifest, ver, versionV1, version)
+	if src[4] != version {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorruptManifest, src[4], version)
 	}
 	pos := len(headerMagic) + 1
 	num := func(what string) (uint64, error) {
@@ -322,27 +311,25 @@ func UnmarshalManifest(src []byte) (*Manifest, error) {
 	if m.OpenSeg, err = str("open segment"); err != nil {
 		return nil, err
 	}
-	if ver >= 2 {
-		dcount, err := num("dictionary count")
+	dcount, err := num("dictionary count")
+	if err != nil {
+		return nil, err
+	}
+	// Each dictionary needs at least 2 bytes (id + empty path length).
+	if dcount > maxDicts || dcount > uint64(len(src)-pos)/2 {
+		return nil, fmt.Errorf("%w: implausible dictionary count %d for %d remaining bytes", ErrCorruptManifest, dcount, len(src)-pos)
+	}
+	m.Dicts = make([]Dict, 0, dcount)
+	for i := uint64(0); i < dcount; i++ {
+		id, err := num(fmt.Sprintf("dictionary %d id", i))
 		if err != nil {
 			return nil, err
 		}
-		// Each dictionary needs at least 2 bytes (id + empty path length).
-		if dcount > maxDicts || dcount > uint64(len(src)-pos)/2 {
-			return nil, fmt.Errorf("%w: implausible dictionary count %d for %d remaining bytes", ErrCorruptManifest, dcount, len(src)-pos)
+		path, err := str(fmt.Sprintf("dictionary %d path", i))
+		if err != nil {
+			return nil, err
 		}
-		m.Dicts = make([]Dict, 0, dcount)
-		for i := uint64(0); i < dcount; i++ {
-			id, err := num(fmt.Sprintf("dictionary %d id", i))
-			if err != nil {
-				return nil, err
-			}
-			path, err := str(fmt.Sprintf("dictionary %d path", i))
-			if err != nil {
-				return nil, err
-			}
-			m.Dicts = append(m.Dicts, Dict{ID: id, Path: path})
-		}
+		m.Dicts = append(m.Dicts, Dict{ID: id, Path: path})
 	}
 	count, err := num("segment count")
 	if err != nil {
@@ -366,19 +353,17 @@ func UnmarshalManifest(src []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("%w: segment %d docs %d overflows", ErrCorruptManifest, i, docs)
 		}
 		seg := Segment{Path: path, Docs: int(docs)}
-		if ver >= 2 {
-			if seg.Dict, err = num(fmt.Sprintf("segment %d dictionary", i)); err != nil {
-				return nil, err
-			}
-			raw, err := num(fmt.Sprintf("segment %d raw size", i))
-			if err != nil {
-				return nil, err
-			}
-			if raw > 1<<62 {
-				return nil, fmt.Errorf("%w: segment %d raw size %d overflows", ErrCorruptManifest, i, raw)
-			}
-			seg.Raw = int64(raw)
+		if seg.Dict, err = num(fmt.Sprintf("segment %d dictionary", i)); err != nil {
+			return nil, err
 		}
+		raw, err := num(fmt.Sprintf("segment %d raw size", i))
+		if err != nil {
+			return nil, err
+		}
+		if raw > 1<<62 {
+			return nil, fmt.Errorf("%w: segment %d raw size %d overflows", ErrCorruptManifest, i, raw)
+		}
+		seg.Raw = int64(raw)
 		m.Segments = append(m.Segments, seg)
 	}
 	tombs, err := num("tombstone count")
@@ -433,41 +418,7 @@ func writeManifest(fs faultfs.FS, dir string, m *Manifest) error {
 	if err := m.validate(); err != nil {
 		return err
 	}
-	return writeFileAtomic(fs, filepath.Join(dir, ManifestName), m.Marshal(nil))
-}
-
-// writeFileAtomic writes data to path via tmp+fsync+rename+dir-fsync —
-// the one publish protocol shared by the manifest and the DICT file. A
-// directory-fsync failure propagates (the rename may not be durable);
-// only fs implementations downgrade a genuinely unsupported dir fsync
-// to best-effort.
-//
-//rlz:publishes
-func writeFileAtomic(fs faultfs.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		_ = fs.Remove(tmp)
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(path))
+	return faultfs.WriteFileAtomic(fs, filepath.Join(dir, ManifestName), m.Marshal(nil))
 }
 
 // ReadManifest reads and validates the manifest file at path.

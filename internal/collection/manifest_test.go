@@ -61,46 +61,29 @@ func TestManifestRoundTripDicts(t *testing.T) {
 	}
 }
 
-// TestManifestReadsV1 pins back-compat: a version-1 manifest (no
-// dictionary list, no per-segment dict/raw fields) still parses, with
-// the new fields zero.
-func TestManifestReadsV1(t *testing.T) {
-	m := &Manifest{
-		Generation: 7,
-		NextSeq:    3,
-		OpenSeg:    "seg-00000002",
-		Segments:   []Segment{{Path: "seg-00000001", Docs: 5}},
-		Tombstones: []int{2},
+// TestManifestRejectsV1: version 1 (no dictionary list, no per-segment
+// dict/raw fields) was retired with the legacy DICT migration; a v1
+// manifest must be refused as corrupt, not misparsed as v2.
+func TestManifestRejectsV1(t *testing.T) {
+	if _, err := UnmarshalManifest(rawV1Manifest()); !errors.Is(err, ErrCorruptManifest) {
+		t.Fatalf("v1 manifest: %v, want ErrCorruptManifest", err)
 	}
-	// Hand-roll the v1 encoding: same layout minus the dict list and the
-	// per-segment dict/raw fields.
-	b := m.Marshal(nil)
-	var v1 []byte
-	v1 = append(v1, b[:4]...)
-	v1 = append(v1, versionV1)
+}
+
+// rawV1Manifest hand-rolls a well-formed version-1 manifest: the v2
+// layout minus the dict list and the per-segment dict/raw fields.
+func rawV1Manifest() []byte {
+	const openSeg, seg = "seg-00000002", "seg-00000001"
+	v1 := append([]byte(headerMagic), 1)
 	v1 = append(v1, 7, 3) // generation, nextSeq
-	v1 = append(v1, byte(len(m.OpenSeg)))
-	v1 = append(v1, m.OpenSeg...)
+	v1 = append(v1, byte(len(openSeg)))
+	v1 = append(v1, openSeg...)
 	v1 = append(v1, 1) // segment count
-	v1 = append(v1, byte(len("seg-00000001")))
-	v1 = append(v1, "seg-00000001"...)
+	v1 = append(v1, byte(len(seg)))
+	v1 = append(v1, seg...)
 	v1 = append(v1, 5)    // docs
 	v1 = append(v1, 1, 2) // tombstone count, delta
-	v1 = append(v1, footerMagic...)
-	got, err := UnmarshalManifest(v1)
-	if err != nil {
-		t.Fatalf("v1 parse: %v", err)
-	}
-	if got.Generation != 7 || got.OpenSeg != m.OpenSeg || len(got.Dicts) != 0 {
-		t.Fatalf("got %+v", got)
-	}
-	if s := got.Segments[0]; s.Path != "seg-00000001" || s.Docs != 5 || s.Dict != 0 || s.Raw != 0 {
-		t.Fatalf("segment %+v", s)
-	}
-	// Re-marshal upgrades to the current version and stays readable.
-	if _, err := UnmarshalManifest(got.Marshal(nil)); err != nil {
-		t.Fatalf("upgraded remarshal: %v", err)
-	}
+	return append(v1, footerMagic...)
 }
 
 func TestManifestRoundTripMinimal(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rlz/internal/archive"
 	"rlz/internal/coding"
 	"rlz/internal/docmap"
 	"rlz/internal/faultfs"
@@ -30,9 +31,12 @@ import (
 // file into an ordinary immutable raw archive with zero data movement;
 // the manifest swap then moves it from OpenSeg to Segments.
 //
+// To the read side it is one more archive.Reader (and archive.Viewer):
+// the last member of the view's segment set, whose document count grows.
+//
 // Concurrency: append is called with the collection's write lock held
-// (one writer). count/get/extent/size are called lock-free by readers
-// and synchronize on the internal RWMutex; document bytes are read with
+// (one writer). The Reader methods are called lock-free by readers and
+// synchronize on the internal RWMutex; document bytes are read with
 // ReadAt, which is safe alongside the writer's sequential appends
 // because appended extents are published to offsets only after their
 // bytes are on the file.
@@ -41,7 +45,6 @@ type openSegment struct {
 	f    faultfs.File // data file: rawstore archive in progress
 	lens faultfs.File // sidecar: one uvarint per document
 	w    *rawstore.Writer
-	sync bool // fsync data+lens after every append
 
 	// broken is set when an append or fsync failed mid-write; the
 	// in-memory state no longer matches what is (durably) on the file,
@@ -69,34 +72,12 @@ type openSegment struct {
 // free; 1 MiB bounds it to a few dozen remaps per typical open segment.
 const remapStep = 1 << 20
 
-// segMapping is one refcounted generation of the open segment's mapping:
-// 1 reference for being installed plus 1 per reader inside a view; the
-// reference that drops the count to 0 unmaps. The CAS-guarded tryRef
-// means a retired, draining mapping cannot be resurrected — the same
-// discipline as the collection's view refs.
-//
-//rlz:refcounted acquire=tryRef release=unref
+// segMapping is one generation of the open segment's mapping: installed
+// in openSegment.mapping, pinned by each reader inside a View, unmapped
+// when the last reference goes.
 type segMapping struct {
-	m    *mmapio.Mapping
-	refs atomic.Int64
-}
-
-func (sm *segMapping) tryRef() bool {
-	for {
-		n := sm.refs.Load()
-		if n == 0 {
-			return false
-		}
-		if sm.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (sm *segMapping) unref() {
-	if sm.refs.Add(-1) == 0 {
-		_ = sm.m.Close()
-	}
+	refcount
+	m *mmapio.Mapping
 }
 
 // maybeRemap (re)maps the data file when unmapped or grown remapStep
@@ -114,7 +95,7 @@ func (s *openSegment) maybeRemap() {
 	if osf == nil {
 		return
 	}
-	end := s.size()
+	end := s.Size()
 	cur := s.mapping.Load()
 	// Remap when the file doubles (so small, fresh segments become
 	// viewable after a handful of appends) or grows a full step past
@@ -127,26 +108,31 @@ func (s *openSegment) maybeRemap() {
 		return
 	}
 	sm := &segMapping{m: m}
-	sm.refs.Store(1)
+	sm.init(func() { _ = m.Close() })
 	s.mapping.Store(sm)
 	if cur != nil {
 		cur.unref()
 	}
 }
 
-// view serves segment-local document id as a zero-copy slice of the
-// mapping, calling fn under a mapping reference so a concurrent remap
-// or close cannot unmap under it. ok=false (document beyond the mapped
-// prefix, no mapping, draining mapping, or any error) means the caller
-// should fall back to get.
-func (s *openSegment) view(local int, fn func(doc []byte) error) (bool, error) {
+// View serves segment-local document id as a zero-copy slice of the
+// mapping, implementing archive.Viewer; fn runs under a mapping
+// reference so a concurrent remap or close cannot unmap under it.
+// ok=false (document beyond the mapped prefix, no mapping, draining
+// mapping) means the caller should fall back to GetAppend.
+//
+//rlz:view callback
+func (s *openSegment) View(local int, fn func(doc []byte) error) (bool, error) {
 	sm := s.mapping.Load()
 	if sm == nil || !sm.tryRef() {
 		return false, nil
 	}
 	defer sm.unref()
-	off, n, err := s.extent(local)
-	if err != nil || off+n > sm.m.Len() {
+	off, n, err := s.Extent(local)
+	if err != nil {
+		return true, err
+	}
+	if off+n > sm.m.Len() {
 		return false, nil
 	}
 	doc, err := sm.m.Slice(off, n)
@@ -168,7 +154,7 @@ func lensName(name string) string { return name + ".lens" }
 // created exclusively (a leftover with the same name means NextSeq went
 // backwards — fail loudly) and the data file's header is synced before
 // returning, so a manifest naming this segment never points at nothing.
-func createOpenSegment(fs faultfs.FS, dir, name string, syncAppends bool) (*openSegment, error) {
+func createOpenSegment(fs faultfs.FS, dir, name string) (*openSegment, error) {
 	f, err := fs.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
@@ -195,7 +181,6 @@ func createOpenSegment(fs faultfs.FS, dir, name string, syncAppends bool) (*open
 		f:       f,
 		lens:    lens,
 		w:       w,
-		sync:    syncAppends,
 		offsets: []int64{rawstore.HeaderSize},
 	}
 	s.maybeRemap()
@@ -207,7 +192,7 @@ func createOpenSegment(fs faultfs.FS, dir, name string, syncAppends bool) (*open
 // whole-document boundary. It also discards any footer a crashed seal
 // left behind (the manifest still naming the segment open is the truth;
 // the footer is simply rewritten at the next seal).
-func recoverOpenSegment(fs faultfs.FS, dir, name string, syncAppends bool) (*openSegment, error) {
+func recoverOpenSegment(fs faultfs.FS, dir, name string) (*openSegment, error) {
 	dataPath := filepath.Join(dir, name)
 	f, err := fs.OpenFile(dataPath, os.O_RDWR, 0o644)
 	if err != nil && os.IsNotExist(err) {
@@ -219,7 +204,7 @@ func recoverOpenSegment(fs faultfs.FS, dir, name string, syncAppends bool) (*ope
 		// sidecar without data describes nothing recoverable — drop it
 		// so the O_EXCL create succeeds.
 		_ = fs.Remove(filepath.Join(dir, lensName(name)))
-		return createOpenSegment(fs, dir, name, syncAppends)
+		return createOpenSegment(fs, dir, name)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("collection: open segment %s: %w", name, err)
@@ -301,7 +286,6 @@ func recoverOpenSegment(fs faultfs.FS, dir, name string, syncAppends bool) (*ope
 		f:       f,
 		lens:    lensf,
 		w:       rawstore.ResumeWriter(f, lens),
-		sync:    syncAppends,
 		offsets: offsets,
 	}
 	s.maybeRemap()
@@ -341,16 +325,6 @@ func (s *openSegment) append(doc []byte) (int, error) {
 		s.broken = true
 		return 0, fmt.Errorf("collection: writing length record: %w", err)
 	}
-	if s.sync {
-		if err := s.f.Sync(); err != nil {
-			s.broken = true
-			return 0, err
-		}
-		if err := s.lens.Sync(); err != nil {
-			s.broken = true
-			return 0, err
-		}
-	}
 	s.mu.Lock()
 	s.offsets = append(s.offsets, s.offsets[len(s.offsets)-1]+int64(len(doc)))
 	local := len(s.offsets) - 2
@@ -360,24 +334,30 @@ func (s *openSegment) append(doc []byte) (int, error) {
 	return local, nil
 }
 
-// count returns the number of readable documents.
-func (s *openSegment) count() int {
+// NumDocs returns the number of readable documents.
+func (s *openSegment) NumDocs() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.offsets) - 1
 }
 
-// size returns the data file's current payload end (header included).
-func (s *openSegment) size() int64 {
+// Size returns the data file's current payload end (header included).
+func (s *openSegment) Size() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.offsets[len(s.offsets)-1]
 }
 
-// extent returns the in-file extent of segment-local document id.
+// Stats labels the open segment what it is on disk: a raw archive in
+// progress, i.e. documents awaiting compaction.
+func (s *openSegment) Stats() archive.Stats {
+	return archive.Stats{Backend: archive.Raw, NumDocs: s.NumDocs(), Size: s.Size()}
+}
+
+// Extent returns the in-file extent of segment-local document id.
 //
 //rlz:hotpath
-func (s *openSegment) extent(local int) (off, n int64, err error) {
+func (s *openSegment) Extent(local int) (off, n int64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if local < 0 || local >= len(s.offsets)-1 {
@@ -386,11 +366,15 @@ func (s *openSegment) extent(local int) (off, n int64, err error) {
 	return s.offsets[local], s.offsets[local+1] - s.offsets[local], nil
 }
 
-// get retrieves segment-local document id, appending its bytes to dst.
+// Get retrieves segment-local document id.
+func (s *openSegment) Get(local int) ([]byte, error) { return s.GetAppend(nil, local) }
+
+// GetAppend retrieves segment-local document id, appending its bytes to
+// dst.
 //
 //rlz:hotpath
-func (s *openSegment) get(dst []byte, local int) ([]byte, error) {
-	off, n, err := s.extent(local)
+func (s *openSegment) GetAppend(dst []byte, local int) ([]byte, error) {
+	off, n, err := s.Extent(local)
 	if err != nil {
 		return dst, err
 	}
@@ -446,10 +430,10 @@ func (s *openSegment) syncFiles() error {
 	return nil
 }
 
-// closeFiles releases both file handles (reads through this openSegment
-// become invalid — callers retire it only after no view references it,
-// or at Collection.Close).
-func (s *openSegment) closeFiles() error {
+// Close releases both file handles; the view machinery calls it once no
+// view references the segment any more (sealed and drained, or the
+// collection closed).
+func (s *openSegment) Close() error {
 	// Retire the mapping: drop the installed reference; in-flight views
 	// hold their own and the last one out unmaps.
 	if sm := s.mapping.Swap(nil); sm != nil {

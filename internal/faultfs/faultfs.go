@@ -18,6 +18,7 @@ package faultfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // FS is the slice of filesystem surface the durable write path uses.
@@ -69,6 +70,42 @@ type File interface {
 	// intercepted and has no stable OS-level identity. Callers must
 	// treat nil as "capability unavailable", never as an error.
 	Sys() *os.File
+}
+
+// WriteFileAtomic publishes data at path via tmp+fsync+rename+dir-fsync
+// — the one publish protocol every manifest and dictionary file in the
+// repository goes through: a crash at any point leaves either the
+// previous file or the new one, never a torn one. A directory-fsync
+// failure propagates (the rename may not be durable); only FS
+// implementations downgrade a genuinely unsupported dir fsync to
+// best-effort.
+//
+//rlz:publishes
+func WriteFileAtomic(fs FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		_ = fs.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		_ = fs.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		_ = fs.Remove(tmp)
+		return err
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		_ = fs.Remove(tmp)
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
 }
 
 // OS is the passthrough FS over the real filesystem.

@@ -5,8 +5,8 @@
 // for blocks, lifted here so the rlz and raw backends benefit too),
 // per-request buffer pooling around the GetAppend zero-allocation path,
 // a batch API with per-document error reporting, read statistics
-// (hits, misses, bytes decoded, p50/p99 latency), and lock-free reader
-// hot-swap so a live collection can be reloaded under traffic.
+// (hits, misses, bytes decoded, p50/p99 latency), and a cache epoch that
+// logically empties the cache when the backing store mutates in place.
 //
 // The paper's headline claim (HoobinPZ11) is that RLZ makes random
 // access under load cheap; this package is where "under load" becomes
@@ -56,50 +56,6 @@ const epochShift = 40
 // no entry can survive into the epoch range that would alias it.
 const epochCycle = 1 << (64 - epochShift)
 
-// readerHandle owns one underlying reader's lifetime: a reference count
-// draining in-flight requests before a swapped-out reader is closed.
-// Epoch bumps wrap the SAME handle in a new epochReader, so however many
-// epochs a reader serves under, it has exactly one refcount and closes
-// exactly once — after every request pinned on any of its epochs drains.
-//
-//rlz:refcounted acquire=tryRef release=unref
-type readerHandle struct {
-	r archive.Reader
-	// refs counts 1 for being installed plus 1 per in-flight request.
-	// It can never return from 0: acquisition CASes and fails at 0.
-	refs atomic.Int64
-	// closeOnDrain is set by Swap when the reader is replaced; the
-	// goroutine that drops refs to 0 then closes r.
-	closeOnDrain atomic.Bool
-}
-
-// tryRef takes a reference unless the handle is already drained.
-func (h *readerHandle) tryRef() bool {
-	for {
-		n := h.refs.Load()
-		if n == 0 {
-			return false
-		}
-		if h.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// unref drops a reference; the last one closes a swapped-out reader.
-func (h *readerHandle) unref() {
-	if h.refs.Add(-1) == 0 && h.closeOnDrain.Load() {
-		_ = h.r.Close()
-	}
-}
-
-// epochReader is one generation of the Server's serving state: the
-// reader's lifetime handle plus the epoch that tags its cache entries.
-type epochReader struct {
-	h     *readerHandle
-	epoch uint64
-}
-
 // Server serves documents from an archive.Reader to many goroutines.
 //
 // Concurrency: every Server method is safe for concurrent use. The
@@ -107,17 +63,17 @@ type epochReader struct {
 // with distinct destination buffers) and layers internally-synchronized
 // state — the document cache, the buffer pool, the statistics — on top.
 //
-// Hot swap: Swap atomically replaces the backing reader without blocking
-// requests. Each request pins the reader generation it started on via a
-// reference count; a swapped-out reader is closed by the Server once its
-// last in-flight request drains. Cache entries are keyed by (epoch, id),
-// so a document cached from one generation can never be served from the
-// next — the swapped-in reader starts with a logically empty cache. The
-// currently installed reader is NOT owned by the Server: close it after
-// the Server is quiesced (readers replaced via Swap are the exception —
-// the Server closes those itself after drain).
+// The reader is fixed for the Server's life and NOT owned by it: close
+// it after the Server is quiesced. A reader whose contents change under
+// it (a live collection, which hot-swaps its own generations internally)
+// is kept coherent with the cache through the epoch: cache entries are
+// keyed by (epoch, id), so a document cached before BumpEpoch can never
+// be served after it.
 type Server struct {
-	cur     atomic.Pointer[epochReader]
+	r       archive.Reader
+	viewer  archive.Viewer      // r's zero-copy capability, or nil
+	batcher archive.BatchReader // r's native batching, or nil
+	epoch   atomic.Uint64
 	cache   *lru.Cache // nil = uncached
 	workers int
 	pool    sync.Pool // *[]byte scratch buffers for Do and GetBatch
@@ -139,13 +95,12 @@ type Server struct {
 func (s *Server) RecordBackpressure() { s.backpressure.Add(1) }
 
 // New wraps r in a Server. The Server does not take ownership of r;
-// close the Reader after the Server is quiesced (or replace it with
-// Swap, which closes it once drained).
+// close the Reader after the Server is quiesced.
 func New(r archive.Reader, opts Options) *Server {
-	s := &Server{workers: opts.workers()}
-	h := &readerHandle{r: r}
-	h.refs.Store(1)
-	s.cur.Store(&epochReader{h: h, epoch: 1})
+	s := &Server{r: r, workers: opts.workers()}
+	s.viewer, _ = archive.As[archive.Viewer](r)
+	s.batcher, _ = archive.As[archive.BatchReader](r)
+	s.epoch.Store(1)
 	if opts.CacheDocs > 0 {
 		s.cache = lru.New(opts.CacheDocs)
 	}
@@ -154,54 +109,6 @@ func New(r archive.Reader, opts Options) *Server {
 		return &b
 	}
 	return s
-}
-
-// acquire pins the current reader generation for one request. The
-// CAS-guarded reference means a handle being drained by Swap cannot be
-// resurrected: if the pointer moved (or the refs hit zero) between load
-// and ref, the loop retries on the new generation. The returned
-// epochReader's epoch may be one bump stale by the time it is used —
-// that is the intended linearization (the request began before the
-// bump), and its cache writes land under the dead epoch's key.
-//
-//rlz:acquire release=unref
-func (s *Server) acquire() *epochReader {
-	for {
-		e := s.cur.Load()
-		if e.h.tryRef() {
-			if s.cur.Load() == e {
-				return e
-			}
-			// Swapped or bumped under us. If only the epoch moved the
-			// handle ref would still be sound, but retrying keeps the
-			// invariant simple: a returned epochReader was current at
-			// ref time.
-			e.h.unref()
-		}
-	}
-}
-
-// Swap atomically installs next as the backing reader and bumps the
-// cache epoch, so no bytes cached from the old reader are ever served
-// again. The old reader is closed by the Server once its last in-flight
-// request drains (immediately, when none are in flight); the call itself
-// never blocks on traffic. The Server takes ownership of the old reader
-// and relinquishes none of next — close next yourself after quiesce
-// unless a later Swap replaces it too.
-func (s *Server) Swap(next archive.Reader) {
-	h := &readerHandle{r: next}
-	h.refs.Store(1)
-	n := &epochReader{h: h}
-	for {
-		old := s.cur.Load()
-		n.epoch = old.epoch + 1
-		if s.cur.CompareAndSwap(old, n) {
-			s.purgeOnCycle(n.epoch)
-			old.h.closeOnDrain.Store(true)
-			old.h.unref() // drop the installed ref; last request closes it
-			return
-		}
-	}
 }
 
 // purgeOnCycle empties the cache when the epoch crosses an aliasing
@@ -216,40 +123,23 @@ func (s *Server) purgeOnCycle(epoch uint64) {
 	}
 }
 
-// BumpEpoch advances the cache epoch without replacing the reader,
-// logically emptying the document cache. Unlike Invalidate, this closes
-// the fetch/mutate race: a request that read its document under the old
-// epoch publishes its cache entry under the old key, which no future
-// request can ever hit. Callers that mutate the backing store in place
-// (rlzd after a delete) use it so stale bytes cannot be cached past the
-// mutation. The reader itself is untouched — the new epoch shares the
-// same lifetime handle, so no drain happens and a later Swap still
-// closes the reader exactly once, after requests pinned on ANY of its
-// epochs finish.
-func (s *Server) BumpEpoch() {
-	for {
-		old := s.cur.Load()
-		// The installed handle reference carries over to the new wrapper.
-		n := &epochReader{h: old.h, epoch: old.epoch + 1}
-		if s.cur.CompareAndSwap(old, n) {
-			s.purgeOnCycle(n.epoch)
-			return
-		}
-	}
-}
+// BumpEpoch advances the cache epoch, logically emptying the document
+// cache. Unlike a point eviction this closes the fetch/mutate race: a
+// request that read its document under the old epoch publishes its
+// cache entry under the old key, which no future request can ever hit.
+// Callers that mutate the backing store in place (rlzd after a delete)
+// use it so stale bytes cannot be cached past the mutation.
+func (s *Server) BumpEpoch() { s.purgeOnCycle(s.epoch.Add(1)) }
 
-// Epoch returns the current reader generation, starting at 1 and
-// incremented by every Swap.
-func (s *Server) Epoch() uint64 { return s.cur.Load().epoch }
+// Epoch returns the current cache epoch, starting at 1 and incremented
+// by every BumpEpoch.
+func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// Reader returns the currently installed archive.Reader. With Swap in
-// play the result may be stale by the time it is used; callers that need
-// a stable reader for the duration of a request should go through the
-// Server's own methods instead.
-func (s *Server) Reader() archive.Reader { return s.cur.Load().h.r }
+// Reader returns the archive.Reader the Server was built over.
+func (s *Server) Reader() archive.Reader { return s.r }
 
 // NumDocs returns the number of documents in the underlying archive.
-func (s *Server) NumDocs() int { return s.cur.Load().h.r.NumDocs() }
+func (s *Server) NumDocs() int { return s.r.NumDocs() }
 
 // cacheKey maps (epoch, id) to an LRU key; ok is false for ids too
 // large to tag with an epoch, which simply bypass the cache.
@@ -258,23 +148,6 @@ func cacheKey(epoch uint64, id int) (key uint64, ok bool) {
 		return 0, false
 	}
 	return epoch<<epochShift | uint64(id), true
-}
-
-// Invalidate drops document id from the cache under the current epoch,
-// reporting whether an entry was cached. It is a point eviction only —
-// a request that fetched the document before a backing-store mutation
-// can re-cache it afterwards, so for mutations that must never be
-// served again (a live collection's delete) use BumpEpoch, which closes
-// that race; rlzd's DELETE handler does.
-func (s *Server) Invalidate(id int) bool {
-	if s.cache == nil {
-		return false
-	}
-	key, ok := cacheKey(s.cur.Load().epoch, id)
-	if !ok {
-		return false
-	}
-	return s.cache.Remove(key)
 }
 
 // GetAppend retrieves document id, appending its text to dst — the
@@ -289,9 +162,9 @@ func (s *Server) Invalidate(id int) bool {
 func (s *Server) GetAppend(dst []byte, id int) ([]byte, error) {
 	start := time.Now()
 	s.requests.Add(1)
-	e := s.acquire()
-	defer e.h.unref()
-	key, cacheable := cacheKey(e.epoch, id)
+	// One epoch read per request: a request that began before a bump
+	// publishes its cache entry under the dead epoch's key.
+	key, cacheable := cacheKey(s.epoch.Load(), id)
 	if s.cache != nil && cacheable {
 		if doc := s.cache.Get(key); doc != nil {
 			s.hits.Add(1)
@@ -301,7 +174,7 @@ func (s *Server) GetAppend(dst []byte, id int) ([]byte, error) {
 		}
 	}
 	base := len(dst)
-	dst, err := e.h.r.GetAppend(dst, id)
+	dst, err := s.r.GetAppend(dst, id)
 	if err != nil {
 		s.errors.Add(1)
 		return dst, err
@@ -332,20 +205,16 @@ func (s *Server) Get(id int) ([]byte, error) {
 // copy what must outlive the call. This is the per-request path HTTP
 // handlers use to serve documents without a per-request allocation.
 func (s *Server) Do(id int, fn func(doc []byte) error) error {
-	e := s.acquire()
-	if v, ok := archive.AsViewer(e.h.r); ok {
+	if s.viewer != nil {
 		start := time.Now()
 		var n int
 		called := false
-		handled, err := v.View(id, func(doc []byte) error {
+		handled, err := s.viewer.View(id, func(doc []byte) error {
 			called = true
 			n = len(doc)
 			return fn(doc)
 		})
 		if handled {
-			// fn ran under the handle reference, so a Swap cannot close
-			// the reader (and unmap its file) mid-callback.
-			e.h.unref()
 			s.requests.Add(1)
 			if !called {
 				// The backend failed before producing the document.
@@ -357,7 +226,8 @@ func (s *Server) Do(id int, fn func(doc []byte) error) error {
 			// cache but still count as misses so hits+misses keeps
 			// covering every successfully served document.
 			if s.cache != nil {
-				if _, cacheable := cacheKey(e.epoch, id); cacheable {
+				// Whether an id is cacheable does not depend on the epoch.
+				if _, cacheable := cacheKey(0, id); cacheable {
 					s.misses.Add(1)
 				}
 			}
@@ -367,7 +237,6 @@ func (s *Server) Do(id int, fn func(doc []byte) error) error {
 			return err
 		}
 	}
-	e.h.unref()
 	bufp := s.pool.Get().(*[]byte)
 	buf, err := s.GetAppend((*bufp)[:0], id)
 	if err == nil {
@@ -400,13 +269,10 @@ func (s *Server) GetBatch(ids []int) []Result {
 	if len(ids) == 0 {
 		return out
 	}
-	e := s.acquire()
-	br, ok := archive.AsBatchReader(e.h.r)
-	if !ok {
-		e.h.unref()
+	if s.batcher == nil {
 		return s.getBatchFanout(ids, out)
 	}
-	defer e.h.unref()
+	epoch := s.epoch.Load()
 	start := time.Now()
 	s.requests.Add(int64(len(ids)))
 	// Resolve cache hits up front; only misses reach the backend.
@@ -415,7 +281,7 @@ func (s *Server) GetBatch(ids []int) []Result {
 	for i, id := range ids {
 		out[i] = Result{ID: id}
 		if s.cache != nil {
-			if key, cacheable := cacheKey(e.epoch, id); cacheable {
+			if key, cacheable := cacheKey(epoch, id); cacheable {
 				if doc := s.cache.Get(key); doc != nil {
 					out[i].Data = append([]byte(nil), doc...)
 					s.hits.Add(1)
@@ -428,7 +294,7 @@ func (s *Server) GetBatch(ids []int) []Result {
 		missIds = append(missIds, id)
 	}
 	if len(miss) > 0 {
-		br.GetBatch(missIds, s.workers, func(j int, doc []byte, err error) {
+		s.batcher.GetBatch(missIds, s.workers, func(j int, doc []byte, err error) {
 			i := miss[j]
 			if err != nil {
 				out[i].Err = err
@@ -437,7 +303,7 @@ func (s *Server) GetBatch(ids []int) []Result {
 			}
 			out[i].Data = append([]byte(nil), doc...)
 			if s.cache != nil {
-				if key, cacheable := cacheKey(e.epoch, out[i].ID); cacheable {
+				if key, cacheable := cacheKey(epoch, out[i].ID); cacheable {
 					s.misses.Add(1)
 					s.cache.Put(key, out[i].Data)
 				}
@@ -495,13 +361,11 @@ func (s *Server) Stats() Stats {
 	if s.cache != nil {
 		cached, capacity = s.cache.Len(), s.cache.Capacity()
 	}
-	e := s.acquire()
-	defer e.h.unref()
 	return Stats{
-		Backend:      string(e.h.r.Stats().Backend),
-		Epoch:        e.epoch,
-		NumDocs:      e.h.r.NumDocs(),
-		ArchiveSize:  e.h.r.Size(),
+		Backend:      string(s.r.Stats().Backend),
+		Epoch:        s.epoch.Load(),
+		NumDocs:      s.r.NumDocs(),
+		ArchiveSize:  s.r.Size(),
 		Requests:     s.requests.Load(),
 		Errors:       s.errors.Load(),
 		Backpressure: s.backpressure.Load(),

@@ -3,22 +3,18 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rlz/internal/archive"
 )
 
-// swapDocs builds two same-length document sets whose contents differ at
-// every id, so any stale byte is detectable.
-func swapDocs(n int) (old, new [][]byte) {
+// epochDocs builds n distinguishable documents.
+func epochDocs(n int) (docs [][]byte) {
 	for i := 0; i < n; i++ {
-		old = append(old, []byte(fmt.Sprintf("OLD generation document %d with some body text", i)))
-		new = append(new, []byte(fmt.Sprintf("NEW generation document %d with some body text", i)))
+		docs = append(docs, []byte(fmt.Sprintf("document %d with some body text", i)))
 	}
-	return old, new
+	return docs
 }
 
 // closeTracker counts Close calls through to the wrapped reader.
@@ -32,184 +28,10 @@ func (c *closeTracker) Close() error {
 	return c.Reader.Close()
 }
 
-// TestSwapNoStaleCacheBytes is the doc-cache staleness regression test:
-// after a Swap, a hot (cached) document must be served from the NEW
-// reader, never from the old generation's cache entry.
-func TestSwapNoStaleCacheBytes(t *testing.T) {
-	oldDocs, newDocs := swapDocs(16)
-	opts := archive.Options{Backend: archive.Raw}
-	s := New(buildArchive(t, oldDocs, opts), Options{CacheDocs: 64})
-	// Heat the cache on every id.
-	for i := range oldDocs {
-		if _, err := s.Get(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.CachedDocs != len(oldDocs) {
-		t.Fatalf("cache holds %d docs, want %d", st.CachedDocs, len(oldDocs))
-	}
-	if s.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", s.Epoch())
-	}
-	s.Swap(buildArchive(t, newDocs, opts))
-	if s.Epoch() != 2 {
-		t.Fatalf("epoch after swap = %d, want 2", s.Epoch())
-	}
-	for i, want := range newDocs {
-		got, err := s.Get(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("doc %d after swap: %q (stale generation served)", i, got)
-		}
-	}
-	// And the new generation caches normally under its own epoch.
-	st := s.Stats()
-	if st.CacheMisses != int64(2*len(oldDocs)) {
-		t.Fatalf("misses = %d, want %d (full re-heat after swap)", st.CacheMisses, 2*len(oldDocs))
-	}
-	for i, want := range newDocs {
-		got, _ := s.Get(i)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("cached doc %d after swap is stale", i)
-		}
-	}
-	if hits := s.Stats().CacheHits; hits < int64(len(newDocs)) {
-		t.Fatalf("hits = %d, want >= %d", hits, len(newDocs))
-	}
-}
-
-// TestSwapClosesOldReaderAfterDrain: the replaced reader is closed
-// exactly once, and only after its in-flight requests finish.
-func TestSwapClosesOldReaderAfterDrain(t *testing.T) {
-	oldDocs, newDocs := swapDocs(4)
-	opts := archive.Options{Backend: archive.Raw}
-	old := &closeTracker{Reader: buildArchive(t, oldDocs, opts)}
-
-	// Hold a request in flight across the swap: the blocking wrapper
-	// parks the Get until released.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	blocker := &blockingReader{Reader: old, started: started, release: release}
-	s2 := New(blocker, Options{})
-	done := make(chan error)
-	go func() {
-		_, err := s2.Get(0)
-		done <- err
-	}()
-	<-started
-	s2.Swap(buildArchive(t, newDocs, opts))
-	if old.closed.Load() != 0 {
-		t.Fatal("old reader closed while a request was in flight")
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// The drain path closes on the last unref; give it the current
-	// goroutine's view (unref happens inside Get before it returns).
-	if old.closed.Load() != 1 {
-		t.Fatalf("old reader closed %d times, want 1", old.closed.Load())
-	}
-}
-
-// blockingReader blocks GetAppend until released, so a request can be
-// held in flight across a Swap.
-type blockingReader struct {
-	archive.Reader
-	started chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (b *blockingReader) GetAppend(dst []byte, id int) ([]byte, error) {
-	b.once.Do(func() { close(b.started) })
-	<-b.release
-	return b.Reader.GetAppend(dst, id)
-}
-
-// TestInvalidate: dropping one document from the cache forces the next
-// read through the backend, leaving other hot entries untouched.
-func TestInvalidate(t *testing.T) {
-	docs, _ := swapDocs(8)
-	s := New(buildArchive(t, docs, archive.Options{Backend: archive.Raw}), Options{CacheDocs: 16})
-	for i := range docs {
-		s.Get(i)
-	}
-	if !s.Invalidate(3) {
-		t.Fatal("Invalidate(3) found nothing cached")
-	}
-	if s.Invalidate(3) {
-		t.Fatal("second Invalidate(3) found a ghost entry")
-	}
-	missesBefore := s.Stats().CacheMisses
-	if _, err := s.Get(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().CacheMisses; got != missesBefore+1 {
-		t.Fatalf("misses = %d, want %d (invalidated id re-decoded)", got, missesBefore+1)
-	}
-	hitsBefore := s.Stats().CacheHits
-	if _, err := s.Get(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().CacheHits; got != hitsBefore+1 {
-		t.Fatalf("other hot ids lost their cache entries")
-	}
-}
-
-// TestSwapUnderLoad hammers Get from many goroutines while readers are
-// swapped repeatedly; every response must be internally consistent (one
-// generation's bytes, never a torn or stale mix) and no request may
-// fail. Run under -race in CI.
-func TestSwapUnderLoad(t *testing.T) {
-	oldDocs, newDocs := swapDocs(32)
-	opts := archive.Options{Backend: archive.Raw}
-	s := New(buildArchive(t, oldDocs, opts), Options{CacheDocs: 64})
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			var buf []byte
-			for i := seed; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := i % len(oldDocs)
-				var err error
-				buf, err = s.GetAppend(buf[:0], id)
-				if err != nil {
-					t.Errorf("Get(%d) under swap: %v", id, err)
-					return
-				}
-				if !bytes.HasSuffix(buf, []byte(fmt.Sprintf("document %d with some body text", id))) {
-					t.Errorf("Get(%d) returned foreign bytes: %q", id, buf)
-					return
-				}
-			}
-		}(w * 13)
-	}
-	flip := [][][]byte{newDocs, oldDocs}
-	for i := 0; i < 20; i++ {
-		s.Swap(buildArchive(t, flip[i%2][:], opts))
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if s.Epoch() != 21 {
-		t.Fatalf("epoch = %d, want 21", s.Epoch())
-	}
-}
-
 // TestBumpEpoch: advancing the epoch logically empties the cache
 // without touching the reader — the delete-race-safe invalidation.
 func TestBumpEpoch(t *testing.T) {
-	docs, _ := swapDocs(6)
+	docs := epochDocs(6)
 	tracked := &closeTracker{Reader: buildArchive(t, docs, archive.Options{Backend: archive.Raw})}
 	s := New(tracked, Options{CacheDocs: 16})
 	for i := range docs {

@@ -33,7 +33,7 @@ func TestConcurrentGetSharedShardReader(t *testing.T) {
 			for i, d := range docs {
 				byGlobal[globalID(i, len(docs), 5)] = d
 			}
-			searcher, isRLZ := archive.AsSearcher(r)
+			searcher, isRLZ := archive.As[archive.Searcher](r)
 			const goroutines = 10
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {

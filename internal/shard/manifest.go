@@ -28,6 +28,7 @@ import (
 
 	"rlz/internal/archive"
 	"rlz/internal/coding"
+	"rlz/internal/faultfs"
 )
 
 const (
@@ -201,13 +202,14 @@ func UnmarshalManifest(src []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteManifest atomically-ish writes the manifest to path (plain write;
-// shard sets are built once, not updated in place).
+// WriteManifest atomically publishes the manifest at path through the
+// repository's one tmp+fsync+rename+dir-fsync protocol: a crash leaves
+// the previous manifest (or none) or the new one, never a torn one.
 func WriteManifest(path string, m *Manifest) error {
 	if err := m.validate(); err != nil {
 		return err
 	}
-	return os.WriteFile(path, m.Marshal(nil), 0o644)
+	return faultfs.WriteFileAtomic(faultfs.OS, path, m.Marshal(nil))
 }
 
 // ReadManifest reads and validates a manifest file.

@@ -2,46 +2,38 @@ package shard
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 
 	"rlz/internal/archive"
-	"rlz/internal/docmap"
 )
 
 func init() {
-	archive.RegisterPathFormat(headerMagic, "sharded", func(path string) (archive.Reader, error) {
-		return Open(path)
-	})
+	archive.RegisterPathFormat(headerMagic, "sharded", Open)
 }
 
-// Reader serves a shard set through the archive.Reader interface: a
-// global document id is routed to its (shard, local id) by binary
-// search over the manifest's cumulative offsets, and the request is
-// delegated to that shard's own Reader.
+// Reader serves a shard set through the archive.Reader interface: it is
+// an archive.Set — the one segment router, which maps a global document
+// id to its (shard, local id) over the manifest's cumulative offsets and
+// delegates to that shard's own Reader — plus the manifest the set was
+// opened from. Everything the router offers applies: zero-copy View on
+// memory-mapped raw shards, GetBatch handing each shard its whole
+// sub-batch (so a block shard decodes a shared block once), and FindAll
+// / GetRange in the compressed domain on RLZ shards, by scan otherwise.
 //
 // Concurrency contract: identical to archive.Reader — a shared *Reader
 // is safe for concurrent use by any number of goroutines without
 // external locking, provided concurrent GetAppend calls pass distinct
-// dst buffers. The routing state (offsets, shard list) is immutable
-// after Open, and every delegated call lands on a backend Reader that
-// makes the same guarantee.
-//
-// Extent reports the extent within the owning shard's file (a shard set
-// has no single byte address space); the id-to-shard mapping is fixed,
-// so the figure is still what a disk model should charge for that id.
+// dst buffers. The routing state is immutable after Open, and every
+// delegated call lands on a backend Reader that makes the same
+// guarantee.
 type Reader struct {
-	m      *Manifest
-	rs     []archive.Reader
-	files  []*os.File // backing files, owned by the Reader
-	starts []int      // len(rs)+1 cumulative doc offsets
-	size   int64
+	*archive.Set
+	m *Manifest
 }
 
 // Open opens the shard set described by the manifest at path. Every
 // shard must be a single-file archive: shards are opened through
-// archive.OpenReaderAt (backend auto-detected), which refuses
+// archive.OpenFile (backend auto-detected, memory-mapped), which refuses
 // multi-file magics — so a hostile manifest naming another manifest
 // (or itself) as a shard fails cleanly instead of recursing. Each
 // shard is cross-checked against the manifest: backend and per-shard
@@ -54,105 +46,33 @@ func Open(path string) (archive.Reader, error) {
 		return nil, err
 	}
 	dir := filepath.Dir(path)
-	r := &Reader{m: m, rs: make([]archive.Reader, 0, len(m.Shards)), starts: m.Starts()}
-	allSearch := true
-	for i, s := range m.Shards {
-		sr, err := openShardFile(filepath.Join(dir, s.Path), r)
-		if err != nil {
-			_ = r.Close()
-			return nil, fmt.Errorf("shard %d (%s): %w", i, s.Path, err)
+	rs := make([]archive.Reader, 0, len(m.Shards))
+	fail := func(err error) (archive.Reader, error) {
+		for _, sr := range rs {
+			_ = sr.Close()
 		}
-		r.rs = append(r.rs, sr)
+		return nil, err
+	}
+	for i, s := range m.Shards {
+		sr, err := archive.OpenFile(filepath.Join(dir, s.Path))
+		if err != nil {
+			return fail(fmt.Errorf("shard %d (%s): %w", i, s.Path, err))
+		}
+		rs = append(rs, sr)
 		if st := sr.Stats(); st.Backend != m.Backend {
-			_ = r.Close()
-			return nil, fmt.Errorf("%w: shard %d (%s) is %s, manifest says %s",
-				ErrCorruptManifest, i, s.Path, st.Backend, m.Backend)
+			return fail(fmt.Errorf("%w: shard %d (%s) is %s, manifest says %s",
+				ErrCorruptManifest, i, s.Path, st.Backend, m.Backend))
 		}
 		if sr.NumDocs() != s.Docs {
-			_ = r.Close()
-			return nil, fmt.Errorf("%w: shard %d (%s) holds %d documents, manifest says %d",
-				ErrCorruptManifest, i, s.Path, sr.NumDocs(), s.Docs)
-		}
-		r.size += sr.Size()
-		if _, ok := archive.AsSearcher(sr); !ok {
-			allSearch = false
+			return fail(fmt.Errorf("%w: shard %d (%s) holds %d documents, manifest says %d",
+				ErrCorruptManifest, i, s.Path, sr.NumDocs(), s.Docs))
 		}
 	}
-	if allSearch {
-		return &searchReader{r}, nil
-	}
-	return r, nil
+	return &Reader{Set: archive.NewSet(m.Backend, rs, nil), m: m}, nil
 }
-
-// openShardFile opens one shard as a single-file archive, registering
-// the file with r for Close. Deliberately not archive.Open: that would
-// re-dispatch manifests and let a manifest cycle recurse without bound.
-func openShardFile(path string, r *Reader) (archive.Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	sr, err := archive.OpenReaderAt(f, st.Size())
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	r.files = append(r.files, f)
-	return sr, nil
-}
-
-// route maps a global id to its shard index and local id.
-func (r *Reader) route(id int) (shard, local int, err error) {
-	total := r.starts[len(r.rs)]
-	if id < 0 || id >= total {
-		return 0, 0, fmt.Errorf("%w: id %d of %d", docmap.ErrNoSuchDoc, id, total)
-	}
-	// First shard whose end offset exceeds id.
-	s := sort.Search(len(r.rs), func(i int) bool { return r.starts[i+1] > id })
-	return s, id - r.starts[s], nil
-}
-
-// Get retrieves document id.
-func (r *Reader) Get(id int) ([]byte, error) {
-	s, local, err := r.route(id)
-	if err != nil {
-		return nil, err
-	}
-	return r.rs[s].Get(local)
-}
-
-// GetAppend retrieves document id, appending its text to dst.
-func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
-	s, local, err := r.route(id)
-	if err != nil {
-		return dst, err
-	}
-	return r.rs[s].GetAppend(dst, local)
-}
-
-// Extent returns the extent a Get for id physically reads, within the
-// owning shard's file.
-func (r *Reader) Extent(id int) (off, n int64, err error) {
-	s, local, err := r.route(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.rs[s].Extent(local)
-}
-
-// NumDocs returns the total document count across all shards.
-func (r *Reader) NumDocs() int { return r.starts[len(r.rs)] }
 
 // NumShards returns the shard count.
-func (r *Reader) NumShards() int { return len(r.rs) }
-
-// Size returns the total size of all shard files in bytes.
-func (r *Reader) Size() int64 { return r.size }
+func (r *Reader) NumShards() int { return len(r.m.Shards) }
 
 // Manifest returns a copy of the manifest the set was opened from.
 func (r *Reader) Manifest() Manifest {
@@ -162,104 +82,9 @@ func (r *Reader) Manifest() Manifest {
 // ShardStats reports every shard's own archive.Stats, in shard order —
 // the per-shard breakdown rlzd's /stats endpoint serves.
 func (r *Reader) ShardStats() []archive.Stats {
-	out := make([]archive.Stats, len(r.rs))
-	for i, sr := range r.rs {
+	out := make([]archive.Stats, r.NumShards())
+	for i, sr := range r.Members() {
 		out[i] = sr.Stats()
 	}
 	return out
-}
-
-// Stats aggregates the shard set: totals for documents, bytes, blocks
-// and dictionary bytes; backend-identity fields (Codec, Algorithm) from
-// shard 0, since every shard was built with the same options.
-func (r *Reader) Stats() archive.Stats {
-	st := archive.Stats{Backend: r.m.Backend, NumDocs: r.NumDocs(), Size: r.size}
-	for i, sr := range r.rs {
-		s := sr.Stats()
-		st.DictLen += s.DictLen
-		st.NumBlocks += s.NumBlocks
-		if i == 0 {
-			st.Codec = s.Codec
-			st.Algorithm = s.Algorithm
-		}
-	}
-	return st
-}
-
-// Close closes every shard Reader and its backing file, returning the
-// first error.
-func (r *Reader) Close() error {
-	var firstErr error
-	for _, sr := range r.rs {
-		if err := sr.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, f := range r.files {
-		if err := f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	r.rs, r.files = r.rs[:0], r.files[:0]
-	return firstErr
-}
-
-// searchReader wraps a Reader whose shards all support compressed-domain
-// search (the RLZ backend), adding the archive.Searcher methods. Open
-// returns it instead of the bare Reader in that case, so AsSearcher
-// works on shard sets.
-type searchReader struct{ *Reader }
-
-// Unwrap exposes the routing Reader, e.g. for shard.FromReader.
-func (r *searchReader) Unwrap() archive.Reader { return r.Reader }
-
-// FindAll collects pattern occurrences across every shard in shard
-// order (which is global-id order), remapping shard-local document ids
-// to global ids, up to limit (0 = all).
-func (r *searchReader) FindAll(pattern []byte, limit int) ([]archive.Match, error) {
-	var out []archive.Match
-	for i, sr := range r.rs {
-		rem := 0
-		if limit > 0 {
-			rem = limit - len(out)
-			if rem <= 0 {
-				break
-			}
-		}
-		s, _ := archive.AsSearcher(sr)
-		ms, err := s.FindAll(pattern, rem)
-		if err != nil {
-			return out, fmt.Errorf("shard %d: %w", i, err)
-		}
-		for _, m := range ms {
-			out = append(out, archive.Match{Doc: r.starts[i] + m.Doc, Offset: m.Offset})
-		}
-	}
-	return out, nil
-}
-
-// GetRange retrieves bytes [from, to) of document id without decoding
-// the whole document.
-func (r *searchReader) GetRange(id, from, to int) ([]byte, error) {
-	shard, local, err := r.route(id)
-	if err != nil {
-		return nil, err
-	}
-	s, _ := archive.AsSearcher(r.rs[shard])
-	return s.GetRange(local, from, to)
-}
-
-// FromReader unwraps r (through any file-owning or search wrappers) to
-// the shard routing Reader, reporting whether r serves a shard set.
-func FromReader(r archive.Reader) (*Reader, bool) {
-	for {
-		if sr, ok := r.(*Reader); ok {
-			return sr, true
-		}
-		u, ok := r.(interface{ Unwrap() archive.Reader })
-		if !ok {
-			return nil, false
-		}
-		r = u.Unwrap()
-	}
 }

@@ -134,7 +134,7 @@ func TestRangesPolicyPreservesAppendOrder(t *testing.T) {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
 	}
-	sr, ok := FromReader(r)
+	sr, ok := archive.As[*Reader](r)
 	if !ok {
 		t.Fatal("not a shard reader")
 	}
@@ -260,9 +260,9 @@ func TestOutOfRangeIDs(t *testing.T) {
 	}
 }
 
-// TestSearchAcrossShards: an RLZ shard set supports compressed-domain
-// search with globally remapped document ids; other backends do not
-// claim the Searcher interface.
+// TestSearchAcrossShards: every shard set searches through the segment
+// router with globally remapped document ids — in the compressed domain
+// on RLZ shards, by document scan on the other backends.
 func TestSearchAcrossShards(t *testing.T) {
 	docs := makeDocs(24, 6)
 	for backend, opts := range optionsFor(docs) {
@@ -274,16 +274,9 @@ func TestSearchAcrossShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := archive.AsSearcher(r)
-		if backend != archive.RLZ {
-			if ok {
-				t.Errorf("%s shard set unexpectedly implements Searcher", backend)
-			}
-			r.Close()
-			continue
-		}
+		s, ok := archive.As[archive.Searcher](r)
 		if !ok {
-			t.Fatal("RLZ shard set does not implement Searcher")
+			t.Fatalf("%s shard set does not implement Searcher", backend)
 		}
 		ms, err := s.FindAll([]byte("<div id=\"footer\">"), 0)
 		if err != nil || len(ms) != len(docs) {

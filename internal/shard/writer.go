@@ -220,8 +220,9 @@ func (w *Writer) Append(doc []byte) (int, error) {
 // NumDocs returns the number of documents appended so far.
 func (w *Writer) NumDocs() int { return w.total }
 
-// Close finalizes every shard archive and writes the manifest. On error
-// the partial shard files are removed and no manifest is written.
+// Close finalizes every shard archive and publishes the set (see
+// publish). On error the partial shard files are removed and no manifest
+// is written.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -245,21 +246,49 @@ func (w *Writer) Close() error {
 	for i, aw := range w.ws {
 		docs[i] = aw.NumDocs()
 	}
-	if err := WriteManifest(filepath.Join(w.dir, ManifestName), newManifest(w.opts, docs)); err != nil {
-		removeSet(w.dir, len(w.ws))
-		return err
-	}
-	return nil
+	return publish(w.dir, w.opts, docs)
 }
 
-// newManifest assembles the manifest for a freshly built set: the
-// conventional shard file names with the given per-shard doc counts.
-func newManifest(opts Options, docs []int) *Manifest {
+// publish makes a freshly built set durable and then visible: every
+// shard file (conventional names, the given per-shard document counts)
+// is fsynced before the manifest naming them is published atomically —
+// whose directory fsync also covers the shard files' own directory
+// entries — so a crash never leaves a manifest pointing at empty or torn
+// shards. On error the set is removed.
+//
+//rlz:publishes
+func publish(dir string, opts Options, docs []int) error {
 	m := &Manifest{Backend: opts.Archive.ResolvedBackend()}
 	for i, d := range docs {
 		m.Shards = append(m.Shards, ShardInfo{Path: ShardFileName(i), Docs: d})
 	}
-	return m
+	err := syncShards(dir, m)
+	if err == nil {
+		err = WriteManifest(filepath.Join(dir, ManifestName), m)
+	}
+	if err != nil {
+		removeSet(dir, len(docs))
+	}
+	return err
+}
+
+// syncShards fsyncs every (already written and closed) shard file m
+// names under dir.
+func syncShards(dir string, m *Manifest) error {
+	for _, s := range m.Shards {
+		f, err := os.OpenFile(filepath.Join(dir, s.Path), os.O_RDWR, 0)
+		if err != nil {
+			return err
+		}
+		err = f.Sync()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // closeSource closes a Closer DocSource (e.g. a WARC stream).
@@ -372,11 +401,7 @@ func Create(dir string, src archive.DocSource, opts Options) (archive.BuildResul
 		docs[i] = results[i].Docs
 		res.Docs += results[i].Docs
 	}
-	if err := WriteManifest(filepath.Join(dir, ManifestName), newManifest(opts, docs)); err != nil {
-		removeSet(dir, n)
-		return res, err
-	}
-	return res, nil
+	return res, publish(dir, opts, docs)
 }
 
 // RemoveArchive deletes a shard set: every shard file the manifest
