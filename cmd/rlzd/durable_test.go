@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"rlz/internal/collection"
@@ -201,4 +206,97 @@ func TestAppendBatchPartialAck(t *testing.T) {
 	if col.NumDocs() != 2 {
 		t.Fatalf("NumDocs = %d, want the acked prefix only", col.NumDocs())
 	}
+}
+
+// TestAppendBodyHandling: the pooled, Content-Length-sized body buffer
+// changes nothing a client can see — a chunked body is read whole, one
+// past -max-doc is still 413, a body shorter than its Content-Length is
+// still 400, the acknowledgement is byte for byte what encoding the
+// two-field object gives, and buffers reused across concurrent requests
+// never leak one document's bytes into another.
+func TestAppendBodyHandling(t *testing.T) {
+	ts, _, col := newAdmissionServer(t, collection.Options{}, muxOptions{maxBatch: 16, maxDoc: 1 << 16})
+
+	post := func(body io.Reader) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/append", "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	// Hiding the reader's type hides its length: the client sends chunked.
+	chunked := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
+
+	doc := bytes.Repeat([]byte("chunked "), 3000)
+	status, ack := post(chunked(doc))
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(map[string]any{"id": 0, "generation": col.Generation()}); err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK || ack != want.String() {
+		t.Fatalf("chunked append = %d %q, want 200 %q", status, ack, want.String())
+	}
+	if got, err := col.Get(0); err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("chunked document read back %d bytes, want %d (%v)", len(got), len(doc), err)
+	}
+	if status, _ := post(chunked(make([]byte, 1<<16+1))); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked body past the limit = %d, want 413", status)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /append HTTP/1.1\r\nHost: rlzd\r\nContent-Length: 4096\r\n\r\nshort"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body shorter than its Content-Length = %d, want 400", resp.StatusCode)
+	}
+	if n := col.NumDocs(); n != 1 {
+		t.Fatalf("refused bodies left %d documents, want 1", n)
+	}
+
+	const writers, each = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				doc := bytes.Repeat([]byte(fmt.Sprintf("<w%d d%d>", g, i)), 1+(g*each+i)*7%900)
+				resp, err := http.Post(ts.URL+"/append", "application/octet-stream", bytes.NewReader(doc))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var ack struct{ ID int }
+				err = json.NewDecoder(resp.Body).Decode(&ack)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := col.Get(ack.ID); err != nil || !bytes.Equal(got, doc) {
+					t.Errorf("writer %d doc %d read back as id %d: %d bytes, want %d (%v)", g, i, ack.ID, len(got), len(doc), err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

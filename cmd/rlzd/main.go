@@ -42,12 +42,17 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"path/filepath"
+	"sync"
+	"syscall"
 	"time"
 
 	"rlz/internal/archive"
@@ -87,34 +92,44 @@ func main() {
 		log.Fatalf("rlzd: -wal-max-pending: %v", err)
 	}
 
-	r, err := archive.Open(*arc)
-	if err != nil {
-		log.Fatalf("rlzd: %v", err)
-	}
-	defer r.Close()
-	col, live := archive.As[*collection.Collection](r)
-	if live {
-		// archive.Open used default options; reopen with the daemon's
-		// durability and admission configuration.
-		_ = r.Close()
+	// One open: a live collection takes the daemon's durability and
+	// admission configuration, anything else goes through archive.Open.
+	var (
+		r   archive.Reader
+		col *collection.Collection
+	)
+	if isCollection(*arc) {
 		col, err = collection.Open(*arc, collection.Options{
 			Async:         *asyncAppends,
 			MaxWALPending: int64(walPendingBytes),
 		})
-		if err != nil {
-			log.Fatalf("rlzd: %v", err)
-		}
 		r = col
-		defer r.Close()
+	} else {
+		r, err = archive.Open(*arc)
+	}
+	if err != nil {
+		log.Fatalf("rlzd: %v", err)
 	}
 	srv := serve.New(r, serve.Options{CacheDocs: *cacheDocs, Workers: *workers})
 	st := r.Stats()
 	log.Printf("rlzd: serving %s (%s, %d docs, %d bytes) on %s",
 		*arc, backendLabel(r), st.NumDocs, st.Size, *addr)
 
+	// SIGINT and SIGTERM end the daemon in order: stop accepting, let
+	// in-flight requests and a running auto-compaction finish, then close
+	// the archive — for a live collection that checkpoints the log, so
+	// the next start has nothing to replay.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	copts := collection.CompactOptions{Adapt: *adapt, EvictFraction: *adaptEvict, MinRatioGain: *adaptGain}
-	if live && (*compactAfter > 0 || *compactEvery > 0) {
-		go autoCompact(col, *compactAfter, *compactEvery, copts)
+	var compactor sync.WaitGroup
+	if col != nil && (*compactAfter > 0 || *compactEvery > 0) {
+		compactor.Add(1)
+		go func() {
+			defer compactor.Done()
+			autoCompact(ctx, col, *compactAfter, *compactEvery, copts)
+		}()
 	}
 
 	httpSrv := &http.Server{
@@ -123,7 +138,34 @@ func main() {
 		ReadTimeout:  30 * time.Second,
 		WriteTimeout: 30 * time.Second,
 	}
-	log.Fatal(httpSrv.ListenAndServe())
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.ListenAndServe() }()
+	select {
+	case err = <-served: // could not listen, or the listener broke
+		stop()
+	case <-ctx.Done():
+		log.Printf("rlzd: shutting down")
+		shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = httpSrv.Shutdown(shutCtx)
+		cancel()
+	}
+	compactor.Wait()
+	if cerr := r.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatalf("rlzd: %v", err)
+	}
+}
+
+// isCollection reports whether path names a live collection: a
+// directory, or the manifest inside it, whose manifest reads as one.
+func isCollection(path string) bool {
+	if st, err := os.Stat(path); err == nil && st.IsDir() {
+		path = filepath.Join(path, collection.ManifestName)
+	}
+	_, err := collection.ReadManifest(path)
+	return err == nil
 }
 
 // autoCompact is the daemon's background compactor: every tick it
@@ -131,12 +173,20 @@ func main() {
 // sealed segments) and drains them into RLZ segments when the threshold
 // is met. Compaction runs concurrently with serving — reads route
 // through the old generation until the new one is published atomically.
-func autoCompact(col *collection.Collection, after int, every time.Duration, opts collection.CompactOptions) {
+// It returns when ctx is done, after any compaction it has running.
+func autoCompact(ctx context.Context, col *collection.Collection, after int, every time.Duration, opts collection.CompactOptions) {
 	tick := every
 	if tick <= 0 {
 		tick = time.Second
 	}
-	for range time.Tick(tick) {
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+		}
 		info := col.Info()
 		if info.PendingDocs == 0 {
 			continue

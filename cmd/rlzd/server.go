@@ -1,12 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"rlz/internal/archive"
 	"rlz/internal/collection"
@@ -66,6 +67,13 @@ type appendBatchResponse struct {
 	Generation uint64 `json:"generation"`
 	Error      string `json:"error,omitempty"`
 }
+
+// appendBodies holds the POST /append body buffers. One that grew past
+// maxPooledBody is dropped instead of returned, so a single huge
+// document does not pin its buffer for the life of the daemon.
+var appendBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 // muxOptions carries the write-path configuration of newMux.
 type muxOptions struct {
@@ -224,8 +232,21 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 		if readOnly(w) {
 			return
 		}
-		doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, opt.maxDoc))
-		if err != nil {
+		// The body lands in a pooled buffer sized from Content-Length (a
+		// chunked or lying body just grows it, inside the -max-doc bound
+		// either way). Reusing it is safe: Append copies the document into
+		// the segment and the log before it returns.
+		body := appendBodies.Get().(*bytes.Buffer)
+		defer func() {
+			if body.Cap() <= maxPooledBody {
+				body.Reset()
+				appendBodies.Put(body)
+			}
+		}()
+		if n := r.ContentLength; n > 0 && n <= opt.maxDoc {
+			body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+		}
+		if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, opt.maxDoc)); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				http.Error(w, "document exceeds limit of "+strconv.FormatInt(opt.maxDoc, 10)+" bytes", http.StatusRequestEntityTooLarge)
@@ -234,7 +255,7 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		id, err := col.Append(doc)
+		id, err := col.Append(body.Bytes())
 		if err != nil {
 			if backpressured(w, err) {
 				return
@@ -242,9 +263,17 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		// The bytes json.Encoder gives for the two-field object, without
+		// the map and the reflection.
+		var buf [64]byte
+		ack := append(buf[:0], `{"generation":`...)
+		ack = strconv.AppendUint(ack, col.Generation(), 10)
+		ack = append(ack, `,"id":`...)
+		ack = strconv.AppendInt(ack, int64(id), 10)
+		ack = append(ack, "}\n"...)
 		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(map[string]any{"id": id, "generation": col.Generation()}); err != nil {
-			errlog.Printf("rlzd: encoding /append response: %v", err)
+		if _, err := w.Write(ack); err != nil {
+			errlog.Printf("rlzd: writing /append response: %v", err)
 		}
 	})
 

@@ -64,7 +64,7 @@ type Options struct {
 	// 8 MiB. Group-commit mode only.
 	MaxWALPending int64
 	// CheckpointBytes is the WAL size at which the open segment is
-	// fsynced and the log truncated. Zero means 4 MiB. Group-commit
+	// fsynced and the log rewound. Zero means 4 MiB. Group-commit
 	// mode only.
 	CheckpointBytes int64
 	// MaxPendingDocs bounds the pending-compaction backlog (open
@@ -296,7 +296,7 @@ func Open(dir string, opts Options) (*Collection, error) {
 // write-ahead log and replays surviving records into the recovered open
 // segment, whose first document has global id sealed. Records the
 // segment already holds durably are skipped; the rest are appended,
-// fsynced, and the log truncated — so every acknowledged append is
+// fsynced, and the log rewound — so every acknowledged append is
 // readable before Open returns, whatever the crash looked like.
 func (c *Collection) openWAL(open *openSegment, sealed int) error {
 	walPath := filepath.Join(c.dir, wal.FileName)
@@ -319,7 +319,7 @@ func (c *Collection) openWAL(open *openSegment, sealed int) error {
 		// segment bytes were lost. Re-append them in order. Records
 		// below the boundary are already in the segment (it was fsynced
 		// at or after their checkpoint); a gap cannot occur — the log
-		// is truncated only after the segment durably absorbed it — but
+		// is rewound only after the segment durably absorbed it — but
 		// stop defensively rather than misnumber documents.
 		total := uint64(sealed + open.NumDocs())
 		for _, r := range recs {
@@ -462,8 +462,9 @@ func (c *Collection) Append(doc []byte) (int, error) {
 }
 
 // AppendBatch appends docs in order, returning the global ids of the
-// appends that were durably acknowledged. All docs join the same WAL
-// commit window, so a batch costs about one fsync regardless of length.
+// appends that were durably acknowledged. All docs are enqueued before
+// any is waited for, so they share one WAL commit: a batch costs about
+// one fsync regardless of length.
 // On error the returned prefix of ids is still valid and durable; the
 // remaining docs were not appended (or, past the first WAL failure,
 // not acknowledged).
@@ -575,7 +576,7 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 	return id, wait, nil
 }
 
-// checkpointLocked makes the open segment durable and truncates the WAL
+// checkpointLocked makes the open segment durable and rewinds the WAL
 // — records the segment has absorbed and fsynced need no replay. Errors
 // are sticky in the respective layer (broken segment, poisoned log) and
 // surface on the next append; the current batch stays correct either
@@ -677,10 +678,12 @@ func (c *Collection) sealLocked() error {
 		return err
 	}
 	// Every WAL record is now covered by the sealed (fsynced) segment:
-	// truncate the log. A checkpoint failure only poisons the log — the
-	// seal itself already succeeded — and surfaces on the next append.
+	// rewind the log and, with no open segment left to protect, give its
+	// blocks back. A failure of either only poisons the log — the seal
+	// itself already succeeded — and surfaces on the next append.
 	if c.wal != nil {
 		_ = c.wal.Checkpoint()
+		_ = c.wal.Trim()
 	}
 	// The sidecar file is no longer needed at all (in-flight readers use
 	// the still-open handles, not the name).
@@ -939,9 +942,11 @@ func (c *Collection) GC() ([]string, error) {
 	return removed, nil
 }
 
-// Close releases the collection's resources: the write-ahead log
-// flushes its queued batch (in-flight Appends get their final
-// acknowledgment) and closes, then the current view loses its installed
+// Close releases the collection's resources: the open segment is
+// fsynced and the write-ahead log checkpointed (in-flight Appends get
+// their final acknowledgment), so a closed collection holds a
+// header-only log and its next Open has nothing to replay; the log
+// closes, then the current view loses its installed
 // reference and its segment readers and open-segment handles close as soon as
 // in-flight reads drain (immediately, when none are in flight). Reads
 // arriving after Close race its drain and may return errors.
@@ -954,6 +959,7 @@ func (c *Collection) Close() error {
 	c.closed = true
 	var err error
 	if c.wal != nil {
+		c.checkpointLocked(c.view.Load())
 		err = c.wal.Close()
 	}
 	c.view.Load().unref()

@@ -39,6 +39,22 @@ func faultOpen(t *testing.T, sim *faultfs.Sim, opts Options) (*Collection, strin
 	return c, dir
 }
 
+// abandon drops c's descriptors the way a dying process does. Unlike
+// Close it checkpoints nothing on the way out: the crash that follows
+// must find the log and the segment as the fault left them.
+func abandon(c *Collection) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	c.closed = true
+	if c.wal != nil {
+		_ = c.wal.Close()
+	}
+	c.view.Load().unref()
+}
+
 // TestFaultMatrix drives the append protocol into one scripted fault per
 // case and asserts byte-identical recovery of every acknowledged
 // document. Cases marked sticky additionally pin the poisoned-writer
@@ -54,7 +70,8 @@ func TestFaultMatrix(t *testing.T) {
 		opts   Options
 		prime  int             // appends that must ack before the script installs
 		script []faultfs.Fault // installed after priming
-		seal   bool            // attempt a Seal after the script installs (must fail)
+		seal   bool            // attempt a Seal after the script installs (must fail, unless sealed)
+		sealed bool            // the fault lands after the seal's publish: Seal succeeds
 		post   int             // append attempts after the script installs
 		acked  int             // total acknowledged appends expected
 		sticky bool            // appends must keep failing after the first failure
@@ -128,6 +145,42 @@ func TestFaultMatrix(t *testing.T) {
 			acked:  3,
 			sticky: true,
 		},
+		{
+			// (Row names here say "log": a fault's Path matches anywhere in
+			// the file's path, test directory included.) The first commit
+			// after an open runs past the blocks the log holds, so its flush is the one that must also make a zero-fill
+			// step durable. It fails: nothing was acknowledged, nothing is.
+			name:   "fail the log fsync that follows a zero-fill step",
+			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: wal.FileName}},
+			post:   5,
+			acked:  0,
+			sticky: true,
+		},
+		{
+			// Appends 1 and 2 commit to the log, the third crosses the
+			// threshold and rewinds it; the process dies on the next
+			// commit's write. The log is then a new cycle's header over the
+			// old cycle's frames, which must stay dead.
+			name:   "kill between log rewind and the next commit",
+			opts:   Options{CheckpointBytes: 180},
+			prime:  3,
+			script: []faultfs.Fault{{Op: faultfs.OpWrite, Path: wal.FileName, Kill: true}},
+			post:   2,
+			acked:  3,
+			sticky: true,
+		},
+		{
+			// Seal has published the segment and checkpointed the log; the
+			// process dies giving the log's blocks back.
+			name:   "kill inside seal between log checkpoint and trim",
+			prime:  5,
+			script: []faultfs.Fault{{Op: faultfs.OpTruncate, Path: wal.FileName, Kill: true}},
+			seal:   true,
+			sealed: true,
+			post:   2,
+			acked:  5,
+			sticky: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,8 +209,8 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			sim.SetScript(tc.script...)
 			if tc.seal {
-				if err := c.Seal(); err == nil {
-					t.Fatal("Seal succeeded across a dropped manifest rename")
+				if err := c.Seal(); (err == nil) != tc.sealed {
+					t.Fatalf("Seal across the scripted fault = %v", err)
 				}
 			}
 			failures := 0
@@ -178,7 +231,7 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("acknowledged %d appends, want %d", len(acked), tc.acked)
 			}
 
-			_ = c.Close() // a dead process still closes its descriptors in-test
+			abandon(c) // a dead process still closes its descriptors in-test
 			if err := sim.Crash(sim.JournalLen()); err != nil {
 				t.Fatalf("crash: %v", err)
 			}
@@ -262,12 +315,22 @@ func TestFaultKillPointHarness(t *testing.T) {
 	}
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%03d", seed), func(t *testing.T) {
-			runKillPoint(t, int64(seed))
+			runKillPoint(t, int64(seed), 0)
+		})
+	}
+	// The same scripts with a threshold two or three appends reach, so
+	// each one rewinds the log several times before its fault lands and
+	// recovery always meets an earlier cycle's frames past the tail.
+	for seed := 0; seed < seeds; seed++ {
+		t.Run(fmt.Sprintf("rewinding/seed=%03d", seed), func(t *testing.T) {
+			runKillPoint(t, int64(seed), 400)
 		})
 	}
 }
 
-func runKillPoint(t *testing.T, seed int64) {
+// runKillPoint runs one seeded script; checkpointBytes 0 draws the
+// threshold from the seed.
+func runKillPoint(t *testing.T, seed, checkpointBytes int64) {
 	rng := rand.New(rand.NewSource(seed))
 	sim := faultfs.NewSim()
 	dir := filepath.Join(t.TempDir(), "coll")
@@ -277,7 +340,10 @@ func runKillPoint(t *testing.T, seed int64) {
 	// Small, varied checkpoint threshold: some runs crash mid-burn with
 	// records only in the WAL, others right after a checkpoint truncated
 	// it — both sides of the checkpoint boundary get crashed on.
-	c, err := Open(dir, Options{FS: sim, CheckpointBytes: int64(1<<10 + rng.Intn(1<<14))})
+	if drawn := int64(1<<10 + rng.Intn(1<<14)); checkpointBytes == 0 {
+		checkpointBytes = drawn
+	}
+	c, err := Open(dir, Options{FS: sim, CheckpointBytes: checkpointBytes})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -316,7 +382,7 @@ func runKillPoint(t *testing.T, seed int64) {
 			_ = c.Seal() // may die mid-seal; that is the point
 		}
 	}
-	_ = c.Close()
+	abandon(c)
 	if err := sim.Crash(rng.Intn(sim.JournalLen() + 1)); err != nil {
 		t.Fatalf("crash: %v", err)
 	}

@@ -56,8 +56,9 @@ type File interface {
 	io.ReaderAt
 	io.Seeker
 	io.Closer
-	// Sync is os.File.Sync: on return without error, every byte written
-	// so far is durable.
+	// Sync makes every byte written so far durable before it returns
+	// without error. Timestamps may lag: OS files flush with fdatasync
+	// where the platform has it (Linux), fsync elsewhere.
 	Sync() error
 	// Truncate is os.File.Truncate.
 	Truncate(size int64) error
@@ -163,7 +164,7 @@ func (o osFile) Seek(off int64, whence int) (int64, error) {
 	return o.f.Seek(off, whence)
 }
 func (o osFile) Close() error               { return o.f.Close() }
-func (o osFile) Sync() error                { return o.f.Sync() }
+func (o osFile) Sync() error                { return syncFile(o.f) }
 func (o osFile) Truncate(size int64) error  { return o.f.Truncate(size) }
 func (o osFile) Stat() (os.FileInfo, error) { return o.f.Stat() }
 func (o osFile) Name() string               { return o.f.Name() }

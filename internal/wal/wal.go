@@ -1,21 +1,33 @@
 // Package wal implements a group-commit write-ahead log for the
 // collection's open segment.
 //
-// Appenders enqueue CRC-framed records and block on a commit notifier;
-// a single committer goroutine batches everything queued since the last
-// fsync into one write+fsync and wakes all waiters. One disk flush thus
-// amortizes over every append that arrived while the previous flush was
-// in flight — the batched-flush lifecycle that lets durable appends run
-// at a large fraction of non-durable throughput.
+// Appenders enqueue CRC-framed records and then wait for them to be
+// durable; the waiting appenders commit the log themselves. The first
+// waiter that finds no commit in flight takes everything queued so far,
+// writes and flushes it, and wakes its batch; appends that arrive while
+// that flush is in flight queue into the next batch, and one of their
+// waiters leads it the moment the flush returns. One disk flush thus
+// amortizes over every append that arrived during the previous one, with
+// no goroutine hand-off between an appender and its flush.
 //
-// The log is a redo log only: records are replayed into the open
-// segment at recovery and the file is truncated back to its header once
-// the segment has absorbed and fsynced them (checkpoint). A torn tail —
-// the crash landing mid-frame — is detected by the frame CRC and
-// discarded on open.
+// The log keeps its blocks. The file is zero-filled a fixed step ahead
+// of the tail, so a steady-state commit overwrites blocks that already
+// exist and its flush has no size or extent change to journal. The log
+// is a redo log only: once the open segment has absorbed and fsynced the
+// records (checkpoint) the log rewinds — a new cycle salt goes into the
+// header and the tail returns to the first frame — and the blocks are
+// given back only by Trim (the collection calls it when it seals the
+// segment the log protects) and by Close.
+//
+// Every frame's CRC is seeded with its cycle's salt, so the frames an
+// earlier cycle left past the tail can never be read as records, not
+// even when a document embeds a well-formed frame and the new tail lands
+// exactly on it. A torn tail — the crash landing mid-frame — fails the
+// same CRC and is discarded on open.
 package wal
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,7 +35,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -46,16 +57,30 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	headerSize = 8 // magic "RLZWAL" + u16 version
-	walVersion = 1
-	// frame: u32 payload length + u32 CRC32-C(payload) + payload
+	headerSize = 12 // magic "RLZWAL" + u16 version + u32 cycle salt
+	walVersion = 2
+	// A version 1 log (written before the log rewound in place) has no
+	// salt field: its frames start here and carry an unseeded CRC, which
+	// is salt 0. It is replayed as such and becomes version 2 at its
+	// first checkpoint.
+	v1HeaderSize = 8
+	// frame: u32 payload length + u32 CRC32-C(payload), seeded with the
+	// cycle salt + payload (uvarint sequence number, document)
 	frameHeader = 8
 	// maxRecord bounds a single frame's payload so a corrupt length
 	// field cannot trigger a giant allocation during recovery.
 	maxRecord = 1 << 30
+	// fillStep is how far past the tail the file is zero-filled each
+	// time a commit reaches the end of the blocks written so far.
+	// Reserving the blocks (fallocate) would not do: a flush over
+	// unwritten extents still journals their conversion.
+	fillStep = 1 << 20
 )
 
-var headerMagic = [6]byte{'R', 'L', 'Z', 'W', 'A', 'L'}
+var (
+	headerMagic = [6]byte{'R', 'L', 'Z', 'W', 'A', 'L'}
+	zeros       [fillStep]byte
+)
 
 // Record is one logged append: the document's global id and its bytes.
 type Record struct {
@@ -74,11 +99,11 @@ type Options struct {
 	MaxPending int64
 }
 
-// batch accumulates the frames enqueued since the committer last took
-// work. All its waiters share one done channel and one error.
+// batch accumulates the frames enqueued since the last commit was
+// taken. All its waiters share one outcome.
 type batch struct {
 	buf  []byte
-	done chan struct{}
+	done bool
 	err  error
 }
 
@@ -88,33 +113,31 @@ type Log struct {
 	path       string
 	maxPending int64
 
-	// mu guards the enqueue side.
-	mu      sync.Mutex
-	cur     *batch
-	pending int64 // bytes enqueued, not yet flushed (or discarded)
-	poison  error // sticky: set on first failed write/fsync
-	closed  bool
+	mu sync.Mutex
+	// flushed is signalled whenever busy falls: the finished batch's
+	// waiters return and one waiter of the next batch leads it.
+	flushed sync.Cond
+	cur     *batch // guarded by mu; nil when nothing is queued
+	spare   []byte // guarded by mu; the last finished batch's buffer, for the next batch
+	salt    uint32 // guarded by mu; seeds the CRC of every frame of this cycle
+	busy    bool   // guarded by mu; the holder owns f and filled until it clears it
+	pending int64  // guarded by mu; bytes enqueued, not yet flushed (or discarded)
+	poison  error  // guarded by mu; sticky: set on first failed write/fsync
+	closed  bool   // guarded by mu
 
-	// ioMu serializes file I/O between the committer and Checkpoint.
-	ioMu sync.Mutex
-	f    faultfs.File
-	wErr error // sticky I/O-side twin of poison
+	f      faultfs.File
+	filled int64 // bytes of the file written at least once: header, frames, zero fill
 
-	// size is atomic, not ioMu-guarded: Size is polled on every append
-	// (the checkpoint trigger), and taking ioMu there would stall each
-	// append behind the in-flight fsync — serializing the write path and
-	// defeating group commit.
-	size atomic.Int64 // bytes written to the file (header included)
-
-	kick chan struct{}
-	quit chan struct{}
-	done chan struct{}
+	// size is atomic: Size is polled on every append (the checkpoint
+	// trigger) and must not wait behind the commit in flight.
+	size atomic.Int64 // the tail: header plus the frames committed this cycle
 }
 
 // Open opens (creating if absent) the log at path and replays its
-// surviving records. A torn tail is truncated away; the returned
-// records are complete, CRC-verified frames in append order. The caller
-// replays them into the open segment before accepting new appends.
+// surviving records: the complete, CRC-verified frames of the current
+// cycle, in append order. Everything past them — a torn tail, an earlier
+// cycle's frames, zero fill — is cut off. The caller replays the records
+// into the open segment before accepting new appends.
 func Open(path string, opts Options) (*Log, []Record, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -126,89 +149,79 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	}
 
 	data, err := fs.ReadFile(path)
-	created := false
-	switch {
-	case err == nil:
-	case os.IsNotExist(err):
-		created = true
-	default:
+	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
+	created := err != nil
+	// A file too short for a header was torn while being created; no
+	// frame fits in it either, so it starts over like an absent one.
+	fresh := len(data) < headerSize
 
 	var recs []Record
-	valid := int64(headerSize)
-	if !created {
-		recs, valid, err = parse(data)
-		if err != nil {
-			return nil, nil, err
-		}
+	salt, valid := uint32(0), int64(headerSize)
+	if fresh {
+		salt = newSalt(0)
+	} else if recs, salt, valid, err = parse(data); err != nil {
+		return nil, nil, err
 	}
 
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	if created {
-		var hdr [headerSize]byte
-		copy(hdr[:], headerMagic[:])
-		binary.LittleEndian.PutUint16(hdr[6:], walVersion)
-		if _, err := f.Write(hdr[:]); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("wal: init %s: %w", path, err)
-		}
-		// Make the log's existence durable alongside its header.
-		if err := fs.SyncDir(filepath.Dir(path)); err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("wal: sync dir: %w", err)
-		}
-	} else if valid < int64(len(data)) {
-		// Discard the torn tail so new frames never abut garbage.
-		if err := f.Truncate(valid); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("wal: seek: %w", err)
-	}
-
-	l := &Log{
-		fs:         fs,
-		path:       path,
-		maxPending: maxPending,
-		f:          f,
-		kick:       make(chan struct{}, 1),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
+	l := &Log{fs: fs, path: path, maxPending: maxPending, salt: salt, f: f, filled: valid}
+	l.flushed.L = &l.mu
 	l.size.Store(valid)
-	go l.run()
+	switch {
+	case fresh:
+		if err = l.rewind(salt); err == nil && created {
+			// Make the log's existence durable alongside its header.
+			err = fs.SyncDir(filepath.Dir(path))
+		}
+	case valid < int64(len(data)):
+		if err = l.trim(); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(valid, io.SeekStart)
+	}
+	if err != nil {
+		_ = f.Close()
+		return nil, nil, fmt.Errorf("wal: init %s: %w", path, err)
+	}
 	return l, recs, nil
 }
 
-// parse scans the log image, returning the complete records and the
-// byte offset of the last valid frame's end. A bad header is an error;
-// a bad or short frame just ends the scan (torn tail).
-func parse(data []byte) ([]Record, int64, error) {
-	if len(data) < headerSize {
-		// The file itself was torn during creation: treat as empty.
-		return nil, headerSize, nil
+// newSalt draws a cycle salt that differs from prev and from 0, the salt
+// of version 1 frames. It is random so that a document cannot carry a
+// frame made for a cycle yet to come.
+func newSalt(prev uint32) uint32 {
+	for {
+		var b [4]byte
+		_, _ = rand.Read(b[:]) // crypto/rand.Read does not fail
+		if s := binary.LittleEndian.Uint32(b[:]); s != 0 && s != prev {
+			return s
+		}
 	}
+}
+
+// parse scans a log image of at least headerSize bytes, returning the
+// current cycle's complete records, its salt, and the byte offset of the
+// last valid frame's end. A bad header is an error; a bad or short frame
+// just ends the scan (torn tail, or what an earlier cycle left behind).
+func parse(data []byte) (recs []Record, salt uint32, off int64, err error) {
 	if [6]byte(data[:6]) != headerMagic {
-		return nil, 0, fmt.Errorf("wal: bad magic %q", data[:6])
+		return nil, 0, 0, fmt.Errorf("wal: bad magic %q", data[:6])
 	}
-	if v := binary.LittleEndian.Uint16(data[6:8]); v != walVersion {
-		return nil, 0, fmt.Errorf("wal: unsupported version %d", v)
+	switch v := binary.LittleEndian.Uint16(data[6:8]); v {
+	case 1:
+		off = v1HeaderSize
+	case walVersion:
+		salt, off = binary.LittleEndian.Uint32(data[8:]), headerSize
+	default:
+		return nil, 0, 0, fmt.Errorf("wal: unsupported version %d", v)
 	}
-	var recs []Record
-	off := int64(headerSize)
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeader {
@@ -220,7 +233,7 @@ func parse(data []byte) ([]Record, int64, error) {
 			break
 		}
 		payload := rest[frameHeader : frameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
+		if crc32.Update(salt, castagnoli, payload) != crc {
 			break
 		}
 		seq, sn := binary.Uvarint(payload)
@@ -232,17 +245,17 @@ func parse(data []byte) ([]Record, int64, error) {
 		recs = append(recs, Record{Seq: seq, Doc: doc})
 		off += frameHeader + n
 	}
-	return recs, off, nil
+	return recs, salt, off, nil
 }
 
-// frame encodes one record, appending to dst.
-func frame(dst []byte, seq uint64, doc []byte) []byte {
+// frame encodes one record of the cycle salted salt, appending to dst.
+func frame(dst []byte, salt uint32, seq uint64, doc []byte) []byte {
 	var seqBuf [binary.MaxVarintLen64]byte
 	sn := binary.PutUvarint(seqBuf[:], seq)
 	n := sn + len(doc)
 	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
-	crc := crc32.Checksum(seqBuf[:sn], castagnoli)
+	crc := crc32.Update(salt, castagnoli, seqBuf[:sn])
 	crc = crc32.Update(crc, castagnoli, doc)
 	binary.LittleEndian.PutUint32(hdr[4:], crc)
 	dst = append(dst, hdr[:]...)
@@ -251,39 +264,43 @@ func frame(dst []byte, seq uint64, doc []byte) []byte {
 }
 
 // Enqueue adds one record to the current batch and returns a wait
-// function that blocks until the batch is durable (or failed). The
-// record is NOT durable until wait returns nil.
+// function that blocks until the batch is durable (or failed),
+// committing it itself when no other waiter is. The record is NOT
+// durable until wait returns nil; a record whose wait is never called is
+// flushed by a later batch's leader, a checkpoint, or Close.
 //
 // Enqueue itself never blocks on I/O: when the in-flight budget is
 // exhausted it fails fast with ErrBackpressure instead.
 func (l *Log) Enqueue(seq uint64, doc []byte) (func() error, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil, ErrClosed
-	}
-	if l.poison != nil {
-		return nil, l.poison
-	}
-	need := int64(frameHeader + binary.MaxVarintLen64 + len(doc))
-	if l.pending > 0 && l.pending+need > l.maxPending {
-		return nil, fmt.Errorf("%w (%d bytes in flight)", ErrBackpressure, l.pending)
+	if err := l.admitLocked(int64(len(doc))); err != nil {
+		return nil, err
 	}
 	if l.cur == nil {
-		l.cur = &batch{done: make(chan struct{})}
+		l.cur = &batch{buf: l.spare}
+		l.spare = nil
 	}
 	b := l.cur
 	before := len(b.buf)
-	b.buf = frame(b.buf, seq, doc)
+	b.buf = frame(b.buf, l.salt, seq, doc)
 	l.pending += int64(len(b.buf) - before)
-	select {
-	case l.kick <- struct{}{}:
-	default:
+	return func() error { return l.wait(b) }, nil
+}
+
+// wait returns b's outcome. A batch that is not done while nothing is
+// in flight is the current one: its first waiter to see that leads it.
+func (l *Log) wait(b *batch) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for !b.done {
+		if l.busy {
+			l.flushed.Wait()
+		} else {
+			l.commitLocked()
+		}
 	}
-	return func() error {
-		<-b.done
-		return b.err
-	}, nil
+	return b.err
 }
 
 // Admit reports whether a record with an n-byte payload could enqueue
@@ -294,6 +311,11 @@ func (l *Log) Enqueue(seq uint64, doc []byte) (func() error, error) {
 func (l *Log) Admit(n int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.admitLocked(n)
+}
+
+// admitLocked is Admit. Called with mu held.
+func (l *Log) admitLocked(n int64) error {
 	if l.closed {
 		return ErrClosed
 	}
@@ -314,9 +336,10 @@ func (l *Log) Pending() int64 {
 	return l.pending
 }
 
-// Size returns the bytes written to the log file so far — the
-// collection checkpoints once this passes its threshold. Lock-free, so
-// the append path can poll it without waiting on an in-flight commit.
+// Size returns the log's tail: the header plus the frames committed
+// since the last checkpoint — the collection checkpoints once this
+// passes its threshold. Lock-free, so the append path can poll it
+// without waiting on an in-flight commit.
 func (l *Log) Size() int64 {
 	return l.size.Load()
 }
@@ -330,136 +353,164 @@ func (l *Log) Err() error {
 	return l.poison
 }
 
-// run is the committer: it drains whatever accumulated since the last
-// flush into a single write+fsync and wakes that batch's waiters.
-//
-// The Gosched before each flush is the group-commit window: waiters
-// woken by the previous flush are runnable but have not re-enqueued
-// yet, and yielding once lets them join the batch about to be taken.
-// Without it the committer snatches the batch the instant the first
-// appender kicks, committing near-singleton batches and paying a full
-// fsync per append under concurrency. With nothing else runnable the
-// yield is nanoseconds, so an idle log commits a lone append promptly.
-func (l *Log) run() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.kick:
-			runtime.Gosched()
-			l.flush()
-		case <-l.quit:
-			l.flush()
-			return
-		}
-	}
-}
-
-func (l *Log) flush() {
-	l.mu.Lock()
+// commitLocked takes the current batch, makes it durable and completes
+// it. Called with mu held and busy false; mu is released for the I/O.
+func (l *Log) commitLocked() {
 	b := l.cur
 	l.cur = nil
-	l.mu.Unlock()
-	if b == nil {
-		return
-	}
-
-	l.ioMu.Lock()
-	err := l.wErr
+	err := l.poison
 	if err == nil {
-		if _, werr := l.f.Write(b.buf); werr != nil {
-			err = werr
-		} else if serr := l.f.Sync(); serr != nil {
-			err = serr
-		}
-		if err != nil {
-			l.wErr = err
-		} else {
-			l.size.Add(int64(len(b.buf)))
-		}
+		err = l.ownFileLocked("commit", func() error { return l.write(b.buf) })
 	}
-	l.ioMu.Unlock()
-
-	l.mu.Lock()
-	l.pending -= int64(len(b.buf))
-	if err != nil && l.poison == nil {
-		l.poison = fmt.Errorf("wal: poisoned by failed commit: %w", err)
-	}
-	l.mu.Unlock()
-
-	b.err = err
-	close(b.done)
+	l.completeLocked(b, err)
 }
 
-// Checkpoint truncates the log back to its header. The caller must
-// already have made every logged record durable elsewhere (the open
-// segment fsynced) — including records still waiting in the current
-// batch, whose waiters are completed successfully without touching disk
-// since their bytes are durable via the segment.
-func (l *Log) Checkpoint() error {
+// completeLocked hands b's outcome to its waiters and keeps its buffer
+// for the next batch. Called with mu held.
+func (l *Log) completeLocked(b *batch, err error) {
+	l.pending -= int64(len(b.buf))
+	l.spare, b.buf = b.buf[:0], nil
+	b.err, b.done = err, true
+	l.flushed.Broadcast()
+}
+
+// ownFileLocked runs op with the file to itself and mu released; a
+// failure poisons the log. Called with mu held and busy false.
+func (l *Log) ownFileLocked(what string, op func() error) error {
+	l.busy = true
+	l.mu.Unlock()
+	err := op()
 	l.mu.Lock()
+	l.busy = false
+	if err != nil && l.poison == nil {
+		l.poison = fmt.Errorf("wal: poisoned by failed %s: %w", what, err)
+	}
+	l.flushed.Broadcast()
+	return err
+}
+
+// idleLocked waits out the commit in flight and reports why the log can
+// take no more work, if it cannot. Called with mu held.
+func (l *Log) idleLocked() error {
+	for l.busy {
+		l.flushed.Wait()
+	}
 	if l.closed {
-		l.mu.Unlock()
 		return ErrClosed
 	}
-	if err := l.poison; err != nil {
-		l.mu.Unlock()
+	return l.poison
+}
+
+// write makes buf durable at the tail. In the steady state that is one
+// write over blocks that already exist and one flush; a write that runs
+// past them also zero-fills the file up to the next step, so that the
+// flushes which follow find nothing but data to write. Called by busy's
+// holder.
+func (l *Log) write(buf []byte) error {
+	if _, err := l.f.Write(buf); err != nil {
 		return err
 	}
-	b := l.cur
-	l.cur = nil
-	if b != nil {
-		l.pending -= int64(len(b.buf))
-	}
-	l.mu.Unlock()
-	if b != nil {
-		b.err = nil
-		close(b.done)
-	}
-
-	l.ioMu.Lock()
-	err := l.wErr
-	if err == nil {
-		if terr := l.f.Truncate(headerSize); terr != nil {
-			err = terr
-		} else if _, serr := l.f.Seek(headerSize, io.SeekStart); serr != nil {
-			err = serr
-		} else if ferr := l.f.Sync(); ferr != nil {
-			err = ferr
+	end := l.size.Load() + int64(len(buf))
+	if end > l.filled {
+		fill := end - end%fillStep + fillStep
+		if _, err := l.f.Write(zeros[:fill-end]); err != nil {
+			return err
 		}
-		if err != nil {
-			l.wErr = err
-		} else {
-			l.size.Store(headerSize)
+		if _, err := l.f.Seek(end, io.SeekStart); err != nil {
+			return err
 		}
+		l.filled = fill
 	}
-	l.ioMu.Unlock()
-
-	if err != nil {
-		l.mu.Lock()
-		if l.poison == nil {
-			l.poison = fmt.Errorf("wal: poisoned by failed checkpoint: %w", err)
-		}
-		l.mu.Unlock()
+	if err := l.f.Sync(); err != nil {
 		return err
 	}
+	l.size.Store(end)
 	return nil
 }
 
-// Close flushes any queued batch, stops the committer, and closes the
-// file. Records that were enqueued but never flushed get the flush's
-// error through their wait functions.
+// rewind starts the cycle salted salt: once the header carrying it is
+// durable no frame written before it can be read again, and the tail is
+// back at the first frame with every block still in place. Called by
+// busy's holder.
+func (l *Log) rewind(salt uint32) error {
+	var hdr [headerSize]byte
+	copy(hdr[:], headerMagic[:])
+	binary.LittleEndian.PutUint16(hdr[6:], walVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], salt)
+	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if _, err := l.f.Write(hdr[:]); err != nil { // leaves the offset at the first frame
+		return err
+	}
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.size.Store(headerSize)
+	return nil
+}
+
+// trim cuts the file off at the tail. Called by busy's holder.
+func (l *Log) trim() error {
+	l.filled = l.size.Load()
+	return l.f.Truncate(l.filled)
+}
+
+// Checkpoint rewinds the log to its header. The caller must already
+// have made every logged record durable elsewhere (the open segment
+// fsynced) — including records still waiting in the current batch, whose
+// waiters are completed successfully without touching disk since their
+// bytes are durable via the segment.
+func (l *Log) Checkpoint() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.idleLocked(); err != nil {
+		return err
+	}
+	if b := l.cur; b != nil {
+		l.cur = nil
+		l.completeLocked(b, nil)
+	}
+	// Frames enqueued from here on belong to the new cycle.
+	salt := newSalt(l.salt)
+	l.salt = salt
+	return l.ownFileLocked("checkpoint", func() error { return l.rewind(salt) })
+}
+
+// Trim gives the blocks past the tail back to the filesystem, so that a
+// log with nothing to protect occupies only what it holds: right after
+// a checkpoint, its header. The blocks come back, zero-filled a step at
+// a time, as appends resume.
+func (l *Log) Trim() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.idleLocked(); err != nil {
+		return err
+	}
+	return l.ownFileLocked("trim", l.trim)
+}
+
+// Close flushes any queued batch, trims the file to its tail, and
+// closes it. Records that were enqueued but never flushed get the
+// flush's error through their wait functions.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.mu.Unlock()
-	close(l.quit)
-	<-l.done
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
+	for l.busy || l.cur != nil {
+		if l.busy {
+			l.flushed.Wait()
+		} else {
+			l.commitLocked()
+		}
+	}
+	// Nothing can take the file from here: the log refuses all work.
+	if l.poison == nil {
+		_ = l.trim() // the space is all a failure here would cost
+	}
 	return l.f.Close()
 }
 

@@ -58,8 +58,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupCommit: concurrent appends must share fsyncs — with the
-// committer briefly held off, all enqueued records land in one flush.
+// TestGroupCommit: concurrent appends must share fsyncs — records
+// enqueued before anyone waits all land in the first waiter's flush.
 func TestGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	sim := faultfs.NewSim()
@@ -68,14 +68,11 @@ func TestGroupCommit(t *testing.T) {
 
 	base := sim.OpCount(faultfs.OpSync)
 
-	// Stall the committer's I/O so every enqueue below joins one batch.
-	l.ioMu.Lock()
 	const n = 64
 	waits := make([]func() error, n)
 	for i := 0; i < n; i++ {
 		waits[i] = mustEnqueue(t, l, uint64(i), []byte(fmt.Sprintf("doc-%d", i)))
 	}
-	l.ioMu.Unlock()
 
 	var wg sync.WaitGroup
 	for i, w := range waits {
@@ -181,14 +178,11 @@ func TestBackpressure(t *testing.T) {
 	l, _ := openT(t, dir, Options{MaxPending: 256})
 	defer func() { _ = l.Close() }()
 
-	// Hold the committer off so pending bytes cannot drain.
-	l.ioMu.Lock()
+	// Nobody waits yet, so nothing commits and pending bytes cannot drain.
 	w := mustEnqueue(t, l, 0, bytes.Repeat([]byte("z"), 512)) // oversized but queue empty: admitted
 	if _, err := l.Enqueue(1, []byte("x")); !errors.Is(err, ErrBackpressure) {
-		l.ioMu.Unlock()
 		t.Fatalf("want ErrBackpressure, got %v", err)
 	}
-	l.ioMu.Unlock()
 	if err := w(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,24 +251,20 @@ func TestCheckpoint(t *testing.T) {
 // the caller's segment fsync already covers them.
 func TestCheckpointCompletesPendingWaiters(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{})
+	sim := faultfs.NewSim()
+	l, _ := openT(t, dir, Options{FS: sim})
 	defer func() { _ = l.Close() }()
 
-	l.ioMu.Lock()
 	w := mustEnqueue(t, l, 0, []byte("covered-by-segment"))
-	l.mu.Lock()
-	stuck := l.cur != nil
-	l.mu.Unlock()
-	if !stuck {
-		l.ioMu.Unlock()
-		t.Skip("committer drained before checkpoint; timing")
-	}
-	l.ioMu.Unlock()
+	writes := sim.OpCount(faultfs.OpWrite)
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w(); err != nil {
 		t.Fatalf("checkpoint must complete pending waiters: %v", err)
+	}
+	if got := sim.OpCount(faultfs.OpWrite) - writes; got != 1 {
+		t.Fatalf("checkpoint with a pending record wrote %d times, want the header alone", got)
 	}
 	if got := l.Pending(); got != 0 {
 		t.Fatalf("pending %d after checkpoint", got)
@@ -285,11 +275,9 @@ func TestCloseFlushesQueued(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	waits := make([]func() error, 8)
-	l.ioMu.Lock()
 	for i := range waits {
 		waits[i] = mustEnqueue(t, l, uint64(i), []byte("q"))
 	}
-	l.ioMu.Unlock()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
