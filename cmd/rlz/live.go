@@ -175,7 +175,7 @@ func cmdCompact(args []string) error {
 
 // cmdGC removes files in the collection directory superseded by the
 // current generation: old segments replaced by compaction, stale .tmp
-// and .lens leftovers from crashes.
+// leftovers from crashes, length sidecars left by older releases.
 func cmdGC(args []string) error {
 	fs := flag.NewFlagSet("gc", flag.ExitOnError)
 	dir := fs.String("a", "", "collection directory (required)")

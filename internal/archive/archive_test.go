@@ -247,6 +247,37 @@ func TestOpenFileRoundTrip(t *testing.T) {
 	}
 }
 
+// Version 1 of the raw format (documents back to back, no frames) is what
+// every raw archive and sealed raw segment written before version 2 holds;
+// it stays readable. The bytes are written out by hand: no writer
+// produces them any more.
+func TestOpenReadsRawVersion1(t *testing.T) {
+	v1 := []byte("RAWS\x01" + "hello" + "world!")
+	v1 = append(v1, 3, 5, 0, 6)              // docmap: three documents of 5, 0 and 6 bytes
+	v1 = append(v1, 16, 0, 0, 0, 0, 0, 0, 0) // docmap offset
+	v1 = append(v1, "RAWE"...)
+	path := filepath.Join(t.TempDir(), "v1.raw")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st := r.Stats(); st.Backend != Raw || st.NumDocs != 3 {
+		t.Fatalf("Stats = %+v", st)
+	}
+	for i, want := range []string{"hello", "", "world!"} {
+		if got, err := r.Get(i); err != nil || string(got) != want {
+			t.Fatalf("Get(%d) = (%q, %v), want %q", i, got, err, want)
+		}
+	}
+	if off, n, err := r.Extent(2); err != nil || off != 10 || n != 6 {
+		t.Fatalf("Extent(2) = (%d, %d, %v), want (10, 6, nil)", off, n, err)
+	}
+}
+
 func TestCreateRemovesPartialFileOnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "arc")
 	_, err := Create(path, FromFiles([]string{"/nonexistent/doc"}), Options{Backend: Raw})

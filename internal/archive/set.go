@@ -81,6 +81,9 @@ func NewSet(backend Backend, members []Reader, tomb map[int]struct{}) *Set {
 // Members returns the routed readers in id order; the slice is shared.
 func (s *Set) Members() []Reader { return s.members }
 
+// Tombstones returns the masked ids; the map is shared and read-only.
+func (s *Set) Tombstones() map[int]struct{} { return s.tomb }
+
 // Start returns the global id of member i's first document.
 func (s *Set) Start(i int) int { return s.starts[i] }
 

@@ -14,7 +14,6 @@ import (
 	"rlz/internal/archive"
 	"rlz/internal/docmap"
 	"rlz/internal/faultfs"
-	"rlz/internal/rawstore"
 	"rlz/internal/rlz"
 	"rlz/internal/wal"
 )
@@ -106,8 +105,7 @@ type view struct {
 	refcount // 1 for being installed plus 1 per in-flight read
 	gen      uint64
 	set      *archive.Set
-	members  []*member // lifetimes and manifest names, parallel to set.Members()
-	tomb     map[int]struct{}
+	members  []*member    // lifetimes and manifest names, parallel to set.Members()
 	open     *openSegment // the last member's reader, or nil when no segment is open
 }
 
@@ -125,7 +123,7 @@ func newView(members []*member, tomb map[int]struct{}, open *openSegment) *view 
 		}
 		readers[i] = m.r
 	}
-	v := &view{set: archive.NewSet(archive.Live, readers, tomb), members: members, tomb: tomb, open: open}
+	v := &view{set: archive.NewSet(archive.Live, readers, tomb), members: members, open: open}
 	v.init(func() {
 		for _, m := range members {
 			m.unref()
@@ -338,7 +336,7 @@ func (c *Collection) openWAL(open *openSegment, sealed int) error {
 		}
 	}
 	if replayed > 0 {
-		if err := open.syncFiles(); err != nil {
+		if err := open.sync(); err != nil {
 			_ = l.Close()
 			return fmt.Errorf("collection: syncing WAL replay: %w", err)
 		}
@@ -543,7 +541,7 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 			return 0, nil, err
 		}
 		om := newMember(open, m.OpenSeg)
-		nv := newView(append(slices.Clip(v.members), om), v.tomb, open)
+		nv := newView(append(slices.Clip(v.members), om), v.set.Tombstones(), open)
 		om.unref() // the view holds it now
 		// A failed publish drops nv, which closes the handles but leaves
 		// the files in place: an error after the rename (a failed
@@ -581,12 +579,12 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 // are sticky in the respective layer (broken segment, poisoned log) and
 // surface on the next append; the current batch stays correct either
 // way (its records are durable via the segment after a successful
-// syncFiles, via the WAL otherwise).
+// sync, via the WAL otherwise).
 func (c *Collection) checkpointLocked(v *view) {
 	if v.open == nil {
 		return
 	}
-	if err := v.open.syncFiles(); err != nil {
+	if err := v.open.sync(); err != nil {
 		return
 	}
 	_ = c.wal.Checkpoint()
@@ -617,7 +615,7 @@ func (c *Collection) Delete(id int) error {
 	if total := v.set.NumDocs(); id < 0 || id >= total {
 		return fmt.Errorf("%w: id %d of %d", docmap.ErrNoSuchDoc, id, total)
 	}
-	if _, dead := v.tomb[id]; dead {
+	if _, dead := v.set.Tombstones()[id]; dead {
 		return fmt.Errorf("collection: document %d: %w", id, ErrDeleted)
 	}
 	// The tombstone is published durably (fsync'd manifest swap); if it
@@ -626,7 +624,7 @@ func (c *Collection) Delete(id int) error {
 	// and recovery's clamp would then misjudge later ids. Make the open
 	// segment at least as durable as the tombstone first.
 	if v.open != nil && id >= v.sealedDocs() {
-		if err := v.open.syncFiles(); err != nil {
+		if err := v.open.sync(); err != nil {
 			return err
 		}
 	}
@@ -655,7 +653,7 @@ func (c *Collection) sealLocked() error {
 	}
 	open := v.open
 	docs := open.NumDocs()
-	raw := open.Size() - rawstore.HeaderSize
+	raw := open.w.DocBytes()
 	if err := open.seal(); err != nil {
 		return err
 	}
@@ -673,7 +671,7 @@ func (c *Collection) sealLocked() error {
 	m.OpenSeg = ""
 	// The new view reads the sealed bytes through sr; the open segment
 	// drops out of it and closes its handles once older views drain.
-	nv := newView(append(slices.Clip(v.sealed()), sm), v.tomb, nil)
+	nv := newView(append(slices.Clip(v.sealed()), sm), v.set.Tombstones(), nil)
 	if err := c.publishLocked(m, nv); err != nil {
 		return err
 	}
@@ -685,9 +683,6 @@ func (c *Collection) sealLocked() error {
 		_ = c.wal.Checkpoint()
 		_ = c.wal.Trim()
 	}
-	// The sidecar file is no longer needed at all (in-flight readers use
-	// the still-open handles, not the name).
-	_ = c.fs.Remove(filepath.Join(c.dir, lensName(open.name)))
 	return nil
 }
 
@@ -836,7 +831,7 @@ func (c *Collection) Info() Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v := c.view.Load()
-	info := Info{Generation: v.gen, Tombstones: len(v.tomb), NumDocs: v.set.NumDocs()}
+	info := Info{Generation: v.gen, Tombstones: len(v.set.Tombstones()), NumDocs: v.set.NumDocs()}
 	perDict := make(map[uint64]*DictInfo, len(c.man.Dicts))
 	for _, d := range c.man.Dicts {
 		di := &DictInfo{ID: d.ID, Path: d.Path, UnusedPercent: -1}
@@ -887,9 +882,10 @@ func (c *Collection) Info() Info {
 
 // GC removes files in the collection directory that no longer belong to
 // the current generation: orphaned segment files from crashed
-// compactions or seals, leftover .tmp and .lens files. Returns the names
-// removed. Refused while a compaction is running (its tmp files are not
-// orphans yet).
+// compactions or seals, leftover .tmp files, and the length sidecars
+// older releases kept beside an open segment. Returns the names removed.
+// Refused while a compaction is running (its tmp files are not orphans
+// yet).
 func (c *Collection) GC() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -907,7 +903,6 @@ func (c *Collection) GC() ([]string, error) {
 	}
 	if c.man.OpenSeg != "" {
 		keep[c.man.OpenSeg] = true
-		keep[lensName(c.man.OpenSeg)] = true
 	}
 	entries, err := c.fs.ReadDir(c.dir)
 	if err != nil {
@@ -920,8 +915,8 @@ func (c *Collection) GC() ([]string, error) {
 			continue
 		}
 		// Only touch files this package created: segment files, dictionary
-		// generations, their sidecars and temporaries. Anything else in
-		// the directory is the user's business.
+		// generations and temporaries. Anything else in the directory is
+		// the user's business.
 		if !strings.HasPrefix(name, "seg-") && !strings.HasPrefix(name, "dict-") &&
 			!strings.HasSuffix(name, ".tmp") {
 			continue

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"rlz/internal/archive"
 	"rlz/internal/docmap"
+	"rlz/internal/rawstore"
 )
 
 // testDocs builds a deterministic, compressible document set.
@@ -116,6 +118,15 @@ func TestSealThenRead(t *testing.T) {
 		t.Fatalf("info after seal = %+v", info)
 	}
 	checkDocs(t, c, docs, nil)
+	// The manifest's raw figure is document bytes, not the file's extent:
+	// per-dictionary ratios divide by it.
+	var docBytes int64
+	for _, d := range docs {
+		docBytes += int64(len(d))
+	}
+	if man, err := ReadManifest(filepath.Join(dir, ManifestName)); err != nil || man.Segments[0].Raw != docBytes {
+		t.Fatalf("sealed segment's Raw = %+v (%v), want %d", man.Segments, err, docBytes)
+	}
 
 	// The sealed segment is a plain rawstore archive on disk.
 	sr, err := archive.Open(filepath.Join(dir, info.Segments[0].Path))
@@ -362,6 +373,44 @@ func TestGCRemovesOrphans(t *testing.T) {
 	}
 	defer c2.Close()
 	checkDocs(t, c2, docs, nil)
+	// Releases before raw format version 2 kept a length sidecar beside
+	// the open segment; one left behind is garbage, the segment is not.
+	if _, err := c2.Append([]byte("opens a segment")); err != nil {
+		t.Fatal(err)
+	}
+	open := c2.Info().OpenSeg
+	if err := os.WriteFile(filepath.Join(dir, open+".lens"), []byte{15}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err = c2.GC(); err != nil || len(removed) != 1 || removed[0] != open+".lens" {
+		t.Fatalf("GC = (%v, %v), want the stale sidecar alone", removed, err)
+	}
+	checkDocs(t, c2, append(docs[:len(docs):len(docs)], []byte("opens a segment")), nil)
+}
+
+// A version-1 open segment has no frames to recover by: it is refused
+// with the way out, not resumed and not emptied. The bytes are what a
+// release before version 2 left in the file after two appends.
+func TestOpenRefusesVersion1OpenSegment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "coll")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const seg = "seg-00000001"
+	v1 := []byte("RAWS\x01" + "hello" + "world!")
+	if err := os.WriteFile(filepath.Join(dir, seg), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(dir, &Manifest{Generation: 2, NextSeq: 2, OpenSeg: seg}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, Options{})
+	if !errors.Is(err, rawstore.ErrVersion1) || !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), "rlz compact") {
+		t.Fatalf("Open over a version-1 open segment = %v", err)
+	}
+	if got, rerr := os.ReadFile(filepath.Join(dir, seg)); rerr != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("the refused segment was modified: %v", rerr)
+	}
 }
 
 // TestConcurrentAppendRead hammers the read path while the write path

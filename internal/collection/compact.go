@@ -127,7 +127,7 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		c.mu.Unlock()
 		return res, nil
 	}
-	tomb := v.tomb
+	tomb := v.set.Tombstones()
 	c.compacting = true
 	c.mu.Unlock()
 
@@ -269,7 +269,7 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		}
 		m.Dicts = kept
 	}
-	if err := c.publishLocked(m, newView(members, cur.tomb, cur.open)); err != nil {
+	if err := c.publishLocked(m, newView(members, cur.set.Tombstones(), cur.open)); err != nil {
 		c.compacting = false
 		c.mu.Unlock()
 		// The replacement readers close with the dropped view, but their
@@ -303,7 +303,6 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 	// longer pins every generation's suffix array forever).
 	for _, p := range superseded {
 		_ = c.fs.RemoveAll(filepath.Join(c.dir, p))
-		_ = c.fs.Remove(filepath.Join(c.dir, lensName(p)))
 	}
 	if len(retired) > 0 {
 		live := make(map[uint64]bool, len(m.Dicts))
@@ -402,12 +401,11 @@ func (s *runSource) Next() (archive.Doc, error) {
 	return archive.Doc{Name: fmt.Sprintf("doc-%d", id), Body: body}, nil
 }
 
-// buildRunSegment builds one run's replacement RLZ archive at its final
-// name via tmp+fsync+rename, so a crash leaves no half-written segment
-// under a live name. Returns the uncompressed payload bytes consumed —
-// the manifest's Raw figure for per-dictionary ratio reporting.
-//
-//rlz:publishes
+// buildRunSegment builds one run's replacement RLZ archive under a
+// temporary name and publishes it at its final one, so a crash leaves no
+// half-written segment under a live name. Returns the uncompressed
+// payload bytes consumed — the manifest's Raw figure for per-dictionary
+// ratio reporting.
 func buildRunSegment(fs faultfs.FS, dir, name string, r *run, tomb map[int]struct{}, aopts archive.Options) (int64, error) {
 	tmp := filepath.Join(dir, name+".tmp")
 	src := &runSource{r: r, tomb: tomb, id: r.start}
@@ -420,19 +418,7 @@ func buildRunSegment(fs faultfs.FS, dir, name string, r *run, tomb map[int]struc
 		_ = fs.Remove(tmp)
 		return 0, err
 	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = fs.Remove(tmp)
-		return 0, err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		_ = fs.Remove(tmp)
-		return 0, err
-	}
-	return res.RawBytes, fs.SyncDir(dir)
+	return res.RawBytes, faultfs.Publish(fs, f, filepath.Join(dir, name))
 }
 
 // multiRunSource chains every run's documents for dictionary sampling.

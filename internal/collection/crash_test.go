@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"rlz/internal/coding"
 	"rlz/internal/wal"
 )
 
@@ -21,6 +20,20 @@ func dropWAL(t *testing.T, dir string) {
 	if err := os.Remove(filepath.Join(dir, wal.FileName)); err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
+}
+
+// frameHeader is the size of rawstore's per-document [u32 len][u32 crc].
+const frameHeader = 8
+
+// frameStart returns the open segment's path and the offset in it of
+// the frame holding document id (which must be in the open segment).
+func frameStart(t *testing.T, c *Collection, id int) (string, int64) {
+	t.Helper()
+	off, _, err := c.Extent(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(c.dir, c.view.Load().open.name), off - frameHeader
 }
 
 // Crash-safety suite: every test simulates a process death at one point
@@ -104,9 +117,8 @@ func TestCrashAfterManifestRename(t *testing.T) {
 	}
 }
 
-// Crash mid-append, data side: the document's bytes are partially on the
-// data file and no length record exists. Recovery truncates to the last
-// intact document.
+// Crash mid-append: part of a frame is on the file. Recovery truncates
+// to the last whole document.
 func TestCrashTornAppendData(t *testing.T) {
 	dir, docs := crashSetup(t, 10)
 	man, err := ReadManifest(filepath.Join(dir, ManifestName))
@@ -131,48 +143,6 @@ func TestCrashTornAppendData(t *testing.T) {
 	got, err := c.Get(10)
 	if err != nil || string(got) != "fresh" {
 		t.Fatalf("Get(10) = (%q, %v)", got, err)
-	}
-}
-
-// Crash mid-append, sidecar side: the length record landed but the data
-// did not (or only partially). Recovery drops the unbacked record.
-func TestCrashUnbackedLengthRecord(t *testing.T) {
-	dir, docs := crashSetup(t, 10)
-	man, err := ReadManifest(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lens := filepath.Join(dir, lensName(man.OpenSeg))
-	f, err := os.OpenFile(lens, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(coding.PutUvarint64(nil, 5000)); err != nil { // no such bytes on the data file
-		t.Fatal(err)
-	}
-	f.Close()
-	reopenCheck(t, dir, docs)
-}
-
-// Torn sidecar record: a partial multi-byte uvarint at the tail.
-func TestCrashTornLengthRecord(t *testing.T) {
-	dir, docs := crashSetup(t, 10)
-	man, err := ReadManifest(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lens := filepath.Join(dir, lensName(man.OpenSeg))
-	f, err := os.OpenFile(lens, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x80}); err != nil { // continuation bit, no terminator
-		t.Fatal(err)
-	}
-	f.Close()
-	c := reopenCheck(t, dir, docs)
-	if _, err := c.Append([]byte("resume")); err != nil {
-		t.Fatalf("append after torn sidecar: %v", err)
 	}
 }
 
@@ -244,9 +214,8 @@ func TestCrashMidCompaction(t *testing.T) {
 	checkDocs(t, c, docs, nil)
 }
 
-// An empty lens sidecar plus data is the very first append crashing
-// before its length record: all data is truncated, the collection is
-// simply empty again.
+// The very first append crashing inside its frame: all data is
+// truncated, the collection is simply empty again.
 func TestCrashFirstAppend(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "coll")
 	if err := Init(dir); err != nil {
@@ -259,13 +228,10 @@ func TestCrashFirstAppend(t *testing.T) {
 	if _, err := c.Append([]byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	man, err := ReadManifest(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, at := frameStart(t, c, 0)
 	c.Close()
-	// Wipe the sidecar: the length record "never hit the disk".
-	if err := os.Truncate(filepath.Join(dir, lensName(man.OpenSeg)), 0); err != nil {
+	// The frame's tail "never hit the disk".
+	if err := os.Truncate(path, at+frameHeader+3); err != nil {
 		t.Fatal(err)
 	}
 	dropWAL(t, dir)
@@ -315,37 +281,6 @@ func TestCrashDataFileObliterated(t *testing.T) {
 	}
 	got, err := c.Get(0)
 	if err != nil || string(got) != "fresh start" {
-		t.Fatalf("Get = (%q, %v)", got, err)
-	}
-}
-
-// A vanished sidecar (directory entry lost before becoming durable) must
-// not make the collection unopenable: recovery keeps zero open-segment
-// documents and recreates the sidecar.
-func TestCrashMissingLensSidecar(t *testing.T) {
-	dir, _ := crashSetup(t, 8)
-	man, err := ReadManifest(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, lensName(man.OpenSeg))); err != nil {
-		t.Fatal(err)
-	}
-	dropWAL(t, dir)
-	c, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen without sidecar: %v", err)
-	}
-	defer c.Close()
-	if c.NumDocs() != 0 {
-		t.Fatalf("NumDocs = %d, want 0 (sidecar is the authority)", c.NumDocs())
-	}
-	id, err := c.Append([]byte("recovered"))
-	if err != nil || id != 0 {
-		t.Fatalf("Append = (%d, %v)", id, err)
-	}
-	got, err := c.Get(0)
-	if err != nil || string(got) != "recovered" {
 		t.Fatalf("Get = (%q, %v)", got, err)
 	}
 }
@@ -423,24 +358,21 @@ func TestCrashOpenSegmentFileMissing(t *testing.T) {
 // count, or they would silently swallow the re-allocated ids.
 func TestCrashStaleTombstoneClamped(t *testing.T) {
 	docs := testDocs(5)
-	_, dir := func() (*Collection, string) { c, d := newCollection(t, docs); c.Close(); return c, d }()
+	c0, dir := newCollection(t, docs)
+	path, at := frameStart(t, c0, 4)
+	c0.Close()
 	man, err := ReadManifest(filepath.Join(dir, ManifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate: docs 4.. lost to the crash (truncate the sidecar to 4
-	// records) while tombstones for 3, 4 and 7 were durably published.
+	// Simulate: docs 4.. lost to the crash (truncate the segment to 4
+	// frames) while tombstones for 3, 4 and 7 were durably published.
 	man.Tombstones = []int{3, 4, 7}
 	man.Generation++
 	if err := WriteManifest(dir, man); err != nil {
 		t.Fatal(err)
 	}
-	lens := filepath.Join(dir, lensName(man.OpenSeg))
-	raw, err := os.ReadFile(lens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(lens, int64(len(raw)/5*4)); err != nil {
+	if err := os.Truncate(path, at); err != nil {
 		t.Fatal(err)
 	}
 	dropWAL(t, dir)

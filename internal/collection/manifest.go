@@ -107,8 +107,9 @@ type Manifest struct {
 	// NextSeq numbers the next segment file to be created, so a crashed
 	// compaction's leftovers can never collide with a live segment.
 	NextSeq uint64
-	// OpenSeg is the file name of the active append segment's data file
-	// (its length sidecar is OpenSeg+".lens"), or "" when none is open.
+	// OpenSeg is the file name of the active append segment — one
+	// self-delimiting rawstore archive in progress — or "" when none is
+	// open.
 	OpenSeg string
 	// Dicts lists the dictionary generations live segments may reference,
 	// ids strictly ascending. The last entry is the current compaction

@@ -74,14 +74,9 @@ type File interface {
 }
 
 // WriteFileAtomic publishes data at path via tmp+fsync+rename+dir-fsync
-// — the one publish protocol every manifest and dictionary file in the
-// repository goes through: a crash at any point leaves either the
-// previous file or the new one, never a torn one. A directory-fsync
-// failure propagates (the rename may not be durable); only FS
-// implementations downgrade a genuinely unsupported dir fsync to
-// best-effort.
-//
-//rlz:publishes
+// — what every manifest and dictionary file in the repository goes
+// through: a crash at any point leaves either the previous file or the
+// new one, never a torn one.
 func WriteFileAtomic(fs FS, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -93,12 +88,24 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 		_ = fs.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return err
+	return Publish(fs, f, path)
+}
+
+// Publish makes the completely written temporary file f appear at path,
+// durably: fsync, close, rename, directory fsync — the repository's one
+// publish sequence. f is closed on every path and removed when it did not
+// become path. A directory-fsync failure propagates (the rename may not
+// be durable); only FS implementations downgrade a genuinely unsupported
+// dir fsync to best-effort.
+//
+//rlz:publishes
+func Publish(fs FS, f File, path string) error {
+	tmp := f.Name()
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		_ = fs.Remove(tmp)
 		return err
 	}

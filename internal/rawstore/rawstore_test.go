@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func build(t *testing.T, docs [][]byte) []byte {
+func build(t testing.TB, docs [][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -108,7 +108,7 @@ func TestStorageOverheadIsSmall(t *testing.T) {
 	}
 	arc := build(t, docs)
 	overhead := len(arc) - total
-	if overhead > 2*len(docs)+64 {
+	if overhead > (frameSize+2)*len(docs)+64 {
 		t.Errorf("overhead %d bytes for %d docs", overhead, len(docs))
 	}
 }
