@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -19,7 +18,7 @@ import (
 
 // newAdmissionServer builds an rlzd handler over a live collection opened
 // with explicit admission options, so backpressure is reachable in-test.
-func newAdmissionServer(t *testing.T, copts collection.Options, mopts muxOptions) (*httptest.Server, *serve.Server, *collection.Collection) {
+func newAdmissionServer(t *testing.T, copts collection.Options, mopts muxOptions) (*testServer, *serve.Server, *collection.Collection) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "live")
 	if err := collection.Init(dir); err != nil {
@@ -31,8 +30,7 @@ func newAdmissionServer(t *testing.T, copts collection.Options, mopts muxOptions
 	}
 	t.Cleanup(func() { col.Close() })
 	srv := serve.New(col, serve.Options{})
-	ts := httptest.NewServer(newMux(srv, col, mopts))
-	t.Cleanup(ts.Close)
+	ts := startServer(t, newMux(srv, col, mopts))
 	return ts, srv, col
 }
 
@@ -249,7 +247,7 @@ func TestAppendBodyHandling(t *testing.T) {
 		t.Fatalf("chunked body past the limit = %d, want 413", status)
 	}
 
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	conn, err := net.Dial("tcp", ts.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

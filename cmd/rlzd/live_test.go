@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -19,7 +18,7 @@ import (
 )
 
 // newLiveServer spins up the rlzd handler over a fresh live collection.
-func newLiveServer(t *testing.T, cacheDocs int) (*httptest.Server, *serve.Server, *collection.Collection) {
+func newLiveServer(t *testing.T, cacheDocs int) (*testServer, *serve.Server, *collection.Collection) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "live")
 	if err := collection.Init(dir); err != nil {
@@ -35,12 +34,11 @@ func newLiveServer(t *testing.T, cacheDocs int) (*httptest.Server, *serve.Server
 		t.Fatal("archive.Open did not yield a collection")
 	}
 	srv := serve.New(r, serve.Options{CacheDocs: cacheDocs, Workers: 4})
-	ts := httptest.NewServer(newMux(srv, col, muxOptions{maxBatch: 64}))
-	t.Cleanup(ts.Close)
+	ts := startServer(t, newMux(srv, col, muxOptions{maxBatch: 64}))
 	return ts, srv, col
 }
 
-func httpGetDoc(t *testing.T, ts *httptest.Server, id int) (int, []byte) {
+func httpGetDoc(t *testing.T, ts *testServer, id int) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/doc/" + strconv.Itoa(id))
 	if err != nil {
@@ -358,8 +356,7 @@ func TestAppendTooLarge(t *testing.T) {
 	t.Cleanup(func() { r2.Close() })
 	col, _ := archive.As[*collection.Collection](r2)
 	srv := serve.New(r2, serve.Options{})
-	ts2 := httptest.NewServer(newMux(srv, col, muxOptions{maxBatch: 16, maxDoc: 64}))
-	t.Cleanup(ts2.Close)
+	ts2 := startServer(t, newMux(srv, col, muxOptions{maxBatch: 16, maxDoc: 64}))
 	resp, err := http.Post(ts2.URL+"/append", "application/octet-stream", bytes.NewReader(make([]byte, 200)))
 	if err != nil {
 		t.Fatal(err)

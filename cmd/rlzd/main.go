@@ -4,7 +4,9 @@
 // live collection directory (rlz append) are served through the same
 // flag. Requests are served concurrently through internal/serve's
 // goroutine-safe Server, with an optional hot-document LRU cache and
-// live read statistics.
+// live read statistics, over cleartext HTTP/1.1 and 1.0 by the daemon's
+// own connection loop (conn.go: keep-alive, pipelining, HEAD, chunked
+// and 100-continue request bodies; no TLS, HTTP/2 or hijacking).
 //
 // Serving a live collection additionally enables the write API: new
 // documents are appended over HTTP and readable immediately, deletes
@@ -47,7 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -132,23 +134,19 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{
-		Addr:         *addr,
-		Handler:      newMux(srv, col, muxOptions{maxBatch: *maxBatch, maxDoc: int64(maxDocBytes), appendBatch: *appendBatch, compact: copts}),
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 30 * time.Second,
+	var ln net.Listener
+	if ln, err = net.Listen("tcp", *addr); err == nil {
+		httpSrv := newServer(ln, newMux(srv, col, muxOptions{maxBatch: *maxBatch, maxDoc: int64(maxDocBytes), appendBatch: *appendBatch, compact: copts}))
+		served := make(chan error, 1)
+		go func() { served <- httpSrv.serve() }()
+		select {
+		case err = <-served: // the listener broke
+		case <-ctx.Done():
+			log.Printf("rlzd: shutting down")
+			err = httpSrv.shutdown(30 * time.Second)
+		}
 	}
-	served := make(chan error, 1)
-	go func() { served <- httpSrv.ListenAndServe() }()
-	select {
-	case err = <-served: // could not listen, or the listener broke
-		stop()
-	case <-ctx.Done():
-		log.Printf("rlzd: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err = httpSrv.Shutdown(shutCtx)
-		cancel()
-	}
+	stop() // the auto-compactor outlives a failed listener otherwise
 	compactor.Wait()
 	if cerr := r.Close(); err == nil {
 		err = cerr

@@ -169,8 +169,15 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 	})
 
 	mux.HandleFunc("POST /docs", func(w http.ResponseWriter, r *http.Request) {
+		// A body that cannot be -max-batch ids (a sign, 19 digits and a comma
+		// each, plus the envelope) is refused before it is parsed into memory.
 		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64+21*int64(opt.maxBatch))).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, "body exceeds what "+strconv.Itoa(opt.maxBatch)+" ids can take", http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}

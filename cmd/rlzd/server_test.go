@@ -36,9 +36,9 @@ func makeDocs(n int, seed int64) [][]byte {
 	return docs
 }
 
-// newTestServer builds an archive for docs with the given backend options
-// and wraps it in the rlzd handler.
-func newTestServer(t *testing.T, docs [][]byte, opts archive.Options, cacheDocs, maxBatch int) (*httptest.Server, *serve.Server) {
+// newStaticMux builds an in-memory archive for docs with the given backend
+// options and wraps it in the rlzd handler.
+func newStaticMux(t testing.TB, docs [][]byte, opts archive.Options, cacheDocs int, mopts muxOptions) (http.Handler, *serve.Server) {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := archive.Build(&buf, archive.FromBodies(docs), opts); err != nil {
@@ -49,9 +49,14 @@ func newTestServer(t *testing.T, docs [][]byte, opts archive.Options, cacheDocs,
 		t.Fatal(err)
 	}
 	srv := serve.New(r, serve.Options{CacheDocs: cacheDocs, Workers: 4})
-	ts := httptest.NewServer(newMux(srv, nil, muxOptions{maxBatch: maxBatch}))
-	t.Cleanup(ts.Close)
-	return ts, srv
+	return newMux(srv, nil, mopts), srv
+}
+
+// newTestServer serves newStaticMux through rlzd's connection loop.
+func newTestServer(t *testing.T, docs [][]byte, opts archive.Options, cacheDocs, maxBatch int) (*testServer, *serve.Server) {
+	t.Helper()
+	h, srv := newStaticMux(t, docs, opts, cacheDocs, muxOptions{maxBatch: maxBatch})
+	return startServer(t, h), srv
 }
 
 func allBackendOptions(docs [][]byte) map[string]archive.Options {
@@ -421,8 +426,7 @@ func TestServeShardSet(t *testing.T) {
 			}
 			t.Cleanup(func() { r.Close() })
 			srv := serve.New(r, serve.Options{CacheDocs: 8, Workers: 4})
-			ts := httptest.NewServer(newMux(srv, nil, muxOptions{maxBatch: 64}))
-			t.Cleanup(ts.Close)
+			ts := startServer(t, newMux(srv, nil, muxOptions{maxBatch: 64}))
 
 			// Every document is served through the routed ids.
 			seen := map[string]int{}
@@ -496,8 +500,7 @@ func TestLoadGeneratorAgainstShardedDaemon(t *testing.T) {
 	}
 	t.Cleanup(func() { r.Close() })
 	srv := serve.New(r, serve.Options{CacheDocs: 16, Workers: 4})
-	ts := httptest.NewServer(newMux(srv, nil, muxOptions{maxBatch: 64}))
-	t.Cleanup(ts.Close)
+	ts := startServer(t, newMux(srv, nil, muxOptions{maxBatch: 64}))
 	ids := workload.QueryLog(len(docs), 400, 42)
 	res := workload.Run(&workload.HTTPGetter{BaseURL: ts.URL, Client: ts.Client()}, ids, 8)
 	if res.Errors != 0 || res.Requests != int64(len(ids)) {
