@@ -106,8 +106,7 @@ func cmdCompact(args []string) error {
 	codecName := fs.String("codec", "ZV", "rlz pair codec for compacted segments")
 	dictSize := fs.String("dict", "0", "dictionary size when sampling a new one (0 means 1% of the compacted bytes)")
 	sampleSize := fs.String("sample", "1KB", "dictionary sample length when sampling a new one")
-	factQ := fs.Int("factq", 0, "factorization jump-table q-gram width (1-3); 0 means 2")
-	noJump := fs.Bool("nojump", false, "disable the factorization jump table")
+	noJump := fs.Bool("nojump", false, "disable the factorization k-gram ladder")
 	workers := fs.Int("workers", 0, "build concurrency; 0 means GOMAXPROCS")
 	adapt := fs.Bool("adapt", false, "learn: evict cold dictionary regions and re-sample from the drained documents, adopting the result when the trial gain clears -gain")
 	evict := fs.Float64("evict", 0, "fraction of dictionary regions an adaptive re-sample evicts, coldest first (0 means 0.25)")
@@ -118,9 +117,6 @@ func cmdCompact(args []string) error {
 	}
 	if *dir == "" {
 		return fmt.Errorf("compact: -a is required")
-	}
-	if *factQ < 0 || *factQ > 3 {
-		return fmt.Errorf("compact: -factq %d out of range (want 1-3, or 0 for the default)", *factQ)
 	}
 	codec, err := rlz.CodecByName(*codecName)
 	if err != nil {
@@ -148,7 +144,7 @@ func cmdCompact(args []string) error {
 		EvictFraction: *evict,
 		MinRatioGain:  *gain,
 		UpgradeStale:  *upgradeStale,
-		Factorizer:    rlz.FactorizerOptions{Q: *factQ, DisableJump: *noJump},
+		Factorizer:    rlz.FactorizerOptions{DisableJump: *noJump},
 		Workers:       *workers,
 	})
 	if err != nil {

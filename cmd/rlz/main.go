@@ -99,7 +99,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rlz build  -o ARCHIVE [-backend rlz|block|raw] [-workers N] [-shards N] FILE... | -dir DIR | -warc FILE
-             rlz backend:   [-codec ZZ|ZV|UZ|UV|ZS|US|ZH|UH] [-dict SIZE] [-sample SIZE] [-factq 1-3] [-nojump]
+             rlz backend:   [-codec ZZ|ZV|UZ|UV|ZS|US|ZH|UH] [-dict SIZE] [-sample SIZE] [-nojump]
              block backend: [-block SIZE] [-alg zlib|flate|lzma|lzr]
              -shards N > 1 writes a shard directory; read commands take -a DIR
              profiling:     [-cpuprofile FILE] [-memprofile FILE]
@@ -111,7 +111,7 @@ func usage() {
   rlz append -a DIR FILE... | -dir DIR | -warc FILE
              appends to a live collection, creating it if absent;
              documents are readable (rlzd, get, grep) immediately
-  rlz compact -a DIR [-codec ZV] [-dict SIZE] [-sample SIZE] [-factq 1-3] [-nojump] [-workers N]
+  rlz compact -a DIR [-codec ZV] [-dict SIZE] [-sample SIZE] [-nojump] [-workers N]
              seals the open segment and rewrites raw segments as RLZ
   rlz gc     -a DIR
              removes files superseded by the current generation`)
@@ -124,8 +124,7 @@ func cmdBuild(args []string) error {
 	codecName := fs.String("codec", "ZV", "rlz pair codec: ZZ, ZV, UZ, UV (paper) or ZS, US, ZH, UH (extensions)")
 	dictSize := fs.String("dict", "0", "rlz dictionary size (e.g. 1MB); 0 means 1% of the collection")
 	sampleSize := fs.String("sample", "1KB", "rlz dictionary sample length")
-	factQ := fs.Int("factq", 0, "rlz factorization jump-table q-gram width (1-3); 0 means 2 (256^q intervals, 512KB at q=2)")
-	noJump := fs.Bool("nojump", false, "rlz: disable the factorization jump table (A/B baseline; output is identical either way)")
+	noJump := fs.Bool("nojump", false, "rlz: disable the factorization k-gram ladder (A/B baseline; output is identical either way)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the build to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the build to this file")
 	blockSize := fs.String("block", "256KB", "block backend: uncompressed block capacity; 0 means one doc per block")
@@ -143,11 +142,6 @@ func cmdBuild(args []string) error {
 	backend, err := archive.ParseBackend(*backendName)
 	if err != nil {
 		return err
-	}
-	if *factQ < 0 || *factQ > 3 {
-		// Reject rather than clamp: a typo'd width would otherwise
-		// silently allocate a table of the wrong size (q=3 is 128MB).
-		return fmt.Errorf("build: -factq %d out of range (want 1-3, or 0 for the default)", *factQ)
 	}
 
 	// Profiling hooks so hot-path work on the build starts from a profile
@@ -222,7 +216,7 @@ func cmdBuild(args []string) error {
 		}
 		opts.Dict = dict
 		opts.Codec = codec
-		opts.Factorizer = rlz.FactorizerOptions{Q: *factQ, DisableJump: *noJump}
+		opts.Factorizer = rlz.FactorizerOptions{DisableJump: *noJump}
 	case archive.Block:
 		bs, err := units.ParseSize(*blockSize)
 		if err != nil {

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -33,11 +34,11 @@ type Options struct {
 	// internal/shard sets this so N shards do not index the same global
 	// dictionary N times.
 	PreparedDict *rlz.Dictionary
-	// Factorizer tunes the RLZ fast factorization engine (jump-table
-	// q-gram width, off-switch for A/B runs). The zero value selects the
-	// defaults; any setting produces byte-identical archives — it changes
-	// build speed only. The jump table is built once per dictionary and
-	// shared by all workers (and, via PreparedDict, all shards).
+	// Factorizer tunes the RLZ fast factorization engine (the k-gram
+	// ladder's off-switch for A/B runs). Either setting produces
+	// byte-identical archives — it changes build speed only. The ladder is
+	// built once per dictionary and shared by all workers (and, via
+	// PreparedDict, all shards).
 	Factorizer rlz.FactorizerOptions
 	// Heat optionally accumulates dictionary-region usage from every
 	// factorization this build performs (sequential and parallel paths
@@ -158,27 +159,38 @@ func Build(w io.Writer, src DocSource, opts Options) (BuildResult, error) {
 	return res, nil
 }
 
+// rlzWorker is what one parallel-build worker keeps between documents:
+// its engine, the factor slice and the buffer a record is assembled in.
+type rlzWorker struct {
+	fz      *rlz.Factorizer
+	factors []rlz.Factor
+	rec     []byte
+}
+
 func build(aw Writer, src DocSource, opts Options) (BuildResult, error) {
 	var res BuildResult
 
 	if rw, ok := aw.(rlzWriter); ok && opts.workers() > 1 {
 		// RLZ fast path: the dictionary is immutable during the build, so
 		// factorize+encode parallelizes per document. Each pipeline worker
-		// runs its own Factorizer (drawn from a pool, since the ordered
+		// runs its own rlzWorker (drawn from a pool, since the ordered
 		// pipeline shares one work closure) over the shared dictionary
-		// index and jump table.
+		// index and k-gram ladder.
 		dict, codec := rw.Dictionary(), rw.Codec()
 		fopts := rw.FactorizerOptions()
-		fzPool := sync.Pool{New: func() any { return rlz.NewFactorizer(dict, fopts) }}
+		pool := sync.Pool{New: func() any { return &rlzWorker{fz: rlz.NewFactorizer(dict, fopts)} }}
 		pipe := pipeline.NewOrdered(opts.workers(),
 			func(doc []byte) ([]byte, error) {
-				fz := fzPool.Get().(*rlz.Factorizer)
-				factors := fz.Factorize(doc, nil)
+				w := pool.Get().(*rlzWorker)
+				w.factors = w.fz.Factorize(doc, w.factors[:0])
 				if opts.Heat != nil {
-					opts.Heat.Observe(factors)
+					opts.Heat.Observe(w.factors)
 				}
-				rec := codec.Encode(nil, factors)
-				fzPool.Put(fz)
+				// The record outlives this call (it waits its turn to be
+				// committed), so it is the one thing allocated per document.
+				w.rec = codec.Encode(w.rec[:0], w.factors)
+				rec := bytes.Clone(w.rec)
+				pool.Put(w)
 				return rec, nil
 			},
 			func(rec []byte) error {

@@ -184,7 +184,7 @@ type Collection struct {
 	view atomic.Pointer[view]
 
 	// dictMu guards the prepared-dictionary cache and the usage
-	// accumulator. Prepared dictionaries (suffix array + jump tables) are
+	// accumulator. Prepared dictionaries (suffix array + k-gram ladder) are
 	// built once per generation per process and shared by all build
 	// workers; entries are released when the generation retires
 	// (releaseDicts), not at process exit.

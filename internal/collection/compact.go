@@ -13,8 +13,8 @@ import (
 
 // CompactOptions tunes the background compactor. The zero value selects
 // the repository defaults: ZV codec, a sampled dictionary of 1% of the
-// compacted bytes, the fast factorization engine's default jump table,
-// GOMAXPROCS build workers.
+// compacted bytes, the fast factorization engine with its k-gram ladder
+// on, GOMAXPROCS build workers.
 type CompactOptions struct {
 	// Codec is the RLZ pair codec for compacted segments.
 	Codec rlz.PairCodec
@@ -390,7 +390,7 @@ func (s *runSource) Next() (archive.Doc, error) {
 	local := s.next
 	s.next++
 	if _, dead := s.tomb[id]; dead {
-		return archive.Doc{Name: fmt.Sprintf("doc-%d", id)}, nil
+		return archive.Doc{}, nil
 	}
 	// Get, not a reused GetAppend buffer: the parallel build pipeline
 	// retains submitted bodies past the next call.
@@ -398,7 +398,7 @@ func (s *runSource) Next() (archive.Doc, error) {
 	if err != nil {
 		return archive.Doc{}, fmt.Errorf("collection: reading document %d for compaction: %w", id, err)
 	}
-	return archive.Doc{Name: fmt.Sprintf("doc-%d", id), Body: body}, nil
+	return archive.Doc{Body: body}, nil
 }
 
 // buildRunSegment builds one run's replacement RLZ archive under a

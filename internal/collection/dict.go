@@ -75,8 +75,8 @@ func (c *Collection) releaseDict(id uint64) {
 }
 
 // releaseDicts drops prepared state for every dictionary id not in live,
-// releasing the suffix array, q-gram jump tables and factorizer pool of
-// retired generations.
+// releasing the suffix array, k-gram ladder and factorizer pool of
+// retired generations (all three hang off the rlz.Dictionary).
 func (c *Collection) releaseDicts(live map[uint64]bool) {
 	c.dictMu.Lock()
 	for id := range c.dicts {

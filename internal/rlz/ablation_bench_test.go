@@ -2,6 +2,7 @@ package rlz
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"rlz/internal/corpus"
@@ -17,9 +18,9 @@ func benchCollection(b *testing.B) *corpus.Collection {
 }
 
 // BenchmarkAblationRefine dissects the factorization engine: the full
-// fast path (jump table + boundary skip + inlined search + csp2
-// extension), the engine with the jump table disabled, a q=1 table, and
-// the paper's pure binary-search factorizer as the floor.
+// fast path (k-gram ladder + boundary skip + inlined search + csp2
+// extension), the engine with the ladder off, and the paper's pure
+// binary-search factorizer as the floor.
 func BenchmarkAblationRefine(b *testing.B) {
 	c := benchCollection(b)
 	dictData := SampleEven(c.Bytes(), 64<<10, 1<<10)
@@ -32,9 +33,8 @@ func BenchmarkAblationRefine(b *testing.B) {
 		name string
 		run  func(doc []byte, fs []Factor) []Factor
 	}{
-		{"fast-path", func(doc []byte, fs []Factor) []Factor { return d.Factorize(doc, fs) }},
-		{"no-jump-table", NewFactorizer(d, FactorizerOptions{DisableJump: true}).Factorize},
-		{"jump-q1", NewFactorizer(d, FactorizerOptions{Q: 1}).Factorize},
+		{"ladder", func(doc []byte, fs []Factor) []Factor { return d.Factorize(doc, fs) }},
+		{"ladder-off", NewFactorizer(d, FactorizerOptions{DisableJump: true}).Factorize},
 		{"binary-search-only", d.factorizeNoFastPath},
 	}
 	for _, v := range variants {
@@ -87,7 +87,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 
 // BenchmarkFactorize measures raw factorization throughput across both
 // synthetic collection profiles and several dictionary sizes (the
-// n log m term of §3.2). BENCH_factorize.json records its trajectory.
+// n log m term of §3.2).
 func BenchmarkFactorize(b *testing.B) {
 	for _, prof := range []struct {
 		name string
@@ -109,6 +109,56 @@ func BenchmarkFactorize(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkFactorizeMismatch is the floor for documents that share little
+// or nothing with the dictionary — the inputs a wider jump structure
+// cannot help and must not hurt: random printable bytes against a web
+// dictionary (a binary or foreign-language body in a text crawl), random
+// bytes against a random dictionary (nothing repeats, so no wide
+// structure is worth building), and documents of another collection
+// against this one's dictionary (short factors, few long ones).
+func BenchmarkFactorizeMismatch(b *testing.B) {
+	const dictSize = 335 << 10 // the static-cold benchmark dictionary's size
+	gov := corpus.Generate(corpus.Gov, 4<<20, 5)
+	govDict, err := NewDictionary(SampleEven(gov.Bytes(), dictSize, 1<<10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	random := func(n int, printable bool) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			if printable {
+				out[i] = byte(' ' + rng.Intn(95))
+			} else {
+				out[i] = byte(rng.Intn(256))
+			}
+		}
+		return out
+	}
+	randDict, err := NewDictionary(random(dictSize, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		d    *Dictionary
+		doc  []byte
+	}{
+		{"printable-vs-gov", govDict, random(16<<10, true)},
+		{"random-vs-random", randDict, random(16<<10, false)},
+		{"wiki-vs-gov", govDict, corpus.Generate(corpus.Wiki, 1<<20, 9).Docs[1].Body},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(int64(len(row.doc)))
+			var fs []Factor
+			for i := 0; i < b.N; i++ {
+				fs = row.d.Factorize(row.doc, fs[:0])
+			}
+			b.ReportMetric(float64(len(row.doc))/float64(len(fs)), "B/factor")
+		})
 	}
 }
 

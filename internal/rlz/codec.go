@@ -106,13 +106,22 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 		return dst
 	}
 
-	var posRaw, lenRaw []byte
+	// Each stream is staged in the pooled scratch — its raw form in one
+	// buffer, its deflated form (Z) in the other — because its byte length
+	// goes in front of it; a warm build worker allocates nothing here.
+	sc := scratch.get()
+	raw := sc.pos[:0]
 	for _, f := range factors {
-		posRaw = coding.PutU32(posRaw, f.Pos)
+		raw = coding.PutU32(raw, f.Pos)
 	}
+	blob := raw
 	if c.Pos == PosZ {
-		posRaw = codec.ZlibCompress(nil, posRaw)
+		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
+		blob = sc.lens
 	}
+	dst = putBlob(dst, blob)
+
+	raw = raw[:0]
 	switch c.Len {
 	case LenS:
 		// Simple9 needs values below 2^28; a factor that long implies a
@@ -123,27 +132,32 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 		for i, f := range factors {
 			lens[i] = f.Len
 		}
-		if s9, err := coding.PutSimple9([]byte{lenModeSimple9}, lens); err == nil {
-			lenRaw = s9
-		} else {
-			lenRaw = []byte{lenModeVByte}
-			lenRaw = coding.AppendUvarint32s(lenRaw, lens)
+		var err error
+		if raw, err = coding.PutSimple9(append(raw, lenModeSimple9), lens); err != nil {
+			raw = coding.AppendUvarint32s(append(raw[:0], lenModeVByte), lens)
 		}
 	case LenH:
-		lenRaw = encodeLensHuffman(nil, factors)
+		raw = encodeLensHuffman(raw, factors)
 	default:
 		for _, f := range factors {
-			lenRaw = coding.PutUvarint32(lenRaw, f.Len)
-		}
-		if c.Len == LenZ {
-			lenRaw = codec.ZlibCompress(nil, lenRaw)
+			raw = coding.PutUvarint32(raw, f.Len)
 		}
 	}
-	dst = coding.PutUvarint32(dst, uint32(len(posRaw)))
-	dst = append(dst, posRaw...)
-	dst = coding.PutUvarint32(dst, uint32(len(lenRaw)))
-	dst = append(dst, lenRaw...)
+	blob = raw
+	if c.Len == LenZ {
+		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
+		blob = sc.lens
+	}
+	dst = putBlob(dst, blob)
+	sc.pos = raw
+	scratch.put(sc)
 	return dst
+}
+
+// putBlob appends blob behind its vbyte length — readBlob's inverse.
+func putBlob(dst, blob []byte) []byte {
+	dst = coding.PutUvarint32(dst, uint32(len(blob)))
+	return append(dst, blob...)
 }
 
 // Decode parses one document's factors from src, appending to factors. It

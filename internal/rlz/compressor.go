@@ -28,7 +28,7 @@ func NewCompressor(dictData []byte, codec PairCodec) (*Compressor, error) {
 // NewCompressorFromDictionary shares an existing dictionary, avoiding a
 // second suffix-array build; the usual way to create one Compressor per
 // worker goroutine. Each Compressor carries its own Factorizer, but the
-// dictionary's jump table is shared, so N workers pay its construction
+// dictionary's k-gram ladder is shared, so N workers pay its construction
 // once.
 func NewCompressorFromDictionary(dict *Dictionary, codec PairCodec) *Compressor {
 	return &Compressor{dict: dict, fz: NewFactorizer(dict, FactorizerOptions{}), codec: codec}

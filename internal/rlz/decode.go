@@ -23,6 +23,7 @@ import (
 
 // decodeScratch is the pooled state of one decode: the zlib inflater,
 // the buffers the Z-coded streams inflate into, and a factor slice.
+// PairCodec.Encode stages its streams in the same two buffers.
 type decodeScratch struct {
 	zd      codec.ZlibDecoder
 	pos     []byte

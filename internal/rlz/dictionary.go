@@ -11,10 +11,12 @@
 // blocked adaptive compressors.
 //
 // The package provides dictionary construction (even, prefix and random
-// sampling), the suffix-array factorizer, the decoder, the paper's four
-// position–length pair codecs (ZZ, ZV, UZ, UV from §3.4), and the
-// statistics the paper reports (average factor length, dictionary
-// utilization, factor-length histograms).
+// sampling), the suffix-array factorizer (Factorizer: each factor opens
+// through the dictionary's k-gram ladder, then narrows by boundary skip
+// and interval search), the decoder, the paper's four position–length
+// pair codecs (ZZ, ZV, UZ, UV from §3.4), and the statistics the paper
+// reports (average factor length, dictionary utilization, factor-length
+// histograms).
 package rlz
 
 import (
@@ -38,13 +40,12 @@ type Dictionary struct {
 	once sync.Once
 	sa   *suffix.Array
 
-	// Fast factorization engine state, all lazily built: the q-gram jump
-	// tables, shared by every Factorizer over this dictionary (keyed by
-	// width so an off-default -factq build does not evict the default),
-	// and a pool of ready default-tuned Factorizers so Factorize never
-	// pays table resolution per call.
-	tmu    sync.Mutex
-	tables map[int]*suffix.PrefixTable
+	// Fast factorization engine state, both lazily built: the k-gram
+	// ladder, shared by every Factorizer over this dictionary, and a pool
+	// of ready default-tuned Factorizers so Factorize never resolves it
+	// per call.
+	lonce  sync.Once
+	lad    suffix.Ladder
 	fzPool sync.Pool // of *Factorizer with default FactorizerOptions
 }
 
@@ -102,23 +103,13 @@ func (d *Dictionary) index() *suffix.Array {
 	return d.sa
 }
 
-// prefixTable returns the dictionary's q-gram jump table of the given
-// width, building it on first use. The table is immutable and shared: N
-// factorizers (e.g. one per shard-build worker) asking for the same
-// width get one table, built once.
-func (d *Dictionary) prefixTable(q int) *suffix.PrefixTable {
-	q = suffix.ClampPrefixQ(q)
-	d.tmu.Lock()
-	defer d.tmu.Unlock()
-	if t := d.tables[q]; t != nil {
-		return t
-	}
-	t := suffix.NewPrefixTable(d.index(), q)
-	if d.tables == nil {
-		d.tables = make(map[int]*suffix.PrefixTable)
-	}
-	d.tables[q] = t
-	return t
+// ladder returns the dictionary's k-gram ladder, building it on first
+// use. It is immutable and shared: N factorizers (e.g. one per build
+// worker, across every shard of a set) get one ladder, built once, and it
+// goes when the Dictionary does.
+func (d *Dictionary) ladder() suffix.Ladder {
+	d.lonce.Do(func() { d.lad = suffix.NewLadder(d.index()) })
+	return d.lad
 }
 
 // Bytes returns the dictionary text. Callers must not mutate it.

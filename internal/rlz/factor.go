@@ -91,8 +91,8 @@ func DecodedLen(factors []Factor) int {
 	return n
 }
 
-// factorizeNoFastPath is the paper's Figure 1 verbatim: no jump table, no
-// single-suffix direct extension — every character of every factor is
+// factorizeNoFastPath is the paper's Figure 1 verbatim: no k-gram ladder,
+// no single-suffix direct extension — every character of every factor is
 // matched by binary search from the full interval. It is the reference
 // implementation the fast engine is held byte-identical to (differential
 // tests and FuzzFactorizeEquivalence), and the Refine ablation baseline.

@@ -8,17 +8,12 @@ import (
 )
 
 // FactorizerOptions tunes the fast factorization engine. The zero value
-// selects the defaults (q=2 jump table enabled) and is what every build
-// path uses unless told otherwise.
+// (k-gram ladder on) is what every build path uses unless told otherwise.
 type FactorizerOptions struct {
-	// Q is the jump table's q-gram width: the table holds 256^Q suffix
-	// intervals (8 bytes each), so Q=2 — the default, selected by 0 —
-	// costs a fixed 512 KiB and Q=3 costs 128 MiB. Values are normalized
-	// by suffix.ClampPrefixQ.
-	Q int
-	// DisableJump turns the q-gram jump table off, leaving only the
-	// closure-free Refine and the csp2-style single-candidate extension —
-	// the A/B switch for measuring what the table buys.
+	// DisableJump turns the k-gram ladder off, so every factor narrows
+	// from the full suffix array with only the closure-free interval
+	// search and the csp2-style single-candidate extension — the A/B
+	// switch for measuring what the ladder buys.
 	DisableJump bool
 }
 
@@ -27,35 +22,64 @@ type FactorizerOptions struct {
 // see suffix.Refine for the same trade-off in the exported primitive.
 const linearThreshold = 48
 
+// A rung of the ladder that misses restStreak factor openings in a row is
+// not probed for the next restOpens openings of the same Factorize call,
+// and goes back to rest on its first miss after that, until it hits. A
+// document that shares nothing with the dictionary (a binary body in a
+// text crawl) would otherwise pay a failed probe per rung per byte. The
+// narrowest rung never rests: its table is small, and its miss is worth
+// more than its probe (see end in Factorize).
+const (
+	restStreak = 8
+	restOpens  = 64
+)
+
+// rungGate is that rule's state for one rung within one Factorize call.
+type rungGate struct{ miss, rest int32 }
+
+// resting reports whether this opening skips the rung, counting it off.
+func (g *rungGate) resting() bool {
+	if g.rest > 0 {
+		g.rest--
+		return true
+	}
+	return false
+}
+
+func (g *rungGate) hit() { g.miss = 0 }
+
+func (g *rungGate) missed() {
+	if g.miss++; g.miss >= restStreak {
+		g.rest = restOpens
+	}
+}
+
 // Factorizer is a reusable factorization engine over one dictionary: the
-// suffix-array view, the shared q-gram jump table (see
-// suffix.PrefixTable), and the tuning chosen at construction. Building
-// one is cheap — the jump table is built once per (dictionary, Q) and
-// shared — but not free, so parallel build pipelines keep one Factorizer
-// per worker (see internal/archive) rather than one per document.
+// suffix-array view and the dictionary's k-gram ladder (see
+// suffix.Ladder). Building one is cheap — the ladder is built once per
+// dictionary and shared — but not free, so parallel build pipelines keep
+// one Factorizer per worker (see internal/archive) rather than one per
+// document.
 //
 // A Factorizer is stateless across calls and safe for concurrent use;
 // per-worker instances exist to amortize construction, not to guard
 // mutable state. Factorize output is byte-identical to
-// Dictionary.Factorize for every input, whatever the tuning — the jump
-// table only replaces the first q Refine steps with an O(1) lookup that
-// lands on the interval those steps would have produced.
+// Dictionary.Factorize for every input, ladder or not — a rung only
+// replaces a factor's first k Refine steps with a lookup that lands on
+// the interval those steps would have produced.
 type Factorizer struct {
 	dict  *Dictionary
 	sa    *suffix.Array
-	table *suffix.PrefixTable // nil when the jump table is disabled
-	q     int32               // table width; 0 when disabled
+	rungs suffix.Ladder // nil when the ladder is disabled
 }
 
-// NewFactorizer prepares a factorization engine over dict. The jump
-// table for the requested width is built on first use per dictionary and
-// shared by every Factorizer (and every Dictionary.Factorize call) that
-// asks for the same width.
+// NewFactorizer prepares a factorization engine over dict. The ladder is
+// built on first use per dictionary and shared by every Factorizer (and
+// every Dictionary.Factorize call) over it.
 func NewFactorizer(dict *Dictionary, opts FactorizerOptions) *Factorizer {
 	f := &Factorizer{dict: dict, sa: dict.index()}
 	if !opts.DisableJump {
-		f.table = dict.prefixTable(suffix.ClampPrefixQ(opts.Q))
-		f.q = int32(f.table.Q())
+		f.rungs = dict.ladder()
 	}
 	return f
 }
@@ -90,9 +114,12 @@ func matchLen(a, b []byte) int32 {
 //
 // This is the paper's Figure 1 loop with the hot path flattened:
 //
-//   - each factor opens with an O(1) jump-table lookup to the depth-q
-//     interval (falling back to narrowing from the full array when fewer
-//     than q bytes remain or the q-gram does not occur in the dictionary);
+//   - each factor opens with a ladder lookup of its first 8, else 4, else
+//     2 bytes, landing on the interval at that depth (falling back to
+//     narrowing from the full array when no rung holds the gram, fewer
+//     bytes remain, or the rungs are resting — see restStreak); a rung
+//     that misses bounds the factor below its width, so the search that
+//     follows stops there instead of finding out;
 //   - the interval's boundary suffixes absorb shared prefixes: while both
 //     boundaries match the next pattern bytes every suffix between them
 //     does too, so depth advances by sequential eight-byte compares with
@@ -109,32 +136,42 @@ func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 	text, slots := f.sa.Text(), f.sa.SA()
 	m := int32(len(text))
 	n := int32(len(doc))
-	q := f.q
+	rungs := f.rungs
+	narrowest := len(rungs) - 1
+	var gates [suffix.MaxRungs]rungGate
 	// The whole search runs on (lo, hi) locals with the bound searches
 	// inlined — one Refine-sized function call per character showed up as
 	// a top cost in the build profile, and the suffix-array probes here
 	// are the innermost loop of every archive build.
 	for i := int32(0); i < n; {
-		var lo, hi, depth int32
-		if q > 0 && n-i >= q {
-			code := int(doc[i])
-			for j := int32(1); j < q; j++ {
-				code = code<<8 | int(doc[i+j])
+		var lo, depth int32
+		hi := int32(len(slots))
+		// end bounds this factor: a rung that was probed and missed says
+		// the next k bytes do not occur in the dictionary, so the factor is
+		// shorter than k and the search below need not look past i+k-1 —
+		// after a miss on the 2-byte rung, not past the first byte.
+		end := n
+		g := suffix.Gram(doc, int(i))
+		for r := range rungs {
+			rg, gate := &rungs[r], &gates[r]
+			k := rg.K
+			if n-i < k || (r < narrowest && gate.resting()) {
+				continue
 			}
-			if jlo, jhi := f.table.IntervalCode(code); jlo < jhi {
-				lo, hi, depth = jlo, jhi, q
-			} else {
-				hi = int32(len(slots))
+			if jlo, jhi := rg.Lookup(g); jlo < jhi {
+				lo, hi, depth = jlo, jhi, k
+				gate.hit()
+				break
 			}
-		} else {
-			hi = int32(len(slots))
+			gate.missed()
+			end = i + k - 1
 		}
-		for i+depth < n && hi-lo > 1 {
+		for i+depth < end && hi-lo > 1 {
 			// Boundary skip (see the doc comment): capped at the lower
 			// boundary's match length, then at the upper's.
-			if k := matchLen(text[slots[lo]+depth:], doc[i+depth:n]); k > 0 {
+			if k := matchLen(text[slots[lo]+depth:], doc[i+depth:end]); k > 0 {
 				depth += matchLen(text[slots[hi-1]+depth:], doc[i+depth:i+depth+k])
-				if i+depth >= n {
+				if i+depth >= end {
 					break
 				}
 			}
@@ -210,8 +247,8 @@ func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 		// and matchLen from depth 0 is exactly the verification the
 		// reference path's first Refine performs.
 		p := slots[lo]
-		if hi-lo == 1 && i+depth < n && p+depth < m {
-			depth += matchLen(text[p+depth:], doc[i+depth:n])
+		if hi-lo == 1 && i+depth < end && p+depth < m {
+			depth += matchLen(text[p+depth:], doc[i+depth:end])
 		}
 		if depth == 0 {
 			factors = append(factors, Factor{Pos: uint32(doc[i]), Len: 0})

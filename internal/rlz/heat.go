@@ -52,13 +52,17 @@ func NewRegionHeat(dictLen, regionSize int) *RegionHeat {
 // region their dictionary span overlaps; literals are only counted in
 // the totals (they reference no dictionary position). Factors reaching
 // past the dictionary length (corrupt input) are clipped, not dropped.
+//
+// The two totals are tallied locally and added once per call: every
+// build worker would otherwise hit their one cache line once per factor.
 func (h *RegionHeat) Observe(factors []Factor) {
+	var copies, literals int64
 	for _, f := range factors {
 		if f.Len == 0 {
-			h.literals.Add(1)
+			literals++
 			continue
 		}
-		h.copies.Add(1)
+		copies++
 		lo := int(f.Pos) / h.regionSize
 		hi := (int(f.Pos) + int(f.Len) - 1) / h.regionSize
 		if lo >= len(h.counts) {
@@ -71,6 +75,8 @@ func (h *RegionHeat) Observe(factors []Factor) {
 			atomic.AddInt64(&h.counts[r], 1)
 		}
 	}
+	h.copies.Add(copies)
+	h.literals.Add(literals)
 }
 
 // RegionSize returns the scoring granularity in bytes.

@@ -81,36 +81,56 @@ func TestRegionHeatColdestRegionsDeterministic(t *testing.T) {
 }
 
 // TestRegionHeatConcurrentObserve pins that parallel build workers can
-// share one accumulator: counts must equal the sequential sum.
+// share one accumulator: four goroutines observing known factor lists
+// (copies spanning one to three regions, literals, many factors per call)
+// must leave both totals and every region count exactly where one
+// goroutine observing the same lists leaves them.
 func TestRegionHeatConcurrentObserve(t *testing.T) {
+	const workers, calls, perCall = 4, 300, 40
+	lists := make([][][]Factor, workers)
+	for w := range lists {
+		lists[w] = make([][]Factor, calls)
+		for c := range lists[w] {
+			fs := make([]Factor, perCall)
+			for i := range fs {
+				n := (w*calls+c)*perCall + i
+				if n%5 == 0 {
+					fs[i] = Factor{Pos: uint32('a' + n%26), Len: 0}
+				} else {
+					fs[i] = Factor{Pos: uint32(n*37) % (15 << 10), Len: uint32(1 + n%2500)}
+				}
+			}
+			lists[w][c] = fs
+		}
+	}
+	want := NewRegionHeat(16<<10, 1024)
+	for _, l := range lists {
+		for _, fs := range l {
+			want.Observe(fs)
+		}
+	}
+
 	h := NewRegionHeat(16<<10, 1024)
-	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				h.Observe([]Factor{
-					{Pos: uint32((w*perWorker + i) % (15 << 10)), Len: 64},
-					{Pos: 'a', Len: 0},
-				})
+			for _, fs := range lists[w] {
+				h.Observe(fs)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if h.Copies() != workers*perWorker {
-		t.Errorf("Copies = %d, want %d", h.Copies(), workers*perWorker)
+	if total := int64(workers * calls * perCall); h.Copies()+h.Literals() != total || h.Literals() != total/5 {
+		t.Errorf("Copies/Literals = %d/%d over %d factors, a fifth of them literals", h.Copies(), h.Literals(), total)
 	}
-	if h.Literals() != workers*perWorker {
-		t.Errorf("Literals = %d, want %d", h.Literals(), workers*perWorker)
+	if h.Copies() != want.Copies() || h.Literals() != want.Literals() {
+		t.Errorf("Copies/Literals = %d/%d, sequential %d/%d", h.Copies(), h.Literals(), want.Copies(), want.Literals())
 	}
-	var sum int64
 	for r := 0; r < h.Regions(); r++ {
-		sum += h.Count(r)
-	}
-	// Every factor spans at most two regions, at least one.
-	if sum < workers*perWorker || sum > 2*workers*perWorker {
-		t.Errorf("total region counts %d outside [%d, %d]", sum, workers*perWorker, 2*workers*perWorker)
+		if h.Count(r) != want.Count(r) {
+			t.Errorf("region %d count = %d, sequential %d", r, h.Count(r), want.Count(r))
+		}
 	}
 }

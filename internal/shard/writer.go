@@ -47,7 +47,7 @@ type Options struct {
 	// For the RLZ backend, Archive.Factorizer tunes the fast
 	// factorization engine of every shard's pipeline: each shard-build
 	// worker runs its own rlz.Factorizer, all sharing the one dictionary
-	// index and q-gram jump table carried by the shared PreparedDict.
+	// index and k-gram ladder carried by the shared PreparedDict.
 	Archive archive.Options
 }
 

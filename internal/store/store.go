@@ -141,8 +141,8 @@ func (w *Writer) Dictionary() *rlz.Dictionary { return w.dict }
 // encode records off-thread and commit them with AppendEncoded.
 func (w *Writer) Codec() rlz.PairCodec { return w.codec }
 
-// ConfigureFactorizer selects the factorization engine tuning (jump-table
-// q-gram width, off-switch) for subsequent Appends. It must be called
+// ConfigureFactorizer selects the factorization engine tuning (the k-gram
+// ladder's off-switch) for subsequent Appends. It must be called
 // before the first Append; the tuning changes speed only — factor output
 // is byte-identical at any setting.
 func (w *Writer) ConfigureFactorizer(opts rlz.FactorizerOptions) {

@@ -1,7 +1,10 @@
 // Package suffix provides the suffix-array substrate the RLZ factorizer is
 // built on: linear-time SA-IS construction over byte strings and the
 // binary-search interval refinement ("Refine" in the paper's Figure 1) used
-// to stream the longest dictionary match for each input position.
+// to stream the longest dictionary match for each input position, and the
+// k-gram Ladder — hashed 8-, 4- and 2-byte grams mapped to the interval
+// that many Refine steps reach — that lets a factorizer open each factor
+// with one lookup instead of the first k refinements.
 package suffix
 
 // Build computes the suffix array of text using the SA-IS algorithm

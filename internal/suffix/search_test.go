@@ -185,3 +185,74 @@ func TestLongestMatchEmptyInputs(t *testing.T) {
 		t.Error("empty pattern should match with length 0")
 	}
 }
+
+// TestValidateLinearOnRepetitiveText is the regression guard for the old
+// O(n^2) Validate: on a highly repetitive text the adjacent-suffix byte
+// comparison degenerated to ~n^2/2 steps (10^10 for this input), so this
+// test finishing at all demonstrates the linear verifier.
+func TestValidateLinearOnRepetitiveText(t *testing.T) {
+	n := 200_000
+	text := make([]byte, n) // all zero bytes: the worst case
+	a := New(text)
+	if !a.Validate() {
+		t.Fatal("valid repetitive array failed validation")
+	}
+	// A rotated permutation keeps the permutation property but breaks the
+	// order; the linear verifier must still catch it.
+	sa := make([]int32, n)
+	copy(sa, a.SA())
+	first := sa[0]
+	copy(sa, sa[1:])
+	sa[n-1] = first
+	if NewFromParts(text, sa).Validate() {
+		t.Error("rotated suffix array passed validation")
+	}
+}
+
+// TestValidateAgainstBruteForce cross-checks the linear verifier against
+// definitional suffix comparison on random small inputs and random
+// corruptions.
+func TestValidateAgainstBruteForce(t *testing.T) {
+	bruteValid := func(text []byte, sa []int32) bool {
+		if len(sa) != len(text) {
+			return false
+		}
+		seen := make(map[int32]bool, len(sa))
+		for _, p := range sa {
+			if p < 0 || int(p) >= len(text) || seen[p] {
+				return false
+			}
+			seen[p] = true
+		}
+		for i := 1; i < len(sa); i++ {
+			if string(text[sa[i-1]:]) >= string(text[sa[i]:]) {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(60)
+		text := make([]byte, n)
+		for i := range text {
+			text[i] = byte('a' + rng.Intn(3))
+		}
+		sa := Build(text)
+		if trial%3 != 0 {
+			// Corrupt: either swap two entries or overwrite one.
+			if rng.Intn(2) == 0 && n > 1 {
+				i, j := rng.Intn(n), rng.Intn(n)
+				sa[i], sa[j] = sa[j], sa[i]
+			} else {
+				sa[rng.Intn(n)] = int32(rng.Intn(n))
+			}
+		}
+		got := NewFromParts(text, sa).Validate()
+		want := bruteValid(text, sa)
+		if got != want {
+			t.Fatalf("trial %d: text %q sa %v: Validate = %v, brute force = %v",
+				trial, text, sa, got, want)
+		}
+	}
+}
