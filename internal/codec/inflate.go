@@ -313,6 +313,11 @@ func (f *inflater) readDynamic(br *bitReader) error {
 // code compress/flate rejects: over-subscribed, or incomplete other than
 // a single one-bit codeword. An empty code is accepted and decodes
 // nothing, since a block of literals alone never uses its distance code.
+//
+// A document's streams are a kilobyte or two, so filling the tables must
+// not cost what decoding with them does: each codeword is written to the
+// root table once, at the width the table has when its length comes up,
+// and the table is doubled by one copy per further bit of width.
 func (f *inflater) build(table []uint32, lens []uint8, results []uint32, rootMax uint) (root uint, ok bool) {
 	var count [maxCodeLen + 1]uint16
 	for _, l := range lens {
@@ -326,50 +331,50 @@ func (f *inflater) build(table []uint32, lens []uint8, results []uint32, rootMax
 		table[0], table[1] = entInvalid, entInvalid
 		return 1, true
 	}
-	// next[l] is the first codeword of length l; offs[l] the place in
-	// sorted of the first symbol of length l.
-	var next, offs [maxCodeLen + 1]uint16
-	code, off := uint(0), uint16(0)
+	// offs[l] is the place in sorted of the first symbol of length l.
+	// Symbols without a codeword sort in front, which spares the pass
+	// below a branch per symbol.
+	var offs [maxCodeLen + 1]uint16
+	code, off := uint(0), count[0]
 	for l := uint(1); l <= maxLen; l++ {
-		code <<= 1
-		next[l], offs[l] = uint16(code), off
-		code += uint(count[l])
+		offs[l] = off
 		off += count[l]
+		code = code<<1 + uint(count[l])
 	}
-	if code != 1<<maxLen {
-		if code != 1 || maxLen != 1 {
-			return 0, false
-		}
-		table[1] = entInvalid // the unused half of a one-symbol code
+	single := code == 1 && maxLen == 1 // one one-bit codeword
+	if code != 1<<maxLen && !single {
+		return 0, false
 	}
 	for sym, l := range lens {
-		if l != 0 {
-			f.sorted[offs[l]] = uint16(sym)
-			offs[l]++
-		}
+		f.sorted[offs[l]] = uint16(sym)
+		offs[l]++
 	}
 
 	root = min(rootMax, maxLen)
 	rootSize := uint(1) << root
 	var (
-		at        = 0        // next symbol in f.sorted
-		subPrefix = ^uint(0) // root index of the subtable being filled
-		subStart  uint       // its first entry
-		tableEnd  = rootSize // first free entry
+		at        = count[0]  // next symbol in f.sorted
+		next      = uint16(0) // its codeword
+		size      = uint(1)   // root entries laid out so far
+		subPrefix = ^uint(0)  // root index of the subtable being filled
+		subStart  uint        // its first entry
+		tableEnd  = rootSize  // first free entry
 	)
 	for l := uint(1); l <= maxLen; l++ {
+		next <<= 1
+		if l <= root {
+			copy(table[size:2*size], table[:size])
+			size <<= 1
+		}
 		for left := count[l]; left > 0; left-- { // codewords of length l still to place
 			sym := f.sorted[at]
 			at++
 			// DEFLATE packs codewords starting from their most
 			// significant bit, so the table is indexed by the reversal.
-			rev := uint(bits.Reverse16(next[l])) >> (16 - l)
-			next[l]++
+			rev := uint(bits.Reverse16(next)) >> (16 - l)
+			next++
 			if l <= root {
-				e := results[sym] | uint32(l)
-				for i := rev; i < rootSize; i += 1 << l {
-					table[i] = e
-				}
+				table[rev] = results[sym] | uint32(l)
 				continue
 			}
 			if prefix := rev & (rootSize - 1); prefix != subPrefix {
@@ -397,6 +402,9 @@ func (f *inflater) build(table []uint32, lens []uint8, results []uint32, rootMax
 				table[i] = e
 			}
 		}
+	}
+	if single {
+		table[1] = entInvalid // the unused half of its table
 	}
 	return root, true
 }
@@ -478,15 +486,27 @@ func (f *inflater) huffmanBlock(br *bitReader, out []byte, n int) (int, error) {
 		if length > len(out)-n {
 			return n, errInflateTooLong
 		}
-		if dist >= length {
-			copy(out[n:n+length], out[n-dist:])
-		} else {
+		end := n + length
+		switch {
+		case dist >= 8 && len(out)-end >= 7 && (length <= 32 || dist < length):
+			// Most matches are a word or two long, less than a call to
+			// memmove costs: copy whole words, which may run up to seven
+			// bytes past the match into output not yet written. At eight
+			// bytes' distance and more a word never reads its own bytes,
+			// so this serves overlapping matches of any length too; only
+			// a long match clear of its source is left to memmove.
+			for i := n; i < end; i += 8 {
+				binary.LittleEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(out[i-dist:]))
+			}
+		case dist >= length:
+			copy(out[n:end], out[n-dist:])
+		default:
 			// The match overlaps its own output: bytes must be copied in
 			// order, each possibly written a moment ago.
-			for i := n; i < n+length; i++ {
+			for i := n; i < end; i++ {
 				out[i] = out[i-dist]
 			}
 		}
-		n += length
+		n = end
 	}
 }

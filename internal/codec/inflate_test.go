@@ -290,6 +290,47 @@ func handmadeStreams() (accepted, rejected [][]byte) {
 	return accepted, rejected
 }
 
+// matchStream is one fixed-code block: dist literals, a single match of
+// the given length at that distance, then trail more literals. Decoded
+// into exactly its size, the match ends trail bytes before the end of
+// the output: all the room a copy made in whole words has to overrun.
+func matchStream(dist, length, trail int) []byte {
+	lens := make([]uint, len(fixedLens))
+	for i, l := range fixedLens {
+		lens[i] = uint(l)
+	}
+	litCodes, distCodes := canonical(lens[:numLitLen]), canonical(lens[numLitLen:])
+	// symbol writes the symbol of results whose range holds v, and the
+	// extra bits that place v in it.
+	w := &bitWriter{}
+	symbol := func(results []uint32, first int, codes, lens []uint, v int) {
+		sym := first
+		for sym+1 < len(results) && results[sym+1]&entInvalid == 0 && int(results[sym+1]>>16) <= v {
+			sym++
+		}
+		w.code(codes[sym], lens[sym])
+		w.bits(uint(v)-uint(results[sym]>>16), uint(results[sym]>>8&15))
+	}
+	w.bits(1, 1) // BFINAL
+	w.bits(1, 2) // fixed
+	want := make([]byte, 0, dist+length)
+	for i := 0; i < dist; i++ {
+		want = append(want, byte('a'+i))
+		w.code(litCodes['a'+i], lens['a'+i])
+	}
+	symbol(litLenResults[:], 257, litCodes, lens[:numLitLen], length)
+	symbol(distResults[:], 0, distCodes, lens[numLitLen:], dist)
+	for i := 0; i < length; i++ {
+		want = append(want, want[len(want)-dist])
+	}
+	for i := 0; i < trail; i++ {
+		want = append(want, byte('A'+i))
+		w.code(litCodes['A'+i], lens['A'+i])
+	}
+	w.code(litCodes[256], lens[256])
+	return zlibWrap(w.out, want)
+}
+
 func inflateSeeds(t testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(5))
 	text := bytes.Repeat([]byte("<html><body>relative lempel-ziv factorization</body></html>\n"), 40)
@@ -326,7 +367,22 @@ func inflateSeeds(t testing.TB) [][]byte {
 		append([]byte{0x78, 0x9d}, good[2:]...), // header check fails
 	)
 	accepted, rejected := handmadeStreams()
-	return append(append(seeds, accepted...), rejected...)
+	seeds = append(append(seeds, accepted...), rejected...)
+	// Matches at the distances around a word, where the kernel goes from
+	// copying bytes to copying words: at every length with the match
+	// ending on the last byte of the output, and at the lengths that
+	// overrun most with every amount of room up to a word.
+	for dist := 1; dist <= 9; dist++ {
+		for length := 3; length <= 258; length++ {
+			seeds = append(seeds, matchStream(dist, length, 0))
+		}
+		for length := 3; length <= 18; length++ {
+			for trail := 1; trail <= 8; trail++ {
+				seeds = append(seeds, matchStream(dist, length, trail))
+			}
+		}
+	}
+	return seeds
 }
 
 // FuzzInflateEquivalence holds the inflate kernel to compress/zlib on
@@ -387,6 +443,11 @@ func TestHandmadeStreamsAreWhatTheyClaim(t *testing.T) {
 	for i, s := range rejected {
 		if _, err := stdInflate(s, 64<<10); err == nil {
 			t.Errorf("rejected stream %d: compress/zlib accepts it", i)
+		}
+	}
+	for _, m := range [][3]int{{1, 3, 0}, {1, 258, 0}, {7, 8, 1}, {8, 8, 0}, {9, 17, 7}, {9, 258, 8}} {
+		if out, err := stdInflate(matchStream(m[0], m[1], m[2]), 64<<10); err != nil || len(out) != m[0]+m[1]+m[2] {
+			t.Errorf("match of %d bytes at distance %d, %d literals behind it: compress/zlib yields %d bytes, %v", m[1], m[0], m[2], len(out), err)
 		}
 	}
 }

@@ -406,26 +406,29 @@ func (c *Collection) publishLocked(m *Manifest, v *view) error {
 	return nil
 }
 
+// errClosed is what reads return once Close has drained the last view.
+var errClosed = errors.New("collection: closed")
+
 // acquireView pins the current view for one read, returning it with its
 // release func: a view being drained cannot be resurrected, and a
 // pointer move between load and ref retries on the fresh view. After
-// Close the current view is drained for good; reads then get it
-// unpinned (and fail on the closed files — the documented post-Close
-// behavior) instead of spinning.
+// Close the current view is drained for good and no other replaces it;
+// reads then fail with errClosed before they touch a segment — a view
+// handed out unpinned would race the unmapping of its files.
 //
 //rlz:acquire release=closure
-func (c *Collection) acquireView() (*view, func()) {
+func (c *Collection) acquireView() (*view, func(), error) {
 	for {
 		v := c.view.Load()
 		if v.tryRef() {
 			if c.view.Load() == v {
-				return v, v.unref
+				return v, v.unref, nil
 			}
 			v.unref()
 			continue
 		}
 		if c.view.Load() == v {
-			return v, func() {}
+			return nil, nil, errClosed
 		}
 	}
 }
@@ -692,7 +695,10 @@ func (c *Collection) sealLocked() error {
 
 // GetAppend retrieves document id, appending its text to dst.
 func (c *Collection) GetAppend(dst []byte, id int) ([]byte, error) {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		return dst, err
+	}
 	defer release()
 	return v.set.GetAppend(dst, id)
 }
@@ -712,7 +718,10 @@ func (c *Collection) Get(id int) ([]byte, error) {
 //
 //rlz:view callback
 func (c *Collection) View(id int, fn func(doc []byte) error) (bool, error) {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		return false, err
+	}
 	defer release()
 	return v.set.View(id, fn)
 }
@@ -721,7 +730,13 @@ func (c *Collection) View(id int, fn func(doc []byte) error) (bool, error) {
 // sub-batch per segment, delegated to segments that batch natively (see
 // archive.Set.GetBatch for the visit contract).
 func (c *Collection) GetBatch(ids []int, workers int, visit func(i int, doc []byte, err error)) {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		for i := range ids {
+			visit(i, nil, err)
+		}
+		return
+	}
 	defer release()
 	v.set.GetBatch(ids, workers, visit)
 }
@@ -729,7 +744,10 @@ func (c *Collection) GetBatch(ids []int, workers int, visit func(i int, doc []by
 // Extent returns the extent a Get for id physically reads, within the
 // owning segment's file (a collection has no single byte address space).
 func (c *Collection) Extent(id int) (off, n int64, err error) {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		return 0, 0, err
+	}
 	defer release()
 	return v.set.Extent(id)
 }
@@ -741,7 +759,10 @@ func (c *Collection) Extent(id int) (off, n int64, err error) {
 // Tombstoned documents never match. Together with GetRange this makes
 // rlz grep work over a collection unchanged.
 func (c *Collection) FindAll(pattern []byte, limit int) ([]archive.Match, error) {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		return nil, err
+	}
 	defer release()
 	return v.set.FindAll(pattern, limit)
 }
@@ -749,7 +770,10 @@ func (c *Collection) FindAll(pattern []byte, limit int) ([]archive.Match, error)
 // GetRange retrieves bytes [from, to) of document id, without decoding
 // the whole document where the owning segment supports it (RLZ).
 func (c *Collection) GetRange(id, from, to int) ([]byte, error) {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		return nil, err
+	}
 	defer release()
 	return v.set.GetRange(id, from, to)
 }
@@ -765,7 +789,10 @@ func (c *Collection) NumSegments() int { return len(c.view.Load().sealed()) }
 // Size returns the total on-disk payload size: sealed segment bytes
 // plus the open segment's current extent.
 func (c *Collection) Size() int64 {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		return 0
+	}
 	defer release()
 	return v.set.Size()
 }
@@ -775,7 +802,10 @@ func (c *Collection) Size() int64 {
 // Info). One pinned view supplies every figure, so the snapshot cannot
 // tear across a concurrent generation swap.
 func (c *Collection) Stats() archive.Stats {
-	v, release := c.acquireView()
+	v, release, err := c.acquireView()
+	if err != nil {
+		return archive.Stats{}
+	}
 	defer release()
 	return v.set.Stats()
 }
@@ -943,8 +973,9 @@ func (c *Collection) GC() ([]string, error) {
 // header-only log and its next Open has nothing to replay; the log
 // closes, then the current view loses its installed
 // reference and its segment readers and open-segment handles close as soon as
-// in-flight reads drain (immediately, when none are in flight). Reads
-// arriving after Close race its drain and may return errors.
+// in-flight reads drain (immediately, when none are in flight). A read
+// that arrives after the drain fails with an error and touches no
+// segment; Size and Stats, which return no error, report zeros.
 func (c *Collection) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

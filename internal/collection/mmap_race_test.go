@@ -2,12 +2,14 @@ package collection
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"rlz/internal/archive"
 	"rlz/internal/mmapio"
 )
 
@@ -139,9 +141,8 @@ func TestViewRacesCompactGCClose(t *testing.T) {
 	wg.Wait()
 }
 
-// TestViewAfterCloseFails pins down the documented post-Close behavior:
-// zero-copy reads degrade to errors or clean fallbacks, never to a
-// dangling mapping.
+// TestViewAfterCloseFails pins down the post-Close behavior: every read
+// fails closed, before it touches a segment whose mapping is gone.
 func TestViewAfterCloseFails(t *testing.T) {
 	docs := make([][]byte, 8)
 	for i := range docs {
@@ -151,8 +152,32 @@ func TestViewAfterCloseFails(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	ok, err := c.View(3, func(b []byte) error { return nil })
-	if ok && err == nil {
-		t.Fatalf("View after Close: served zero-copy bytes from a closed collection")
+	if ok, err := c.View(3, func(b []byte) error { return nil }); ok || !errors.Is(err, errClosed) {
+		t.Errorf("View after Close: ok=%v err=%v", ok, err)
+	}
+	if doc, err := c.GetAppend([]byte("kept"), 3); !errors.Is(err, errClosed) || string(doc) != "kept" {
+		t.Errorf("GetAppend after Close: %q, %v", doc, err)
+	}
+	if _, err := c.GetRange(3, 0, 4); !errors.Is(err, errClosed) {
+		t.Errorf("GetRange after Close: %v", err)
+	}
+	if _, _, err := c.Extent(3); !errors.Is(err, errClosed) {
+		t.Errorf("Extent after Close: %v", err)
+	}
+	if _, err := c.FindAll([]byte("payload"), 0); !errors.Is(err, errClosed) {
+		t.Errorf("FindAll after Close: %v", err)
+	}
+	visited := 0
+	c.GetBatch([]int{1, 2, 3}, 2, func(i int, doc []byte, err error) {
+		visited++
+		if doc != nil || !errors.Is(err, errClosed) {
+			t.Errorf("GetBatch after Close: id %d: %d bytes, %v", i, len(doc), err)
+		}
+	})
+	if visited != 3 {
+		t.Errorf("GetBatch after Close visited %d of 3 ids", visited)
+	}
+	if c.Size() != 0 || c.Stats() != (archive.Stats{}) {
+		t.Errorf("Size/Stats after Close: %d, %+v", c.Size(), c.Stats())
 	}
 }

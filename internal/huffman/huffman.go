@@ -10,6 +10,7 @@ package huffman
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rlz/internal/coding"
@@ -47,11 +48,24 @@ func Build(freqs []int) (*Codec, error) {
 
 // FromLengths reconstructs a codec from code lengths, as a decoder does.
 func FromLengths(lengths []uint8) (*Codec, error) {
-	c := &Codec{lengths: lengths}
-	if err := c.buildTables(); err != nil {
+	c := new(Codec)
+	if err := c.Reset(lengths); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// Reset makes c the codec for lengths, reusing its tables: a decoder that
+// reads one code per record keeps one Codec and allocates nothing once
+// the tables have reached the alphabet's size. lengths is kept, not
+// copied. On error c holds no code.
+func (c *Codec) Reset(lengths []uint8) error {
+	*c = Codec{lengths: lengths, codes: c.codes[:0], sorted: c.sorted[:0]}
+	err := c.buildTables()
+	if err != nil {
+		c.maxLen = 0
+	}
+	return err
 }
 
 // Lengths returns the code length table (zero means unused symbol). The
@@ -143,38 +157,30 @@ func (c *Codec) buildTables() error {
 		return fmt.Errorf("%w: kraft sum %d/%d with %d symbols", ErrInvalidLengths, kraft, full, used)
 	}
 
-	// Canonical assignment: symbols sorted by (length, symbol value);
-	// codewords are consecutive within a length, doubling at each step up.
-	c.sorted = make([]int32, 0, used)
-	for s, l := range lengths {
-		if l > 0 {
-			c.sorted = append(c.sorted, int32(s))
-		}
-	}
-	sort.Slice(c.sorted, func(i, j int) bool {
-		a, b := c.sorted[i], c.sorted[j]
-		if lengths[a] != lengths[b] {
-			return lengths[a] < lengths[b]
-		}
-		return a < b
-	})
-	c.codes = make([]uint32, len(lengths))
+	// Canonical assignment: symbols sorted by (length, symbol value) — a
+	// counting sort, since symbols arrive in value order; codewords are
+	// consecutive within a length, doubling at each step up.
+	c.sorted = slices.Grow(c.sorted, used)[:used]
+	c.codes = slices.Grow(c.codes, len(lengths))[:len(lengths)]
+	clear(c.codes)
 	var code uint32
 	var idx int32
 	for l := uint(1); l <= c.maxLen; l++ {
 		c.firstCode[l] = code
 		c.firstIndex[l] = idx
-		for _, s := range c.sorted[idx:] {
-			if uint(lengths[s]) != l {
-				break
-			}
-			c.codes[s] = code
-			code++
-			idx++
-		}
-		code <<= 1
+		code = (code + uint32(counts[l])) << 1
+		idx += counts[l]
 	}
 	c.firstIndex[c.maxLen+1] = idx
+	next := c.firstIndex
+	for s, l := range lengths {
+		if l > 0 {
+			i := next[l]
+			next[l]++
+			c.sorted[i] = int32(s)
+			c.codes[s] = c.firstCode[l] + uint32(i-c.firstIndex[l])
+		}
+	}
 	return nil
 }
 

@@ -110,10 +110,7 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 	// buffer, its deflated form (Z) in the other — because its byte length
 	// goes in front of it; a warm build worker allocates nothing here.
 	sc := scratch.get()
-	raw := sc.pos[:0]
-	for _, f := range factors {
-		raw = coding.PutU32(raw, f.Pos)
-	}
+	raw := putPositions(sc.pos[:0], factors)
 	blob := raw
 	if c.Pos == PosZ {
 		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
@@ -139,9 +136,7 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 	case LenH:
 		raw = encodeLensHuffman(raw, factors)
 	default:
-		for _, f := range factors {
-			raw = coding.PutUvarint32(raw, f.Len)
-		}
+		raw = putLengths(raw, factors)
 	}
 	blob = raw
 	if c.Len == LenZ {
@@ -151,6 +146,24 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 	dst = putBlob(dst, blob)
 	sc.pos = raw
 	scratch.put(sc)
+	return dst
+}
+
+// putPositions appends the U coding of the factors' positions to dst:
+// the position stream of a record in kernel form.
+func putPositions(dst []byte, factors []Factor) []byte {
+	for _, f := range factors {
+		dst = coding.PutU32(dst, f.Pos)
+	}
+	return dst
+}
+
+// putLengths appends the V coding of the factors' lengths to dst: the
+// length stream of a record in kernel form.
+func putLengths(dst []byte, factors []Factor) []byte {
+	for _, f := range factors {
+		dst = coding.PutUvarint32(dst, f.Len)
+	}
 	return dst
 }
 
@@ -168,56 +181,37 @@ func (c PairCodec) Decode(factors []Factor, src []byte) ([]Factor, int, error) {
 	sc := scratch.get()
 	rec, err := c.open(sc, src)
 	if err == nil {
-		factors, err = c.appendFactors(factors, rec)
+		factors, err = rec.appendFactors(factors)
 	}
 	scratch.put(sc)
 	return factors, rec.used, err
 }
 
-// decodeLens fills in the Len field of factors from the (already
-// de-zlibbed) length stream.
-func (c PairCodec) decodeLens(factors []Factor, lenBlob []byte) error {
-	k := len(factors)
-	if c.Len == LenH {
-		return decodeLensHuffman(factors, lenBlob)
+// simple9Lens recodes an S length stream of k lengths as vbytes in
+// sc.lens. The stream's first byte says whether its body is Simple9
+// words or, for a document with a length Simple9 cannot hold, already
+// vbytes.
+func (sc *decodeScratch) simple9Lens(blob []byte, k int) ([]byte, error) {
+	if len(blob) == 0 {
+		return nil, fmt.Errorf("%w: empty simple9 length stream", ErrCorruptEncoding)
 	}
-	if c.Len == LenS {
-		if len(lenBlob) == 0 {
-			return fmt.Errorf("%w: empty simple9 length stream", ErrCorruptEncoding)
-		}
-		mode := lenBlob[0]
-		body := lenBlob[1:]
-		if mode == lenModeSimple9 {
-			vals, used, err := coding.Simple9(body, k, nil)
-			if err != nil {
-				return fmt.Errorf("%w: simple9 lengths: %v", ErrCorruptEncoding, err)
-			}
-			if used != len(body) {
-				return fmt.Errorf("%w: %d trailing bytes in length stream", ErrCorruptEncoding, len(body)-used)
-			}
-			for i, v := range vals {
-				factors[i].Len = v
-			}
-			return nil
-		}
-		if mode != lenModeVByte {
-			return fmt.Errorf("%w: unknown length mode %d", ErrCorruptEncoding, mode)
-		}
-		lenBlob = body
-	}
-	off := 0
-	for i := 0; i < k; i++ {
-		l, n, err := coding.Uvarint32(lenBlob[off:])
+	switch mode, body := blob[0], blob[1:]; mode {
+	case lenModeVByte:
+		return body, nil
+	case lenModeSimple9:
+		vals, used, err := coding.Simple9(body, k, sc.vals[:0])
+		sc.vals = vals
 		if err != nil {
-			return fmt.Errorf("%w: length %d: %v", ErrCorruptEncoding, i, err)
+			return nil, fmt.Errorf("%w: simple9 lengths: %v", ErrCorruptEncoding, err)
 		}
-		factors[i].Len = l
-		off += n
+		if used != len(body) {
+			return nil, fmt.Errorf("%w: %d trailing bytes in length stream", ErrCorruptEncoding, len(body)-used)
+		}
+		sc.lens = coding.AppendUvarint32s(sc.lens[:0], vals)
+		return sc.lens, nil
+	default:
+		return nil, fmt.Errorf("%w: unknown length mode %d", ErrCorruptEncoding, mode)
 	}
-	if off != len(lenBlob) {
-		return fmt.Errorf("%w: %d trailing bytes in length stream", ErrCorruptEncoding, len(lenBlob)-off)
-	}
-	return nil
 }
 
 func readBlob(src []byte) ([]byte, int, error) {

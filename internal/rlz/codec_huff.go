@@ -63,49 +63,53 @@ func encodeLensHuffman(dst []byte, factors []Factor) []byte {
 	return w.Bytes()
 }
 
-func decodeLensHuffman(factors []Factor, lenBlob []byte) error {
-	lengths := make([]uint8, lenSlots)
+// huffmanLens recodes an H length stream of k lengths as vbytes in
+// sc.lens.
+func (sc *decodeScratch) huffmanLens(blob []byte, k int) ([]byte, error) {
+	lengths := sc.slots[:]
+	clear(lengths)
 	pos := 0
 	for i := 0; i < lenSlots; {
-		if pos >= len(lenBlob) {
-			return fmt.Errorf("%w: truncated huffman length table", ErrCorruptEncoding)
+		if pos >= len(blob) {
+			return nil, fmt.Errorf("%w: truncated huffman length table", ErrCorruptEncoding)
 		}
-		b := lenBlob[pos]
+		b := blob[pos]
 		pos++
 		if b != 0 {
 			lengths[i] = b
 			i++
 			continue
 		}
-		run, n, err := coding.Uvarint32(lenBlob[pos:])
+		run, n, err := coding.Uvarint32(blob[pos:])
 		if err != nil || run == 0 || int(run) > lenSlots-i {
-			return fmt.Errorf("%w: huffman length table run", ErrCorruptEncoding)
+			return nil, fmt.Errorf("%w: huffman length table run", ErrCorruptEncoding)
 		}
 		pos += n
 		i += int(run)
 	}
-	codec, err := huffman.FromLengths(lengths)
-	if err != nil {
-		return fmt.Errorf("%w: huffman length code: %v", ErrCorruptEncoding, err)
+	if err := sc.huff.Reset(lengths); err != nil {
+		return nil, fmt.Errorf("%w: huffman length code: %v", ErrCorruptEncoding, err)
 	}
-	r := coding.NewBitReader(lenBlob[pos:])
-	for i := range factors {
-		s, err := codec.Decode(r)
+	r := coding.NewBitReader(blob[pos:])
+	out := sc.lens[:0]
+	for i := 0; i < k; i++ {
+		s, err := sc.huff.Decode(r)
 		if err != nil {
-			return fmt.Errorf("%w: huffman length %d: %v", ErrCorruptEncoding, i, err)
+			return nil, fmt.Errorf("%w: huffman length %d: %v", ErrCorruptEncoding, i, err)
 		}
 		if s == 0 {
-			factors[i].Len = 0
+			out = append(out, 0)
 			continue
 		}
 		if s >= 32 {
-			return fmt.Errorf("%w: huffman length slot %d", ErrCorruptEncoding, s)
+			return nil, fmt.Errorf("%w: huffman length slot %d", ErrCorruptEncoding, s)
 		}
 		extra, err := r.ReadBits(uint(s) - 1)
 		if err != nil {
-			return fmt.Errorf("%w: huffman length bits %d: %v", ErrCorruptEncoding, i, err)
+			return nil, fmt.Errorf("%w: huffman length bits %d: %v", ErrCorruptEncoding, i, err)
 		}
-		factors[i].Len = 1<<(s-1) + uint32(extra)
+		out = coding.PutUvarint32(out, 1<<(s-1)+uint32(extra))
 	}
-	return nil
+	sc.lens = out
+	return out, nil
 }

@@ -7,28 +7,34 @@ import (
 
 	"rlz/internal/codec"
 	"rlz/internal/coding"
+	"rlz/internal/huffman"
 )
 
 // This file is the read path: a document record and the dictionary in,
-// the document's bytes out. Every cold Get, batch, scan and verify ends
-// here, so it runs on pooled state and allocates nothing once warm.
+// the document's bytes out. Every cold Get, batch, scan, range read and
+// verify ends here, so it runs on pooled state and allocates nothing once
+// warm.
 //
-//	record ──parse──▶ position stream ─┐ (inflated into scratch when Z)
-//	                  length stream  ──┴─walk together──▶ append dictionary runs to dst
+//	record ──open──▶ position stream (4k bytes) ─┐
+//	                 length stream   (vbytes)  ──┴─appendRuns──▶ dictionary runs appended to dst
 //
-// For the paper's four codecs the two streams are walked in step and no
-// []Factor is ever built; callers that need factors (byte ranges, the
-// layer-by-layer Decode, the S and H length codings) get them in the
-// scratch's reusable slice.
+// open brings every codec's record to that one form — Z streams are
+// inflated, S and H lengths recoded as vbytes — and the run-copy kernel
+// walks the two streams in step. No []Factor is built on the way;
+// callers that hold factors (Dictionary.Decode, DecodeRange) stage them
+// as the same two streams.
 
 // decodeScratch is the pooled state of one decode: the zlib inflater,
-// the buffers the Z-coded streams inflate into, and a factor slice.
-// PairCodec.Encode stages its streams in the same two buffers.
+// the buffers a record's streams are brought to kernel form in, and what
+// the S and H length codings decode through. PairCodec.Encode stages its
+// streams in the same two buffers.
 type decodeScratch struct {
-	zd      codec.ZlibDecoder
-	pos     []byte
-	lens    []byte
-	factors []Factor
+	zd    codec.ZlibDecoder
+	pos   []byte
+	lens  []byte
+	vals  []uint32        // Simple9's decoded lengths
+	huff  huffman.Codec   // the H coding's per-record code
+	slots [lenSlots]uint8 // and its codeword lengths
 }
 
 // scratchPool is the one pool behind every decode entry point, so a
@@ -48,9 +54,9 @@ func (s *scratchPool) get() *decodeScratch {
 
 func (s *scratchPool) put(sc *decodeScratch) { s.p.Put(sc) }
 
-// record is a parsed document record: its factor count and its position
-// and length streams with any zlib layer removed. The streams alias the
-// record or the scratch that opened it.
+// record is a document record in kernel form: its factor count, its
+// positions as little-endian uint32s and its lengths as vbytes. The
+// streams alias the record's source or the scratch that opened it.
 type record struct {
 	k    int
 	pos  []byte // exactly 4k bytes
@@ -58,10 +64,11 @@ type record struct {
 	used int // bytes of the source the record occupied
 }
 
-// open parses the record at the front of src, inflating Z-coded streams
-// into sc. Inflation is bounded before it starts: positions to exactly
-// 4k bytes, vbyte lengths to at most 5k, so a hostile blob is rejected at
-// the byte that crosses the bound, whatever it would have inflated to.
+// open parses the record at the front of src and brings its streams to
+// kernel form in sc. Inflation is bounded before it starts: positions to
+// exactly 4k bytes, vbyte lengths to at most 5k, so a hostile blob is
+// rejected at the byte that crosses the bound, whatever it would have
+// inflated to.
 //
 //rlz:hotpath
 func (c PairCodec) open(sc *decodeScratch, src []byte) (record, error) {
@@ -94,30 +101,46 @@ func (c PairCodec) open(sc *decodeScratch, src []byte) (record, error) {
 		}
 		rec.pos = sc.pos
 	}
-	if c.Len == LenZ {
+	if len(rec.pos) != 4*rec.k {
+		return rec, fmt.Errorf("%w: position stream holds %d bytes for %d factors", ErrCorruptEncoding, len(rec.pos), rec.k)
+	}
+	switch c.Len {
+	case LenZ:
 		sc.lens, err = sc.zd.DecodeUpTo(sc.lens[:0], rec.lens, coding.MaxVByteLen32*rec.k)
 		if err != nil {
 			return rec, fmt.Errorf("%w: length zlib: %v", ErrCorruptEncoding, err)
 		}
 		rec.lens = sc.lens
+	case LenS:
+		rec.lens, err = sc.simple9Lens(rec.lens, rec.k)
+	case LenH:
+		rec.lens, err = sc.huffmanLens(rec.lens, rec.k)
 	}
-	if len(rec.pos) != 4*rec.k {
-		return rec, fmt.Errorf("%w: position stream holds %d bytes for %d factors", ErrCorruptEncoding, len(rec.pos), rec.k)
-	}
-	return rec, nil
+	return rec, err
+}
+
+// stage brings factors to kernel form in sc, for the callers that hold
+// a []Factor and no record.
+func (sc *decodeScratch) stage(factors []Factor) record {
+	sc.pos = putPositions(sc.pos[:0], factors)
+	sc.lens = putLengths(sc.lens[:0], factors)
+	return record{k: len(factors), pos: sc.pos, lens: sc.lens}
 }
 
 // appendFactors appends the record's factors to factors.
-func (c PairCodec) appendFactors(factors []Factor, rec record) ([]Factor, error) {
-	if rec.k == 0 { // an empty document has no streams at all
-		return factors, nil
-	}
+func (rec record) appendFactors(factors []Factor) ([]Factor, error) {
 	base := len(factors)
+	off := 0
 	for i := 0; i < rec.k; i++ {
-		factors = append(factors, Factor{Pos: binary.LittleEndian.Uint32(rec.pos[4*i:])})
+		l, n, err := coding.Uvarint32(rec.lens[off:])
+		if err != nil {
+			return factors[:base], fmt.Errorf("%w: length %d: %v", ErrCorruptEncoding, i, err)
+		}
+		off += n
+		factors = append(factors, Factor{Pos: binary.LittleEndian.Uint32(rec.pos[4*i:]), Len: l})
 	}
-	if err := c.decodeLens(factors[base:], rec.lens); err != nil {
-		return factors[:base], err
+	if off != len(rec.lens) {
+		return factors[:base], fmt.Errorf("%w: %d trailing bytes in length stream", ErrCorruptEncoding, len(rec.lens)-off)
 	}
 	return factors, nil
 }
@@ -132,34 +155,46 @@ func (c PairCodec) appendFactors(factors []Factor, rec record) ([]Factor, error)
 func (d *Dictionary) DecodeRecord(dst []byte, c PairCodec, src []byte) ([]byte, int, error) {
 	sc := scratch.get()
 	rec, err := c.open(sc, src)
-	var out []byte
-	switch {
-	case err != nil:
-	case c.Len == LenV || c.Len == LenZ:
-		out, err = d.copyRuns(dst, rec)
-	default:
-		// The word-aligned and Huffman length codings decode into whole
-		// arrays; they go through the scratch's factors.
-		sc.factors, err = c.appendFactors(sc.factors[:0], rec)
-		if err == nil {
-			out, err = d.Decode(dst, sc.factors)
-		}
+	if err == nil {
+		dst, err = d.appendRuns(dst, rec)
 	}
 	scratch.put(sc)
-	if err != nil {
-		return dst, rec.used, err
-	}
-	return out, rec.used, nil
+	return dst, rec.used, err
 }
 
-// copyRuns walks a record's positions and vbyte lengths together,
-// appending each factor's dictionary run (or literal byte) to dst.
+// DecodeRecordRange appends bytes [from, to) of the record's document to
+// dst (see DecodeRange). On error dst is returned as it came.
+func (d *Dictionary) DecodeRecordRange(dst []byte, c PairCodec, src []byte, from, to int) ([]byte, int, error) {
+	sc := scratch.get()
+	rec, err := c.open(sc, src)
+	if err == nil {
+		dst, err = d.appendRange(dst, rec, from, to)
+	}
+	scratch.put(sc)
+	return dst, rec.used, err
+}
+
+// runSlack is the longest run the kernel copies as whole words, and so
+// the room it needs past the run's first byte on both sides: the words
+// beyond the run's end are read from dictionary text and land in dst's
+// spare capacity, where the next run overwrites them.
+const runSlack = 32
+
+// appendRuns is the run-copy kernel, the one loop every decoder ends in:
+// it walks a record's positions and lengths together, appending each
+// factor's dictionary run (or literal byte) to dst. A call to memmove
+// costs more than moving the two to five words of a typical run, so a
+// run of at most runSlack bytes is copied as four 8-byte loads and
+// stores wherever dictionary and destination both have runSlack bytes
+// from its start; longer runs and the ends of both take append. On error
+// dst is returned as it came.
 //
 //rlz:hotpath
-func (d *Dictionary) copyRuns(dst []byte, rec record) ([]byte, error) {
+func (d *Dictionary) appendRuns(dst []byte, rec record) ([]byte, error) {
 	text := d.data
 	m := uint32(len(text))
 	lens := rec.lens
+	out := dst
 	off := 0
 	for i := 0; i < rec.k; i++ {
 		p := binary.LittleEndian.Uint32(rec.pos[4*i:])
@@ -179,36 +214,59 @@ func (d *Dictionary) copyRuns(dst []byte, rec record) ([]byte, error) {
 			if p > 255 {
 				return dst, fmt.Errorf("%w: literal value %d", ErrBadFactor, p)
 			}
-			dst = append(dst, byte(p))
+			out = append(out, byte(p))
 			continue
 		}
 		if p >= m || l > m-p {
 			return dst, fmt.Errorf("%w: (%d, %d) in dictionary of %d", ErrBadFactor, p, l, m)
 		}
-		dst = append(dst, text[p:p+l]...)
+		if n := len(out); l <= runSlack && m-p >= runSlack && cap(out)-n >= runSlack {
+			s, t := text[p:p+runSlack], out[n:n+runSlack]
+			binary.LittleEndian.PutUint64(t, binary.LittleEndian.Uint64(s))
+			binary.LittleEndian.PutUint64(t[8:], binary.LittleEndian.Uint64(s[8:]))
+			binary.LittleEndian.PutUint64(t[16:], binary.LittleEndian.Uint64(s[16:]))
+			binary.LittleEndian.PutUint64(t[24:], binary.LittleEndian.Uint64(s[24:]))
+			out = out[:n+int(l)]
+			continue
+		}
+		out = append(out, text[p:p+l]...)
 	}
 	if off != len(lens) {
 		return dst, fmt.Errorf("%w: %d trailing bytes in length stream", ErrCorruptEncoding, len(lens)-off)
 	}
-	return dst, nil
+	return out, nil
 }
 
-// DecodeRecordRange appends bytes [from, to) of the record's document to
-// dst (see DecodeRange), decoding the factors into pooled scratch. On
-// error dst is returned as it came.
-func (d *Dictionary) DecodeRecordRange(dst []byte, c PairCodec, src []byte, from, to int) ([]byte, int, error) {
-	sc := scratch.get()
-	rec, err := c.open(sc, src)
-	if err == nil {
-		sc.factors, err = c.appendFactors(sc.factors[:0], rec)
+// appendRange appends bytes [from, to) of the record's document to dst,
+// the range clamped to the document. Lengths are explicit, so the
+// factors before the range are stepped over without touching the
+// dictionary and those after it never reached; the factors that overlap
+// it go through appendRuns whole, and what the first and last of them
+// hold beyond the range is trimmed off afterwards.
+func (d *Dictionary) appendRange(dst []byte, rec record, from, to int) ([]byte, error) {
+	from = max(from, 0)
+	lens := rec.lens
+	first, firstOff, skip := -1, 0, 0 // the first factor in range, its place in lens, its bytes before from
+	i, off, at := 0, 0, 0             // at: the document offset factor i starts at
+	for ; i < rec.k && at < to; i++ {
+		l, n, err := coding.Uvarint32(lens[off:])
+		if err != nil {
+			return dst, fmt.Errorf("%w: length %d: %v", ErrCorruptEncoding, i, err)
+		}
+		end := at + max(int(l), 1)
+		if first < 0 && end > from {
+			first, firstOff, skip = i, off, from-at
+		}
+		at, off = end, off+n
 	}
-	var out []byte
-	if err == nil {
-		out, err = d.DecodeRange(dst, sc.factors, from, to)
+	if first < 0 || to <= from {
+		return dst, nil
 	}
-	scratch.put(sc)
+	out, err := d.appendRuns(dst, record{k: i - first, pos: rec.pos[4*first : 4*i], lens: lens[firstOff:off]})
 	if err != nil {
-		return dst, rec.used, err
+		return dst, err
 	}
-	return out, rec.used, nil
+	n := len(dst)
+	keep := out[n+skip : n+skip+min(to, at)-from]
+	return out[:n+copy(out[n:], keep)], nil
 }

@@ -16,7 +16,9 @@ var everyCodec = append(append([]PairCodec{}, AllCodecs...), ExtensionCodecs...)
 
 // decodeBoth decodes one record the layered way (PairCodec.Decode, then
 // Dictionary.Decode) and the fused way, and fails unless they agree: the
-// same bytes and record length, or both an error.
+// same bytes and record length, or both an error. The fused decode runs
+// once for each amount of spare capacity in dst that puts the kernel's
+// last runs on a different side of its word-copy condition.
 func decodeBoth(t *testing.T, d *Dictionary, c PairCodec, rec []byte) (doc []byte, err error) {
 	t.Helper()
 	factors, used, err := c.Decode(nil, rec)
@@ -24,24 +26,27 @@ func decodeBoth(t *testing.T, d *Dictionary, c PairCodec, rec []byte) (doc []byt
 	if err == nil {
 		want, err = d.Decode(nil, factors)
 	}
-	prefix := []byte("kept")
-	got, gotUsed, gotErr := d.DecodeRecord(prefix, c, rec)
-	if (gotErr == nil) != (err == nil) {
-		t.Fatalf("%s: fused err = %v, layered err = %v", c, gotErr, err)
-	}
-	if gotErr != nil {
-		if !bytes.Equal(got, prefix) {
-			t.Fatalf("%s: rejected record left %q in dst", c, got)
+	const prefix = "kept"
+	for _, spare := range []int{0, 1, runSlack - 1, runSlack, len(want), len(want) + 1, len(want) + runSlack - 1, len(want) + runSlack} {
+		dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+		got, gotUsed, gotErr := d.DecodeRecord(dst, c, rec)
+		if (gotErr == nil) != (err == nil) {
+			t.Fatalf("%s: fused err = %v, layered err = %v", c, gotErr, err)
 		}
-		if !errors.Is(gotErr, ErrCorruptEncoding) && !errors.Is(gotErr, ErrBadFactor) {
-			t.Fatalf("%s: fused error %v wraps neither sentinel", c, gotErr)
+		if gotErr != nil {
+			if string(got) != prefix {
+				t.Fatalf("%s: rejected record left %q in dst", c, got)
+			}
+			if !errors.Is(gotErr, ErrCorruptEncoding) && !errors.Is(gotErr, ErrBadFactor) {
+				t.Fatalf("%s: fused error %v wraps neither sentinel", c, gotErr)
+			}
+			continue
 		}
-		return nil, gotErr
+		if gotUsed != used || string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s: fused decode into %d spare bytes differs: %d bytes used %d, layered %d bytes used %d", c, spare, len(got)-len(prefix), gotUsed, len(want), used)
+		}
 	}
-	if gotUsed != used || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("%s: fused decode differs: %d bytes used %d, layered %d bytes used %d", c, len(got)-len(prefix), gotUsed, len(want), used)
-	}
-	return want, nil
+	return want, err
 }
 
 func TestDecodeRecordMatchesLayeredDecode(t *testing.T) {

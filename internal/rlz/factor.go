@@ -57,25 +57,13 @@ func (d *Dictionary) Factorize(doc []byte, factors []Factor) []Factor {
 
 // Decode appends the text reconstructed from factors to dst and returns
 // the extended slice (the paper's Figure 2). Factors referencing outside
-// the dictionary return ErrBadFactor, making Decode safe on untrusted
-// archives.
+// the dictionary return ErrBadFactor and leave dst as it came, making
+// Decode safe on untrusted archives.
 func (d *Dictionary) Decode(dst []byte, factors []Factor) ([]byte, error) {
-	text := d.data
-	m := uint32(len(text))
-	for _, f := range factors {
-		if f.Len == 0 {
-			if f.Pos > 255 {
-				return dst, fmt.Errorf("%w: literal value %d", ErrBadFactor, f.Pos)
-			}
-			dst = append(dst, byte(f.Pos))
-			continue
-		}
-		if f.Pos >= m || f.Len > m-f.Pos {
-			return dst, fmt.Errorf("%w: (%d, %d) in dictionary of %d", ErrBadFactor, f.Pos, f.Len, m)
-		}
-		dst = append(dst, text[f.Pos:f.Pos+f.Len]...)
-	}
-	return dst, nil
+	sc := scratch.get()
+	dst, err := d.appendRuns(dst, sc.stage(factors))
+	scratch.put(sc)
+	return dst, err
 }
 
 // DecodedLen returns the number of bytes Decode would produce.

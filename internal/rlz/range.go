@@ -1,7 +1,5 @@
 package rlz
 
-import "fmt"
-
 // DecodeRange appends the byte range [from, to) of the document encoded
 // by factors to dst, without materializing the rest of the document.
 // Because factors carry explicit lengths, the decoder can skip whole
@@ -12,48 +10,8 @@ import "fmt"
 // Out-of-range requests are clamped to the document's extent; a reversed
 // range yields no output.
 func (d *Dictionary) DecodeRange(dst []byte, factors []Factor, from, to int) ([]byte, error) {
-	if from < 0 {
-		from = 0
-	}
-	if to <= from {
-		return dst, nil
-	}
-	text := d.data
-	m := uint32(len(text))
-	pos := 0 // output offset before the current factor
-	for _, f := range factors {
-		if pos >= to {
-			break
-		}
-		flen := 1
-		if f.Len > 0 {
-			flen = int(f.Len)
-		}
-		if pos+flen <= from {
-			pos += flen
-			continue
-		}
-		// The factor overlaps the range; compute the overlap within it.
-		lo := 0
-		if from > pos {
-			lo = from - pos
-		}
-		hi := flen
-		if pos+flen > to {
-			hi = to - pos
-		}
-		if f.Len == 0 {
-			if f.Pos > 255 {
-				return dst, fmt.Errorf("%w: literal value %d", ErrBadFactor, f.Pos)
-			}
-			dst = append(dst, byte(f.Pos))
-		} else {
-			if f.Pos >= m || f.Len > m-f.Pos {
-				return dst, fmt.Errorf("%w: (%d, %d) in dictionary of %d", ErrBadFactor, f.Pos, f.Len, m)
-			}
-			dst = append(dst, text[int(f.Pos)+lo:int(f.Pos)+hi]...)
-		}
-		pos += flen
-	}
-	return dst, nil
+	sc := scratch.get()
+	dst, err := d.appendRange(dst, sc.stage(factors), from, to)
+	scratch.put(sc)
+	return dst, err
 }

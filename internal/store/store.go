@@ -243,7 +243,7 @@ func (w *Writer) Close() error {
 // safe for concurrent use by multiple goroutines as long as each call
 // passes a distinct destination buffer. Per-call decode state is drawn
 // from pools for the length of the call — the record buffer from this
-// package's, the zlib inflater, inflated streams and factor slice from
+// package's, the zlib inflater and the record's decoded streams from
 // internal/rlz's — so a warm Reader allocates nothing per Get beyond what
 // dst needs to grow. The document map and dictionary text are immutable
 // after Open, and the dictionary's lazily built suffix array is guarded

@@ -320,15 +320,15 @@ func openMapped(t *testing.T, arc []byte) *Reader {
 
 // TestGetAppendSteadyStateAllocs pins the read path's pooling: a warm
 // Reader decodes into a reused buffer without allocating, whether records
-// are views of a mapping or staged through ReadAt, with one Z-coded
-// stream per record or two. (Before pooling: 55 allocations and 55 KB
-// per read, most of it a zlib reader built for one 1 KB stream.)
+// are views of a mapping or staged through ReadAt, under every position
+// and length coding. (Before pooling: 55 allocations and 55 KB per read,
+// most of it a zlib reader built for one 1 KB stream.)
 func TestGetAppendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
 	}
 	docs := makeDocs(60, 57)
-	for _, codec := range []rlz.PairCodec{rlz.CodecZV, rlz.CodecZZ} {
+	for _, codec := range append(append([]rlz.PairCodec{}, rlz.AllCodecs...), rlz.ExtensionCodecs...) {
 		arc := buildArchive(t, docs, codec)
 		inMemory, err := OpenBytes(arc)
 		if err != nil {
