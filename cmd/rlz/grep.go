@@ -10,8 +10,10 @@ import (
 
 // cmdGrep searches the archive for a byte pattern and prints one line per
 // match: document ID, offset, and a context window fetched with GetRange
-// (so only the window is decoded, not the whole document twice). Search
-// is a capability of the RLZ backend; other backends report an error.
+// (so only the window is decoded, not the whole document twice). RLZ
+// archives search in the compressed domain; a reader that cannot search
+// itself (a single-file block or raw archive) is scanned by the segment
+// router, as the same file inside a collection would be.
 func cmdGrep(args []string) error {
 	fs := flag.NewFlagSet("grep", flag.ExitOnError)
 	arc := fs.String("a", "", "archive path (required)")
@@ -32,7 +34,7 @@ func cmdGrep(args []string) error {
 	defer r.Close()
 	s, ok := archive.As[archive.Searcher](r)
 	if !ok {
-		return fmt.Errorf("grep: %s archives do not support search (rebuild with -backend rlz)", r.Stats().Backend)
+		s = archive.NewSet(r.Stats().Backend, []archive.Reader{r}, nil)
 	}
 
 	matches, err := s.FindAll(pattern, *limit)

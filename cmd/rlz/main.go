@@ -7,7 +7,7 @@
 //
 //	rlz build -o archive.rlz [-backend rlz|block|raw] [-codec ZV] [-dict 1MB] [-sample 1KB] FILE...
 //	rlz build -o archive.blk -backend block [-block 256KB] [-alg zlib|flate|lzma|lzr] -dir ./crawl
-//	rlz build -o crawl.shards -shards 16 -warc crawl.warc
+//	rlz build -o crawl.d -shards 16 -warc crawl.warc
 //	rlz get -a archive.rlz -id 3
 //	rlz cat -a archive.rlz
 //	rlz stats -a archive.rlz
@@ -22,8 +22,11 @@
 // a warc collection file. Reading commands auto-detect the backend from
 // the archive's magic, so none of them need to be told which scheme
 // built the file. -shards N (N > 1) partitions the build across N
-// independently built shard archives in a directory; reading commands
-// open the directory (or its MANIFEST file) like any single archive.
+// segments built in parallel and writes them as a collection directory:
+// reading commands open the directory (or its MANIFEST file) like any
+// single archive, and append, compact, gc and rlzd's write API work on it
+// — the build doubles as a collection's bulk loader. It refuses a
+// directory that already holds a MANIFEST.
 //
 // append, compact and gc operate on live collections
 // (internal/collection): generational archive sets that grow online.
@@ -101,7 +104,8 @@ func usage() {
   rlz build  -o ARCHIVE [-backend rlz|block|raw] [-workers N] [-shards N] FILE... | -dir DIR | -warc FILE
              rlz backend:   [-codec ZZ|ZV|UZ|UV|ZS|US|ZH|UH] [-dict SIZE] [-sample SIZE] [-nojump]
              block backend: [-block SIZE] [-alg zlib|flate|lzma|lzr]
-             -shards N > 1 writes a shard directory; read commands take -a DIR
+             -shards N > 1 writes a collection directory of N segments built in
+             parallel (refused if it already holds one); every command takes -a DIR
              profiling:     [-cpuprofile FILE] [-memprofile FILE]
   rlz get    -a ARCHIVE -id N
   rlz cat    -a ARCHIVE
@@ -130,7 +134,7 @@ func cmdBuild(args []string) error {
 	blockSize := fs.String("block", "256KB", "block backend: uncompressed block capacity; 0 means one doc per block")
 	algName := fs.String("alg", "zlib", "block backend compressor: zlib, flate, lzma or lzr")
 	workers := fs.Int("workers", 0, "build concurrency; 0 means GOMAXPROCS (output is identical at any count)")
-	shards := fs.Int("shards", 1, "split the archive into N independently built shards (-o becomes a directory)")
+	shards := fs.Int("shards", 1, "build N segments in parallel into a collection (-o becomes a directory)")
 	dir := fs.String("dir", "", "treat every regular file under this directory as a document")
 	warcPath := fs.String("warc", "", "read documents from a warc collection file (see cmd/rlzgen)")
 	if err := fs.Parse(args); err != nil {
@@ -240,49 +244,31 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	var (
-		res  archive.BuildResult
-		size int64
-	)
+	var res archive.BuildResult
 	if *shards > 1 {
-		// Sharded build: -o names a directory holding a manifest plus
-		// one independently built archive per shard. Reading commands
-		// open it like any archive (rlz get -a DIR).
+		// -o names a directory, which becomes a collection of one sealed
+		// segment per shard.
 		res, err = shard.Create(*out, src, shard.Options{Shards: *shards, Archive: opts})
-		if err != nil {
-			return err
-		}
-		if res.Docs == 0 {
-			shard.RemoveArchive(*out)
-			return fmt.Errorf("build: no input documents")
-		}
-		// Sum shard file sizes from the manifest (matching Reader.Size)
-		// instead of reopening the whole set just to report a number.
-		m, err := shard.ReadManifest(filepath.Join(*out, shard.ManifestName))
-		if err != nil {
-			return err
-		}
-		for _, s := range m.Shards {
-			st, err := os.Stat(filepath.Join(*out, s.Path))
-			if err != nil {
-				return err
-			}
-			size += st.Size()
-		}
 	} else {
 		res, err = archive.Create(*out, src, opts)
-		if err != nil {
-			return err
+	}
+	if err != nil {
+		return err
+	}
+	if res.Docs == 0 {
+		if *shards > 1 {
+			return fmt.Errorf("build: no input documents (%s now holds an empty collection)", *out)
 		}
-		if res.Docs == 0 {
-			_ = os.Remove(*out)
-			return fmt.Errorf("build: no input documents")
-		}
-		st, err := os.Stat(*out)
-		if err != nil {
-			return err
-		}
-		size = st.Size()
+		_ = os.Remove(*out)
+		return fmt.Errorf("build: no input documents")
+	}
+	r, err := archive.Open(*out)
+	if err != nil {
+		return err
+	}
+	size := r.Size()
+	if err := r.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("%s: backend %s, %d docs, %d -> %d bytes (%.2f%%)",
 		*out, backend, res.Docs, res.RawBytes, size,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rlz/internal/archive"
+	"rlz/internal/collection"
 	"rlz/internal/store"
 )
 
@@ -195,18 +196,6 @@ func TestBuildBackendErrors(t *testing.T) {
 	}
 }
 
-// TestGrepRequiresRLZBackend: grep is a capability of the RLZ backend.
-func TestGrepRequiresRLZBackend(t *testing.T) {
-	dir, _ := writeDocs(t)
-	arc := filepath.Join(t.TempDir(), "out.raw")
-	if err := cmdBuild([]string{"-o", arc, "-backend", "raw", "-dir", dir}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdGrep([]string{"-a", arc, "boilerplate"}); err == nil {
-		t.Error("grep on a raw archive accepted")
-	}
-}
-
 func TestGetOutOfRangeID(t *testing.T) {
 	dir, _ := writeDocs(t)
 	arc := filepath.Join(t.TempDir(), "out.rlz")
@@ -218,9 +207,10 @@ func TestGetOutOfRangeID(t *testing.T) {
 	}
 }
 
-// TestBuildShardedEndToEnd: -shards N writes a shard directory that
+// TestBuildShardedEndToEnd: -shards N writes a collection directory that
 // every read command opens like a single archive (directory or manifest
-// path), for all three backends.
+// path), for all three backends; the write commands then take it from
+// there, and a second build over it is refused.
 func TestBuildShardedEndToEnd(t *testing.T) {
 	dir, docs := writeDocs(t)
 	for _, backend := range []string{"rlz", "block", "raw"} {
@@ -236,8 +226,12 @@ func TestBuildShardedEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: open dir: %v", backend, err)
 		}
-		if got := string(r.Stats().Backend); got != backend {
-			t.Fatalf("auto-detected %q, want %q", got, backend)
+		col, ok := archive.As[*collection.Collection](r)
+		if !ok {
+			t.Fatalf("%s: -shards wrote something that opens as %T, not a collection", backend, r)
+		}
+		if info := col.Info(); len(info.Segments) != 3 || string(info.Segments[0].Backend) != backend {
+			t.Fatalf("%s: segments = %+v, want 3 of that backend", backend, info.Segments)
 		}
 		if r.NumDocs() != len(docs) {
 			t.Fatalf("%s: NumDocs = %d, want %d", backend, r.NumDocs(), len(docs))
@@ -267,6 +261,29 @@ func TestBuildShardedEndToEnd(t *testing.T) {
 		// The manifest path works as well as the directory.
 		if err := cmdGet([]string{"-a", filepath.Join(out, "MANIFEST"), "-id", "0"}); err != nil {
 			t.Fatalf("%s: get via manifest: %v", backend, err)
+		}
+		// The build was a bulk load: the live commands carry on from it.
+		if err := cmdAppend([]string{"-a", out, filepath.Join(dir, "doc00.html")}); err != nil {
+			t.Fatalf("%s: append after build: %v", backend, err)
+		}
+		if err := cmdCompact([]string{"-a", out}); err != nil {
+			t.Fatalf("%s: compact after build: %v", backend, err)
+		}
+		if err := cmdGet([]string{"-a", out, "-id", fmt.Sprint(len(docs))}); err != nil {
+			t.Fatalf("%s: get of the appended document: %v", backend, err)
+		}
+		if err := cmdVerify([]string{"-a", out}); err != nil {
+			t.Fatalf("%s: verify after compact: %v", backend, err)
+		}
+		if err := cmdGC([]string{"-a", out}); err != nil {
+			t.Fatalf("%s: gc: %v", backend, err)
+		}
+		// And a second build must not run over it.
+		if err := cmdBuild(args); err == nil {
+			t.Fatalf("%s: build -shards over an existing collection accepted", backend)
+		}
+		if err := cmdVerify([]string{"-a", out}); err != nil {
+			t.Fatalf("%s: verify after the refused rebuild: %v", backend, err)
 		}
 	}
 }

@@ -1,12 +1,13 @@
 // Command rlzd serves documents from any archive built by cmd/rlz over
 // HTTP. The backend (rlz, block or raw) is auto-detected from the
-// archive's magic bytes; a shard directory (rlz build -shards) and a
-// live collection directory (rlz append) are served through the same
-// flag. Requests are served concurrently through internal/serve's
-// goroutine-safe Server, with an optional hot-document LRU cache and
-// live read statistics, over cleartext HTTP/1.1 and 1.0 by the daemon's
-// own connection loop (conn.go: keep-alive, pipelining, HEAD, chunked
-// and 100-continue request bodies; no TLS, HTTP/2 or hijacking).
+// archive's magic bytes; a collection directory — grown by rlz append or
+// bulk-built by rlz build -shards, the two are one format — is served
+// through the same flag. Requests are served concurrently through
+// internal/serve's goroutine-safe Server, with an optional hot-document
+// LRU cache and live read statistics, over cleartext HTTP/1.1 and 1.0 by
+// the daemon's own connection loop (conn.go: keep-alive, pipelining,
+// HEAD, chunked and 100-continue request bodies; no TLS, HTTP/2 or
+// hijacking).
 //
 // Serving a live collection additionally enables the write API: new
 // documents are appended over HTTP and readable immediately, deletes
@@ -23,7 +24,6 @@
 // Usage:
 //
 //	rlzd -a archive.rlz [-addr :8087] [-cache 1024] [-workers 0]
-//	rlzd -a sharddir/
 //	rlzd -a collectiondir/ [-compact-after 10000] [-async-appends]
 //	     [-wal-max-pending 8MB] [-append-batch 256]
 //
@@ -32,8 +32,9 @@
 //	GET    /doc/{id}      one document, verbatim bytes
 //	POST   /docs          batch retrieval; JSON {"ids":[1,2,3]} in,
 //	                      per-document data/error JSON out
-//	GET    /stats         serve.Stats as JSON, plus a per-shard breakdown
-//	                      (shard sets) or generation breakdown (collections)
+//	GET    /stats         serve.Stats as JSON, plus for a collection the
+//	                      generation breakdown ("live": every segment's
+//	                      path, backend, documents and size)
 //	POST   /append        raw document bytes in, JSON {"id":N} out
 //	                      (live collections only)
 //	POST   /append/batch  JSON {"docs":[base64,...]} in, JSON {"ids":[...]}
@@ -60,6 +61,7 @@ import (
 	"rlz/internal/archive"
 	"rlz/internal/collection"
 	"rlz/internal/serve"
+	_ "rlz/internal/shard" // registers the legacy shard manifest, so shard directories from earlier builds still serve (read-only)
 	"rlz/internal/units"
 )
 

@@ -13,7 +13,6 @@ import (
 	"rlz/internal/collection"
 	"rlz/internal/docmap"
 	"rlz/internal/serve"
-	"rlz/internal/shard"
 )
 
 // batchRequest is the POST /docs body.
@@ -36,21 +35,12 @@ type batchResponse struct {
 	Errors int        `json:"errors"`
 }
 
-// shardStat is the per-shard breakdown of GET /stats for shard sets.
-type shardStat struct {
-	Path      string `json:"path"`
-	NumDocs   int    `json:"num_docs"`
-	SizeBytes int64  `json:"size_bytes"`
-}
-
-// statsResponse is serve.Stats plus, when serving a shard set, the
-// per-shard breakdown, and, when serving a live collection, the
-// generation breakdown.
+// statsResponse is serve.Stats plus, when serving a collection, the
+// generation breakdown: every segment's path, backend, document count
+// and size (one entry per shard for a directory rlz build -shards wrote).
 type statsResponse struct {
 	serve.Stats
-	NumShards int              `json:"num_shards,omitempty"`
-	Shards    []shardStat      `json:"shards,omitempty"`
-	Live      *collection.Info `json:"live,omitempty"`
+	Live *collection.Info `json:"live,omitempty"`
 }
 
 // appendBatchRequest is the POST /append/batch body: documents as
@@ -117,17 +107,6 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return true
-	}
-
-	// Per-shard figures are immutable once a static shard set is open,
-	// so that breakdown is computed once, not per /stats request (a live
-	// collection's shape changes; its breakdown is per-request below).
-	var shardStats []shardStat
-	if sr, ok := archive.As[*shard.Reader](srv.Reader()); ok {
-		m := sr.Manifest()
-		for i, st := range sr.ShardStats() {
-			shardStats = append(shardStats, shardStat{Path: m.Shards[i].Path, NumDocs: st.NumDocs, SizeBytes: st.Size})
-		}
 	}
 
 	readOnly := func(w http.ResponseWriter) bool {
@@ -389,7 +368,7 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		resp := statsResponse{Stats: srv.Stats(), NumShards: len(shardStats), Shards: shardStats}
+		resp := statsResponse{Stats: srv.Stats()}
 		if col != nil {
 			info := col.Info()
 			resp.Live = &info
@@ -402,17 +381,13 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 	return mux
 }
 
-// backendLabel names what the daemon is serving, including shard or
-// generation shape.
+// backendLabel names what the daemon is serving, including a
+// collection's generation shape.
 func backendLabel(r archive.Reader) string {
-	st := r.Stats()
 	if c, ok := archive.As[*collection.Collection](r); ok {
 		info := c.Info()
 		return "live collection, generation " + strconv.FormatUint(info.Generation, 10) +
 			", " + strconv.Itoa(len(info.Segments)) + " sealed segments"
 	}
-	if sr, ok := archive.As[*shard.Reader](r); ok {
-		return string(st.Backend) + " backend, " + strconv.Itoa(sr.NumShards()) + " shards"
-	}
-	return string(st.Backend) + " backend"
+	return string(r.Stats().Backend) + " backend"
 }

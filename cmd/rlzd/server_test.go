@@ -9,12 +9,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"rlz/internal/archive"
+	"rlz/internal/collection"
 	"rlz/internal/rlz"
 	"rlz/internal/serve"
 	"rlz/internal/shard"
@@ -410,8 +412,10 @@ func TestEncodeErrorsAreLogged(t *testing.T) {
 	}
 }
 
-// TestServeShardSet: rlzd serves a shard directory transparently and
-// /stats carries the per-shard breakdown.
+// TestServeShardSet: rlzd serves a directory rlz build -shards wrote as
+// what it is, a collection — every document through the routed ids,
+// /stats carrying one live.segments entry per shard, and POST /append
+// answered 200 with the next id.
 func TestServeShardSet(t *testing.T) {
 	docs := makeDocs(30, 9)
 	for name, opts := range allBackendOptions(docs) {
@@ -420,13 +424,17 @@ func TestServeShardSet(t *testing.T) {
 			if _, err := shard.Create(dir, archive.FromBodies(docs), shard.Options{Shards: 4, Archive: opts}); err != nil {
 				t.Fatal(err)
 			}
-			r, err := archive.Open(dir)
+			// main's own test: this is what decides the write API is on.
+			if !isCollection(dir) {
+				t.Fatal("rlzd does not take a shard-built directory for a collection")
+			}
+			col, err := collection.Open(dir, collection.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { r.Close() })
-			srv := serve.New(r, serve.Options{CacheDocs: 8, Workers: 4})
-			ts := startServer(t, newMux(srv, nil, muxOptions{maxBatch: 64}))
+			t.Cleanup(func() { col.Close() })
+			srv := serve.New(col, serve.Options{CacheDocs: 8, Workers: 4})
+			ts := startServer(t, newMux(srv, col, muxOptions{maxBatch: 64}))
 
 			// Every document is served through the routed ids.
 			seen := map[string]int{}
@@ -456,38 +464,125 @@ func TestServeShardSet(t *testing.T) {
 				t.Errorf("out-of-range over shards = %d, want 404", resp.StatusCode)
 			}
 
-			resp, err = http.Get(ts.URL + "/stats")
+			stats := func() statsResponse {
+				t.Helper()
+				resp, err := http.Get(ts.URL + "/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var st statsResponse
+				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+					t.Fatal(err)
+				}
+				if st.Live == nil {
+					t.Fatal("/stats carries no live breakdown")
+				}
+				return st
+			}
+			st := stats()
+			if len(st.Live.Segments) != 4 || st.Live.OpenSeg != "" {
+				t.Fatalf("live.segments has %d entries (open segment %q), want the 4 shards", len(st.Live.Segments), st.Live.OpenSeg)
+			}
+			totalDocs, totalBytes := 0, int64(0)
+			for i, seg := range st.Live.Segments {
+				if seg.Path == "" || string(seg.Backend) != name {
+					t.Errorf("segment %d = %+v, want a %s segment with a path", i, seg, name)
+				}
+				totalDocs += seg.Docs
+				totalBytes += seg.Size
+			}
+			if totalDocs != len(docs) {
+				t.Errorf("segment doc counts sum to %d, want %d", totalDocs, len(docs))
+			}
+			if totalBytes != st.ArchiveSize {
+				t.Errorf("segment sizes sum to %d, archive_size_bytes %d", totalBytes, st.ArchiveSize)
+			}
+
+			// The write API is live on the same directory.
+			resp, err = http.Post(ts.URL+"/append", "application/octet-stream", strings.NewReader("appended after the bulk build"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer resp.Body.Close()
-			var st statsResponse
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			var ack struct{ ID int }
+			err = json.NewDecoder(resp.Body).Decode(&ack)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil || ack.ID != len(docs) {
+				t.Fatalf("POST /append = %d, id %d, %v; want 200 and id %d", resp.StatusCode, ack.ID, err, len(docs))
+			}
+			resp, err = http.Get(ts.URL + "/doc/" + strconv.Itoa(ack.ID))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if st.NumShards != 4 || len(st.Shards) != 4 {
-				t.Fatalf("stats shards = %d/%d entries, want 4", st.NumShards, len(st.Shards))
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if string(body) != "appended after the bulk build" {
+				t.Errorf("GET of the appended document = %d %q", resp.StatusCode, body)
 			}
-			totalDocs, totalBytes := 0, int64(0)
-			for i, sh := range st.Shards {
-				if sh.Path == "" {
-					t.Errorf("shard %d has empty path", i)
-				}
-				totalDocs += sh.NumDocs
-				totalBytes += sh.SizeBytes
-			}
-			if totalDocs != len(docs) {
-				t.Errorf("shard doc counts sum to %d, want %d", totalDocs, len(docs))
-			}
-			if totalBytes != st.ArchiveSize {
-				t.Errorf("shard sizes sum to %d, archive_size_bytes %d", totalBytes, st.ArchiveSize)
+			if st := stats(); len(st.Live.Segments) != 4 || st.Live.OpenDocs != 1 {
+				t.Errorf("after the append: %d sealed segments, %d open documents", len(st.Live.Segments), st.Live.OpenDocs)
 			}
 		})
 	}
 }
 
+// TestServeLegacyShardSetReadOnly: a shard directory written before
+// shard sets were collections (a SHRD manifest, given here as the bytes
+// that encoder wrote) is still served, as the static archive it is: reads
+// work, the write API answers 405, /stats has no live breakdown.
+func TestServeLegacyShardSetReadOnly(t *testing.T) {
+	docs := makeDocs(5, 11)
+	dir := t.TempDir()
+	if _, err := archive.Create(filepath.Join(dir, "shard-0000"), archive.FromBodies(docs), archive.Options{Backend: archive.Raw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, archive.DirManifest), []byte("SHRD\x01\x03raw\x01\x0ashard-0000\x05SHRE"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if isCollection(dir) {
+		t.Fatal("rlzd takes a legacy shard directory for a collection")
+	}
+	r, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	if got := backendLabel(r); got != "raw backend" {
+		t.Errorf("backendLabel = %q", got)
+	}
+	ts := startServer(t, newMux(serve.New(r, serve.Options{}), nil, muxOptions{maxBatch: 64}))
+	for i, want := range docs {
+		resp, err := http.Get(ts.URL + "/doc/" + strconv.Itoa(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("GET /doc/%d = %d", i, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/append", "application/octet-stream", strings.NewReader("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /append on a legacy shard set = %d, want 405", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Live != nil || st.NumDocs != len(docs) {
+		t.Errorf("/stats = %+v, %v", st, err)
+	}
+}
+
 // TestLoadGeneratorAgainstShardedDaemon: the closed-loop load generator
-// drives a daemon serving a shard set, end to end.
+// drives a daemon serving a shard-built collection, end to end.
 func TestLoadGeneratorAgainstShardedDaemon(t *testing.T) {
 	docs := makeDocs(40, 10)
 	dir := filepath.Join(t.TempDir(), "set")

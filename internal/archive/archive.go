@@ -148,9 +148,9 @@ type Match struct {
 
 // As finds the first reader in r's Unwrap chain that is a T — the one
 // way to discover an optional capability (Searcher, Viewer, BatchReader)
-// or a concrete reader (*shard.Reader, *collection.Collection) behind
-// the file-owning wrapper Open returns, which a plain type assertion
-// would miss.
+// or a concrete reader (*collection.Collection, *Set) behind the
+// file-owning wrapper Open returns, which a plain type assertion would
+// miss.
 func As[T any](r Reader) (T, bool) {
 	for {
 		if t, ok := r.(T); ok {
@@ -224,13 +224,13 @@ func RegisterFormat(magic string, backend Backend, open OpenFunc) {
 }
 
 // DirManifest is the well-known file name multi-file formats place in
-// their archive directory; Open(dir) looks for it, so a shard set opens
+// their archive directory; Open(dir) looks for it, so a collection opens
 // from either its directory or its manifest path.
 const DirManifest = "MANIFEST"
 
 // pathEntry is one multi-file format: archives that span several files
-// (e.g. a shard manifest plus its shard archives) and therefore must be
-// opened from a path, not a ReaderAt.
+// (e.g. a collection manifest plus its segment archives) and therefore
+// must be opened from a path, not a ReaderAt.
 type pathEntry struct {
 	magic string
 	name  string
@@ -332,7 +332,7 @@ func (r *fileReader) Close() error {
 // archives dispatch on their magic bytes (see OpenFile); multi-file
 // formats (see RegisterPathFormat) dispatch on their manifest's magic
 // and open their sibling files themselves. A directory path is resolved
-// to the DirManifest file inside it, so a shard set opens from its
+// to the DirManifest file inside it, so a collection opens from its
 // directory. Close the Reader to release the underlying files.
 func Open(path string) (Reader, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
@@ -356,9 +356,9 @@ func Open(path string) (Reader, error) {
 }
 
 // OpenFile opens one single-file archive, memory-mapped where the
-// platform allows — the member opener every multi-file format (shard
-// sets, live collections) uses for its parts. Multi-file magics are
-// refused with ErrNeedsPath, so a hostile manifest naming another
+// platform allows — the member opener every multi-file format
+// (collections, legacy shard sets) uses for its parts. Multi-file magics
+// are refused with ErrNeedsPath, so a hostile manifest naming another
 // manifest (or itself) as a member fails cleanly instead of recursing.
 func OpenFile(path string) (Reader, error) {
 	f, err := os.Open(path)

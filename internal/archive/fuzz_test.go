@@ -1,6 +1,7 @@
 // External test package: importing internal/shard here registers the
-// manifest path-format without an archive <-> shard import cycle, so the
-// fuzzer covers every registered magic including the manifest's.
+// manifest path-formats (its own legacy one and, through it, the
+// collection's) without an archive <-> shard import cycle, so the fuzzer
+// covers every registered magic including the manifests'.
 package archive_test
 
 import (
@@ -10,7 +11,7 @@ import (
 
 	"rlz/internal/archive"
 	"rlz/internal/rlz"
-	"rlz/internal/shard"
+	_ "rlz/internal/shard"
 )
 
 // FuzzArchiveOpenBytes throws arbitrary bytes at the auto-detecting
@@ -18,7 +19,7 @@ import (
 // documents deterministically, and manifest-magic input must be turned
 // away with ErrNeedsPath rather than parsed. Seeded with valid archives
 // of all three backends, the corrupt-archive corpus shapes (truncated
-// footers, flipped magic, future versions), and a shard manifest.
+// footers, flipped magic, future versions), and a legacy shard manifest.
 func FuzzArchiveOpenBytes(f *testing.F) {
 	docs := make([][]byte, 6)
 	for i := range docs {
@@ -48,11 +49,8 @@ func FuzzArchiveOpenBytes(f *testing.F) {
 		versioned[4] = 99
 		f.Add(versioned) // future version
 	}
-	m := &shard.Manifest{Backend: archive.RLZ, Shards: []shard.ShardInfo{
-		{Path: "shard-0000", Docs: 3},
-		{Path: "shard-0001", Docs: 3},
-	}}
-	f.Add(m.Marshal(nil))
+	// A whole legacy shard manifest, as the encoder that is gone wrote it.
+	f.Add([]byte("SHRD\x01\x03rlz\x02\x0ashard-0000\x03\x0ashard-0001\x03SHRE"))
 	f.Add([]byte("SHRD"))
 	f.Add([]byte{})
 

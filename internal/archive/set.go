@@ -17,9 +17,9 @@ var ErrDeleted = fmt.Errorf("%w: deleted", docmap.ErrNoSuchDoc)
 // Readers, each owning the contiguous run of global document ids that
 // starts at its cumulative offset, plus an optional tombstone set that
 // masks ids without renumbering them. It is itself a Reader (and a
-// Viewer, BatchReader and Searcher). A shard set is a Set and a
-// manifest; a live collection's routing snapshot is a Set whose last
-// member is the open append segment.
+// Viewer, BatchReader and Searcher). A collection's routing snapshot is
+// a Set whose last member is the open append segment (when one is open);
+// a legacy shard manifest opens as a bare Set over its member files.
 //
 // Ids at or past the last member's start are handed to the last member,
 // which bounds-checks them itself — so a last member that is still

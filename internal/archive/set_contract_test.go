@@ -16,8 +16,8 @@ import (
 )
 
 // routed is everything archive.Set routes — the surface the contract
-// below pins, identical over a bare Set, a shard set and a live
-// collection.
+// below pins, identical over a bare Set, a collection built in bulk by
+// internal/shard and one grown by appends.
 type routed interface {
 	archive.Reader
 	archive.Viewer
@@ -214,18 +214,14 @@ func TestRouterContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			// The capabilities a shard set lacked before it was a Set.
-			if _, ok := archive.As[archive.BatchReader](r); !ok {
-				t.Error("shard set does not batch natively")
-			}
-			if _, ok := archive.As[archive.Viewer](r); !ok {
-				t.Error("shard set has no zero-copy views")
-			}
-			sr, ok := archive.As[*shard.Reader](r)
+			// What shard.Create builds is a collection: the same reader the
+			// "live collection" case below drives, here over four sealed
+			// segments of one backend and no open segment.
+			c, ok := archive.As[*collection.Collection](r)
 			if !ok {
-				t.Fatal("not a shard reader")
+				t.Fatalf("a shard-built directory opened as %T, not a collection", r)
 			}
-			checkRouterContract(t, sr, docs, nil, []int{0, 10, 20, 30})
+			checkRouterContract(t, c, docs, nil, []int{0, 10, 20, 30})
 		})
 	}
 

@@ -197,16 +197,27 @@ type Collection struct {
 	heatID uint64
 }
 
-// Init creates an empty collection at dir (creating the directory if
-// needed). Fails if dir already holds a manifest.
-func Init(dir string) error {
+// Claim creates dir if needed and refuses one that already holds a
+// manifest — the first step of everything that lays down a fresh
+// collection (Init, a bulk build by internal/shard), so none of them can
+// overwrite a live one.
+func Claim(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
 		return fmt.Errorf("collection: %s already holds a collection", dir)
 	}
-	return WriteManifest(dir, &Manifest{Generation: 1, NextSeq: 1})
+	return nil
+}
+
+// Init creates an empty collection at dir (creating the directory if
+// needed). Fails if dir already holds a manifest.
+func Init(dir string) error {
+	if err := Claim(dir); err != nil {
+		return err
+	}
+	return WriteManifest(faultfs.OS, dir, &Manifest{Generation: 1, NextSeq: 1})
 }
 
 // Open opens the collection at dir (or its manifest path), recovering
@@ -277,7 +288,7 @@ func Open(dir string, opts Options) (*Collection, error) {
 		// manifest, so an in-memory-only clamp would resurrect the stale
 		// tombstones (over freshly re-allocated ids) at the next crash.
 		man.Generation++
-		if err := writeManifest(c.fs, dir, man); err != nil {
+		if err := WriteManifest(c.fs, dir, man); err != nil {
 			if c.wal != nil {
 				_ = c.wal.Close()
 			}
@@ -355,9 +366,9 @@ func (c *Collection) openWAL(open *openSegment, sealed int) error {
 	return l.Remove()
 }
 
-// openSegmentFile opens one sealed segment through the member opener
-// shard sets use too: a single-file archive, memory-mapped. A manifest
-// naming anything else (another collection, a shard set) is corrupt.
+// openSegmentFile opens one sealed segment: a single-file archive,
+// memory-mapped. A manifest naming anything else (another collection, a
+// legacy shard manifest) is corrupt.
 func openSegmentFile(dir, path string) (archive.Reader, error) {
 	sr, err := archive.OpenFile(filepath.Join(dir, path))
 	if errors.Is(err, archive.ErrNeedsPath) {
@@ -396,7 +407,7 @@ func (c *Collection) cloneManifest() *Manifest {
 // it referenced. Called with mu held.
 func (c *Collection) publishLocked(m *Manifest, v *view) error {
 	m.Generation = c.man.Generation + 1
-	if err := writeManifest(c.fs, c.dir, m); err != nil {
+	if err := WriteManifest(c.fs, c.dir, m); err != nil {
 		v.unref()
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 
 	"rlz/internal/archive"
 	"rlz/internal/docmap"
+	"rlz/internal/faultfs"
 	"rlz/internal/rawstore"
 )
 
@@ -401,7 +402,7 @@ func TestOpenRefusesVersion1OpenSegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, seg), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteManifest(dir, &Manifest{Generation: 2, NextSeq: 2, OpenSeg: seg}); err != nil {
+	if err := WriteManifest(faultfs.OS, dir, &Manifest{Generation: 2, NextSeq: 2, OpenSeg: seg}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Open(dir, Options{})
@@ -498,7 +499,7 @@ func TestNestedCollectionRejected(t *testing.T) {
 	}
 	man.Segments = append(man.Segments, Segment{Path: "seg-evil", Docs: 0})
 	man.Generation++
-	if err := WriteManifest(dir, man); err != nil {
+	if err := WriteManifest(faultfs.OS, dir, man); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorruptManifest) {

@@ -158,19 +158,16 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		Workers:      opts.Workers,
 		Heat:         chosen.heat,
 	}
-	built := make([]string, len(runs))
-	rawBytes := make([]int64, len(runs))
+	built := make([]Segment, len(runs))
 	for i := range runs {
-		name := segFileName(runs[i].seq)
-		raw, err := buildRunSegment(c.fs, c.dir, name, &runs[i], tomb, aopts)
+		seg, err := BuildSegment(c.fs, c.dir, runs[i].seq, &runSource{r: &runs[i], tomb: tomb, id: runs[i].start}, aopts)
 		if err != nil {
 			for _, b := range built[:i] {
-				_ = c.fs.Remove(filepath.Join(c.dir, b))
+				_ = c.fs.Remove(filepath.Join(c.dir, b.Path))
 			}
-			return finish(err)
+			return finish(fmt.Errorf("collection: compacting run %d: %w", i, err))
 		}
-		built[i] = name
-		rawBytes[i] = raw
+		built[i] = seg
 	}
 
 	// Open and verify every replacement before touching shared state, so
@@ -186,15 +183,15 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 	}()
 	removeBuilt := func() {
 		for _, b := range built {
-			_ = c.fs.Remove(filepath.Join(c.dir, b))
+			_ = c.fs.Remove(filepath.Join(c.dir, b.Path))
 		}
 	}
 	for i := range runs {
-		sr, err := openSegmentFile(c.dir, built[i])
+		sr, err := openSegmentFile(c.dir, built[i].Path)
 		if err == nil {
-			fresh = append(fresh, newMember(sr, built[i]))
+			fresh = append(fresh, newMember(sr, built[i].Path))
 			if sr.NumDocs() != runs[i].docs {
-				err = fmt.Errorf("collection: compacted segment %s holds %d documents, expected %d", built[i], sr.NumDocs(), runs[i].docs)
+				err = fmt.Errorf("collection: compacted segment %s holds %d documents, expected %d", built[i].Path, sr.NumDocs(), runs[i].docs)
 			}
 		}
 		if err != nil {
@@ -224,19 +221,20 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 	var superseded []string
 	for i := len(runs) - 1; i >= 0; i-- {
 		r := runs[i]
-		name := built[i]
+		seg := built[i]
+		seg.Dict = chosen.id
 		for _, p := range m.Segments[r.lo:r.hi] {
 			superseded = append(superseded, p.Path)
 		}
 		res.BytesAfter += fresh[i].r.Size()
-		m.Segments = splice(m.Segments, r.lo, r.hi, Segment{Path: name, Docs: r.docs, Dict: chosen.id, Raw: rawBytes[i]})
+		m.Segments = splice(m.Segments, r.lo, r.hi, seg)
 		// The replaced members simply drop out of the new view; they
 		// close once the older views drain.
 		members = splice(members, r.lo, r.hi, fresh[i])
 		res.Compacted += r.hi - r.lo
 		res.Docs += r.docs
 		res.BytesBefore += r.bytes
-		res.NewSegments = append(res.NewSegments, name)
+		res.NewSegments = append(res.NewSegments, seg.Path)
 	}
 	// The splice ran in reverse; report the new segments in id order
 	// like every other segment list in the system.
@@ -401,24 +399,29 @@ func (s *runSource) Next() (archive.Doc, error) {
 	return archive.Doc{Body: body}, nil
 }
 
-// buildRunSegment builds one run's replacement RLZ archive under a
-// temporary name and publishes it at its final one, so a crash leaves no
-// half-written segment under a live name. Returns the uncompressed
-// payload bytes consumed — the manifest's Raw figure for per-dictionary
-// ratio reporting.
-func buildRunSegment(fs faultfs.FS, dir, name string, r *run, tomb map[int]struct{}, aopts archive.Options) (int64, error) {
+// BuildSegment streams src into the sealed segment numbered seq under
+// dir: the archive is built under a temporary name and published at its
+// final one, so a crash leaves no half-written segment under a live name
+// — the one way a segment file comes to exist, for a compaction run and
+// for a bulk build (internal/shard) alike. It returns the segment's
+// manifest entry with Dict left 0; the caller knows what aopts factorized
+// against. On error nothing is left behind.
+func BuildSegment(fs faultfs.FS, dir string, seq uint64, src archive.DocSource, aopts archive.Options) (Segment, error) {
+	name := segFileName(seq)
 	tmp := filepath.Join(dir, name+".tmp")
-	src := &runSource{r: r, tomb: tomb, id: r.start}
 	res, err := archive.Create(tmp, src, aopts)
 	if err != nil {
-		return 0, fmt.Errorf("collection: compacting into %s: %w", name, err)
+		return Segment{}, fmt.Errorf("building %s: %w", name, err)
 	}
 	f, err := fs.OpenFile(tmp, os.O_RDWR, 0o644)
 	if err != nil {
 		_ = fs.Remove(tmp)
-		return 0, err
+		return Segment{}, err
 	}
-	return res.RawBytes, faultfs.Publish(fs, f, filepath.Join(dir, name))
+	if err := faultfs.Publish(fs, f, filepath.Join(dir, name)); err != nil {
+		return Segment{}, err
+	}
+	return Segment{Path: name, Docs: res.Docs, Raw: res.RawBytes}, nil
 }
 
 // multiRunSource chains every run's documents for dictionary sampling.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rlz/internal/faultfs"
 	"rlz/internal/wal"
 )
 
@@ -369,7 +370,7 @@ func TestCrashStaleTombstoneClamped(t *testing.T) {
 	// frames) while tombstones for 3, 4 and 7 were durably published.
 	man.Tombstones = []int{3, 4, 7}
 	man.Generation++
-	if err := WriteManifest(dir, man); err != nil {
+	if err := WriteManifest(faultfs.OS, dir, man); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Truncate(path, at); err != nil {

@@ -15,6 +15,18 @@ import (
 // a crashed adoption's orphan can never collide with a live dictionary.
 func dictFileName(id uint64) string { return fmt.Sprintf("dict-%08d", id) }
 
+// PublishDict writes data as dictionary generation id under dir —
+// atomically and fsynced, before any manifest may name it — and returns
+// its manifest entry: the one way a dictionary file comes to exist, for
+// an adopting compaction and for a bulk build (internal/shard) alike.
+func PublishDict(fs faultfs.FS, dir string, id uint64, data []byte) (Dict, error) {
+	name := dictFileName(id)
+	if err := faultfs.WriteFileAtomic(fs, filepath.Join(dir, name), data); err != nil {
+		return Dict{}, fmt.Errorf("collection: publishing dictionary %d: %w", id, err)
+	}
+	return Dict{ID: id, Path: name}, nil
+}
+
 // trialBudget bounds the bytes trial-factorized when deciding whether a
 // candidate dictionary earns adoption — enough signal to measure a ratio
 // gain, cheap next to the compaction build that follows.
@@ -122,9 +134,9 @@ func (c *Collection) chooseDict(dicts []Dict, runs []run, tomb map[int]struct{},
 	}
 
 	publish := func(data []byte) (chosenDict, error) {
-		name := dictFileName(nextID)
-		if err := faultfs.WriteFileAtomic(c.fs, filepath.Join(c.dir, name), data); err != nil {
-			return chosenDict{}, fmt.Errorf("collection: publishing dictionary %d: %w", nextID, err)
+		pd, err := PublishDict(c.fs, c.dir, nextID, data)
+		if err != nil {
+			return chosenDict{}, err
 		}
 		d, err := rlz.NewDictionary(data)
 		if err != nil {
@@ -133,7 +145,7 @@ func (c *Collection) chooseDict(dicts []Dict, runs []run, tomb map[int]struct{},
 		c.dictMu.Lock()
 		c.dicts[nextID] = d
 		c.dictMu.Unlock()
-		return chosenDict{dict: d, id: nextID, path: name, fresh: true,
+		return chosenDict{dict: d, id: nextID, path: pd.Path, fresh: true,
 			heat: rlz.NewRegionHeat(d.Len(), 0)}, nil
 	}
 	reuse := func() (chosenDict, error) {

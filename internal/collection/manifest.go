@@ -404,18 +404,13 @@ func UnmarshalManifest(src []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteManifest atomically publishes m as dir's current generation:
-// the bytes are written to a temporary file, fsynced, renamed over
-// ManifestName, and the directory is fsynced. A crash at any point
-// leaves either the previous manifest or the new one — the atomic-swap
-// contract every mutation of a live collection relies on.
-func WriteManifest(dir string, m *Manifest) error {
-	return writeManifest(faultfs.OS, dir, m)
-}
-
-// writeManifest is WriteManifest over an explicit filesystem — the form
-// a live collection uses so fault injection reaches the publish path.
-func writeManifest(fs faultfs.FS, dir string, m *Manifest) error {
+// WriteManifest atomically publishes m as dir's current generation
+// through fs (faultfs.OS outside fault-injection tests): the bytes are
+// written to a temporary file, fsynced, renamed over ManifestName, and
+// the directory is fsynced. A crash at any point leaves either the
+// previous manifest or the new one — the atomic-swap contract every
+// mutation of a live collection relies on.
+func WriteManifest(fs faultfs.FS, dir string, m *Manifest) error {
 	if err := m.validate(); err != nil {
 		return err
 	}

@@ -11,28 +11,25 @@ import (
 )
 
 // TestConcurrentGetSharedShardReader is the shard-layer edition of the
-// archive concurrency sweep: one shared shard Reader per backend is
-// hammered by 10 goroutines issuing overlapping Get, GetAppend and
-// Extent calls (plus FindAll on RLZ). Run under -race this enforces
-// that shard.Reader honors the archive.Reader concurrency contract.
+// archive concurrency sweep, over the one reader this package still
+// assembles itself — the read-only set a legacy manifest opens as: one
+// shared reader per backend is hammered by 10 goroutines issuing
+// overlapping Get, GetAppend and Extent calls (plus FindAll on RLZ). Run
+// under -race this enforces the archive.Reader concurrency contract.
+// (A directory Create builds is a collection, whose own race sweeps and
+// the router contract in internal/archive cover it.)
 func TestConcurrentGetSharedShardReader(t *testing.T) {
 	docs := makeDocs(48, 11)
 	for backend, opts := range optionsFor(docs) {
 		t.Run(string(backend), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "set")
-			if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 5, Archive: opts}); err != nil {
-				t.Fatal(err)
-			}
+			// byGlobal[g] is the document the set serves for global id g.
+			byGlobal := buildLegacySet(t, dir, docs, 5, opts)
 			r, err := archive.Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			// byGlobal[g] is the document the set serves for global id g.
-			byGlobal := make([][]byte, len(docs))
-			for i, d := range docs {
-				byGlobal[globalID(i, len(docs), 5)] = d
-			}
 			searcher, isRLZ := archive.As[archive.Searcher](r)
 			const goroutines = 10
 			var wg sync.WaitGroup

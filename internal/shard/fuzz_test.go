@@ -1,20 +1,15 @@
 package shard
 
-import (
-	"testing"
+import "testing"
 
-	"rlz/internal/archive"
-)
-
-// FuzzManifestUnmarshal throws arbitrary bytes at the manifest parser:
-// no input may panic or over-allocate, and any manifest that parses must
-// survive a marshal/unmarshal round trip unchanged.
+// FuzzManifestUnmarshal throws arbitrary bytes at the legacy manifest
+// parser: no input may panic, and none may make it allocate more entries
+// than the bytes it was given could encode (a shard costs at least two).
+// There is no round trip to close: the format has no encoder. The
+// collection's FuzzManifestUnmarshal round-trips the one that exists.
 func FuzzManifestUnmarshal(f *testing.F) {
-	f.Add((&Manifest{Backend: archive.RLZ, Shards: []ShardInfo{
-		{Path: "shard-0000", Docs: 7},
-		{Path: "shard-0001", Docs: 0},
-	}}).Marshal(nil))
-	f.Add((&Manifest{Backend: archive.Raw, Shards: []ShardInfo{{Path: "x", Docs: 1}}}).Marshal(nil))
+	f.Add([]byte("SHRD\x01\x03rlz\x02\x0ashard-0000\x07\x0ashard-0001\x00SHRE"))
+	f.Add([]byte("SHRD\x01\x03raw\x01\x01x\x01SHRE"))
 	f.Add([]byte("SHRD"))
 	f.Add([]byte("SHRD\x01\x03raw\x02"))
 	f.Add([]byte{})
@@ -24,16 +19,12 @@ func FuzzManifestUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m2, err := UnmarshalManifest(m.Marshal(nil))
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
+		if len(m.Shards) == 0 || 2*len(m.Shards) > len(data) {
+			t.Fatalf("%d bytes decoded to %d shards", len(data), len(m.Shards))
 		}
-		if m2.Backend != m.Backend || len(m2.Shards) != len(m.Shards) || m2.NumDocs() != m.NumDocs() {
-			t.Fatalf("round trip changed the manifest: %+v vs %+v", m, m2)
-		}
-		for i := range m.Shards {
-			if m.Shards[i] != m2.Shards[i] {
-				t.Fatalf("shard %d changed across round trip", i)
+		for i, s := range m.Shards {
+			if s.Path == "" || s.Docs < 0 {
+				t.Fatalf("shard %d = %+v passed validation", i, s)
 			}
 		}
 	})

@@ -1,22 +1,22 @@
-// Package shard partitions a document collection across N independently
-// built, independently servable archive files — the repository's first
-// step from one monolithic archive toward the multi-petabyte layouts the
-// paper's web-scale pitch implies. A shard set is a directory holding a
-// small manifest file plus N ordinary single-file archives of any
-// registered backend; the manifest records the backend, the shard paths
-// and each shard's document count, from which cumulative global-id
-// offsets follow.
+// Package shard is the bulk loader for a collection: it partitions a
+// document source across N sealed segments built in parallel against one
+// shared prepared dictionary and publishes them as one generation of an
+// ordinary internal/collection directory (see Create). What it writes is
+// a collection in every respect: it opens through archive.Open as a
+// *collection.Collection, takes appends and deletes, and compacts against
+// the dictionary the build used.
 //
-// Global document ids are manifest order: shard 0's documents come
-// first, then shard 1's, and so on. With contiguous-range routing that
-// equals append order; with round-robin routing it is a deterministic
+// Global document ids are segment order: shard 0's documents come first,
+// then shard 1's, and so on. With contiguous-range routing that equals
+// append order; with round-robin routing it is a deterministic
 // permutation of it (document i of the input lands at shard i%N, local
-// id i/N). Reader routes a global id to (shard, local id) by binary
-// search over the cumulative offsets.
+// id i/N).
 //
-// Shard sets open transparently through archive.Open — the package
-// registers the manifest magic as a path format — so serve.Server,
-// cmd/rlzd and the workload driver run over a shard set unchanged.
+// The package also keeps the decode half of the format it wrote before
+// shard sets were collections: a directory whose MANIFEST starts with
+// the SHRD magic still opens, read-only, as an archive.Set over its
+// member files (see UnmarshalManifest). Nothing writes that format any
+// more.
 package shard
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"rlz/internal/archive"
 	"rlz/internal/coding"
-	"rlz/internal/faultfs"
 )
 
 const (
@@ -42,14 +41,11 @@ const (
 	maxShards = 1 << 20
 )
 
-// ErrCorruptManifest is returned when a manifest fails structural checks.
+// ErrCorruptManifest is returned when a legacy manifest fails structural
+// checks, or disagrees with the member files it names.
 var ErrCorruptManifest = errors.New("shard: corrupt manifest")
 
-// ManifestName is the manifest's file name inside a shard directory. It
-// equals archive.DirManifest so archive.Open(dir) finds it.
-const ManifestName = archive.DirManifest
-
-// ShardInfo describes one shard of a set.
+// ShardInfo describes one shard of a legacy set.
 type ShardInfo struct {
 	// Path locates the shard archive, relative to the manifest's
 	// directory. Absolute paths and ".." elements are rejected so a
@@ -59,32 +55,12 @@ type ShardInfo struct {
 	Docs int
 }
 
-// Manifest lists the shards of a set: the backend that built every
-// shard and, per shard, its path and document count. Global ids follow
-// manifest order; Starts derives the cumulative offsets.
+// Manifest is a decoded legacy (SHRD, version 1) manifest: the backend
+// that built every shard and, per shard, its path and document count.
+// Global ids follow manifest order.
 type Manifest struct {
 	Backend archive.Backend
 	Shards  []ShardInfo
-}
-
-// NumDocs returns the total document count across all shards.
-func (m *Manifest) NumDocs() int {
-	total := 0
-	for _, s := range m.Shards {
-		total += s.Docs
-	}
-	return total
-}
-
-// Starts returns the cumulative global-id offsets: starts[i] is the
-// global id of shard i's first document, and starts[len(Shards)] the
-// total document count.
-func (m *Manifest) Starts() []int {
-	starts := make([]int, len(m.Shards)+1)
-	for i, s := range m.Shards {
-		starts[i+1] = starts[i] + s.Docs
-	}
-	return starts
 }
 
 // validate rejects structurally hostile manifests: shard paths that are
@@ -118,26 +94,11 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// Marshal appends the serialized manifest to dst: header magic and
-// version, the backend name, the shard count, one (path, docs) pair per
-// shard, and a trailing end magic so truncation is detectable.
-func (m *Manifest) Marshal(dst []byte) []byte {
-	dst = append(dst, headerMagic...)
-	dst = append(dst, version)
-	dst = coding.PutUvarint64(dst, uint64(len(m.Backend)))
-	dst = append(dst, m.Backend...)
-	dst = coding.PutUvarint64(dst, uint64(len(m.Shards)))
-	for _, s := range m.Shards {
-		dst = coding.PutUvarint64(dst, uint64(len(s.Path)))
-		dst = append(dst, s.Path...)
-		dst = coding.PutUvarint64(dst, uint64(s.Docs))
-	}
-	return append(dst, footerMagic...)
-}
-
-// UnmarshalManifest parses a manifest serialized by Marshal. Every
-// declared length is checked against the bytes actually remaining before
-// any allocation, so hostile input cannot amplify memory.
+// UnmarshalManifest parses a legacy manifest: header magic and version,
+// the backend name, the shard count, one (path, docs) pair per shard, and
+// a trailing end magic so truncation is detectable. Every declared length
+// is checked against the bytes actually remaining before any allocation,
+// so hostile input cannot amplify memory.
 func UnmarshalManifest(src []byte) (*Manifest, error) {
 	if len(src) < len(headerMagic)+1 || string(src[:4]) != headerMagic {
 		return nil, fmt.Errorf("%w: missing %q header", ErrCorruptManifest, headerMagic)
@@ -202,18 +163,18 @@ func UnmarshalManifest(src []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteManifest atomically publishes the manifest at path through the
-// repository's one tmp+fsync+rename+dir-fsync protocol: a crash leaves
-// the previous manifest (or none) or the new one, never a torn one.
-func WriteManifest(path string, m *Manifest) error {
-	if err := m.validate(); err != nil {
-		return err
-	}
-	return faultfs.WriteFileAtomic(faultfs.OS, path, m.Marshal(nil))
+func init() {
+	archive.RegisterPathFormat(headerMagic, "sharded", openLegacy)
 }
 
-// ReadManifest reads and validates a manifest file.
-func ReadManifest(path string) (*Manifest, error) {
+// openLegacy opens the shard set a legacy manifest at path describes, as
+// a read-only archive.Set. Every shard must be a single-file archive:
+// shards are opened through archive.OpenFile (backend auto-detected,
+// memory-mapped), which refuses multi-file magics — so a hostile manifest
+// naming another manifest (or itself) as a shard fails cleanly instead of
+// recursing. Each shard is cross-checked against the manifest: backend
+// and per-shard document counts must match.
+func openLegacy(path string) (archive.Reader, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -222,5 +183,28 @@ func ReadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return m, nil
+	dir := filepath.Dir(path)
+	rs := make([]archive.Reader, 0, len(m.Shards))
+	fail := func(err error) (archive.Reader, error) {
+		for _, sr := range rs {
+			_ = sr.Close()
+		}
+		return nil, err
+	}
+	for i, s := range m.Shards {
+		sr, err := archive.OpenFile(filepath.Join(dir, s.Path))
+		if err != nil {
+			return fail(fmt.Errorf("shard %d (%s): %w", i, s.Path, err))
+		}
+		rs = append(rs, sr)
+		if st := sr.Stats(); st.Backend != m.Backend {
+			return fail(fmt.Errorf("%w: shard %d (%s) is %s, manifest says %s",
+				ErrCorruptManifest, i, s.Path, st.Backend, m.Backend))
+		}
+		if sr.NumDocs() != s.Docs {
+			return fail(fmt.Errorf("%w: shard %d (%s) holds %d documents, manifest says %d",
+				ErrCorruptManifest, i, s.Path, sr.NumDocs(), s.Docs))
+		}
+	}
+	return archive.NewSet(m.Backend, rs, nil), nil
 }

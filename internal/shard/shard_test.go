@@ -7,10 +7,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rlz/internal/archive"
+	"rlz/internal/collection"
 	"rlz/internal/docmap"
+	"rlz/internal/faultfs"
 	"rlz/internal/rlz"
 )
 
@@ -59,6 +62,40 @@ func globalID(i, total, n int) int {
 	return start + local
 }
 
+// openCollection opens dir through archive.Open and insists that what
+// comes back is a collection.
+func openCollection(t *testing.T, dir string) *collection.Collection {
+	t.Helper()
+	r, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	c, ok := archive.As[*collection.Collection](r)
+	if !ok {
+		t.Fatalf("archive.Open(%s) is a %T, not a collection", dir, r)
+	}
+	return c
+}
+
+// dirFiles reads every file under dir (no recursion), keyed by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
 // TestCreateAndReadBackRoundRobin builds shard sets of several widths
 // for every backend and reads every document back through archive.Open,
 // checking the round-robin permutation contract exactly.
@@ -84,7 +121,7 @@ func TestCreateAndReadBackRoundRobin(t *testing.T) {
 					t.Fatalf("NumDocs = %d, want %d", r.NumDocs(), len(docs))
 				}
 				st := r.Stats()
-				if st.Backend != backend || st.NumDocs != len(docs) {
+				if st.Backend != archive.Live || st.NumDocs != len(docs) {
 					t.Fatalf("Stats = %+v", st)
 				}
 				if st.Size != r.Size() || st.Size <= 0 {
@@ -110,6 +147,120 @@ func TestCreateAndReadBackRoundRobin(t *testing.T) {
 	}
 }
 
+// TestShardBuiltDirectoryIsACollection: what Create writes is a
+// first-class collection — it opens as one, lists one segment per shard
+// against dictionary 1, takes appends, compacts against the dictionary
+// the build used without learning a new one, leaves GC nothing to remove,
+// and serves the same bytes after a reopen.
+func TestShardBuiltDirectoryIsACollection(t *testing.T) {
+	const shards, extra = 4, 7
+	docs := makeDocs(41, 31)
+	more := makeDocs(extra, 32)
+	for backend, opts := range optionsFor(docs) {
+		for name, sopts := range map[string]Options{
+			"round-robin": {Shards: shards, Archive: opts},
+			"ranges":      {Shards: shards, Policy: Ranges, DocsPerShard: 11, Archive: opts},
+		} {
+			t.Run(string(backend)+"/"+name, func(t *testing.T) {
+				dir := filepath.Join(t.TempDir(), "set")
+				if _, err := Create(dir, archive.FromBodies(docs), sopts); err != nil {
+					t.Fatal(err)
+				}
+				// want[id] is the document global id serves.
+				want := make([][]byte, len(docs), len(docs)+extra)
+				for i, d := range docs {
+					if sopts.Policy == Ranges {
+						want[i] = d
+					} else {
+						want[globalID(i, len(docs), shards)] = d
+					}
+				}
+				check := func(c *collection.Collection) {
+					t.Helper()
+					if c.NumDocs() != len(want) {
+						t.Fatalf("NumDocs = %d, want %d", c.NumDocs(), len(want))
+					}
+					for id, w := range want {
+						if got, err := c.Get(id); err != nil || !bytes.Equal(got, w) {
+							t.Fatalf("Get(%d): %v", id, err)
+						}
+					}
+				}
+
+				c := openCollection(t, dir)
+				check(c)
+				info := c.Info()
+				if len(info.Segments) != shards || info.OpenSeg != "" || info.Generation != 1 {
+					t.Fatalf("shape after build = %+v", info)
+				}
+				total := 0
+				for i, s := range info.Segments {
+					if s.Backend != backend {
+						t.Errorf("segment %d is %s, want %s", i, s.Backend, backend)
+					}
+					total += s.Docs
+				}
+				if total != len(docs) {
+					t.Errorf("segments hold %d docs, want %d", total, len(docs))
+				}
+				if backend == archive.RLZ {
+					if len(info.Dicts) != 1 || info.Dicts[0].ID != 1 || info.Dicts[0].Segments != shards ||
+						info.Dicts[0].Size != int64(len(opts.Dict)) || info.Dicts[0].Raw <= 0 {
+						t.Fatalf("dictionaries after build = %+v", info.Dicts)
+					}
+				} else if len(info.Dicts) != 0 {
+					t.Fatalf("%s build recorded dictionaries: %+v", backend, info.Dicts)
+				}
+
+				for i, d := range more {
+					id, err := c.Append(d)
+					if err != nil || id != len(docs)+i {
+						t.Fatalf("Append #%d = %d, %v", i, id, err)
+					}
+					want = append(want, d)
+				}
+				check(c)
+				before := dirFiles(t, dir)
+				res, err := c.Compact(collection.CompactOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Raw shards are themselves compaction backlog; RLZ and block
+				// shards stay as built and only the appended run drains.
+				drained := extra
+				if backend == archive.Raw {
+					drained += len(docs)
+				}
+				if res.Docs != drained || res.Compacted == 0 {
+					t.Fatalf("compaction drained %+v, want %d documents", res, drained)
+				}
+				if backend == archive.RLZ {
+					// The shared dictionary is reused, not relearned.
+					if res.Dict != 1 || res.Relearned {
+						t.Fatalf("compaction chose dictionary %d (relearned %v), want the build's", res.Dict, res.Relearned)
+					}
+					for name := range dirFiles(t, dir) {
+						if _, old := before[name]; !old && strings.HasPrefix(name, "dict-") {
+							t.Errorf("compaction wrote a new dictionary file %s", name)
+						}
+					}
+					if info := c.Info(); len(info.Dicts) != 1 || info.Dicts[0].Segments != shards+1 {
+						t.Fatalf("dictionaries after compaction = %+v", info.Dicts)
+					}
+				}
+				check(c)
+				if removed, err := c.GC(); err != nil || len(removed) != 0 {
+					t.Fatalf("GC removed %v, %v; a built directory holds no orphans", removed, err)
+				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				check(openCollection(t, dir))
+			})
+		}
+	}
+}
+
 // TestRangesPolicyPreservesAppendOrder pins the Ranges contract: global
 // ids equal append order.
 func TestRangesPolicyPreservesAppendOrder(t *testing.T) {
@@ -123,24 +274,15 @@ func TestRangesPolicyPreservesAppendOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := archive.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	c := openCollection(t, dir)
 	for i, want := range docs {
-		got, err := r.Get(i)
+		got, err := c.Get(i)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
 	}
-	sr, ok := archive.As[*Reader](r)
-	if !ok {
-		t.Fatal("not a shard reader")
-	}
-	m := sr.Manifest()
 	wantDocs := []int{5, 5, 5, 8}
-	for i, s := range m.Shards {
+	for i, s := range c.Info().Segments {
 		if s.Docs != wantDocs[i] {
 			t.Errorf("shard %d holds %d docs, want %d", i, s.Docs, wantDocs[i])
 		}
@@ -154,10 +296,14 @@ func TestRangesPolicyRequiresQuota(t *testing.T) {
 }
 
 // TestCreateDeterministic: for a fixed shard count, any worker count
-// produces byte-identical shard files and manifest.
+// produces byte-identical segment files, dictionary and manifest.
 func TestCreateDeterministic(t *testing.T) {
 	docs := makeDocs(80, 3)
 	for backend, opts := range optionsFor(docs) {
+		wantFiles := 5 // 4 segments + manifest
+		if backend == archive.RLZ {
+			wantFiles++ // + the shared dictionary
+		}
 		var want map[string][]byte
 		for _, workers := range []int{1, 2, 7, 0} {
 			opts.Workers = workers
@@ -165,22 +311,11 @@ func TestCreateDeterministic(t *testing.T) {
 			if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 4, Archive: opts}); err != nil {
 				t.Fatalf("%s workers=%d: %v", backend, workers, err)
 			}
-			got := map[string][]byte{}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[e.Name()] = data
-			}
+			got := dirFiles(t, dir)
 			if want == nil {
 				want = got
-				if len(want) != 5 { // 4 shards + manifest
-					t.Fatalf("%s: %d files in shard dir, want 5", backend, len(want))
+				if len(want) != wantFiles {
+					t.Fatalf("%s: %d files in the built directory, want %d", backend, len(want), wantFiles)
 				}
 				continue
 			}
@@ -191,49 +326,6 @@ func TestCreateDeterministic(t *testing.T) {
 				if !bytes.Equal(got[name], data) {
 					t.Fatalf("%s workers=%d: file %s differs from sequential build", backend, workers, name)
 				}
-			}
-		}
-	}
-}
-
-// TestWriterMatchesCreate: the sequential archive.Writer implementation
-// produces byte-identical output to the parallel Create path.
-func TestWriterMatchesCreate(t *testing.T) {
-	docs := makeDocs(31, 4)
-	for backend, opts := range optionsFor(docs) {
-		opts.Workers = 1
-		viaCreate := filepath.Join(t.TempDir(), "create")
-		if _, err := Create(viaCreate, archive.FromBodies(docs), Options{Shards: 3, Archive: opts}); err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		viaWriter := filepath.Join(t.TempDir(), "writer")
-		w, err := NewWriter(viaWriter, Options{Shards: 3, Archive: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range docs {
-			id, err := w.Append(d)
-			if err != nil || id != i {
-				t.Fatalf("%s: Append #%d = %d, %v", backend, i, id, err)
-			}
-		}
-		if w.NumDocs() != len(docs) {
-			t.Fatalf("%s: NumDocs = %d", backend, w.NumDocs())
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{ShardFileName(0), ShardFileName(1), ShardFileName(2), ManifestName} {
-			a, err := os.ReadFile(filepath.Join(viaCreate, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(filepath.Join(viaWriter, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Errorf("%s: %s differs between Writer and Create", backend, name)
 			}
 		}
 	}
@@ -307,121 +399,6 @@ func TestSearchAcrossShards(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	m := &Manifest{Backend: archive.Block, Shards: []ShardInfo{
-		{Path: "shard-0000", Docs: 12},
-		{Path: "shard-0001", Docs: 0},
-		{Path: "nested/shard-0002", Docs: 1 << 30},
-	}}
-	got, err := UnmarshalManifest(m.Marshal(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Backend != m.Backend || len(got.Shards) != len(m.Shards) {
-		t.Fatalf("round trip = %+v", got)
-	}
-	for i := range m.Shards {
-		if got.Shards[i] != m.Shards[i] {
-			t.Errorf("shard %d = %+v, want %+v", i, got.Shards[i], m.Shards[i])
-		}
-	}
-	if got.NumDocs() != 12+0+1<<30 {
-		t.Errorf("NumDocs = %d", got.NumDocs())
-	}
-	starts := got.Starts()
-	if starts[0] != 0 || starts[1] != 12 || starts[2] != 12 || starts[3] != got.NumDocs() {
-		t.Errorf("Starts = %v", starts)
-	}
-}
-
-func TestManifestRejectsCorrupt(t *testing.T) {
-	valid := (&Manifest{Backend: archive.Raw, Shards: []ShardInfo{{Path: "shard-0000", Docs: 3}}}).Marshal(nil)
-	cases := map[string][]byte{
-		"empty":           {},
-		"short":           []byte("SHR"),
-		"wrong-magic":     append([]byte("NOPE"), valid[4:]...),
-		"bad-version":     append([]byte("SHRD\x63"), valid[5:]...),
-		"truncated-mid":   valid[:len(valid)/2],
-		"missing-footer":  valid[:len(valid)-1],
-		"trailing-broken": append(append([]byte{}, valid[:len(valid)-4]...), "SHRX"...),
-		// Declared shard count far beyond the remaining bytes must be
-		// rejected before any allocation (the docmap lesson).
-		"huge-count": append([]byte("SHRD\x01\x03raw"), 0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
-	}
-	for name, data := range cases {
-		if _, err := UnmarshalManifest(data); err == nil {
-			t.Errorf("%s: corrupt manifest accepted", name)
-		} else if !errors.Is(err, ErrCorruptManifest) {
-			t.Errorf("%s: error %v does not wrap ErrCorruptManifest", name, err)
-		}
-	}
-	for name, m := range map[string]*Manifest{
-		"no-shards":     {Backend: archive.Raw},
-		"absolute-path": {Backend: archive.Raw, Shards: []ShardInfo{{Path: "/etc/passwd", Docs: 1}}},
-		"dotdot-path":   {Backend: archive.Raw, Shards: []ShardInfo{{Path: "../escape", Docs: 1}}},
-		"empty-path":    {Backend: archive.Raw, Shards: []ShardInfo{{Path: "", Docs: 1}}},
-	} {
-		if err := m.validate(); !errors.Is(err, ErrCorruptManifest) {
-			t.Errorf("%s: validate = %v, want ErrCorruptManifest", name, err)
-		}
-	}
-}
-
-// TestOpenRejectsMismatchedShards: the reader cross-checks each opened
-// shard against the manifest.
-func TestOpenRejectsMismatchedShards(t *testing.T) {
-	docs := makeDocs(12, 7)
-	dir := filepath.Join(t.TempDir(), "set")
-	if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 2, Archive: archive.Options{Backend: archive.Raw}}); err != nil {
-		t.Fatal(err)
-	}
-	mpath := filepath.Join(dir, ManifestName)
-
-	// Wrong backend in the manifest.
-	m, err := ReadManifest(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Backend = archive.Block
-	if err := WriteManifest(mpath, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := archive.Open(dir); !errors.Is(err, ErrCorruptManifest) {
-		t.Errorf("backend mismatch: %v, want ErrCorruptManifest", err)
-	}
-
-	// Wrong doc count in the manifest.
-	m.Backend = archive.Raw
-	m.Shards[1].Docs += 3
-	if err := WriteManifest(mpath, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := archive.Open(dir); !errors.Is(err, ErrCorruptManifest) {
-		t.Errorf("count mismatch: %v, want ErrCorruptManifest", err)
-	}
-
-	// Missing shard file.
-	m.Shards[1].Docs -= 3
-	if err := WriteManifest(mpath, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, ShardFileName(1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := archive.Open(dir); err == nil {
-		t.Error("missing shard file opened cleanly")
-	}
-}
-
-// TestOpenBytesRejectsManifest: a manifest is a multi-file format, so
-// the in-memory openers must refuse it with a pointer to Open.
-func TestOpenBytesRejectsManifest(t *testing.T) {
-	data := (&Manifest{Backend: archive.Raw, Shards: []ShardInfo{{Path: "shard-0000", Docs: 1}}}).Marshal(nil)
-	if _, err := archive.OpenBytes(data); !errors.Is(err, archive.ErrNeedsPath) {
-		t.Errorf("OpenBytes(manifest) = %v, want ErrNeedsPath", err)
-	}
-}
-
 func TestCreateEmptySource(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "set")
 	res, err := Create(dir, archive.FromBodies(nil), Options{Shards: 3, Archive: archive.Options{Backend: archive.Raw}})
@@ -431,19 +408,14 @@ func TestCreateEmptySource(t *testing.T) {
 	if res.Docs != 0 {
 		t.Fatalf("Docs = %d", res.Docs)
 	}
-	r, err := archive.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	c := openCollection(t, dir)
+	if c.NumDocs() != 0 {
+		t.Errorf("NumDocs = %d", c.NumDocs())
 	}
-	if r.NumDocs() != 0 {
-		t.Errorf("NumDocs = %d", r.NumDocs())
-	}
-	r.Close()
-	if err := RemoveArchive(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("RemoveArchive left the directory behind: %v", err)
+	// Three empty segments are a collection like any other: the first
+	// document appended to it is id 0.
+	if id, err := c.Append([]byte("first")); err != nil || id != 0 {
+		t.Fatalf("Append to an empty build = %d, %v", id, err)
 	}
 }
 
@@ -458,7 +430,7 @@ func (s *failSource) Next() (archive.Doc, error) {
 }
 
 // TestCreateSourceErrorLeavesNoPartialSet: a failed build removes every
-// shard file and writes no manifest, even with builders mid-flight.
+// segment file and writes no manifest, even with builders mid-flight.
 func TestCreateSourceErrorLeavesNoPartialSet(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "set")
 	_, err := Create(dir, &failSource{after: 17}, Options{Shards: 4, Archive: archive.Options{Backend: archive.Raw}})
@@ -469,127 +441,96 @@ func TestCreateSourceErrorLeavesNoPartialSet(t *testing.T) {
 	// single-file path's no-partial-archive behavior.
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		entries, _ := os.ReadDir(dir)
-		t.Errorf("failed build left the shard dir behind with %d files", len(entries))
+		t.Errorf("failed build left the directory behind with %d files", len(entries))
 	}
 }
 
-// TestCreateFailureRemovesStaleManifest: a failed rebuild on top of an
-// existing shard set must not leave the old manifest describing
-// now-overwritten shard files.
-func TestCreateFailureRemovesStaleManifest(t *testing.T) {
+// TestCreateFailureLeavesNoManifest: a failed build removes what it
+// created — segments, the dictionary, every temporary — and nothing
+// else, and the directory does not open as an archive.
+func TestCreateFailureLeavesNoManifest(t *testing.T) {
 	docs := makeDocs(12, 21)
-	dir := filepath.Join(t.TempDir(), "set")
-	if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 4, Archive: archive.Options{Backend: archive.Raw}}); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("the user's own file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dir, &failSource{after: 5}, Options{Shards: 2, Archive: archive.Options{Backend: archive.Raw}}); err == nil {
-		t.Fatal("failed rebuild reported success")
+	if _, err := Create(dir, &failSource{after: 5}, Options{Shards: 2, Archive: optionsFor(docs)[archive.RLZ]}); err == nil {
+		t.Fatal("failed build reported success")
 	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
-		t.Errorf("stale manifest survived a failed rebuild: %v", err)
+	files := dirFiles(t, dir)
+	if len(files) != 1 || string(files["notes.txt"]) != "the user's own file" {
+		names := make([]string, 0, len(files))
+		for name := range files {
+			names = append(names, name)
+		}
+		t.Errorf("failed build left %v, want only notes.txt", names)
 	}
 	if _, err := archive.Open(dir); err == nil {
 		t.Error("directory with a failed build still opens as an archive")
 	}
 }
 
-// TestManifestRejectsDuplicatePaths: two entries naming the same shard
-// file would serve its documents under two global-id ranges.
-func TestManifestRejectsDuplicatePaths(t *testing.T) {
-	for name, m := range map[string]*Manifest{
-		"exact":        {Backend: archive.Raw, Shards: []ShardInfo{{Path: "shard-0000", Docs: 2}, {Path: "shard-0000", Docs: 2}}},
-		"unnormalized": {Backend: archive.Raw, Shards: []ShardInfo{{Path: "shard-0000", Docs: 2}, {Path: "./shard-0000", Docs: 2}}},
-	} {
-		if err := m.validate(); !errors.Is(err, ErrCorruptManifest) {
-			t.Errorf("%s duplicate: validate = %v, want ErrCorruptManifest", name, err)
-		}
-		if _, err := UnmarshalManifest(m.Marshal(nil)); !errors.Is(err, ErrCorruptManifest) {
-			t.Errorf("%s duplicate: unmarshal = %v, want ErrCorruptManifest", name, err)
-		}
-	}
-}
-
-// TestOpenRejectsManifestAsShard: a manifest naming another manifest —
-// or itself — as a shard must fail cleanly, not recurse archive.Open ->
-// shard.Open into a stack overflow.
-func TestOpenRejectsManifestAsShard(t *testing.T) {
-	dir := t.TempDir()
-	// Self-referencing: the manifest lists itself as its only shard.
-	if err := WriteManifest(filepath.Join(dir, ManifestName),
-		&Manifest{Backend: archive.Raw, Shards: []ShardInfo{{Path: ManifestName, Docs: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := archive.Open(dir); err == nil {
-		t.Fatal("self-referencing manifest opened cleanly")
-	} else if !errors.Is(err, archive.ErrNeedsPath) {
-		t.Errorf("self-reference: %v, want ErrNeedsPath from the shard opener", err)
-	}
-
-	// Two-file cycle: A lists B, B lists A.
-	cyc := t.TempDir()
-	if err := WriteManifest(filepath.Join(cyc, ManifestName),
-		&Manifest{Backend: archive.Raw, Shards: []ShardInfo{{Path: "B", Docs: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteManifest(filepath.Join(cyc, "B"),
-		&Manifest{Backend: archive.Raw, Shards: []ShardInfo{{Path: ManifestName, Docs: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := archive.Open(cyc); !errors.Is(err, archive.ErrNeedsPath) {
-		t.Errorf("manifest cycle: %v, want ErrNeedsPath", err)
-	}
-}
-
-// TestManifestRejectsTrailingBytes: a manifest is a standalone file, so
-// surplus bytes behind the footer are corruption, not slack.
-func TestManifestRejectsTrailingBytes(t *testing.T) {
-	valid := (&Manifest{Backend: archive.Raw, Shards: []ShardInfo{{Path: "shard-0000", Docs: 3}}}).Marshal(nil)
-	for name, data := range map[string][]byte{
-		"garbage-byte": append(append([]byte{}, valid...), 0xAB),
-		"doubled":      append(append([]byte{}, valid...), valid...),
-	} {
-		if _, err := UnmarshalManifest(data); !errors.Is(err, ErrCorruptManifest) {
-			t.Errorf("%s: %v, want ErrCorruptManifest", name, err)
-		}
-	}
-}
-
-// TestRebuildNarrowerRemovesOrphanShards: rebuilding a directory with a
-// smaller shard count must not leave the wider old set's extra shard
-// files orphaned next to the new manifest.
-func TestRebuildNarrowerRemovesOrphanShards(t *testing.T) {
+// TestCreateRefusesExistingManifest: Create never builds over a directory
+// that already holds a MANIFEST — a live collection's or a legacy shard
+// set's — and leaves every byte of it alone: removing a manifest it did
+// not write would strand every document acknowledged under it.
+func TestCreateRefusesExistingManifest(t *testing.T) {
 	docs := makeDocs(16, 22)
-	dir := filepath.Join(t.TempDir(), "set")
-	if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 8, Archive: archive.Options{Backend: archive.Raw}}); err != nil {
-		t.Fatal(err)
+	setups := map[string]func(t *testing.T, dir string){
+		"LIVC": func(t *testing.T, dir string) {
+			if err := collection.Init(dir); err != nil {
+				t.Fatal(err)
+			}
+			c, err := collection.Open(dir, collection.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.AppendBatch(docs); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"SHRD": func(t *testing.T, dir string) {
+			buildLegacySet(t, dir, docs, 2, archive.Options{Backend: archive.Raw})
+		},
 	}
-	if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 2, Archive: archive.Options{Backend: archive.Raw}}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 { // 2 shards + manifest, no shard-0002..0007 orphans
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("rebuild left %d files: %v", len(entries), names)
-	}
-	r, err := archive.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumDocs() != len(docs) {
-		t.Errorf("NumDocs = %d, want %d", r.NumDocs(), len(docs))
-	}
-	r.Close()
-	if err := RemoveArchive(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("RemoveArchive left the rebuilt directory behind: %v", err)
+	for name, setup := range setups {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "live")
+			setup(t, dir)
+			before := dirFiles(t, dir)
+			src := &countingSource{n: 8}
+			_, err := Create(dir, src, Options{Shards: 2, Archive: archive.Options{Backend: archive.Raw}})
+			if err == nil {
+				t.Fatal("Create built over an existing manifest")
+			}
+			// The wording is collection.Init's.
+			if ierr := collection.Init(dir); ierr == nil || ierr.Error() != err.Error() {
+				t.Errorf("Create refused with %q, Init with %q", err, ierr)
+			}
+			if src.count != 0 {
+				t.Errorf("a refused build consumed %d documents", src.count)
+			}
+			after := dirFiles(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("a refused build changed the file set: %d files, was %d", len(after), len(before))
+			}
+			for name, data := range before {
+				if !bytes.Equal(after[name], data) {
+					t.Errorf("a refused build changed %s", name)
+				}
+			}
+			r, err := archive.Open(dir)
+			if err != nil {
+				t.Fatalf("the directory no longer opens: %v", err)
+			}
+			defer r.Close()
+			if r.NumDocs() != len(docs) {
+				t.Errorf("NumDocs = %d, want %d", r.NumDocs(), len(docs))
+			}
+		})
 	}
 }
 
@@ -612,9 +553,9 @@ func (s *countingSource) Next() (archive.Doc, error) {
 // the rest of the collection into files that are about to be deleted.
 func TestCreateAbortsEarlyOnShardFailure(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "set")
-	// A directory squatting on shard-0000's path makes that shard's
-	// os.Create fail immediately.
-	if err := os.MkdirAll(filepath.Join(dir, ShardFileName(0)), 0o755); err != nil {
+	// A directory squatting on the first segment's temporary name makes
+	// that shard's os.Create fail immediately.
+	if err := os.MkdirAll(filepath.Join(dir, "seg-00000001.tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	src := &countingSource{n: 100000}
@@ -628,9 +569,10 @@ func TestCreateAbortsEarlyOnShardFailure(t *testing.T) {
 }
 
 // TestSharedDictionaryMatchesPlainBuild: the shard layer indexes the
-// global RLZ dictionary once and shares it across shard writers; a
+// global RLZ dictionary once and shares it across shard builds; a
 // single-shard set must still be byte-identical to a plain archive.Build
-// of the same input (same header, same dictionary bytes, same records).
+// of the same input (same header, same dictionary bytes, same records),
+// and the dictionary file beside it holds exactly the dictionary's text.
 func TestSharedDictionaryMatchesPlainBuild(t *testing.T) {
 	docs := makeDocs(20, 23)
 	opts := optionsFor(docs)[archive.RLZ]
@@ -642,11 +584,87 @@ func TestSharedDictionaryMatchesPlainBuild(t *testing.T) {
 	if _, err := Create(dir, archive.FromBodies(docs), Options{Shards: 1, Archive: opts}); err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := os.ReadFile(filepath.Join(dir, ShardFileName(0)))
+	m, err := collection.ReadManifest(filepath.Join(dir, collection.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Generation != 1 || m.NextSeq != 2 || m.OpenSeg != "" || len(m.Segments) != 1 || len(m.Dicts) != 1 {
+		t.Fatalf("manifest = %+v", m)
+	}
+	if s := m.Segments[0]; s.Dict != 1 || s.Docs != len(docs) || s.Raw != int64(len(bytes.Join(docs, nil))) {
+		t.Errorf("segment entry = %+v", s)
+	}
+	sharded, err := os.ReadFile(filepath.Join(dir, m.Segments[0].Path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), sharded) {
 		t.Errorf("shared-dictionary shard differs from plain build (%d vs %d bytes)", len(sharded), plain.Len())
+	}
+	dict, err := os.ReadFile(filepath.Join(dir, m.Dicts[0].Path))
+	if err != nil || !bytes.Equal(dict, opts.Dict) {
+		t.Errorf("dictionary file differs from the build's dictionary: %v", err)
+	}
+}
+
+// TestCreateCrashLeavesNoManifestOrAWholeCollection cuts the power at
+// every filesystem step of a build, and at every prefix of the directory
+// operations still unsynced at that step: what the reboot finds either
+// has no manifest, or opens and serves every document. The manifest is
+// therefore published after every segment and the dictionary are durable
+// under their names.
+func TestCreateCrashLeavesNoManifestOrAWholeCollection(t *testing.T) {
+	docs := makeDocs(30, 24)
+	opts := Options{Shards: 3, Policy: Ranges, DocsPerShard: 10, Archive: optionsFor(docs)[archive.RLZ]}
+	opts.Archive.Workers = 1
+	manifests := 0
+	for step, done := 1, false; !done; step++ {
+		// Crash consumes the simulation, so every prefix length replays the
+		// same kill on a fresh directory.
+		for keep := 0; ; keep++ {
+			sim := faultfs.NewSim()
+			sim.SetScript(faultfs.Fault{Op: faultfs.OpAny, N: step, Kill: true})
+			dir := filepath.Join(t.TempDir(), "set")
+			if _, err := create(sim, dir, archive.FromBodies(docs), opts); err == nil {
+				if step < 10 {
+					t.Fatalf("the build finished in %d filesystem steps; the sweep is not reaching it", step)
+				}
+				done = true // the kill point lies past the build's last step
+				break
+			}
+			if keep > sim.JournalLen() {
+				break
+			}
+			if err := sim.Crash(keep); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, collection.ManifestName)); err != nil {
+				continue
+			}
+			manifests++
+			r, err := archive.Open(dir)
+			if err != nil {
+				t.Fatalf("step %d, %d directory operations kept: a manifest survived that does not open: %v", step, keep, err)
+			}
+			for i, want := range docs {
+				if got, err := r.Get(i); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("step %d, keep %d: Get(%d): %v", step, keep, i, err)
+				}
+			}
+			r.Close()
+			// Reads never touch the dictionary file; the next compaction will.
+			m, err := collection.ReadManifest(filepath.Join(dir, collection.ManifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range m.Dicts {
+				if data, err := os.ReadFile(filepath.Join(dir, d.Path)); err != nil || !bytes.Equal(data, opts.Archive.Dict) {
+					t.Fatalf("step %d, keep %d: the surviving manifest names dictionary %s, which is not whole: %v", step, keep, d.Path, err)
+				}
+			}
+		}
+	}
+	if manifests == 0 {
+		t.Error("no crash point left a manifest behind; the sweep never reached the manifest publish")
 	}
 }
