@@ -10,10 +10,11 @@ import (
 
 // cmdGrep searches the archive for a byte pattern and prints one line per
 // match: document ID, offset, and a context window fetched with GetRange
-// (so only the window is decoded, not the whole document twice). RLZ
-// archives search in the compressed domain; a reader that cannot search
-// itself (a single-file block or raw archive) is scanned by the segment
-// router, as the same file inside a collection would be.
+// (on an RLZ archive only the window is decoded, not the whole document
+// twice). The search decodes each document once and scans it: that is
+// the segment router's scan, so a single-file archive of any backend is
+// wrapped in a one-member Set and searched as the same file inside a
+// collection would be.
 func cmdGrep(args []string) error {
 	fs := flag.NewFlagSet("grep", flag.ExitOnError)
 	arc := fs.String("a", "", "archive path (required)")

@@ -58,9 +58,9 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 // TestGrepSingleFileEveryBackend: grep works on a single-file archive of
-// any backend — in the compressed domain on RLZ, by scan on block and
-// raw, as the same file inside a collection is — and prints the same
-// lines whichever backend holds the documents.
+// any backend — by the scan the same file inside a collection gets — and
+// prints the same lines, and refuses the same patterns, whichever
+// backend holds the documents.
 func TestGrepSingleFileEveryBackend(t *testing.T) {
 	dir, _ := writeDocs(t)
 	var ref string // what grep prints over the RLZ archive
@@ -96,6 +96,10 @@ func TestGrepSingleFileEveryBackend(t *testing.T) {
 		}
 		if out := grep("no such text"); !strings.Contains(out, "0 match(es)") {
 			t.Errorf("%s: grep for an absent pattern printed:\n%s", backend, out)
+		}
+		out, err := captureStdout(t, func() error { return cmdGrep([]string{"-a", arc, ""}) })
+		if err == nil || !strings.Contains(err.Error(), "empty search pattern") || out != "" {
+			t.Errorf("%s: grep for the empty pattern = %v, want a refusal; it printed:\n%s", backend, err, out)
 		}
 	}
 }

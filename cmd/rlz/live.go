@@ -99,14 +99,16 @@ func cmdAppend(args []string) error {
 }
 
 // cmdCompact seals the open segment and drains every raw segment into
-// RLZ archives built against the collection's shared dictionary.
+// RLZ archives built against the collection's shared dictionary. -adapt
+// lets the pass learn a new dictionary generation (-evict and -gain tune
+// what it evicts and when it adopts); -upgrade-stale also rewrites RLZ
+// segments built against older generations.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	dir := fs.String("a", "", "collection directory (required)")
 	codecName := fs.String("codec", "ZV", "rlz pair codec for compacted segments")
 	dictSize := fs.String("dict", "0", "dictionary size when sampling a new one (0 means 1% of the compacted bytes)")
 	sampleSize := fs.String("sample", "1KB", "dictionary sample length when sampling a new one")
-	noJump := fs.Bool("nojump", false, "disable the factorization k-gram ladder")
 	workers := fs.Int("workers", 0, "build concurrency; 0 means GOMAXPROCS")
 	adapt := fs.Bool("adapt", false, "learn: evict cold dictionary regions and re-sample from the drained documents, adopting the result when the trial gain clears -gain")
 	evict := fs.Float64("evict", 0, "fraction of dictionary regions an adaptive re-sample evicts, coldest first (0 means 0.25)")
@@ -144,7 +146,6 @@ func cmdCompact(args []string) error {
 		EvictFraction: *evict,
 		MinRatioGain:  *gain,
 		UpgradeStale:  *upgradeStale,
-		Factorizer:    rlz.FactorizerOptions{DisableJump: *noJump},
 		Workers:       *workers,
 	})
 	if err != nil {

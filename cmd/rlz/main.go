@@ -12,9 +12,9 @@
 //	rlz cat -a archive.rlz
 //	rlz stats -a archive.rlz
 //	rlz verify -a archive.rlz
-//	rlz grep -a archive.rlz PATTERN
+//	rlz grep -a archive.rlz [-n LIMIT] [-c RADIUS] PATTERN
 //	rlz append -a livedir/ newdoc.html
-//	rlz compact -a livedir/
+//	rlz compact -a livedir/ [-adapt [-evict 0.25] [-gain 0.02]] [-upgrade-stale]
 //	rlz gc -a livedir/
 //
 // Each input file is one document; -dir walks a directory tree in
@@ -26,13 +26,18 @@
 // reading commands open the directory (or its MANIFEST file) like any
 // single archive, and append, compact, gc and rlzd's write API work on it
 // — the build doubles as a collection's bulk loader. It refuses a
-// directory that already holds a MANIFEST.
+// directory that already holds a MANIFEST. grep decodes each document
+// once and scans it, on any archive or collection; the context it prints
+// is read back with a range decode.
 //
 // append, compact and gc operate on live collections
 // (internal/collection): generational archive sets that grow online.
 // append lands documents in an open raw segment (readable immediately,
 // ids stable forever); compact drains raw segments into RLZ archives
-// against a shared sampled dictionary; gc removes superseded files.
+// against a shared sampled dictionary (-adapt re-samples that
+// dictionary's cold regions and adopts the result when a trial gains
+// enough; -upgrade-stale also rewrites segments built against older
+// dictionary generations); gc removes superseded files.
 // Reading commands open a collection directory like any archive.
 //
 // To serve an archive hot over HTTP, see cmd/rlzd.
@@ -102,7 +107,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rlz build  -o ARCHIVE [-backend rlz|block|raw] [-workers N] [-shards N] FILE... | -dir DIR | -warc FILE
-             rlz backend:   [-codec ZZ|ZV|UZ|UV|ZS|US|ZH|UH] [-dict SIZE] [-sample SIZE] [-nojump]
+             rlz backend:   [-codec ZZ|ZV|UZ|UV|ZS|US|ZH|UH] [-dict SIZE] [-sample SIZE]
              block backend: [-block SIZE] [-alg zlib|flate|lzma|lzr]
              -shards N > 1 writes a collection directory of N segments built in
              parallel (refused if it already holds one); every command takes -a DIR
@@ -112,11 +117,16 @@ func usage() {
   rlz stats  -a ARCHIVE
   rlz verify -a ARCHIVE [-workers N]
   rlz grep   -a ARCHIVE [-n LIMIT] [-c RADIUS] PATTERN
+             decodes each document once and scans it; any archive or collection
   rlz append -a DIR FILE... | -dir DIR | -warc FILE
              appends to a live collection, creating it if absent;
              documents are readable (rlzd, get, grep) immediately
-  rlz compact -a DIR [-codec ZV] [-dict SIZE] [-sample SIZE] [-nojump] [-workers N]
-             seals the open segment and rewrites raw segments as RLZ
+  rlz compact -a DIR [-codec ZV] [-dict SIZE] [-sample SIZE] [-workers N]
+             [-adapt [-evict FRACTION] [-gain FRACTION]] [-upgrade-stale]
+             seals the open segment and rewrites raw segments as RLZ; -adapt
+             re-samples the dictionary's cold regions from the drained documents
+             and adopts the result when a trial saves -gain of the encoded bytes;
+             -upgrade-stale also rewrites RLZ segments of older dictionaries
   rlz gc     -a DIR
              removes files superseded by the current generation`)
 }
@@ -128,7 +138,6 @@ func cmdBuild(args []string) error {
 	codecName := fs.String("codec", "ZV", "rlz pair codec: ZZ, ZV, UZ, UV (paper) or ZS, US, ZH, UH (extensions)")
 	dictSize := fs.String("dict", "0", "rlz dictionary size (e.g. 1MB); 0 means 1% of the collection")
 	sampleSize := fs.String("sample", "1KB", "rlz dictionary sample length")
-	noJump := fs.Bool("nojump", false, "rlz: disable the factorization k-gram ladder (A/B baseline; output is identical either way)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the build to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the build to this file")
 	blockSize := fs.String("block", "256KB", "block backend: uncompressed block capacity; 0 means one doc per block")
@@ -220,7 +229,6 @@ func cmdBuild(args []string) error {
 		}
 		opts.Dict = dict
 		opts.Codec = codec
-		opts.Factorizer = rlz.FactorizerOptions{DisableJump: *noJump}
 	case archive.Block:
 		bs, err := units.ParseSize(*blockSize)
 		if err != nil {

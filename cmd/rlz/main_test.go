@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rlz/internal/archive"
@@ -288,8 +289,8 @@ func TestBuildShardedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGrepOverShardSet: compressed-domain search spans shards with
-// globally remapped ids.
+// TestGrepOverShardSet: the scan spans shards with globally remapped
+// ids, and refuses the empty pattern as it does on a single file.
 func TestGrepOverShardSet(t *testing.T) {
 	dir, _ := writeDocs(t)
 	out := filepath.Join(t.TempDir(), "set")
@@ -298,5 +299,8 @@ func TestGrepOverShardSet(t *testing.T) {
 	}
 	if err := cmdGrep([]string{"-a", out, "boilerplate"}); err != nil {
 		t.Fatalf("grep over shard set: %v", err)
+	}
+	if err := cmdGrep([]string{"-a", out, ""}); err == nil || !strings.Contains(err.Error(), "empty search pattern") {
+		t.Errorf("grep for the empty pattern over a shard set = %v, want a refusal", err)
 	}
 }

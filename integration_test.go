@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -26,11 +27,21 @@ func TestPipelineCrawlToArchive(t *testing.T) {
 	if err := warc.WriteFile(path, coll.Records()); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := warc.ReadFile(path)
+	src, err := archive.FromWARC(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded := corpus.FromRecords(recs)
+	reloaded := &corpus.Collection{}
+	for {
+		doc, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		reloaded.Docs = append(reloaded.Docs, corpus.Document{URL: doc.Name, Body: doc.Body})
+	}
 	if reloaded.Len() != coll.Len() || reloaded.TotalSize() != coll.TotalSize() {
 		t.Fatalf("warc round trip changed the collection: %d/%d docs, %d/%d bytes",
 			reloaded.Len(), coll.Len(), reloaded.TotalSize(), coll.TotalSize())
@@ -119,10 +130,11 @@ func TestPipelineSearchAndSnippets(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := store.OpenBytes(buf.Bytes())
+	arc, err := archive.OpenBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := archive.NewSet(archive.RLZ, []archive.Reader{arc}, nil)
 
 	pattern := []byte("<div id=\"footer\">")
 	matches, err := r.FindAll(pattern, 0)

@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"rlz/internal/mmapio"
 )
@@ -48,16 +47,6 @@ const (
 	// is a Stats identity, not a build target — ParseBackend rejects it.
 	Live Backend = "live"
 )
-
-// Backends lists the registered backends in stable order.
-func Backends() []Backend {
-	out := make([]Backend, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e.backend)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // ParseBackend resolves a backend name as used by the CLI's -backend flag.
 func ParseBackend(s string) (Backend, error) {
@@ -128,15 +117,18 @@ type Stats struct {
 	NumBlocks int    // compressed block count
 }
 
-// Searcher is the optional search interface. The RLZ backend implements
-// it in the compressed domain (search runs over factors without full
-// decompression); a Set routes it across its members, scanning those
-// that cannot search themselves. Callers discover it with As[Searcher].
+// Searcher is the optional search interface. No single-file backend
+// implements it: a Set does, by decoding each document of each member
+// once and scanning it, and so does everything assembled from a Set (a
+// collection). Callers discover it with As[Searcher] and wrap a bare
+// reader in a one-member Set.
 type Searcher interface {
 	// FindAll collects occurrences of pattern, up to limit (0 = all).
 	FindAll(pattern []byte, limit int) ([]Match, error)
-	// GetRange retrieves bytes [from, to) of document id without
-	// decoding the whole document.
+	// GetRange retrieves bytes [from, to) of document id, clamped to
+	// the document — by decoding only the factors under the window
+	// where the owning member is an RLZ archive, by decode-and-slice
+	// otherwise.
 	GetRange(id, from, to int) ([]byte, error)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rlz/internal/blockstore"
@@ -289,64 +290,86 @@ func TestCreateRemovesPartialFileOnError(t *testing.T) {
 	}
 }
 
-func TestSearcherOnlyRLZ(t *testing.T) {
+// TestSearchIsTheSetsOneScan: no single-file backend searches itself —
+// a one-member Set over any of them is the search, and it returns what a
+// brute-force pass over Get computes. GetRange windows are cut from the
+// decoded document for block and raw; an RLZ member keeps its own
+// partial decode, also behind the file-owning wrapper Open returns.
+func TestSearchIsTheSetsOneScan(t *testing.T) {
 	docs := makeDocs(12, 7)
+	// One in every document, one in a single document, an absent one, one
+	// that overlaps itself ("aa" in "aaaa": three matches), and one whose
+	// occurrences run from shared boilerplate into a document's own token,
+	// across the factor boundary an RLZ record has there.
+	docs[5] = append(docs[5], "aaaa"...)
+	patterns := []string{"<div id=\"footer\">", "u7-49", "no such text", "aa", "token u7-1"}
 	for backend, opts := range optionsFor(t, docs) {
 		var buf bytes.Buffer
 		if _, err := Build(&buf, FromBodies(docs), opts); err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenBytes(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, ok := As[Searcher](r)
-		if backend != RLZ {
-			if ok {
-				t.Errorf("%s unexpectedly implements Searcher", backend)
-			}
-			continue
-		}
-		if !ok {
-			t.Fatal("rlz reader does not implement Searcher")
-		}
-		ms, err := s.FindAll([]byte("<div id=\"footer\">"), 0)
-		if err != nil || len(ms) != len(docs) {
-			t.Fatalf("FindAll: %d matches, %v; want %d", len(ms), err, len(docs))
-		}
-		win, err := s.GetRange(ms[3].Doc, ms[3].Offset, ms[3].Offset+5)
-		if err != nil || string(win) != "<div " {
-			t.Fatalf("GetRange = %q, %v", win, err)
-		}
-
-		// The file-owning wrapper returned by Open must still be
-		// searchable through As[Searcher].
 		path := filepath.Join(t.TempDir(), "arc")
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fr, err := Open(path)
+		mem, err := OpenBytes(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := As[Searcher](fr); !ok {
-			t.Error("As[Searcher] fails through the Open wrapper")
+		file, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fr.Close()
+		for how, r := range map[string]Reader{"OpenBytes": mem, "Open": file} {
+			if _, ok := As[Searcher](r); ok {
+				t.Errorf("%s via %s: a bare reader implements Searcher", backend, how)
+			}
+			set := NewSet(backend, []Reader{r}, nil)
+			if partial := set.rangers[0] != nil; partial != (backend == RLZ) {
+				t.Errorf("%s via %s: member decodes ranges itself = %v", backend, how, partial)
+			}
+			for _, pat := range patterns {
+				var want []Match
+				for id := range docs {
+					doc, err := r.Get(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for off := 0; off+len(pat) <= len(doc); off++ {
+						if string(doc[off:off+len(pat)]) == pat {
+							want = append(want, Match{Doc: id, Offset: off})
+						}
+					}
+				}
+				got, err := set.FindAll([]byte(pat), 0)
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s via %s: FindAll(%q) = %v, %v; want %v", backend, how, pat, got, err, want)
+				}
+				for _, m := range got {
+					from, to := max(m.Offset-9, 0), min(m.Offset+len(pat)+9, len(docs[m.Doc]))
+					win, err := set.GetRange(m.Doc, m.Offset-9, m.Offset+len(pat)+9)
+					if err != nil || !bytes.Equal(win, docs[m.Doc][from:to]) {
+						t.Fatalf("%s via %s: GetRange around %v = %q, %v; want %q", backend, how, m, win, err, docs[m.Doc][from:to])
+					}
+				}
+			}
+		}
+		if err := file.Close(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
 func TestParseBackend(t *testing.T) {
-	for _, b := range Backends() {
+	for _, b := range []Backend{RLZ, Block, Raw} {
 		got, err := ParseBackend(string(b))
 		if err != nil || got != b {
 			t.Errorf("ParseBackend(%q) = %v, %v", b, got, err)
 		}
 	}
-	if _, err := ParseBackend("zip"); err == nil {
-		t.Error("bogus backend accepted")
-	}
-	if len(Backends()) != 3 {
-		t.Errorf("Backends() = %v, want 3 entries", Backends())
+	for _, name := range []string{"zip", string(Live)} {
+		if _, err := ParseBackend(name); err == nil {
+			t.Errorf("backend %q accepted as a build target", name)
+		}
 	}
 }

@@ -36,7 +36,8 @@ func init() {
 }
 
 // rlzReader adapts *store.Reader; the embedded methods already match the
-// Reader interface, so only Stats and the Searcher conversion are added.
+// Reader interface (and GetRange the Set's range probe), so only Stats is
+// added.
 type rlzReader struct{ *store.Reader }
 
 func (r rlzReader) Stats() Stats {
@@ -47,15 +48,6 @@ func (r rlzReader) Stats() Stats {
 		DictLen: r.DictLen(),
 		Codec:   r.Codec().String(),
 	}
-}
-
-func (r rlzReader) FindAll(pattern []byte, limit int) ([]Match, error) {
-	ms, err := r.Reader.FindAll(pattern, limit)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Doc: m.Doc, Offset: m.Offset}
-	}
-	return out, err
 }
 
 type blockReader struct{ *blockstore.Reader }

@@ -34,12 +34,6 @@ type Options struct {
 	// internal/shard sets this so N shards do not index the same global
 	// dictionary N times.
 	PreparedDict *rlz.Dictionary
-	// Factorizer tunes the RLZ fast factorization engine (the k-gram
-	// ladder's off-switch for A/B runs). Either setting produces
-	// byte-identical archives — it changes build speed only. The ladder is
-	// built once per dictionary and shared by all workers (and, via
-	// PreparedDict, all shards).
-	Factorizer rlz.FactorizerOptions
 	// Heat optionally accumulates dictionary-region usage from every
 	// factorization this build performs (sequential and parallel paths
 	// alike; Observe is atomic, so all workers share the accumulator).
@@ -99,7 +93,6 @@ func NewWriter(w io.Writer, opts Options) (Writer, error) {
 		if err != nil {
 			return nil, err
 		}
-		sw.ConfigureFactorizer(opts.Factorizer)
 		sw.CollectHeat(opts.Heat)
 		return rlzWriter{sw}, nil
 	case Block:
@@ -177,8 +170,7 @@ func build(aw Writer, src DocSource, opts Options) (BuildResult, error) {
 		// pipeline shares one work closure) over the shared dictionary
 		// index and k-gram ladder.
 		dict, codec := rw.Dictionary(), rw.Codec()
-		fopts := rw.FactorizerOptions()
-		pool := sync.Pool{New: func() any { return &rlzWorker{fz: rlz.NewFactorizer(dict, fopts)} }}
+		pool := sync.Pool{New: func() any { return &rlzWorker{fz: rlz.NewFactorizer(dict, rlz.FactorizerOptions{})} }}
 		pipe := pipeline.NewOrdered(opts.workers(),
 			func(doc []byte) ([]byte, error) {
 				w := pool.Get().(*rlzWorker)

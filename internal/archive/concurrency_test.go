@@ -64,9 +64,9 @@ func TestConcurrentGetSharedReader(t *testing.T) {
 }
 
 // TestConcurrentSearchAndGet exercises the RLZ backend's decode-only
-// dictionary under concurrency: Get decodes documents while FindAll and
-// GetRange walk the same Reader, so the lazily built suffix-array state
-// and the shared dictionary text are raced against each other.
+// dictionary under concurrency: Get decodes documents while a one-member
+// Set's FindAll and GetRange walk the same Reader, so the pooled decode
+// state and the shared dictionary text are raced against each other.
 func TestConcurrentSearchAndGet(t *testing.T) {
 	docs := makeDocs(32, 12)
 	var buf bytes.Buffer
@@ -77,10 +77,7 @@ func TestConcurrentSearchAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := As[Searcher](r)
-	if !ok {
-		t.Fatal("RLZ reader does not expose Searcher")
-	}
+	s := NewSet(RLZ, []Reader{r}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

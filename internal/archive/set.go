@@ -26,22 +26,29 @@ var ErrDeleted = fmt.Errorf("%w: deleted", docmap.ErrNoSuchDoc)
 // growing needs no special case, and NumDocs and Size follow it.
 //
 // Optional capabilities are resolved per member once, at construction:
-// a member that is a Viewer, BatchReader or Searcher (directly or
-// through Unwrap) is used as one, every other member is served by the
-// GetAppend loop or scan fallback.
+// a member that is a Viewer or BatchReader, or can decode a byte range
+// of a document (directly or through Unwrap), is used as one; every
+// other member is served by the GetAppend loop or decode-and-slice.
+// Search has no member capability: FindAll is one scan over GetAppend.
 //
 // Concurrency: a Set holds no mutable state, so it is exactly as safe
 // for concurrent use as its members (the Reader contract). It does not
 // own them beyond Close, which closes each once.
 type Set struct {
-	backend   Backend // Stats label
-	members   []Reader
-	starts    []int // starts[i] is member i's first global id
-	tomb      map[int]struct{}
-	sealed    int64 // total size of every member but the last
-	viewers   []Viewer
-	batchers  []BatchReader
-	searchers []Searcher
+	backend  Backend // Stats label
+	members  []Reader
+	starts   []int // starts[i] is member i's first global id
+	tomb     map[int]struct{}
+	sealed   int64 // total size of every member but the last
+	viewers  []Viewer
+	batchers []BatchReader
+	rangers  []ranger
+}
+
+// ranger is the member capability behind GetRange: the RLZ backend
+// decodes only the factors that overlap the window.
+type ranger interface {
+	GetRange(id, from, to int) ([]byte, error)
 }
 
 var _ interface {
@@ -58,13 +65,13 @@ var _ interface {
 func NewSet(backend Backend, members []Reader, tomb map[int]struct{}) *Set {
 	n := len(members)
 	s := &Set{
-		backend:   backend,
-		members:   members,
-		starts:    make([]int, n),
-		tomb:      tomb,
-		viewers:   make([]Viewer, n),
-		batchers:  make([]BatchReader, n),
-		searchers: make([]Searcher, n),
+		backend:  backend,
+		members:  members,
+		starts:   make([]int, n),
+		tomb:     tomb,
+		viewers:  make([]Viewer, n),
+		batchers: make([]BatchReader, n),
+		rangers:  make([]ranger, n),
 	}
 	for i, m := range members {
 		if i+1 < n {
@@ -73,13 +80,10 @@ func NewSet(backend Backend, members []Reader, tomb map[int]struct{}) *Set {
 		}
 		s.viewers[i], _ = As[Viewer](m)
 		s.batchers[i], _ = As[BatchReader](m)
-		s.searchers[i], _ = As[Searcher](m)
+		s.rangers[i], _ = As[ranger](m)
 	}
 	return s
 }
-
-// Members returns the routed readers in id order; the slice is shared.
-func (s *Set) Members() []Reader { return s.members }
 
 // Tombstones returns the masked ids; the map is shared and read-only.
 func (s *Set) Tombstones() map[int]struct{} { return s.tomb }
@@ -258,8 +262,8 @@ func (s *Set) GetRange(id, from, to int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sch := s.searchers[m]; sch != nil {
-		return sch.GetRange(local, from, to)
+	if rg := s.rangers[m]; rg != nil {
+		return rg.GetRange(local, from, to)
 	}
 	doc, err := s.members[m].Get(local)
 	if err != nil {
@@ -273,9 +277,9 @@ func (s *Set) GetRange(id, from, to int) ([]byte, error) {
 }
 
 // FindAll collects occurrences of pattern across every member in
-// global-id order, up to limit (0 = all), implementing Searcher. Members
-// that search natively (RLZ) are asked directly; the rest are scanned
-// document by document. Tombstoned documents never match.
+// global-id order, up to limit (0 = all), implementing Searcher: each
+// live document is decoded once into a reused buffer and scanned.
+// Overlapping occurrences count; tombstoned documents never match.
 func (s *Set) FindAll(pattern []byte, limit int) ([]Match, error) {
 	if len(pattern) == 0 {
 		return nil, fmt.Errorf("archive: empty search pattern")
@@ -286,32 +290,7 @@ func (s *Set) FindAll(pattern []byte, limit int) ([]Match, error) {
 		full = func() bool { return limit > 0 && len(out) >= limit }
 	)
 	for i, m := range s.members {
-		if full() {
-			break
-		}
 		start, n := s.starts[i], m.NumDocs()
-		if sch := s.searchers[i]; sch != nil {
-			// Tombstones force an unlimited sub-query: a capped one could
-			// spend its whole budget on masked documents.
-			sub := 0
-			if limit > 0 && !s.anyDeleted(start, start+n) {
-				sub = limit - len(out)
-			}
-			ms, err := sch.FindAll(pattern, sub)
-			if err != nil {
-				return out, fmt.Errorf("archive: member %d: %w", i, err)
-			}
-			for _, mt := range ms {
-				if _, dead := s.tomb[start+mt.Doc]; dead {
-					continue
-				}
-				out = append(out, Match{Doc: start + mt.Doc, Offset: mt.Offset})
-				if full() {
-					break
-				}
-			}
-			continue
-		}
 		for local := 0; local < n && !full(); local++ {
 			if _, dead := s.tomb[start+local]; dead {
 				continue
@@ -320,7 +299,6 @@ func (s *Set) FindAll(pattern []byte, limit int) ([]Match, error) {
 			if buf, err = m.GetAppend(buf[:0], local); err != nil {
 				return out, fmt.Errorf("archive: member %d: %w", i, err)
 			}
-			// Overlapping occurrences count, as in the RLZ searcher.
 			for off := 0; !full(); {
 				k := bytes.Index(buf[off:], pattern)
 				if k < 0 {
@@ -332,23 +310,4 @@ func (s *Set) FindAll(pattern []byte, limit int) ([]Match, error) {
 		}
 	}
 	return out, nil
-}
-
-// anyDeleted reports whether any tombstone falls in [lo, hi).
-func (s *Set) anyDeleted(lo, hi int) bool {
-	// The tombstone set is usually far smaller than a member.
-	if len(s.tomb) < hi-lo {
-		for t := range s.tomb {
-			if t >= lo && t < hi {
-				return true
-			}
-		}
-		return false
-	}
-	for id := lo; id < hi; id++ {
-		if _, dead := s.tomb[id]; dead {
-			return true
-		}
-	}
-	return false
 }

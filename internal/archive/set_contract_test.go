@@ -153,20 +153,7 @@ func checkRouterContract(t *testing.T, r routed, docs [][]byte, tomb map[int]boo
 		}
 	}
 
-	var all []archive.Match
-	for id, doc := range docs {
-		if tomb[id] {
-			continue
-		}
-		for off := 0; ; off++ {
-			k := bytes.Index(doc[off:], []byte(contractNeedle))
-			if k < 0 {
-				break
-			}
-			off += k
-			all = append(all, archive.Match{Doc: id, Offset: off})
-		}
-	}
+	all := scanOracle(docs, tomb, contractNeedle)
 	// Limits inside the first member, across every boundary, and past the
 	// total; 0 means all.
 	for _, limit := range []int{0, 1, 3, len(all) / 2, len(all) - 1, len(all), len(all) + 5} {
@@ -184,6 +171,27 @@ func checkRouterContract(t *testing.T, r routed, docs [][]byte, tomb map[int]boo
 	}
 }
 
+// scanOracle is what a search must return with no limit: every
+// occurrence of pattern, overlapping ones included, in the live documents
+// in (id, offset) order.
+func scanOracle(docs [][]byte, tomb map[int]bool, pattern string) []archive.Match {
+	var all []archive.Match
+	for id, doc := range docs {
+		if tomb[id] {
+			continue
+		}
+		for off := 0; ; off++ {
+			k := bytes.Index(doc[off:], []byte(pattern))
+			if k < 0 {
+				break
+			}
+			off += k
+			all = append(all, archive.Match{Doc: id, Offset: off})
+		}
+	}
+	return all
+}
+
 // TestRouterContract is the one routing contract over its three
 // assemblies: the same table must hold whichever way a Set is put
 // together.
@@ -199,6 +207,49 @@ func TestRouterContract(t *testing.T) {
 		}, map[int]struct{}{2: {}, 9: {}, 23: {}, 39: {}})
 		defer set.Close()
 		checkRouterContract(t, set, docs, map[int]bool{2: true, 9: true, 23: true, 39: true}, starts)
+	})
+
+	// The search is one scan whatever the members are, so the same answers
+	// must come back for every order of member kinds, wherever the
+	// tombstones fall (none, all in the first or the last member, on the
+	// boundaries, a whole member) and wherever the limit cuts — including
+	// between two overlapping occurrences ("aba" in "abababa").
+	t.Run("search grid", func(t *testing.T) {
+		docs := contractDocs(18)
+		for i := 1; i < len(docs); i += 4 {
+			docs[i] = append(docs[i], "abababa"...)
+		}
+		R, B, W := archive.RLZ, archive.Block, archive.Raw
+		for _, kinds := range [][3]archive.Backend{{R, B, W}, {W, R, B}, {B, W, R}, {R, R, W}, {B, B, B}} {
+			members := []archive.Reader{
+				buildMember(t, kinds[0], docs[0:6]),
+				buildMember(t, kinds[1], docs[6:12]),
+				buildMember(t, kinds[2], docs[12:]),
+			}
+			for _, dead := range [][]int{nil, {1, 2}, {13, 17}, {5, 6, 11, 12}, {6, 7, 8, 9, 10, 11}} {
+				tomb, oracle := map[int]struct{}{}, map[int]bool{}
+				for _, id := range dead {
+					tomb[id], oracle[id] = struct{}{}, true
+				}
+				set := archive.NewSet(archive.Live, members, tomb)
+				for _, pattern := range []string{contractNeedle, "aba"} {
+					all := scanOracle(docs, oracle, pattern)
+					for _, limit := range []int{0, 1, 2, len(all) - 1, len(all) + 3} {
+						want := all
+						if limit > 0 && limit < len(all) {
+							want = all[:limit]
+						}
+						got, err := set.FindAll([]byte(pattern), limit)
+						if err != nil || !slices.Equal(got, want) {
+							t.Errorf("members %v, tombstones %v: FindAll(%q, %d) = %v, %v; want %v", kinds, dead, pattern, limit, got, err, want)
+						}
+					}
+				}
+			}
+			for _, m := range members {
+				m.Close()
+			}
+		}
 	})
 
 	for _, backend := range []archive.Backend{archive.RLZ, archive.Block, archive.Raw} {

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -61,7 +60,7 @@ const (
 func (a Algorithm) String() string {
 	switch a {
 	case LZ77:
-		return "lzma*" // the lzma-substitute; see DESIGN.md
+		return "lzma*" // the lzma-substitute; see "Block codecs" in the README
 	default:
 		if c, ok := codec.ByID(byte(a)); ok {
 			return c.Name()
@@ -289,9 +288,7 @@ func (w *Writer) Close() error {
 // goroutines, provided each call passes a distinct dst buffer. The Reader
 // itself holds no mutable per-call state (decoder state and block buffers
 // are drawn from internal pools, the maps are immutable after Open, and
-// the underlying io.ReaderAt is accessed only through ReadAt), and the
-// optional block cache is internally synchronized. SetCacheBlocks is the
-// one exception: call it before the Reader is shared.
+// the underlying io.ReaderAt is accessed only through ReadAt).
 type Reader struct {
 	r          io.ReaderAt
 	alg        Algorithm
@@ -301,9 +298,7 @@ type Reader struct {
 	blockRaw   []int64 // per-block exact uncompressed size, from the locators
 	blockStart int64
 	size       int64
-	closer     io.Closer
-	cache      *blockCache // nil = uncached (paper-faithful)
-	bufs       sync.Pool   // *[]byte scratch: compressed reads and decoded blocks
+	bufs       sync.Pool // *[]byte scratch: compressed reads and decoded blocks
 }
 
 // Open reads a blocked archive's maps from r, which must cover size bytes.
@@ -406,26 +401,6 @@ func OpenBytes(data []byte) (*Reader, error) {
 	return Open(bytes.NewReader(data), int64(len(data)))
 }
 
-// OpenFile opens an archive file. Close the Reader to release the file.
-func OpenFile(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	rd, err := Open(f, st.Size())
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	rd.closer = f
-	return rd, nil
-}
-
 // NumDocs returns the number of documents in the archive.
 func (r *Reader) NumDocs() int { return len(r.docs) }
 
@@ -471,20 +446,14 @@ func (r *Reader) getBuf() *[]byte {
 	return &b
 }
 
-// decodeBlock returns block bi decompressed. When the bytes come from the
-// internal cache, release is a no-op and the bytes must not be modified;
-// otherwise they live in a pooled buffer that release returns — callers
-// must copy what outlives the call, and must not call release twice.
+// decodeBlock returns block bi decompressed into a pooled buffer that
+// release returns — callers must copy what outlives the call, and must
+// not call release twice.
 //
 //rlz:acquire release=closure
 //rlz:poolsafe the returned block lives in a pooled buffer until release runs
 func (r *Reader) decodeBlock(bi uint32) (block []byte, release func(), err error) {
 	noop := func() {}
-	if r.cache != nil {
-		if b := r.cache.get(bi); b != nil {
-			return b, noop, nil
-		}
-	}
 	o, l, err := r.blocks.Extent(int(bi))
 	if err != nil {
 		return nil, noop, err
@@ -533,9 +502,6 @@ func (r *Reader) decodeBlock(bi uint32) (block []byte, release func(), err error
 		r.bufs.Put(rb)
 		return nil, noop, fmt.Errorf("%w: block %d: %v", ErrCorruptArchive, bi, derr)
 	}
-	if r.cache != nil {
-		r.cache.put(bi, out)
-	}
 	return out, func() { *rb = out; r.bufs.Put(rb) }, nil
 }
 
@@ -553,9 +519,9 @@ func (r *Reader) docFromBlock(block []byte, id int) ([]byte, error) {
 
 // GetAppend retrieves document id, appending its text to dst. The whole
 // containing block is read and decompressed into a pooled buffer (no
-// caching unless SetCacheBlocks opted in: each request pays the full
-// baseline cost, as in the paper's evaluation where OS caches are
-// dropped between runs), but steady-state decodes allocate nothing —
+// caching: each request pays the full baseline cost, as in the paper's
+// evaluation where OS caches are dropped between runs; a serving cache
+// is internal/serve's), but steady-state decodes allocate nothing —
 // decoder state, compressed reads and block buffers are all pooled.
 func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
 	if id < 0 || id >= len(r.docs) {
@@ -688,10 +654,6 @@ func (r *Reader) GetBatch(ids []int, workers int, visit func(i int, doc []byte, 
 	_ = pipe.Close()
 }
 
-// Close releases the underlying file if the Reader owns one.
-func (r *Reader) Close() error {
-	if r.closer != nil {
-		return r.closer.Close()
-	}
-	return nil
-}
+// Close is a no-op: the Reader never owns what it reads from (whoever
+// opened the file or mapping — archive.Open — closes it).
+func (r *Reader) Close() error { return nil }

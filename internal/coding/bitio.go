@@ -29,11 +29,6 @@ func (w *BitWriter) WriteBits(v uint64, width uint) {
 	}
 }
 
-// WriteBit writes a single bit.
-func (w *BitWriter) WriteBit(b uint) {
-	w.WriteBits(uint64(b&1), 1)
-}
-
 // Flush pads any partial byte with zero bits and appends it.
 func (w *BitWriter) Flush() {
 	if w.n > 0 {
@@ -46,11 +41,6 @@ func (w *BitWriter) Flush() {
 func (w *BitWriter) Bytes() []byte {
 	w.Flush()
 	return w.buf
-}
-
-// BitLen reports the total number of bits written so far.
-func (w *BitWriter) BitLen() int {
-	return len(w.buf)*8 + int(w.n)
 }
 
 // BitReader consumes bits most-significant-first from a byte slice.
@@ -82,12 +72,6 @@ func (r *BitReader) ReadBits(width uint) (uint64, error) {
 	return v, nil
 }
 
-// ReadBit reads a single bit.
-func (r *BitReader) ReadBit() (uint, error) {
-	v, err := r.ReadBits(1)
-	return uint(v), err
-}
-
 // Peek returns up to width bits without consuming them, left-padding with
 // zeros if fewer bits remain. It also reports how many real bits were
 // available. This is what a table-driven Huffman decoder needs at the tail
@@ -114,10 +98,4 @@ func (r *BitReader) Skip(width uint) error {
 	}
 	r.n -= width
 	return nil
-}
-
-// BitsRemaining reports how many unread bits remain, counting buffered and
-// unconsumed source bytes.
-func (r *BitReader) BitsRemaining() int {
-	return int(r.n) + (len(r.src)-r.pos)*8
 }

@@ -9,7 +9,7 @@ import (
 func TestBitWriterSingleBits(t *testing.T) {
 	var w BitWriter
 	for _, b := range []uint{1, 0, 1, 1, 0, 0, 1, 0, 1} { // 9 bits: 0xB2, then 1 + padding
-		w.WriteBit(b)
+		w.WriteBits(uint64(b), 1)
 	}
 	got := w.Bytes()
 	want := []byte{0xB2, 0x80}
@@ -92,34 +92,6 @@ func TestBitReaderPeekTail(t *testing.T) {
 	}
 	if err := r.Skip(1); err != ErrShortBuffer {
 		t.Errorf("Skip past end: err = %v", err)
-	}
-}
-
-func TestBitWriterBitLen(t *testing.T) {
-	var w BitWriter
-	if w.BitLen() != 0 {
-		t.Fatalf("empty BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(0, 13)
-	if w.BitLen() != 13 {
-		t.Errorf("BitLen = %d, want 13", w.BitLen())
-	}
-	w.Flush()
-	if w.BitLen() != 16 {
-		t.Errorf("after flush BitLen = %d, want 16", w.BitLen())
-	}
-}
-
-func TestBitsRemaining(t *testing.T) {
-	r := NewBitReader([]byte{1, 2, 3})
-	if r.BitsRemaining() != 24 {
-		t.Fatalf("BitsRemaining = %d", r.BitsRemaining())
-	}
-	if _, err := r.ReadBits(5); err != nil {
-		t.Fatal(err)
-	}
-	if r.BitsRemaining() != 19 {
-		t.Errorf("after 5 bits: %d", r.BitsRemaining())
 	}
 }
 

@@ -1,18 +1,14 @@
 // Package coding implements the low-level integer and bit codings used
 // throughout the RLZ system: the variable-byte (vbyte) code the paper uses
 // for factor lengths (§3.4), fixed-width 32-bit codes for factor positions,
-// zigzag mapping for signed values, and a bit-granular reader/writer used by
-// the Huffman coder.
+// and a bit-granular reader/writer used by the Huffman coder.
 //
 // All encoders append to a caller-supplied byte slice and return the
 // extended slice, following the append convention, so buffers can be reused
 // across documents without allocation.
 package coding
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Errors returned by the decoders in this package.
 var (
@@ -100,28 +96,6 @@ func Uvarint64(src []byte) (uint64, int, error) {
 	return 0, 0, ErrShortBuffer
 }
 
-// UvarintLen32 reports the number of bytes PutUvarint32 would emit for v
-// without encoding it. Useful for sizing output buffers exactly.
-func UvarintLen32(v uint32) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// ZigZag32 maps a signed 32-bit integer onto an unsigned one so that values
-// of small magnitude (of either sign) receive short vbyte codes.
-func ZigZag32(v int32) uint32 {
-	return uint32(v<<1) ^ uint32(v>>31)
-}
-
-// UnZigZag32 inverts ZigZag32.
-func UnZigZag32(u uint32) int32 {
-	return int32(u>>1) ^ -int32(u&1)
-}
-
 // PutU32 appends v to dst in little-endian order as exactly four bytes.
 // This is the paper's "U" position code: a single unsigned 32-bit integer.
 func PutU32(dst []byte, v uint32) []byte {
@@ -162,39 +136,4 @@ func AppendUvarint32s(dst []byte, vs []uint32) []byte {
 		dst = PutUvarint32(dst, v)
 	}
 	return dst
-}
-
-// DecodeUvarint32s decodes exactly n vbyte values from src into out, which
-// is grown as needed and returned along with the number of bytes consumed.
-func DecodeUvarint32s(src []byte, n int, out []uint32) ([]uint32, int, error) {
-	pos := 0
-	for i := 0; i < n; i++ {
-		v, k, err := Uvarint32(src[pos:])
-		if err != nil {
-			return out, pos, fmt.Errorf("value %d of %d: %w", i, n, err)
-		}
-		out = append(out, v)
-		pos += k
-	}
-	return out, pos, nil
-}
-
-// AppendU32s encodes every value in vs as fixed 32-bit little-endian words.
-func AppendU32s(dst []byte, vs []uint32) []byte {
-	for _, v := range vs {
-		dst = PutU32(dst, v)
-	}
-	return dst
-}
-
-// DecodeU32s decodes exactly n fixed-width values from src into out.
-func DecodeU32s(src []byte, n int, out []uint32) ([]uint32, int, error) {
-	if len(src) < 4*n {
-		return out, 0, ErrShortBuffer
-	}
-	for i := 0; i < n; i++ {
-		v, _ := U32(src[4*i:])
-		out = append(out, v)
-	}
-	return out, 4 * n, nil
 }

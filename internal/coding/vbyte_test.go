@@ -24,9 +24,6 @@ func TestPutUvarint32Boundaries(t *testing.T) {
 		if len(enc) != c.want {
 			t.Errorf("PutUvarint32(%d) length = %d, want %d", c.v, len(enc), c.want)
 		}
-		if got := UvarintLen32(c.v); got != c.want {
-			t.Errorf("UvarintLen32(%d) = %d, want %d", c.v, got, c.want)
-		}
 		dec, n, err := Uvarint32(enc)
 		if err != nil {
 			t.Fatalf("Uvarint32(%d): %v", c.v, err)
@@ -103,31 +100,6 @@ func TestUvarint64Overflow(t *testing.T) {
 	}
 }
 
-func TestZigZag32(t *testing.T) {
-	cases := []struct {
-		v int32
-		u uint32
-	}{
-		{0, 0}, {-1, 1}, {1, 2}, {-2, 3}, {2, 4},
-		{math.MaxInt32, math.MaxUint32 - 1}, {math.MinInt32, math.MaxUint32},
-	}
-	for _, c := range cases {
-		if got := ZigZag32(c.v); got != c.u {
-			t.Errorf("ZigZag32(%d) = %d, want %d", c.v, got, c.u)
-		}
-		if got := UnZigZag32(c.u); got != c.v {
-			t.Errorf("UnZigZag32(%d) = %d, want %d", c.u, got, c.v)
-		}
-	}
-}
-
-func TestZigZagRoundTripQuick(t *testing.T) {
-	f := func(v int32) bool { return UnZigZag32(ZigZag32(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestU32RoundTrip(t *testing.T) {
 	for _, v := range []uint32{0, 1, 0xDEADBEEF, math.MaxUint32} {
 		enc := PutU32(nil, v)
@@ -164,46 +136,27 @@ func TestBulkUvarint32s(t *testing.T) {
 		vs[i] = rng.Uint32() >> uint(rng.Intn(32))
 	}
 	enc := AppendUvarint32s(nil, vs)
-	dec, n, err := DecodeUvarint32s(enc, len(vs), nil)
-	if err != nil {
-		t.Fatal(err)
+	n := 0
+	for i, want := range vs {
+		got, k, err := Uvarint32(enc[n:])
+		if err != nil || got != want {
+			t.Fatalf("value %d: got %d, %v; want %d", i, got, err, want)
+		}
+		n += k
 	}
 	if n != len(enc) {
 		t.Errorf("consumed %d of %d bytes", n, len(enc))
-	}
-	for i := range vs {
-		if dec[i] != vs[i] {
-			t.Fatalf("value %d: got %d, want %d", i, dec[i], vs[i])
-		}
-	}
-	// Truncated input surfaces an error naming the failing element.
-	if _, _, err := DecodeUvarint32s(enc[:len(enc)-1], len(vs), nil); err == nil {
-		t.Error("truncated bulk decode succeeded")
-	}
-}
-
-func TestBulkU32s(t *testing.T) {
-	vs := []uint32{0, 5, 1 << 30, math.MaxUint32}
-	enc := AppendU32s(nil, vs)
-	dec, n, err := DecodeU32s(enc, len(vs), nil)
-	if err != nil || n != 16 {
-		t.Fatalf("DecodeU32s: n=%d err=%v", n, err)
-	}
-	for i := range vs {
-		if dec[i] != vs[i] {
-			t.Fatalf("value %d: got %d, want %d", i, dec[i], vs[i])
-		}
-	}
-	if _, _, err := DecodeU32s(enc[:15], 4, nil); err != ErrShortBuffer {
-		t.Errorf("short bulk: err = %v", err)
 	}
 }
 
 func TestDecodeIntoReusedBuffer(t *testing.T) {
 	vs := []uint32{9, 8, 7}
-	enc := AppendUvarint32s(nil, vs)
+	enc, err := PutSimple9(nil, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prefix := []uint32{1, 2}
-	out, _, err := DecodeUvarint32s(enc, len(vs), prefix)
+	out, _, err := Simple9(enc, len(vs), prefix)
 	if err != nil {
 		t.Fatal(err)
 	}

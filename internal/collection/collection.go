@@ -105,7 +105,7 @@ type view struct {
 	refcount // 1 for being installed plus 1 per in-flight read
 	gen      uint64
 	set      *archive.Set
-	members  []*member    // lifetimes and manifest names, parallel to set.Members()
+	members  []*member    // lifetimes and manifest names, parallel to set's members
 	open     *openSegment // the last member's reader, or nil when no segment is open
 }
 
@@ -765,10 +765,10 @@ func (c *Collection) Extent(id int) (off, n int64, err error) {
 
 // FindAll collects occurrences of pattern across the whole live
 // collection in global-id order, up to limit (0 = all), implementing
-// archive.Searcher: compacted RLZ segments search in the compressed
-// domain, raw segments and the open append segment are scanned.
-// Tombstoned documents never match. Together with GetRange this makes
-// rlz grep work over a collection unchanged.
+// archive.Searcher: every live document of every segment, the open one
+// included, is decoded once and scanned. Tombstoned documents never
+// match. Together with GetRange this makes rlz grep work over a
+// collection unchanged.
 func (c *Collection) FindAll(pattern []byte, limit int) ([]archive.Match, error) {
 	v, release, err := c.acquireView()
 	if err != nil {
@@ -793,9 +793,6 @@ func (c *Collection) GetRange(id, from, to int) ([]byte, error) {
 // ids included (they are routable and return not-found — ids are never
 // renumbered).
 func (c *Collection) NumDocs() int { return c.view.Load().set.NumDocs() }
-
-// NumSegments returns the sealed segment count of the current view.
-func (c *Collection) NumSegments() int { return len(c.view.Load().sealed()) }
 
 // Size returns the total on-disk payload size: sealed segment bytes
 // plus the open segment's current extent.

@@ -193,7 +193,7 @@ func TestCompactPreservesDocsAndIDs(t *testing.T) {
 		all[i] = docs[i%40]
 	}
 	checkDocs(t, c, all, nil)
-	if n := c.NumSegments(); n != 2 {
+	if n := len(c.Info().Segments); n != 2 {
 		t.Fatalf("segments = %d, want 2", n)
 	}
 }
@@ -615,7 +615,7 @@ func TestCompactionReleasesDescriptors(t *testing.T) {
 	// data+sidecar pair, the sealed raw reader, the replaced raw reader
 	// — must have drained and closed; leaking those would add ~4 more
 	// per cycle (~40 total).
-	added := c.NumSegments() - 1
+	added := len(c.Info().Segments) - 1
 	if got := fdCount(); got > base+added+5 {
 		t.Fatalf("fd count grew from %d to %d across 10 compaction cycles (%d live segments added)", base, got, added)
 	}

@@ -54,9 +54,6 @@ type CompactOptions struct {
 	// segments built against the previously-current one become stale and
 	// drain on the next UpgradeStale pass, not this one.
 	UpgradeStale bool
-	// Factorizer tunes the fast factorization engine (PR 4); shared by
-	// every build worker through the one prepared dictionary.
-	Factorizer rlz.FactorizerOptions
 	// Workers bounds build concurrency; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -154,7 +151,6 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		Backend:      archive.RLZ,
 		Codec:        opts.Codec,
 		PreparedDict: chosen.dict,
-		Factorizer:   opts.Factorizer,
 		Workers:      opts.Workers,
 		Heat:         chosen.heat,
 	}

@@ -277,8 +277,8 @@ func trialGain(cur, cand *rlz.Dictionary, runs []run, tomb map[int]struct{}, opt
 	if codec == (rlz.PairCodec{}) {
 		codec = rlz.CodecZV
 	}
-	fzCur := rlz.NewFactorizer(cur, opts.Factorizer)
-	fzCand := rlz.NewFactorizer(cand, opts.Factorizer)
+	fzCur := rlz.NewFactorizer(cur, rlz.FactorizerOptions{})
+	fzCand := rlz.NewFactorizer(cand, rlz.FactorizerOptions{})
 	src := &multiRunSource{runs: runs, tomb: tomb}
 	var curBytes, candBytes int64
 	var consumed int64

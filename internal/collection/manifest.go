@@ -133,17 +133,6 @@ func (m *Manifest) NumSealedDocs() int {
 	return total
 }
 
-// Starts derives the cumulative global-id offsets: starts[i] is the
-// global id of segment i's first document, starts[len(Segments)] the
-// total sealed document count.
-func (m *Manifest) Starts() []int {
-	starts := make([]int, len(m.Segments)+1)
-	for i, s := range m.Segments {
-		starts[i+1] = starts[i] + s.Docs
-	}
-	return starts
-}
-
 // validName rejects path components a manifest must not smuggle in:
 // empty names, absolute paths and ".." traversal.
 func validName(name string) error {

@@ -257,14 +257,6 @@ func (c *Collection) SortByURL() {
 	})
 }
 
-// Clone returns a deep-enough copy sharing document bodies (bodies are
-// never mutated) so one generated collection can be used in both orders.
-func (c *Collection) Clone() *Collection {
-	docs := make([]Document, len(c.Docs))
-	copy(docs, c.Docs)
-	return &Collection{Docs: docs}
-}
-
 // Bytes concatenates all document bodies in collection order — the "single
 // string" view of §3.3 that dictionary sampling operates on.
 func (c *Collection) Bytes() []byte {
@@ -302,14 +294,4 @@ func (c *Collection) Records() []warc.Record {
 		recs[i] = warc.Record{URL: d.URL, Body: d.Body}
 	}
 	return recs
-}
-
-// FromRecords builds a collection from warc records (bodies are shared,
-// not copied).
-func FromRecords(recs []warc.Record) *Collection {
-	c := &Collection{Docs: make([]Document, len(recs))}
-	for i, r := range recs {
-		c.Docs[i] = Document{URL: r.URL, Body: r.Body}
-	}
-	return c
 }

@@ -1,8 +1,7 @@
 // Package experiment reproduces every table and figure of the paper's
 // evaluation (§4–§5) on synthetic collections. Each exported function
-// regenerates one artifact and returns it as a Table ready for printing;
-// DESIGN.md maps experiment IDs to the modules involved and EXPERIMENTS.md
-// records paper-versus-measured outcomes.
+// regenerates one artifact and returns it as a Table ready for printing
+// ("Reproducing the paper" in the README says how to run them).
 //
 // Scaling: the paper ran 426 GB (GOV2) and 256 GB (Wikipedia) collections
 // against 0.5–2 GB dictionaries. This harness defaults to tens of

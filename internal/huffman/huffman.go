@@ -72,9 +72,6 @@ func (c *Codec) Reset(lengths []uint8) error {
 // returned slice is the codec's own; callers must not mutate it.
 func (c *Codec) Lengths() []uint8 { return c.lengths }
 
-// NumSymbols returns the alphabet size the codec was built for.
-func (c *Codec) NumSymbols() int { return len(c.lengths) }
-
 // CodeLen returns the codeword length in bits for symbol s, or 0 if the
 // symbol has no code.
 func (c *Codec) CodeLen(s int) int { return int(c.lengths[s]) }

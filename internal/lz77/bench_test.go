@@ -22,9 +22,9 @@ func webBlock(size int) []byte {
 	return b.Bytes()[:size]
 }
 
-// BenchmarkAblationLazy quantifies the lazy-vs-greedy parsing choice
-// DESIGN.md calls out: lazy costs extra match searches but finds longer
-// matches on text with overlapping repeats.
+// BenchmarkAblationLazy quantifies the lazy-vs-greedy parsing choice:
+// lazy costs extra match searches but finds longer matches on text with
+// overlapping repeats.
 func BenchmarkAblationLazy(b *testing.B) {
 	src := webBlock(256 << 10)
 	for _, mode := range []struct {

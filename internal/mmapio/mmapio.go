@@ -60,11 +60,6 @@ func Supported() bool { return supported }
 // Len returns the mapped length in bytes.
 func (m *Mapping) Len() int64 { return int64(len(m.data)) }
 
-// Bytes returns the whole mapping. The slice is invalidated by Close.
-//
-//rlz:view
-func (m *Mapping) Bytes() []byte { return m.data }
-
 // Slice returns the sub-slice [off, off+n) of the mapping with no copy.
 // The slice is invalidated by Close.
 //

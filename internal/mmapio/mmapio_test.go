@@ -36,8 +36,8 @@ func TestMapRoundTrip(t *testing.T) {
 	if m.Len() != int64(len(data)) {
 		t.Fatalf("Len = %d, want %d", m.Len(), len(data))
 	}
-	if !bytes.Equal(m.Bytes(), data) {
-		t.Fatal("Bytes mismatch")
+	if whole, err := m.Slice(0, m.Len()); err != nil || !bytes.Equal(whole, data) {
+		t.Fatalf("whole-mapping Slice mismatch (err %v)", err)
 	}
 	s, err := m.Slice(10, 20)
 	if err != nil {
@@ -71,8 +71,8 @@ func TestMapOutlivesFile(t *testing.T) {
 	}
 	defer m.Close()
 	f.Close()
-	if !bytes.Equal(m.Bytes(), data) {
-		t.Fatal("mapping invalid after file close")
+	if whole, err := m.Slice(0, m.Len()); err != nil || !bytes.Equal(whole, data) {
+		t.Fatalf("mapping invalid after file close (err %v)", err)
 	}
 }
 

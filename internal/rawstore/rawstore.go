@@ -31,7 +31,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sync"
 
 	"rlz/internal/coding"
@@ -291,7 +290,6 @@ type Reader struct {
 	m      *docmap.Map
 	stride int64 // bytes of framing before each document: frameSize, or 0 in version 1
 	size   int64
-	closer io.Closer
 }
 
 // Open reads a raw archive's document map from r covering size bytes.
@@ -336,26 +334,6 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 // OpenBytes opens an archive held in memory.
 func OpenBytes(data []byte) (*Reader, error) {
 	return Open(bytes.NewReader(data), int64(len(data)))
-}
-
-// OpenFile opens an archive file. Close the Reader to release the file.
-func OpenFile(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	rd, err := Open(f, st.Size())
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	rd.closer = f
-	return rd, nil
 }
 
 // NumDocs returns the number of documents in the archive.
@@ -421,10 +399,6 @@ func (r *Reader) View(id int, fn func(doc []byte) error) (bool, error) {
 	return true, fn(doc)
 }
 
-// Close releases the underlying file if the Reader owns one.
-func (r *Reader) Close() error {
-	if r.closer != nil {
-		return r.closer.Close()
-	}
-	return nil
-}
+// Close is a no-op: the Reader never owns what it reads from (whoever
+// opened the file or mapping — archive.Open — closes it).
+func (r *Reader) Close() error { return nil }

@@ -120,11 +120,15 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, arc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer f.Close()
+	r, err := Open(f, int64(len(arc)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := r.Get(2)
 	if err != nil || !bytes.Equal(got, docs[2]) {
 		t.Fatalf("Get(2) = %q, %v", got, err)

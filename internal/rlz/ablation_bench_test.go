@@ -8,19 +8,19 @@ import (
 	"rlz/internal/corpus"
 )
 
-// Ablation benches for the design choices DESIGN.md calls out. These use
-// the same synthetic collection as the experiment harness so numbers are
-// comparable across runs.
+// Ablation benches for the design choices the README's "The fast
+// factorization engine" section calls out. These use the same synthetic
+// collection as the experiment harness so numbers are comparable across
+// runs.
 
 func benchCollection(b *testing.B) *corpus.Collection {
 	b.Helper()
 	return corpus.Generate(corpus.Gov, 2<<20, 5)
 }
 
-// BenchmarkAblationRefine dissects the factorization engine: the full
-// fast path (k-gram ladder + boundary skip + inlined search + csp2
-// extension), the engine with the ladder off, and the paper's pure
-// binary-search factorizer as the floor.
+// BenchmarkAblationRefine sets the factorization engine (k-gram ladder +
+// boundary skip + inlined search + csp2 extension) against the paper's
+// pure binary-search factorizer, the floor.
 func BenchmarkAblationRefine(b *testing.B) {
 	c := benchCollection(b)
 	dictData := SampleEven(c.Bytes(), 64<<10, 1<<10)
@@ -34,7 +34,6 @@ func BenchmarkAblationRefine(b *testing.B) {
 		run  func(doc []byte, fs []Factor) []Factor
 	}{
 		{"ladder", func(doc []byte, fs []Factor) []Factor { return d.Factorize(doc, fs) }},
-		{"ladder-off", NewFactorizer(d, FactorizerOptions{DisableJump: true}).Factorize},
 		{"binary-search-only", d.factorizeNoFastPath},
 	}
 	for _, v := range variants {
@@ -50,9 +49,9 @@ func BenchmarkAblationRefine(b *testing.B) {
 
 // BenchmarkAblationSampling compares dictionary construction policies at
 // equal dictionary budget: the paper's evenly spaced samples versus a
-// head-of-collection prefix versus random samples. The reported metric is
-// the resulting encoded size (smaller is better); even sampling should
-// win or tie because it alone sees the whole collection.
+// head-of-collection prefix. The reported metric is the resulting encoded
+// size (smaller is better); even sampling should win or tie because it
+// alone sees the whole collection.
 func BenchmarkAblationSampling(b *testing.B) {
 	c := benchCollection(b)
 	collection := c.Bytes()
@@ -62,8 +61,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 		data []byte
 	}{
 		{"even", SampleEven(collection, budget, 1<<10)},
-		{"head", SampleHead(collection, budget)},
-		{"random", SampleRandom(collection, budget, 1<<10, 13)},
+		{"head", collection[:budget]},
 	}
 	for _, p := range policies {
 		b.Run(p.name, func(b *testing.B) {

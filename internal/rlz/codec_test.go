@@ -190,19 +190,9 @@ func TestStatsPaperColumns(t *testing.T) {
 	if got := s.UnusedPercent(); got != 50 {
 		t.Errorf("UnusedPercent = %v, want 50", got)
 	}
-	if s.Factors() != 3 || s.Literals() != 1 {
-		t.Errorf("counts = %d factors, %d literals", s.Factors(), s.Literals())
-	}
-	values, freqs := s.LengthHistogram()
-	wantV := []uint32{0, 2, 4}
-	wantF := []int64{1, 1, 1}
-	if len(values) != 3 {
-		t.Fatalf("histogram = %v / %v", values, freqs)
-	}
-	for i := range wantV {
-		if values[i] != wantV[i] || freqs[i] != wantF[i] {
-			t.Errorf("histogram[%d] = (%d,%d), want (%d,%d)", i, values[i], freqs[i], wantV[i], wantF[i])
-		}
+	// Both copy factors are shorter than 10; the literal is in no bin.
+	if _, counts := s.BinnedLengthHistogram(); counts[0] != 2 || counts[1] != 0 {
+		t.Errorf("binned histogram = %v, want 2 lengths in the first bin", counts)
 	}
 }
 

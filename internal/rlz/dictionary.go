@@ -286,60 +286,3 @@ func (s *EvenSampler) Write(p []byte) (int, error) {
 // through Write remain zero bytes; feed the full collection for a result
 // identical to SampleEven.
 func (s *EvenSampler) Bytes() []byte { return s.out }
-
-// SampleHead returns the first dictSize bytes of the collection. It exists
-// as the ablation baseline for SampleEven: a head-only dictionary misses
-// content that drifts over the collection, which is what Table 10's prefix
-// experiment quantifies at full scale.
-func SampleHead(collection []byte, dictSize int) []byte {
-	if dictSize > len(collection) {
-		dictSize = len(collection)
-	}
-	out := make([]byte, dictSize)
-	copy(out, collection[:dictSize])
-	return out
-}
-
-// SampleRandom draws sampleSize-byte samples at pseudo-random positions
-// (deterministic in seed) until dictSize bytes are collected. Another
-// ablation comparator for SampleEven.
-func SampleRandom(collection []byte, dictSize, sampleSize int, seed int64) []byte {
-	n := len(collection)
-	if n == 0 || dictSize <= 0 {
-		return nil
-	}
-	if sampleSize <= 0 {
-		sampleSize = 1024
-	}
-	if dictSize >= n {
-		out := make([]byte, n)
-		copy(out, collection)
-		return out
-	}
-	// xorshift64* keeps this free of math/rand plumbing and stable across
-	// Go releases, which matters for reproducible experiments.
-	state := uint64(seed)
-	if state == 0 {
-		state = 0x9E3779B97F4A7C15
-	}
-	next := func() uint64 {
-		state ^= state >> 12
-		state ^= state << 25
-		state ^= state >> 27
-		return state * 0x2545F4914F6CDD1D
-	}
-	out := make([]byte, 0, dictSize)
-	for len(out) < dictSize {
-		start := int(next() % uint64(n))
-		end := start + sampleSize
-		if end > n {
-			end = n
-		}
-		take := end - start
-		if rem := dictSize - len(out); take > rem {
-			take = rem
-		}
-		out = append(out, collection[start:start+take]...)
-	}
-	return out
-}

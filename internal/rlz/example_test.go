@@ -53,21 +53,6 @@ func ExampleDictionary_DecodeRange() {
 	// anca
 }
 
-func ExampleCompressor() {
-	c, err := rlz.NewCompressor([]byte("the common boilerplate of the collection"), rlz.CodecZV)
-	if err != nil {
-		log.Fatal(err)
-	}
-	record := c.Compress(nil, []byte("the common boilerplate, then a unique tail"))
-	doc, _, err := c.Decompress(nil, record)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s\n", doc)
-	// Output:
-	// the common boilerplate, then a unique tail
-}
-
 func ExampleSampleEven() {
 	collection := []byte("aaaaaaaaaabbbbbbbbbbccccccccccdddddddddd")
 	// A 8-byte dictionary from 2-byte samples: four samples at evenly

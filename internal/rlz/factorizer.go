@@ -7,15 +7,11 @@ import (
 	"rlz/internal/suffix"
 )
 
-// FactorizerOptions tunes the fast factorization engine. The zero value
-// (k-gram ladder on) is what every build path uses unless told otherwise.
-type FactorizerOptions struct {
-	// DisableJump turns the k-gram ladder off, so every factor narrows
-	// from the full suffix array with only the closure-free interval
-	// search and the csp2-style single-candidate extension — the A/B
-	// switch for measuring what the ladder buys.
-	DisableJump bool
-}
+// FactorizerOptions holds nothing: the engine has one configuration, and
+// the ladder decides from the dictionary which rungs it keeps. The type
+// and NewFactorizer's second parameter stay only because
+// benchmark/layers.go names both and a change may not edit the benchmark.
+type FactorizerOptions struct{}
 
 // linearThreshold is the interval size at or below which the factorizer's
 // inlined search scans slots sequentially instead of binary-searching;
@@ -64,28 +60,20 @@ func (g *rungGate) missed() {
 // A Factorizer is stateless across calls and safe for concurrent use;
 // per-worker instances exist to amortize construction, not to guard
 // mutable state. Factorize output is byte-identical to
-// Dictionary.Factorize for every input, ladder or not — a rung only
+// Dictionary.Factorize for every input, whatever rungs exist — a rung only
 // replaces a factor's first k Refine steps with a lookup that lands on
 // the interval those steps would have produced.
 type Factorizer struct {
-	dict  *Dictionary
 	sa    *suffix.Array
-	rungs suffix.Ladder // nil when the ladder is disabled
+	rungs suffix.Ladder // empty when the dictionary is too small to keep a rung
 }
 
 // NewFactorizer prepares a factorization engine over dict. The ladder is
 // built on first use per dictionary and shared by every Factorizer (and
 // every Dictionary.Factorize call) over it.
-func NewFactorizer(dict *Dictionary, opts FactorizerOptions) *Factorizer {
-	f := &Factorizer{dict: dict, sa: dict.index()}
-	if !opts.DisableJump {
-		f.rungs = dict.ladder()
-	}
-	return f
+func NewFactorizer(dict *Dictionary, _ FactorizerOptions) *Factorizer {
+	return &Factorizer{sa: dict.index(), rungs: dict.ladder()}
 }
-
-// Dictionary returns the dictionary this engine factorizes against.
-func (f *Factorizer) Dictionary() *Dictionary { return f.dict }
 
 // matchLen returns the length of the longest common prefix of a and b,
 // comparing eight bytes per step — the sequential half of the engine's

@@ -11,9 +11,9 @@ import (
 	"rlz/internal/suffix"
 )
 
-// engines returns every configuration of the fast factorization engine —
-// ladder on (pooled and fresh) and ladder off — each of which must
-// produce byte-identical factors, labeled for failure messages.
+// engines returns every way into the fast factorization engine — pooled
+// behind Dictionary.Factorize and freshly constructed — each of which
+// must produce byte-identical factors, labeled for failure messages.
 func engines(d *Dictionary) []struct {
 	name string
 	run  func(doc []byte) []Factor
@@ -24,9 +24,6 @@ func engines(d *Dictionary) []struct {
 	}{
 		{"dictionary-pooled", func(doc []byte) []Factor { return d.Factorize(doc, nil) }},
 		{"factorizer-ladder", func(doc []byte) []Factor { return NewFactorizer(d, FactorizerOptions{}).Factorize(doc, nil) }},
-		{"factorizer-nojump", func(doc []byte) []Factor {
-			return NewFactorizer(d, FactorizerOptions{DisableJump: true}).Factorize(doc, nil)
-		}},
 	}
 }
 
@@ -235,15 +232,12 @@ func TestFactorizerAppendsToBuffer(t *testing.T) {
 	if len(buf) <= n {
 		t.Fatalf("second Factorize did not append: %v", buf)
 	}
-	if fz.Dictionary() != d {
-		t.Error("Dictionary() returned a different dictionary")
-	}
 }
 
 // TestFactorizerSharesLadder verifies that N factorizers over one
 // dictionary — constructed at once, as a parallel build's workers are —
 // share one ladder, built once (the sharded-build property: N workers,
-// one table set), and that DisableJump leaves an engine without it.
+// one table set).
 func TestFactorizerSharesLadder(t *testing.T) {
 	d := mustDict(t, bytes.Repeat([]byte("the quick brown fox "), 16))
 	const n = 8
@@ -265,9 +259,6 @@ func TestFactorizerSharesLadder(t *testing.T) {
 		if &fz.rungs[0] != &d.ladder()[0] {
 			t.Errorf("factorizer %d holds its own ladder", i)
 		}
-	}
-	if fz := NewFactorizer(d, FactorizerOptions{DisableJump: true}); fz.rungs != nil {
-		t.Error("DisableJump still resolved the ladder")
 	}
 }
 

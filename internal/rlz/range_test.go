@@ -99,83 +99,14 @@ func TestDecodeRangeQuick(t *testing.T) {
 	}
 }
 
-func TestCompressorRoundTrip(t *testing.T) {
-	dictData := []byte("shared boilerplate for every document in the collection")
-	c, err := NewCompressor(dictData, CodecZV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := [][]byte{
-		[]byte("shared boilerplate plus unique tail one"),
-		[]byte("another document with shared boilerplate inside"),
-		{},
-	}
-	// Concatenated records must stream-decode.
-	var stream []byte
-	for _, doc := range docs {
-		stream = c.Compress(stream, doc)
-	}
-	pos := 0
-	for i, want := range docs {
-		got, used, err := c.Decompress(nil, stream[pos:])
-		if err != nil {
-			t.Fatalf("doc %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("doc %d mismatch", i)
-		}
-		pos += used
-	}
-	if pos != len(stream) {
-		t.Errorf("stream has %d trailing bytes", len(stream)-pos)
-	}
-}
-
-func TestCompressorRange(t *testing.T) {
-	c, err := NewCompressor([]byte("abcdefghij klmnop qrstuv"), CodecUV)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestDecodeRecordRange is the known-answer case for the range decode the
+// store serves GetRange with: a window in the middle of an encoded record.
+func TestDecodeRecordRange(t *testing.T) {
+	d := mustDict(t, []byte("abcdefghij klmnop qrstuv"))
 	doc := []byte("abcdefghij qrstuv abcdef!")
-	rec := c.Compress(nil, doc)
-	got, _, err := c.DecompressRange(nil, rec, 11, 17)
-	if err != nil || string(got) != "qrstuv" {
-		t.Fatalf("range = %q, %v", got, err)
-	}
-}
-
-func TestCompressorSharedDictionary(t *testing.T) {
-	d := mustDict(t, []byte("the dictionary text"))
-	a := NewCompressorFromDictionary(d, CodecUV)
-	b := NewCompressorFromDictionary(d, CodecZZ)
-	if a.Dictionary() != b.Dictionary() {
-		t.Error("dictionary not shared")
-	}
-	doc := []byte("the dictionary text re-encoded")
-	ra := a.Compress(nil, doc)
-	rb := b.Compress(nil, doc)
-	da, _, err := a.Decompress(nil, ra)
-	if err != nil || !bytes.Equal(da, doc) {
-		t.Fatalf("UV round trip: %v", err)
-	}
-	db, _, err := b.Decompress(nil, rb)
-	if err != nil || !bytes.Equal(db, doc) {
-		t.Fatalf("ZZ round trip: %v", err)
-	}
-	if a.Codec() == b.Codec() {
-		t.Error("codecs should differ")
-	}
-}
-
-func TestCompressorErrors(t *testing.T) {
-	if _, err := NewCompressor(nil, CodecUV); err == nil {
-		t.Error("empty dictionary accepted")
-	}
-	c, err := NewCompressor([]byte("dict"), CodecUV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Decompress(nil, []byte{0xFF}); err == nil {
-		t.Error("garbage record accepted")
+	rec := CodecUV.Encode(nil, d.Factorize(doc, nil))
+	got, used, err := d.DecodeRecordRange(nil, CodecUV, rec, 11, 17)
+	if err != nil || string(got) != "qrstuv" || used != len(rec) {
+		t.Fatalf("range = %q, used %d of %d, %v", got, used, len(rec), err)
 	}
 }

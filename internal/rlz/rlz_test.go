@@ -3,7 +3,6 @@ package rlz
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -279,26 +278,6 @@ func TestSamplePrefix(t *testing.T) {
 	}
 	if !seenB {
 		t.Error("full-prefix sampling never reached the tail")
-	}
-}
-
-func TestSampleHeadAndRandom(t *testing.T) {
-	collection := []byte(strings.Repeat("headtail", 1000))
-	head := SampleHead(collection, 64)
-	if !bytes.Equal(head, collection[:64]) {
-		t.Error("SampleHead mismatch")
-	}
-	r1 := SampleRandom(collection, 256, 32, 7)
-	r2 := SampleRandom(collection, 256, 32, 7)
-	if !bytes.Equal(r1, r2) {
-		t.Error("SampleRandom not deterministic in seed")
-	}
-	if len(r1) != 256 {
-		t.Errorf("SampleRandom length = %d", len(r1))
-	}
-	r3 := SampleRandom(collection, 256, 32, 8)
-	if bytes.Equal(r1, r3) {
-		t.Error("different seeds produced identical samples")
 	}
 }
 

@@ -8,13 +8,11 @@ package rlz
 // Feed every document's factors through Observe, then read the summary
 // accessors. A Stats value is tied to the dictionary it was created for.
 type Stats struct {
-	dictLen    int
-	covered    []bool // dictionary bytes referenced by at least one factor
-	numFactors int64
-	numCopies  int64 // factors with Len > 0
-	numLiteral int64
-	totalLen   int64 // sum of copy-factor lengths
-	hist       map[uint32]int64
+	dictLen   int
+	covered   []bool // dictionary bytes referenced by at least one factor
+	numCopies int64  // factors with Len > 0
+	totalLen  int64  // sum of copy-factor lengths
+	hist      map[uint32]int64
 }
 
 // NewStats creates a Stats accumulator for dictionaries of d's size.
@@ -29,10 +27,7 @@ func NewStats(d *Dictionary) *Stats {
 // Observe records one document's factors.
 func (s *Stats) Observe(factors []Factor) {
 	for _, f := range factors {
-		s.numFactors++
 		if f.Len == 0 {
-			s.numLiteral++
-			s.hist[0]++
 			continue
 		}
 		s.numCopies++
@@ -43,12 +38,6 @@ func (s *Stats) Observe(factors []Factor) {
 		}
 	}
 }
-
-// Factors returns the total number of factors observed.
-func (s *Stats) Factors() int64 { return s.numFactors }
-
-// Literals returns the number of zero-length (literal) factors observed.
-func (s *Stats) Literals() int64 { return s.numLiteral }
 
 // AvgFactorLen returns the mean length of copy factors — the paper's
 // "Avg.Fact." column. Literals are excluded, matching a reading of the
@@ -75,28 +64,6 @@ func (s *Stats) UnusedPercent() float64 {
 	return 100 * float64(unused) / float64(s.dictLen)
 }
 
-// LengthHistogram returns (value, frequency) pairs for every distinct
-// factor length observed, sorted ascending by value. Literals appear as
-// value 0. This is the data behind the paper's Figure 3.
-func (s *Stats) LengthHistogram() (values []uint32, freqs []int64) {
-	values = make([]uint32, 0, len(s.hist))
-	for v := range s.hist {
-		values = append(values, v)
-	}
-	// Insertion sort: histograms have few distinct values relative to
-	// input size, and this avoids importing sort for one call site.
-	for i := 1; i < len(values); i++ {
-		for j := i; j > 0 && values[j-1] > values[j]; j-- {
-			values[j-1], values[j] = values[j], values[j-1]
-		}
-	}
-	freqs = make([]int64, len(values))
-	for i, v := range values {
-		freqs[i] = s.hist[v]
-	}
-	return values, freqs
-}
-
 // BinnedLengthHistogram buckets the length histogram into powers-of-ten
 // style log bins [1,10), [10,100), ... as Figure 3's log-log plot does,
 // returning the bin upper bounds and counts. Literals (length 0) are
@@ -105,9 +72,6 @@ func (s *Stats) BinnedLengthHistogram() (upper []uint32, counts []int64) {
 	upper = []uint32{10, 100, 1000, 10000, 100000, 1 << 31}
 	counts = make([]int64, len(upper))
 	for v, n := range s.hist {
-		if v == 0 {
-			continue
-		}
 		for i, u := range upper {
 			if v < u {
 				counts[i] += n

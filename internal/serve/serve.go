@@ -1,8 +1,8 @@
 // Package serve is the concurrent document-serving layer over
 // internal/archive: it wraps any archive.Reader in an explicit
 // concurrency contract and adds what a hot read path needs — a promoted
-// LRU document cache (internal/lru, the same cache the blockstore uses
-// for blocks, lifted here so the rlz and raw backends benefit too),
+// LRU document cache (internal/lru; the one cache on the read path, so
+// every backend benefits and none keeps its own),
 // per-request buffer pooling around the GetAppend zero-allocation path,
 // a batch API with per-document error reporting, read statistics
 // (hits, misses, bytes decoded, p50/p99 latency), and a cache epoch that
@@ -134,9 +134,6 @@ func (s *Server) BumpEpoch() { s.purgeOnCycle(s.epoch.Add(1)) }
 // Epoch returns the current cache epoch, starting at 1 and incremented
 // by every BumpEpoch.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
-// Reader returns the archive.Reader the Server was built over.
-func (s *Server) Reader() archive.Reader { return s.r }
 
 // NumDocs returns the number of documents in the underlying archive.
 func (s *Server) NumDocs() int { return s.r.NumDocs() }

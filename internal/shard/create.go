@@ -46,10 +46,9 @@ type Options struct {
 	// total is Shards. The output is byte-identical for a fixed shard
 	// count at any worker count.
 	//
-	// For the RLZ backend, Archive.Factorizer tunes the fast
-	// factorization engine of every shard's pipeline: each shard-build
-	// worker runs its own rlz.Factorizer, all sharing the one dictionary
-	// index and k-gram ladder carried by the shared PreparedDict.
+	// For the RLZ backend each shard-build worker runs its own
+	// rlz.Factorizer, all sharing the one dictionary index and k-gram
+	// ladder carried by the shared PreparedDict.
 	Archive archive.Options
 }
 

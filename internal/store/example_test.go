@@ -51,30 +51,3 @@ func Example() {
 	// <html>page two shares this boilerplate</html>
 	// page three
 }
-
-// Grep the compressed archive without decompressing it wholesale.
-func ExampleReader_Scan() {
-	var buf bytes.Buffer
-	w, err := store.NewWriter(&buf, []byte("needle and haystack text"), rlz.CodecUV)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w.Append([]byte("a haystack with a needle inside"))
-	w.Append([]byte("no luck here"))
-	w.Append([]byte("needle needle"))
-	if err := w.Close(); err != nil {
-		log.Fatal(err)
-	}
-	r, err := store.OpenBytes(buf.Bytes())
-	if err != nil {
-		log.Fatal(err)
-	}
-	r.Scan([]byte("needle"), func(m store.Match) bool {
-		fmt.Printf("doc %d offset %d\n", m.Doc, m.Offset)
-		return true
-	})
-	// Output:
-	// doc 0 offset 18
-	// doc 2 offset 0
-	// doc 2 offset 7
-}

@@ -47,10 +47,8 @@ type Writer struct {
 	w       countingWriter
 	dict    *rlz.Dictionary
 	codec   rlz.PairCodec
-	fopts   rlz.FactorizerOptions
 	fz      *rlz.Factorizer // lazy: prefactored writers never factorize
 	m       *docmap.Map
-	stats   *rlz.Stats
 	heat    *rlz.RegionHeat
 	factors []rlz.Factor // reused across Appends
 	scratch []byte
@@ -121,16 +119,12 @@ func newWriter(w io.Writer, dict *rlz.Dictionary, dictData []byte, codec rlz.Pai
 	return sw, nil
 }
 
-// CollectStats attaches a statistics accumulator that will observe every
-// factorization performed by subsequent Appends. Pass nil to detach.
-func (w *Writer) CollectStats(s *rlz.Stats) { w.stats = s }
-
 // CollectHeat attaches a dictionary-usage accumulator that will observe
 // every factorization performed by subsequent Appends — the signal
 // adaptive re-sampling ranks hot/cold dictionary regions by. Pass nil to
-// detach. Like CollectStats, documents committed via AppendEncoded are
-// not observed here; parallel build pipelines feed the accumulator from
-// their workers instead (archive.Options.Heat).
+// detach. Documents committed via AppendEncoded are not observed here;
+// parallel build pipelines feed the accumulator from their workers
+// instead (archive.Options.Heat).
 func (w *Writer) CollectHeat(h *rlz.RegionHeat) { w.heat = h }
 
 // Dictionary returns the writer's dictionary (e.g. to share with other
@@ -141,19 +135,6 @@ func (w *Writer) Dictionary() *rlz.Dictionary { return w.dict }
 // encode records off-thread and commit them with AppendEncoded.
 func (w *Writer) Codec() rlz.PairCodec { return w.codec }
 
-// ConfigureFactorizer selects the factorization engine tuning (the k-gram
-// ladder's off-switch) for subsequent Appends. It must be called
-// before the first Append; the tuning changes speed only — factor output
-// is byte-identical at any setting.
-func (w *Writer) ConfigureFactorizer(opts rlz.FactorizerOptions) {
-	w.fopts = opts
-	w.fz = nil
-}
-
-// FactorizerOptions returns the engine tuning Appends use, so external
-// build pipelines (archive.Build) can run matching per-worker engines.
-func (w *Writer) FactorizerOptions() rlz.FactorizerOptions { return w.fopts }
-
 // Append factorizes doc and writes its record, returning the document ID.
 func (w *Writer) Append(doc []byte) (int, error) {
 	if w.closed {
@@ -163,7 +144,7 @@ func (w *Writer) Append(doc []byte) (int, error) {
 		// Lazy: a prefactored or encoded-record writer never factorizes,
 		// so the engine (and a decode-only dictionary's suffix array) is
 		// only built when a document actually needs it.
-		w.fz = rlz.NewFactorizer(w.dict, w.fopts)
+		w.fz = rlz.NewFactorizer(w.dict, rlz.FactorizerOptions{})
 	}
 	w.factors = w.fz.Factorize(doc, w.factors[:0])
 	return w.appendFactors(w.factors)
@@ -186,8 +167,7 @@ func (w *Writer) AppendFactors(factors []rlz.Factor) error {
 // is the ordered-commit half of a parallel build: factorization and pair
 // encoding run on worker goroutines, records land here in document order,
 // and the resulting archive is byte-for-byte identical to sequential
-// Appends. Statistics attached via CollectStats do not observe documents
-// appended this way.
+// Appends.
 func (w *Writer) AppendEncoded(rec []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("store: append to closed writer")
@@ -199,9 +179,6 @@ func (w *Writer) AppendEncoded(rec []byte) (int, error) {
 }
 
 func (w *Writer) appendFactors(factors []rlz.Factor) (int, error) {
-	if w.stats != nil {
-		w.stats.Observe(factors)
-	}
 	if w.heat != nil {
 		w.heat.Observe(factors)
 	}
@@ -214,9 +191,6 @@ func (w *Writer) appendFactors(factors []rlz.Factor) (int, error) {
 
 // NumDocs returns the number of documents appended so far.
 func (w *Writer) NumDocs() int { return w.m.Len() }
-
-// BytesWritten returns the archive size so far (header + payload).
-func (w *Writer) BytesWritten() int64 { return w.w.n }
 
 // Close writes the document map and footer. The underlying io.Writer is
 // not closed (the caller owns it).
@@ -474,6 +448,13 @@ func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
 // Get retrieves document id.
 func (r *Reader) Get(id int) ([]byte, error) {
 	return r.GetAppend(nil, id)
+}
+
+// GetRange retrieves bytes [from, to) of document id without decoding the
+// rest of the document (see rlz.Dictionary.DecodeRecordRange). Requests
+// beyond the document's extent are clamped.
+func (r *Reader) GetRange(id, from, to int) ([]byte, error) {
+	return r.decodeRange(nil, id, from, to)
 }
 
 // Close releases the underlying file if the Reader owns one.

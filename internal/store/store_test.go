@@ -215,23 +215,6 @@ func TestArchiveAppendAfterClose(t *testing.T) {
 	}
 }
 
-func TestArchiveCollectStats(t *testing.T) {
-	var buf bytes.Buffer
-	dict := []byte("shared content shared content")
-	w, err := NewWriter(&buf, dict, rlz.CodecUV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := rlz.NewStats(w.Dictionary())
-	w.CollectStats(st)
-	if _, err := w.Append([]byte("shared content!")); err != nil {
-		t.Fatal(err)
-	}
-	if st.Factors() == 0 {
-		t.Error("stats did not observe the append")
-	}
-}
-
 func TestOpenRejectsCorruptArchives(t *testing.T) {
 	docs := makeDocs(5, 7)
 	arc := buildArchive(t, docs, rlz.CodecZZ)

@@ -150,25 +150,6 @@ func (a *Array) Lookup(pattern []byte) Interval {
 	return iv
 }
 
-// Count returns the number of occurrences of pattern in the text.
-func (a *Array) Count(pattern []byte) int {
-	return int(a.Lookup(pattern).Size())
-}
-
-// Occurrences returns the start positions of every occurrence of pattern,
-// in no particular order (suffix-array order).
-func (a *Array) Occurrences(pattern []byte) []int32 {
-	iv := a.Lookup(pattern)
-	if iv.Empty() {
-		return nil
-	}
-	out := make([]int32, 0, iv.Size())
-	for i := iv.Lo; i < iv.Hi; i++ {
-		out = append(out, a.sa[i])
-	}
-	return out
-}
-
 // Validate checks that the stored suffix array is a permutation of
 // [0, len(text)) in strictly increasing suffix order, in O(n) time and
 // O(n) space. It is the guard for arrays loaded from untrusted files.

@@ -100,16 +100,13 @@ func TestLookupCountOccurrences(t *testing.T) {
 		{"b", 2}, {"ra", 2}, {"cad", 1}, {"z", 0}, {"abraz", 0},
 	}
 	for _, c := range cases {
-		if got := a.Count([]byte(c.pat)); got != c.want {
-			t.Errorf("Count(%q) = %d, want %d", c.pat, got, c.want)
+		iv := a.Lookup([]byte(c.pat))
+		if got := int(iv.Size()); got != c.want {
+			t.Errorf("Lookup(%q) spans %d suffixes, want %d", c.pat, got, c.want)
 		}
-		occ := a.Occurrences([]byte(c.pat))
-		if len(occ) != c.want {
-			t.Errorf("Occurrences(%q) returned %d positions", c.pat, len(occ))
-		}
-		for _, p := range occ {
+		for _, p := range a.SA()[iv.Lo:iv.Hi] {
 			if !bytes.HasPrefix(text[p:], []byte(c.pat)) {
-				t.Errorf("Occurrences(%q) includes non-occurrence %d", c.pat, p)
+				t.Errorf("Lookup(%q) includes non-occurrence %d", c.pat, p)
 			}
 		}
 	}
@@ -125,7 +122,7 @@ func TestLookupQuickAgainstBytesCount(t *testing.T) {
 		}
 		a := New(text)
 		want := countOverlapping(text, pat)
-		return a.Count(pat) == want
+		return int(a.Lookup(pat).Size()) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -164,22 +164,6 @@ func (r *Reader) uvarint(limit uint32, what string) (uint32, error) {
 	return 0, fmt.Errorf("%w: %s: overlong varint", ErrCorrupt, what)
 }
 
-// ReadAll collects every record from r.
-func ReadAll(r io.Reader) ([]Record, error) {
-	wr := NewReader(r)
-	var out []Record
-	for {
-		rec, err := wr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
 // WriteFile writes records to path.
 func WriteFile(path string, recs []Record) error {
 	f, err := os.Create(path)
@@ -198,14 +182,4 @@ func WriteFile(path string, recs []Record) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadFile reads every record from path.
-func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadAll(f)
 }

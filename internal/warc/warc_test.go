@@ -4,12 +4,29 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// readAll collects every record a Reader yields from r.
+func readAll(r io.Reader) ([]Record, error) {
+	wr := NewReader(r)
+	var out []Record
+	for {
+		rec, err := wr.Read()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
 
 func TestRoundTrip(t *testing.T) {
 	recs := []Record{
@@ -28,7 +45,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +83,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		got, err := ReadAll(&buf)
+		got, err := readAll(&buf)
 		if err != nil || len(got) != len(recs) {
 			return false
 		}
@@ -91,7 +108,7 @@ func TestConcatenatedFilesStream(t *testing.T) {
 	wb.Write(Record{URL: "u2", Body: []byte("b2")})
 	wb.Flush()
 	both := append(a.Bytes(), b.Bytes()...)
-	recs, err := ReadAll(bytes.NewReader(both))
+	recs, err := readAll(bytes.NewReader(both))
 	if err != nil || len(recs) != 2 || recs[1].URL != "u2" {
 		t.Fatalf("concatenated read: %v, %d records", err, len(recs))
 	}
@@ -107,20 +124,20 @@ func TestCorruptInputs(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte{}, data...)
 	bad[0] = 'X'
-	if _, err := ReadAll(bytes.NewReader(bad)); err == nil {
+	if _, err := readAll(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncations: every prefix must yield EOF (at a record boundary,
 	// position 0) or ErrCorrupt — never a panic or phantom record.
 	for i := 1; i < len(data); i++ {
-		recs, err := ReadAll(bytes.NewReader(data[:i]))
+		recs, err := readAll(bytes.NewReader(data[:i]))
 		if err == nil && len(recs) > 0 {
 			t.Fatalf("truncation to %d produced %d records", i, len(recs))
 		}
 	}
 	// Oversized declared body.
 	huge := []byte{'W', 'R', 'E', 'C', 1, 'u', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	if _, err := ReadAll(bytes.NewReader(huge)); err == nil {
+	if _, err := readAll(bytes.NewReader(huge)); err == nil {
 		t.Error("oversized body length accepted")
 	}
 }
@@ -139,7 +156,7 @@ func TestHostileLengthAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := ReadAll(bytes.NewReader(hostile))
+	_, err := readAll(bytes.NewReader(hostile))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile body length: got err %v, want ErrCorrupt", err)
@@ -152,7 +169,7 @@ func TestHostileLengthAllocation(t *testing.T) {
 
 	// Same shape on the URL: max URL length claimed, no URL bytes.
 	hostile = appendUvarint([]byte{'W', 'R', 'E', 'C'}, MaxURLLen)
-	if _, err := ReadAll(bytes.NewReader(hostile)); !errors.Is(err, ErrCorrupt) {
+	if _, err := readAll(bytes.NewReader(hostile)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile URL length: got err %v, want ErrCorrupt", err)
 	}
 }
@@ -170,7 +187,7 @@ func TestReadExactBoundary(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := ReadAll(&buf)
+		recs, err := readAll(&buf)
 		if err != nil || len(recs) != 1 {
 			t.Fatalf("n=%d: %v, %d records", n, err, len(recs))
 		}
@@ -194,7 +211,7 @@ func FuzzWARCRead(f *testing.F) {
 	f.Add(appendUvarint([]byte{'W', 'R', 'E', 'C'}, MaxURLLen))
 	f.Add(append(appendUvarint([]byte{'W', 'R', 'E', 'C', 1, 'u'}, MaxBodyLen), 'a', 'b', 'c'))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadAll(bytes.NewReader(data))
+		recs, err := readAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -208,7 +225,7 @@ func FuzzWARCRead(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		again, err := ReadAll(&out)
+		again, err := readAll(&out)
 		if err != nil || len(again) != len(recs) {
 			t.Fatalf("round trip: %v, %d records, want %d", err, len(again), len(recs))
 		}
@@ -241,17 +258,18 @@ func TestFileHelpers(t *testing.T) {
 	if err := WriteFile(path, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
-	if err != nil || len(got) != 2 || got[1].URL != "b" {
-		t.Fatalf("ReadFile: %v, %v", got, err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file accepted")
+	got, err := readAll(bytes.NewReader(data))
+	if err != nil || len(got) != 2 || got[1].URL != "b" {
+		t.Fatalf("reading back what WriteFile wrote: %v, %v", got, err)
 	}
 }
 
 func TestEmptyStream(t *testing.T) {
-	recs, err := ReadAll(bytes.NewReader(nil))
+	recs, err := readAll(bytes.NewReader(nil))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("empty stream: %v, %d records", err, len(recs))
 	}
