@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -83,10 +84,24 @@ func staticHandler(t testing.TB, opts archive.Options, cacheDocs int) http.Handl
 	return h
 }
 
+// bytesPerRun reports the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestGetDocAllocations pins what a GET /doc/{id} allocates at what parsing
 // the request and running the mux allocate by themselves: the connection loop
 // and the response writer add nothing, whether the document is a view of the
-// archive or a cache hit.
+// archive or a cache hit. A whole connection adds its conn, header map and
+// write scratch to that, but not its 4 KiB read buffer, which is pooled.
 func TestGetDocAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
@@ -124,6 +139,19 @@ func TestGetDocAllocations(t *testing.T) {
 				t.Errorf("GET /doc/{id} through the connection loop allocates %v times, http.ReadRequest and the mux alone %v", got, floor)
 			}
 			t.Logf("allocations per GET: %v (floor %v)", got, floor)
+
+			srv := newServer(nil, h)
+			conn := bytesPerRun(200, func() {
+				mc.in.Reset(raw)
+				srv.newConn(mc).serve()
+			})
+			get := bytesPerRun(200, func() {
+				mc.in.Reset(raw)
+				c.next()
+			})
+			if conn-get >= scratchSize+4<<10 {
+				t.Errorf("a connection allocates %d bytes beyond its GET: a read buffer as well as the write scratch", conn-get)
+			}
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -211,7 +212,8 @@ func TestAppendBatchPartialAck(t *testing.T) {
 // past -max-doc is still 413, a body shorter than its Content-Length is
 // still 400, the acknowledgement is byte for byte what encoding the
 // two-field object gives, and buffers reused across concurrent requests
-// never leak one document's bytes into another.
+// never leak one document's bytes into another — and it is reused: a warm
+// append allocates far less than its body.
 func TestAppendBodyHandling(t *testing.T) {
 	ts, _, col := newAdmissionServer(t, collection.Options{}, muxOptions{maxBatch: 16, maxDoc: 1 << 16})
 
@@ -297,4 +299,23 @@ func TestAppendBodyHandling(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+
+	if !raceEnabled {
+		h := newMux(serve.New(col, serve.Options{}), col, muxOptions{maxBatch: 16, maxDoc: 1 << 16})
+		raw := []byte("POST /append HTTP/1.1\r\nHost: rlzd\r\nContent-Length: 60000\r\n\r\n" + strings.Repeat("x", 60000))
+		var in bytes.Reader
+		br := bufio.NewReader(&in)
+		dw := discardWriter{h: make(http.Header)}
+		if n := bytesPerRun(50, func() {
+			in.Reset(raw)
+			req, err := http.ReadRequest(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(dw.h)
+			h.ServeHTTP(dw, req)
+		}); n >= 60000 {
+			t.Errorf("a warm POST /append of 60000 bytes allocates %d bytes: its body buffer is not reused", n)
+		}
+	}
 }

@@ -1,29 +1,20 @@
 // Command rlzvet runs the repository's invariant analyzers (refpair,
-// poolescape, zerocopy, lockguard, hotalloc, errclose, alloccap,
-// fsyncorder, atomicmix) over Go packages. It works two ways:
+// hotalloc, errclose, alloccap, fsyncorder) over Go packages:
 //
-//	rlzvet [-json] ./...              standalone, like a focused vet
-//	go vet -vettool=$(which rlzvet) ./...   as the go vet backend
+//	rlzvet [-json] [packages]   (default ./...)
 //
-// In vettool mode it speaks the go vet unit-checker protocol: the go
-// command hands it one package at a time as a JSON config file,
-// facts flow between packages as gob files next to the build cache —
-// the annotation index plus the interprocedural function summaries the
-// alloccap/fsyncorder/atomicmix analyzers consume — and results are
-// cached like any other vet run.
-//
-// With -json, standalone mode prints findings as a JSON array of
-// {file,line,col,analyzer,message} objects on stdout instead of the
-// vet-style lines on stderr; CI turns these into source annotations.
+// It loads every matched package and its dependencies with `go list`,
+// in dependency order, and hands them to analysis.Check — the same run
+// TestRepositoryIsClean makes. Findings go to stderr as vet-style lines,
+// or, with -json, to stdout as a JSON array of
+// {file,line,col,analyzer,message} objects that CI turns into source
+// annotations. The exit status is 0 when clean, 2 with findings and 1
+// when the packages do not load.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"go/importer"
-	"go/token"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,21 +25,6 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			printVersion()
-			return
-		}
-	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		// The go command probes for supported analyzer flags before the
-		// first real run; this tool takes none.
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitchecker(args[0]))
-	}
 	if len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help") {
 		printHelp()
 		return
@@ -62,7 +38,7 @@ func main() {
 		}
 		patterns = append(patterns, a)
 	}
-	os.Exit(standalone(patterns, asJSON))
+	os.Exit(run(patterns, asJSON))
 }
 
 func printHelp() {
@@ -71,27 +47,9 @@ func printHelp() {
 		fmt.Printf("  %-12s %s\n", a.Name, a.Doc)
 	}
 	fmt.Println("\nUsage: rlzvet [-json] [packages]   (default ./...)")
-	fmt.Println("   or: go vet -vettool=$(which rlzvet) [packages]")
 }
 
-// printVersion implements the -V=full handshake the go command uses to
-// fingerprint vet tools for its action cache: the reported version
-// must change when the binary does, so it is the binary's own hash.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			_ = f.Close()
-		}
-	}
-	fmt.Printf("rlzvet version devel buildID=%x\n", h.Sum(nil)[:16])
-}
-
-// standalone loads, collects annotations and interprocedural summaries
-// across every matched package, and runs the full suite, printing
-// findings to stderr (or a JSON array on stdout with -json).
-func standalone(patterns []string, asJSON bool) int {
+func run(patterns []string, asJSON bool) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -100,23 +58,10 @@ func standalone(patterns []string, asJSON bool) int {
 		fmt.Fprintln(os.Stderr, "rlzvet:", err)
 		return 1
 	}
-	idx := analysis.NewIndex()
-	var findings []analysis.Finding
-	for _, p := range pkgs {
-		findings = append(findings, analysis.CollectAnnotations(p.Fset, p.ImportPath, p.Files, idx)...)
-	}
-	// go list -deps order is dependencies-first, so by the time a
-	// package's summaries are computed its callees' are already in idx.
-	for _, p := range pkgs {
-		analysis.ComputeSummaries(p, idx)
-	}
-	for _, p := range pkgs {
-		fs, err := analysis.RunAnalyzers(p, analysis.Analyzers(), idx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rlzvet:", err)
-			return 1
-		}
-		findings = append(findings, fs...)
+	findings, err := analysis.Check(pkgs, analysis.Analyzers())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rlzvet:", err)
+		return 1
 	}
 	if asJSON {
 		if err := printJSON(os.Stdout, findings); err != nil {
@@ -167,152 +112,4 @@ func printJSON(w io.Writer, findings []analysis.Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "\t")
 	return enc.Encode(out)
-}
-
-// vetConfig is the subset of the go command's unit-checker config this
-// tool consumes.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitchecker(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rlzvet:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "rlzvet: parsing", cfgFile+":", err)
-		return 1
-	}
-
-	fset := token.NewFileSet()
-	var goFiles []string
-	for _, f := range cfg.GoFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(cfg.Dir, f)
-		}
-		goFiles = append(goFiles, f)
-	}
-	files, err := analysis.ParseFiles(fset, cfg.Dir, goFiles)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(cfg.VetxOutput, analysis.NewIndex())
-		}
-		fmt.Fprintln(os.Stderr, "rlzvet:", err)
-		return 1
-	}
-
-	// This package's own annotations become its exported facts; the
-	// merged view (deps' facts + own) drives the analyzers.
-	own := analysis.NewIndex()
-	directiveFindings := analysis.CollectAnnotations(fset, cfg.ImportPath, files, own)
-	merged := analysis.NewIndex()
-	for _, vetx := range cfg.PackageVetx {
-		dep, err := readVetx(vetx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rlzvet:", err)
-			return 1
-		}
-		merged.Merge(dep)
-	}
-	merged.Merge(own)
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		f, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	imp := importer.ForCompiler(fset, "gc", lookup)
-	tpkg, info, err := analysis.TypeCheck(fset, imp, cfg.ImportPath, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx(cfg.VetxOutput, own)
-		}
-		fmt.Fprintln(os.Stderr, "rlzvet:", err)
-		return 1
-	}
-
-	pkg := &analysis.Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		GoFiles:    cfg.GoFiles,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}
-	// Summaries for this package build on the deps' summaries already in
-	// merged (the go command schedules dependencies first); the package's
-	// own facts join the vetx export so dependents see them.
-	own.Merge(analysis.ComputeSummaries(pkg, merged))
-	findings, err := analysis.RunAnalyzers(pkg, analysis.Analyzers(), merged)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rlzvet:", err)
-		return 1
-	}
-	findings = append(directiveFindings, findings...)
-
-	if rc := writeVetx(cfg.VetxOutput, own); rc != 0 {
-		return rc
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-func writeVetx(path string, idx *analysis.Index) int {
-	if path == "" {
-		return 0
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rlzvet:", err)
-		return 1
-	}
-	if err := gob.NewEncoder(f).Encode(idx); err != nil {
-		_ = f.Close()
-		fmt.Fprintln(os.Stderr, "rlzvet:", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "rlzvet:", err)
-		return 1
-	}
-	return 0
-}
-
-func readVetx(path string) (*analysis.Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	idx := analysis.NewIndex()
-	if err := gob.NewDecoder(f).Decode(idx); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return idx, nil
 }

@@ -1,27 +1,28 @@
 // Package analysis is this repository's static-analysis framework: a
 // stdlib-only equivalent of golang.org/x/tools/go/analysis (which the
-// build environment cannot fetch) plus the nine analyzers that enforce
-// the serving stack's hand-maintained invariants — refcount pairing
-// (refpair), pooled-buffer discipline (poolescape), borrowed mmap views
-// (zerocopy), mutex-guarded fields (lockguard), allocation-free hot
-// paths (hotalloc), errclose (the unchecked-Close/Remove check) — and,
-// since the interprocedural layer landed, alloccap (untrusted decoded
-// sizes must be clamped before allocation), fsyncorder (//rlz:publishes
-// functions must fsync before os.Rename on every path), and atomicmix
-// (no mixed atomic/plain access to a field).
+// build environment cannot fetch) plus the five analyzers that check
+// invariants no test or stock tool checks — refcount pairing (refpair),
+// allocation-free hot paths (hotalloc), unchecked Close/Sync/Remove
+// errors (errclose), untrusted decoded sizes clamped before allocation
+// (alloccap), and fsync before os.Rename in //rlz:publishes functions
+// (fsyncorder).
 //
-// The interprocedural analyzers consume per-function summaries (see
-// summary.go) computed over a per-package call graph (callgraph.go) and
-// shipped across package boundaries in the same gob fact files the
-// annotation index already uses, so a clamp or an fsync inside a callee
-// in another package satisfies the caller's obligation.
+// Lock discipline on `guarded by mu` fields, pooled-buffer and mmap-view
+// lifetimes and typed-atomic copies are checked elsewhere: by the race
+// job, the allocation pins, the read-only mapping and stock go vet's
+// copylocks (CHANGES.md, PR 25, has the mutation table that shows it).
+//
+// alloccap and fsyncorder consume per-function summaries (summary.go)
+// computed package by package in dependency order over one shared fact
+// index, so a clamp or an fsync inside a callee in another package
+// satisfies the caller's obligation.
 //
 // The analyzers are annotation-driven: types and functions opt into an
 // invariant with an //rlz: comment (see annotate.go for the grammar),
 // so the checks grow with the codebase instead of hardcoding today's
-// type names. cmd/rlzvet runs the suite standalone or as a
-// `go vet -vettool`; internal/analysis/analysistest runs each analyzer
-// over the fixture packages in testdata/src.
+// type names. Check is the one run sequence: cmd/rlzvet,
+// TestRepositoryIsClean and internal/analysis/analysistest (which runs
+// each analyzer over the fixture packages in testdata/src) all call it.
 package analysis
 
 import (
@@ -75,14 +76,10 @@ type Diagnostic struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		RefPair,
-		PoolEscape,
-		ZeroCopy,
-		LockGuard,
 		HotAlloc,
 		ErrClose,
 		AllocCap,
 		FsyncOrder,
-		AtomicMix,
 	}
 }
 
@@ -98,11 +95,36 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// RunAnalyzers applies every analyzer to pkg and returns the findings
+// Check runs analyzers over pkgs, which must come dependencies first
+// (the order `go list -deps` prints): it collects every package's //rlz:
+// annotations into one index, computes each package's summaries after
+// its callees' (so a clamp or fsync one package over is already known),
+// then applies the analyzers package by package. Malformed directives
+// are findings like any other.
+func Check(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	idx := newIndex()
+	var out []Finding
+	for _, p := range pkgs {
+		out = append(out, collectAnnotations(p.Fset, p.ImportPath, p.Files, idx)...)
+	}
+	for _, p := range pkgs {
+		computeSummaries(p, idx)
+	}
+	for _, p := range pkgs {
+		fs, err := runAnalyzers(p, analyzers, idx)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, fs...)
+	}
+	return out, nil
+}
+
+// runAnalyzers applies every analyzer to pkg and returns the findings
 // sorted by position. Test files (*_test.go) are excluded from every
 // analyzer: the invariants protect production paths, and test helpers
 // legitimately drop Close errors or hold buffers across calls.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, ann *Index) ([]Finding, error) {
+func runAnalyzers(pkg *Package, analyzers []*Analyzer, ann *Index) ([]Finding, error) {
 	var out []Finding
 	files := make([]*ast.File, 0, len(pkg.Files))
 	for _, f := range pkg.Files {

@@ -8,9 +8,9 @@
 // interprocedural analyzers — a directory of subdirectories, each one
 // package, importable from each other as
 // rlz/fixture/<fixture>/<subdir>. Packages are type-checked in
-// dependency order and share one fact index, so a clamp or an fsync in
-// one fixture package satisfies an obligation in another, exactly as
-// facts flow between real packages.
+// dependency order and handed to analysis.Check, the run rlzvet makes,
+// so a clamp or an fsync in one fixture package satisfies an obligation
+// in another exactly as facts flow between real packages.
 //
 // Expected findings are declared in comments on the offending line:
 //
@@ -140,8 +140,8 @@ type unit struct {
 	imports []string // fixture-internal imports, as import paths
 }
 
-// analyze parses, type-checks (in dependency order), computes summaries
-// for, and runs a over the fixture in dir. Non-fixture imports are
+// analyze parses and type-checks (in dependency order) the fixture in
+// dir and runs a over it through analysis.Check. Non-fixture imports are
 // restricted to the standard library, satisfied as export data from the
 // build cache.
 func analyze(a *analysis.Analyzer, dir string) ([]analysis.Finding, []*analysis.Package, error) {
@@ -161,10 +161,7 @@ func analyze(a *analysis.Analyzer, dir string) ([]analysis.Finding, []*analysis.
 	}
 
 	// Type-check in dependency order: each round admits the units whose
-	// fixture-internal imports are already done. Shared annotation index
-	// and summaries give the cross-package fact flow.
-	idx := analysis.NewIndex()
-	var findings []analysis.Finding
+	// fixture-internal imports are already done.
 	var pkgs []*analysis.Package
 	for len(units) > 0 {
 		progressed := false
@@ -191,18 +188,13 @@ func analyze(a *analysis.Analyzer, dir string) ([]analysis.Finding, []*analysis.
 				return nil, nil, fmt.Errorf("type-checking fixture %s: %v", u.dir, err)
 			}
 			imp.pkgs[u.path] = tpkg
-			findings = append(findings, analysis.CollectAnnotations(fset, u.path, files, idx)...)
-			pkg := &analysis.Package{
+			pkgs = append(pkgs, &analysis.Package{
 				ImportPath: u.path,
-				Dir:        u.dir,
-				GoFiles:    u.names,
 				Fset:       fset,
 				Files:      files,
 				Types:      tpkg,
 				Info:       info,
-			}
-			analysis.ComputeSummaries(pkg, idx)
-			pkgs = append(pkgs, pkg)
+			})
 		}
 		if !progressed {
 			var stuck []string
@@ -214,14 +206,8 @@ func analyze(a *analysis.Analyzer, dir string) ([]analysis.Finding, []*analysis.
 		units = remaining
 	}
 
-	for _, pkg := range pkgs {
-		more, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a}, idx)
-		if err != nil {
-			return nil, nil, err
-		}
-		findings = append(findings, more...)
-	}
-	return findings, pkgs, nil
+	findings, err := analysis.Check(pkgs, []*analysis.Analyzer{a})
+	return findings, pkgs, err
 }
 
 // discover maps dir onto fixture units: either the directory itself as

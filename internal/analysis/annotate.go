@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"strings"
 )
 
@@ -16,9 +15,6 @@ import (
 //	        reference that method N must release. A bool-returning M is
 //	        a conditional acquire (the CAS tryRef idiom): the reference
 //	        exists only on the true branch.
-//	//rlz:pool get=M put=N                 on a type: a pool like
-//	        sync.Pool (which is recognized without annotation); values
-//	        from M must go back through N and must not escape.
 //	//rlz:acquire release=closure          on a func: one of the results
 //	        is a func() that must be called (or deferred) on all paths.
 //	//rlz:acquire release=M                on a func: the first non-error
@@ -27,18 +23,9 @@ import (
 //	//rlz:unbalanced <reason>              on a func: refpair does not
 //	        check it — it transfers reference ownership by design
 //	        (install/drain points). The reason is mandatory.
-//	//rlz:poolsafe <reason>                on a func: poolescape does not
-//	        check it — it intentionally hands pooled values across the
-//	        function boundary. The reason is mandatory.
-//	//rlz:view                             on a func: its []byte result
-//	        borrows a memory mapping — read-only, must not be retained.
-//	//rlz:view callback                    on a func: the []byte handed
-//	        to its func-typed argument borrows a mapping for the call.
 //	//rlz:hotpath                          on a func: no fmt/log calls,
 //	        no capturing closures, no interface boxing outside cold
 //	        (return/panic) positions.
-//	//rlz:locked <mu>                      on a func: contract that the
-//	        caller holds <mu>; prose "Called with <mu> held." works too.
 //	//rlz:publishes                        on a func: it atomically
 //	        publishes a file — fsyncorder verifies every path that
 //	        reaches its os.Rename fsyncs the data first and handles the
@@ -49,9 +36,6 @@ import (
 //	//rlz:untrusted                        on a func: its integer
 //	        results decode raw input bytes — alloccap treats them as
 //	        taint sources, like encoding/binary's decoders.
-//
-// Struct fields are annotated in prose: a field whose doc or line
-// comment contains "guarded by <mu>" is checked by lockguard.
 
 // Entry is every annotation attached to one declaration, keyed by the
 // declaration's qualified name. The zero value means unannotated.
@@ -59,27 +43,15 @@ type Entry struct {
 	Refcounted       bool
 	Acquire, Release string // refcounted method names
 
-	Pool     bool
-	Get, Put string // pool method names
-
 	AcquireFunc    bool
 	AcquireRelease string // "closure" or a release method name
 
 	Unbalanced bool
-	PoolSafe   bool
-
-	View         bool
-	ViewCallback bool
-
-	HotPath bool
+	HotPath    bool
 
 	Publishes bool
 	Trusted   bool
 	Untrusted bool // integer results decode untrusted input (taint sources)
-
-	LockedWith []string // mutex names the caller must hold
-
-	GuardedBy string // fields only: the guarding mutex's field name
 }
 
 // Index maps qualified declaration names to their annotations across
@@ -87,44 +59,18 @@ type Entry struct {
 //
 //	types and funcs    pkgpath.Name
 //	methods            pkgpath.RecvType.Name (interface methods too)
-//	struct fields      pkgpath.StructType.Field
 //
 // Beyond the syntactic annotations, the index carries the computed
 // interprocedural facts: per-function dataflow summaries (Summaries,
-// see summary.go) and the set of struct fields accessed through
-// sync/atomic anywhere (AtomicFields). The gob encoding of the whole
-// struct is what cmd/rlzvet writes as its vetx facts file in -vettool
-// mode, so all three kinds of facts flow across package boundaries.
+// see summary.go).
 type Index struct {
 	Entries map[string]*Entry
 	// Summaries maps FuncKey to the function's dataflow summary.
 	Summaries map[string]*FuncSummary
-	// AtomicFields maps FieldKey to true for every struct field that
-	// some package accesses through sync/atomic operations.
-	AtomicFields map[string]bool
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{
-		Entries:      map[string]*Entry{},
-		Summaries:    map[string]*FuncSummary{},
-		AtomicFields: map[string]bool{},
-	}
-}
-
-// Merge copies other's entries into i (dep facts into the current
-// package's view).
-func (i *Index) Merge(other *Index) {
-	for k, v := range other.Entries {
-		i.Entries[k] = v
-	}
-	for k, v := range other.Summaries {
-		i.Summaries[k] = v
-	}
-	for k := range other.AtomicFields {
-		i.AtomicFields[k] = true
-	}
+func newIndex() *Index {
+	return &Index{Entries: map[string]*Entry{}, Summaries: map[string]*FuncSummary{}}
 }
 
 // Summary returns the dataflow summary for key, or nil.
@@ -188,21 +134,10 @@ func TypeKey(n *types.Named) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// FieldKey builds the index key for field f of struct type name in pkg.
-func FieldKey(pkgPath, typeName, field string) string {
-	return pkgPath + "." + typeName + "." + field
-}
-
-var (
-	guardedRe  = regexp.MustCompile(`guarded by (\w+)`)
-	contractRe = regexp.MustCompile(`[Cc]alled with (?:the )?(\w+)(?: lock)? held`)
-)
-
-// CollectAnnotations scans one package's syntax for //rlz: directives
-// and prose contracts and folds them into idx. Malformed directives are
-// returned as findings so they fail the build loudly instead of being
-// silently ignored.
-func CollectAnnotations(fset *token.FileSet, pkgPath string, files []*ast.File, idx *Index) []Finding {
+// collectAnnotations scans one package's syntax for //rlz: directives
+// and folds them into idx. Malformed directives are returned as findings
+// so they fail the build loudly instead of being silently ignored.
+func collectAnnotations(fset *token.FileSet, pkgPath string, files []*ast.File, idx *Index) []Finding {
 	var bad []Finding
 	report := func(pos token.Pos, format string, args ...any) {
 		bad = append(bad, Finding{
@@ -216,7 +151,7 @@ func CollectAnnotations(fset *token.FileSet, pkgPath string, files []*ast.File, 
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				key := funcDeclKey(pkgPath, d)
-				collectFuncDirectives(pkgPath, key, d.Doc, idx, report)
+				collectFuncDirectives(key, d.Doc, idx, report)
 			case *ast.GenDecl:
 				if d.Tok != token.TYPE {
 					continue
@@ -232,11 +167,8 @@ func CollectAnnotations(fset *token.FileSet, pkgPath string, files []*ast.File, 
 						doc = d.Doc
 					}
 					collectTypeDirectives(key, doc, ts.Comment, idx, report)
-					switch t := ts.Type.(type) {
-					case *ast.StructType:
-						collectGuardedFields(pkgPath, ts.Name.Name, t, idx)
-					case *ast.InterfaceType:
-						collectInterfaceMethods(pkgPath, ts.Name.Name, t, idx, report)
+					if it, ok := ts.Type.(*ast.InterfaceType); ok {
+						collectInterfaceMethods(pkgPath, ts.Name.Name, it, idx, report)
 					}
 				}
 			}
@@ -304,27 +236,13 @@ func collectTypeDirectives(key string, doc, line *ast.CommentGroup, idx *Index, 
 			}
 			e := idx.entry(key)
 			e.Refcounted, e.Acquire, e.Release = true, kv["acquire"], kv["release"]
-		case "pool":
-			kv, ok := kvArgs(args)
-			if !ok || kv["get"] == "" || kv["put"] == "" || len(kv) != 2 {
-				report(c.Pos(), "malformed directive %q (want //rlz:pool get=M put=N)", c.Text)
-				continue
-			}
-			e := idx.entry(key)
-			e.Pool, e.Get, e.Put = true, kv["get"], kv["put"]
 		default:
 			report(c.Pos(), "directive %q is not valid on a type", c.Text)
 		}
 	}
 }
 
-func collectFuncDirectives(pkgPath, key string, doc *ast.CommentGroup, idx *Index, report reportFn) {
-	if doc != nil {
-		if m := contractRe.FindStringSubmatch(doc.Text()); m != nil {
-			e := idx.entry(key)
-			e.LockedWith = append(e.LockedWith, m[1])
-		}
-	}
+func collectFuncDirectives(key string, doc *ast.CommentGroup, idx *Index, report reportFn) {
 	for _, c := range directives(doc) {
 		verb, args := splitDirective(c.Text)
 		switch verb {
@@ -342,21 +260,6 @@ func collectFuncDirectives(pkgPath, key string, doc *ast.CommentGroup, idx *Inde
 				continue
 			}
 			idx.entry(key).Unbalanced = true
-		case "poolsafe":
-			if len(args) == 0 {
-				report(c.Pos(), "//rlz:poolsafe needs a reason")
-				continue
-			}
-			idx.entry(key).PoolSafe = true
-		case "view":
-			e := idx.entry(key)
-			if len(args) == 1 && args[0] == "callback" {
-				e.ViewCallback = true
-			} else if len(args) == 0 {
-				e.View = true
-			} else {
-				report(c.Pos(), "malformed directive %q (want //rlz:view [callback])", c.Text)
-			}
 		case "hotpath":
 			idx.entry(key).HotPath = true
 		case "publishes":
@@ -377,35 +280,8 @@ func collectFuncDirectives(pkgPath, key string, doc *ast.CommentGroup, idx *Inde
 				continue
 			}
 			idx.entry(key).Untrusted = true
-		case "locked":
-			if len(args) != 1 {
-				report(c.Pos(), "malformed directive %q (want //rlz:locked mu)", c.Text)
-				continue
-			}
-			e := idx.entry(key)
-			e.LockedWith = append(e.LockedWith, args[0])
 		default:
 			report(c.Pos(), "unknown directive %q", c.Text)
-		}
-	}
-}
-
-func collectGuardedFields(pkgPath, typeName string, st *ast.StructType, idx *Index) {
-	for _, field := range st.Fields.List {
-		mu := ""
-		for _, g := range []*ast.CommentGroup{field.Doc, field.Comment} {
-			if g == nil {
-				continue
-			}
-			if m := guardedRe.FindStringSubmatch(g.Text()); m != nil {
-				mu = m[1]
-			}
-		}
-		if mu == "" {
-			continue
-		}
-		for _, name := range field.Names {
-			idx.entry(FieldKey(pkgPath, typeName, name.Name)).GuardedBy = mu
 		}
 	}
 }
@@ -416,8 +292,8 @@ func collectInterfaceMethods(pkgPath, ifaceName string, it *ast.InterfaceType, i
 			continue // embedded interface
 		}
 		key := pkgPath + "." + ifaceName + "." + m.Names[0].Name
-		collectFuncDirectives(pkgPath, key, m.Doc, idx, report)
-		collectFuncDirectives(pkgPath, key, m.Comment, idx, report)
+		collectFuncDirectives(key, m.Doc, idx, report)
+		collectFuncDirectives(key, m.Comment, idx, report)
 	}
 }
 

@@ -22,7 +22,7 @@ const (
 	// obligation; the walk continues through it.
 	ActionNone Action = iota
 	// ActionSatisfy: the obligation is discharged on this path (a
-	// release/Put call, an ownership-transferring escape).
+	// release call, an ownership transfer, an fsync before the rename).
 	ActionSatisfy
 	// ActionExempt: the path ends without the obligation applying (an
 	// error-guard return where the acquire failed, panic, os.Exit).

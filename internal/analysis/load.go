@@ -22,13 +22,12 @@ import (
 // compiled export data from the build cache, and the gc importer reads
 // those files through a lookup function. Only the target packages'
 // sources are parsed and type-checked; dependencies come in as export
-// data, which works fully offline.
+// data, which works fully offline. Packages come back in `go list -deps`
+// order, dependencies first — the order Check needs.
 
 // Package is one loaded, type-checked package.
 type Package struct {
 	ImportPath string
-	Dir        string
-	GoFiles    []string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -103,8 +102,6 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		}
 		out = append(out, &Package{
 			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
-			GoFiles:    t.GoFiles,
 			Fset:       fset,
 			Files:      files,
 			Types:      tpkg,
@@ -168,11 +165,7 @@ func ExportLookup(exports map[string]string) func(path string) (io.ReadCloser, e
 func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -181,9 +174,10 @@ func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 	return files, nil
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
-	return &types.Info{
+// TypeCheck type-checks already-parsed files under the given importer,
+// filling every types.Info map the analyzers consult.
+func TypeCheck(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -191,11 +185,6 @@ func NewInfo() *types.Info {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-}
-
-// TypeCheck type-checks already-parsed files under the given importer.
-func TypeCheck(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := NewInfo()
 	var firstErr error
 	conf := types.Config{
 		Importer: imp,

@@ -11,14 +11,10 @@ import (
 func fix(name string) string { return filepath.Join("testdata", "src", name) }
 
 func TestRefPair(t *testing.T)    { analysistest.Run(t, analysis.RefPair, fix("refpair")) }
-func TestPoolEscape(t *testing.T) { analysistest.Run(t, analysis.PoolEscape, fix("poolescape")) }
-func TestZeroCopy(t *testing.T)   { analysistest.Run(t, analysis.ZeroCopy, fix("zerocopy")) }
-func TestLockGuard(t *testing.T)  { analysistest.Run(t, analysis.LockGuard, fix("lockguard")) }
 func TestHotAlloc(t *testing.T)   { analysistest.Run(t, analysis.HotAlloc, fix("hotalloc")) }
 func TestErrClose(t *testing.T)   { analysistest.Run(t, analysis.ErrClose, fix("errclose")) }
 func TestAllocCap(t *testing.T)   { analysistest.Run(t, analysis.AllocCap, fix("alloccap")) }
 func TestFsyncOrder(t *testing.T) { analysistest.Run(t, analysis.FsyncOrder, fix("fsyncorder")) }
-func TestAtomicMix(t *testing.T)  { analysistest.Run(t, analysis.AtomicMix, fix("atomicmix")) }
 
 // The cross-package pair: same dep/app split, with and without the
 // clamp in the dep package. The ok fixture has no want comments — the
@@ -42,20 +38,9 @@ func TestRepositoryIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := analysis.NewIndex()
-	var bad []analysis.Finding
-	for _, p := range pkgs {
-		bad = append(bad, analysis.CollectAnnotations(p.Fset, p.ImportPath, p.Files, idx)...)
-	}
-	for _, p := range pkgs { // deps-first, so callee summaries exist
-		analysis.ComputeSummaries(p, idx)
-	}
-	for _, p := range pkgs {
-		findings, err := analysis.RunAnalyzers(p, analysis.Analyzers(), idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad = append(bad, findings...)
+	bad, err := analysis.Check(pkgs, analysis.Analyzers())
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, f := range bad {
 		t.Errorf("%s", f)

@@ -13,10 +13,9 @@ import (
 // declares, the suite computes which of its results carry sizes decoded
 // from untrusted input without a clamp, which of its parameters reach an
 // allocation size unclamped, and whether it fsyncs or renames files.
-// Summaries ride the Index (the vetx facts file in -vettool mode), so a
-// clamp inside internal/codec satisfies an allocation in
-// internal/blockstore and a helper that fsyncs counts as fsync evidence
-// in an //rlz:publishes function one package over.
+// Summaries ride the Index, so a clamp inside internal/codec satisfies an
+// allocation in internal/blockstore and a helper that fsyncs counts as
+// fsync evidence in an //rlz:publishes function one package over.
 //
 // The taint model (alloccap's contract): a value is untrusted if it was
 // decoded from raw bytes — a result of encoding/binary's Uvarint/Varint/
@@ -69,26 +68,34 @@ func (s *FuncSummary) equal(o *FuncSummary) bool {
 		s.Syncs == o.Syncs && s.Renames == o.Renames
 }
 
-func (s *FuncSummary) empty() bool {
-	return len(s.TaintedResults) == 0 && len(s.ParamBounded) == 0 &&
-		len(s.UnclampedAllocParams) == 0 && !s.Syncs && !s.Renames
-}
-
-// ComputeSummaries computes dataflow summaries and atomic-access facts
-// for pkg, records them in idx (which must already hold the facts of
-// pkg's dependencies), and returns the package's own facts for export.
-// Within the package, summaries are iterated to a fixpoint so call
-// cycles converge; across packages, dependency facts are read from idx.
-func ComputeSummaries(pkg *Package, idx *Index) *Index {
-	own := NewIndex()
-	collectAtomicFacts(pkg, idx, own)
-
-	g := BuildCallGraph(pkg)
+// computeSummaries records in idx the dataflow summary of every function
+// pkg declares outside its test files; idx must already hold the
+// summaries of pkg's dependencies. Within the package, summaries are
+// iterated to a fixpoint so call cycles converge. Calls through function
+// values and interface methods resolve to no summary, which every
+// analyzer treats as "nothing known".
+func computeSummaries(pkg *Package, idx *Index) {
+	var keys []string
+	var decls []*ast.FuncDecl
+	for _, f := range pkg.Files {
+		if isTestFile(pkg.Fset.Position(f.Pos()).Filename) {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				keys = append(keys, FuncKey(fn))
+				decls = append(decls, fd)
+			}
+		}
+	}
 	for iter := 0; iter < 10; iter++ {
 		changed := false
-		for _, key := range g.Order {
-			node := g.Nodes[key]
-			sum := summarize(pkg, idx, node)
+		for i, key := range keys {
+			sum := summarize(pkg, idx, decls[i])
 			prev := idx.Summaries[key]
 			if prev == nil {
 				prev = &FuncSummary{}
@@ -102,21 +109,15 @@ func ComputeSummaries(pkg *Package, idx *Index) *Index {
 			break
 		}
 	}
-	for _, key := range g.Order {
-		if sum := idx.Summaries[key]; sum != nil && !sum.empty() {
-			own.Summaries[key] = sum
-		}
-	}
-	return own
 }
 
 // summarize computes one function's summary against the current state
 // of idx.
-func summarize(pkg *Package, idx *Index, node *CallNode) *FuncSummary {
+func summarize(pkg *Package, idx *Index, decl *ast.FuncDecl) *FuncSummary {
 	sum := &FuncSummary{}
 	info := pkg.Info
 
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -137,16 +138,16 @@ func summarize(pkg *Package, idx *Index, node *CallNode) *FuncSummary {
 	})
 
 	// Source-seeded taint: which results leave unclamped?
-	sc := newTaintScope(pkg.Info, idx, node.Decl, nil)
+	sc := newTaintScope(pkg.Info, idx, decl, nil)
 	sum.TaintedResults, sum.ParamBounded = sc.taintedResults()
 
 	// Param-seeded taint, one integer parameter at a time: which
 	// parameters reach an allocation size unclamped?
-	for i, obj := range paramObjs(info, node.Decl) {
+	for i, obj := range paramObjs(info, decl) {
 		if obj == nil || !isIntegerType(obj.Type()) {
 			continue
 		}
-		psc := newTaintScope(pkg.Info, idx, node.Decl, obj)
+		psc := newTaintScope(pkg.Info, idx, decl, obj)
 		if psc.reachesAlloc() {
 			sum.UnclampedAllocParams = append(sum.UnclampedAllocParams, i)
 		}
@@ -218,67 +219,6 @@ func isFileSyncCall(info *types.Info, call *ast.CallExpr) bool {
 		return true
 	}
 	return n.Obj().Pkg().Path() == faultfsPath
-}
-
-// collectAtomicFacts records, in both idx and own, every struct field
-// whose address is passed to a sync/atomic operation anywhere in pkg.
-func collectAtomicFacts(pkg *Package, idx, own *Index) {
-	for _, f := range pkg.Files {
-		if isTestFile(pkg.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if key, ok := atomicFieldArg(pkg.Info, call); ok {
-				idx.AtomicFields[key] = true
-				own.AtomicFields[key] = true
-			}
-			return true
-		})
-	}
-}
-
-// atomicFieldArg returns the FieldKey of the struct field whose address
-// is the first argument of a sync/atomic call (&x.f in
-// atomic.AddInt64(&x.f, 1)), if call is one.
-func atomicFieldArg(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := calleeOf(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return "", false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() != nil || len(call.Args) == 0 {
-		return "", false
-	}
-	u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return "", false
-	}
-	sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	return fieldKeyOfSelection(info, sel)
-}
-
-// fieldKeyOfSelection resolves a field-value selection to its FieldKey.
-func fieldKeyOfSelection(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return "", false
-	}
-	field, ok := s.Obj().(*types.Var)
-	if !ok || field.Pkg() == nil {
-		return "", false
-	}
-	owner := namedOf(deref(s.Recv()))
-	if owner == nil {
-		return "", false
-	}
-	return FieldKey(field.Pkg().Path(), owner.Obj().Name(), field.Name()), true
 }
 
 // taintScope tracks untrusted-size dataflow through one function body

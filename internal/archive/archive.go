@@ -172,7 +172,6 @@ func As[T any](r Reader) (T, bool) {
 // and the caller should fall back to GetAppend; err is only meaningful
 // when ok is true.
 type Viewer interface {
-	//rlz:view callback
 	View(id int, fn func(doc []byte) error) (ok bool, err error)
 }
 

@@ -193,9 +193,9 @@ func (s *Set) Extent(id int) (off, n int64, err error) {
 
 // View serves document id zero-copy when its member can, implementing
 // Viewer. ok=false means the owning member has no zero-copy path for
-// this document — fall back to GetAppend.
+// this document — fall back to GetAppend. doc is valid only during fn
+// and only for reading.
 //
-//rlz:view callback
 //rlz:hotpath
 func (s *Set) View(id int, fn func(doc []byte) error) (bool, error) {
 	m, local, err := s.route(id)

@@ -430,14 +430,11 @@ func (r *Reader) Extent(id int) (off, n int64, err error) {
 // (internal/mmapio.Mapping satisfies it); duck-typed so this package
 // stays independent of how the caller produced its ReaderAt.
 type slicer interface {
-	//rlz:view
 	Slice(off, n int64) ([]byte, error)
 }
 
 // getBuf draws a scratch buffer from the reader's pool; the caller owns
 // it and must hand it back with r.bufs.Put.
-//
-//rlz:poolsafe hands the pooled buffer to the caller by design
 func (r *Reader) getBuf() *[]byte {
 	if b, ok := r.bufs.Get().(*[]byte); ok {
 		return b
@@ -451,7 +448,6 @@ func (r *Reader) getBuf() *[]byte {
 // not call release twice.
 //
 //rlz:acquire release=closure
-//rlz:poolsafe the returned block lives in a pooled buffer until release runs
 func (r *Reader) decodeBlock(bi uint32) (block []byte, release func(), err error) {
 	noop := func() {}
 	o, l, err := r.blocks.Extent(int(bi))

@@ -666,9 +666,13 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestGetAppendSteadyStateAllocs pins the pooled-buffer satellite: after
-// warmup, an uncached block read performs a small constant number of
-// allocations (no per-read decoder, compressed buffer, or block buffer).
+// warmup, an uncached block read allocates exactly one object, the release
+// closure decodeBlock returns — no per-read decoder, compressed buffer or
+// block buffer. A block buffer that is not put back reads 4.
 func TestGetAppendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
 	docs := makeDocs(40, 53)
 	arc := build(t, docs, Options{BlockSize: 4096})
 	r, err := OpenBytes(arc)
@@ -685,10 +689,8 @@ func TestGetAppendSteadyStateAllocs(t *testing.T) {
 		buf, _ = r.GetAppend(buf[:0], 7)
 	})
 	// The pre-pooling implementation allocated ~20+ objects per read
-	// (fresh zlib reader, window, compressed buf, ReadAll growth). Allow
-	// a small constant for sync.Pool internals.
-	if avg > 4 {
-		t.Errorf("uncached GetAppend allocates %.1f objects/read in steady state, want <= 4", avg)
+	// (fresh zlib reader, window, compressed buf, ReadAll growth).
+	if avg > 1 {
+		t.Errorf("uncached GetAppend allocates %.1f objects/read in steady state, want 1", avg)
 	}
-	t.Logf("uncached GetAppend steady state: %.1f allocs/read", avg)
 }

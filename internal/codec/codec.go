@@ -123,8 +123,6 @@ func namesLocked() []string {
 // Pool is a per-reader pool of one codec's decoders: Get draws reusable
 // decoder state, Put returns it. The zero value is unusable; construct
 // with NewPool.
-//
-//rlz:pool get=Get put=Put
 type Pool struct {
 	p sync.Pool
 }

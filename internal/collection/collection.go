@@ -726,8 +726,6 @@ func (c *Collection) Get(id int) ([]byte, error) {
 // the moment fn returns. ok=false means this document has no zero-copy
 // path (unmapped platform, compressed segment, beyond the open segment's
 // mapped prefix) — fall back to GetAppend.
-//
-//rlz:view callback
 func (c *Collection) View(id int, fn func(doc []byte) error) (bool, error) {
 	v, release, err := c.acquireView()
 	if err != nil {

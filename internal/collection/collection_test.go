@@ -416,12 +416,44 @@ func TestOpenRefusesVersion1OpenSegment(t *testing.T) {
 
 // TestConcurrentAppendRead hammers the read path while the write path
 // appends, deletes, seals and compacts — the live-store contract, run
-// under -race in CI.
+// under -race in CI. Compaction runs on its own goroutine beside the
+// appends, as rlzd's auto-compactor does, and a maintenance goroutine
+// calls GC and Info throughout, so that under -race a method touching a
+// `guarded by mu` field without mu fails here.
 func TestConcurrentAppendRead(t *testing.T) {
 	docs := testDocs(400)
 	c, _ := newCollection(t, docs[:100])
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := c.GC(); err != nil && !errors.Is(err, ErrCompacting) {
+				t.Errorf("GC: %v", err)
+				return
+			}
+			if info := c.Info(); info.NumDocs < 100 {
+				t.Errorf("Info: %d documents, want at least 100", info.NumDocs)
+				return
+			}
+		}
+	}()
+	compactNow := make(chan struct{})
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		for range compactNow {
+			if _, err := c.Compact(CompactOptions{}); err != nil {
+				t.Errorf("Compact: %v", err)
+			}
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int) {
@@ -465,12 +497,12 @@ func TestConcurrentAppendRead(t *testing.T) {
 			if err := c.Delete(42); err != nil {
 				t.Fatal(err)
 			}
-		case 200, 300:
-			if _, err := c.Compact(CompactOptions{}); err != nil {
-				t.Fatalf("Compact: %v", err)
-			}
+		case 125, 200, 250, 300, 350:
+			compactNow <- struct{}{}
 		}
 	}
+	close(compactNow)
+	<-compacted
 	close(stop)
 	wg.Wait()
 	checkDocs(t, c, docs, map[int]bool{42: true})

@@ -22,9 +22,12 @@ func raceDoc(i int) []byte {
 // TestViewRacesCompactGCClose hammers Get/View/GetBatch from several
 // goroutines while the writer appends (growing the open segment past
 // remap boundaries), compacts, garbage-collects old generations and
-// finally closes. Run under -race this checks the reference chain —
-// view pin plus open-segment mapping ref — keeps zero-copy bytes alive
-// for the duration of every callback across hot-swaps and unmaps.
+// finally closes, with a second appender started just before the Close
+// and running until the Close refuses it. Run under -race this checks
+// the reference chain — view pin plus open-segment mapping ref — keeps
+// zero-copy bytes alive for the duration of every callback across
+// hot-swaps and unmaps, and that the closed flag is only touched under
+// mu.
 func TestViewRacesCompactGCClose(t *testing.T) {
 	const seed = 128
 	docs := make([][]byte, seed)
@@ -115,6 +118,21 @@ func TestViewRacesCompactGCClose(t *testing.T) {
 		}(g)
 	}
 
+	closeSoon := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-closeSoon
+		for {
+			if _, err := c.Append([]byte("appended while closing")); err != nil {
+				if !closing.Load() {
+					t.Errorf("Append racing Close: %v", err)
+				}
+				return
+			}
+		}
+	}()
+
 	// Churn: each round grows the open segment across several remap
 	// doublings, then compacts it into a sealed segment and GCs the
 	// orphans. A fixed dictionary keeps compaction cheap under -race.
@@ -132,6 +150,11 @@ func TestViewRacesCompactGCClose(t *testing.T) {
 		if _, err := c.GC(); err != nil {
 			t.Fatalf("GC round %d: %v", round, err)
 		}
+	}
+	close(closeSoon)
+	// One more durable append gives the appender time to get going.
+	if _, err := c.Append([]byte("appended before closing")); err != nil {
+		t.Fatalf("Append: %v", err)
 	}
 	closing.Store(true)
 	if err := c.Close(); err != nil {

@@ -107,9 +107,8 @@ func (s *openSegment) maybeRemap() {
 // mapping, implementing archive.Viewer; fn runs under a mapping
 // reference so a concurrent remap or close cannot unmap under it.
 // ok=false (document beyond the mapped prefix, no mapping, draining
-// mapping) means the caller should fall back to GetAppend.
-//
-//rlz:view callback
+// mapping) means the caller should fall back to GetAppend. doc is valid
+// only during fn and only for reading.
 func (s *openSegment) View(local int, fn func(doc []byte) error) (bool, error) {
 	sm := s.mapping.Load()
 	if sm == nil || !sm.tryRef() {

@@ -111,6 +111,9 @@ func TestTinyCapacity(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess calls every method from several goroutines at
+// once, so that under -race a method that touches the `guarded by mu`
+// fields without the lock fails here.
 func TestConcurrentAccess(t *testing.T) {
 	c := New(8)
 	var wg sync.WaitGroup
@@ -126,6 +129,21 @@ func TestConcurrentAccess(t *testing.T) {
 					return
 				}
 				c.Put(key, want)
+				if n := c.Len(); n > c.Capacity() {
+					t.Errorf("Len = %d above capacity %d", n, c.Capacity())
+					return
+				}
+				switch (i + g) % 50 {
+				case 0:
+					c.Purge()
+				case 1, 17, 33:
+					c.Remove(key)
+				case 2:
+					if hits, misses := c.Stats(); hits < 0 || misses < 0 {
+						t.Errorf("Stats = %d, %d", hits, misses)
+						return
+					}
+				}
 			}
 		}(g)
 	}

@@ -61,9 +61,8 @@ func Supported() bool { return supported }
 func (m *Mapping) Len() int64 { return int64(len(m.data)) }
 
 // Slice returns the sub-slice [off, off+n) of the mapping with no copy.
-// The slice is invalidated by Close.
+// The slice is read-only (a write faults) and is invalidated by Close.
 //
-//rlz:view
 //rlz:hotpath
 func (m *Mapping) Slice(off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > int64(len(m.data)) {

@@ -372,7 +372,6 @@ func (r *Reader) Get(id int) ([]byte, error) {
 // (internal/mmapio.Mapping satisfies it); duck-typed so this package
 // stays independent of how the caller produced its ReaderAt.
 type slicer interface {
-	//rlz:view
 	Slice(off, n int64) ([]byte, error)
 }
 
@@ -381,8 +380,6 @@ type slicer interface {
 // false when the archive was not opened over a mapping (fall back to
 // GetAppend). doc is a slice of the mapping: it is valid only during fn
 // and only for reading; fn copies whatever must outlive the call.
-//
-//rlz:view callback
 func (r *Reader) View(id int, fn func(doc []byte) error) (bool, error) {
 	s, ok := r.r.(slicer)
 	if !ok {

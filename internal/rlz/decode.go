@@ -38,9 +38,8 @@ type decodeScratch struct {
 }
 
 // scratchPool is the one pool behind every decode entry point, so a
-// daemon's readers, scans and range reads share warm inflaters.
-//
-//rlz:pool get=get put=put
+// daemon's readers, scans and range reads share warm inflaters. A value
+// from get goes back through put on every path and is not used after.
 type scratchPool struct{ p sync.Pool }
 
 var scratch scratchPool

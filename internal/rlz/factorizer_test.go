@@ -222,7 +222,9 @@ func TestRungGateRestsAndResumes(t *testing.T) {
 }
 
 // TestFactorizerAppendsToBuffer checks the append contract matches
-// Dictionary.Factorize's.
+// Dictionary.Factorize's, and that Dictionary.Factorize, which draws its
+// Factorizer from a pool, allocates nothing once warm when handed a
+// buffer with room — the Factorizer goes back to the pool.
 func TestFactorizerAppendsToBuffer(t *testing.T) {
 	d := mustDict(t, []byte("abcabc"))
 	fz := NewFactorizer(d, FactorizerOptions{})
@@ -231,6 +233,12 @@ func TestFactorizerAppendsToBuffer(t *testing.T) {
 	buf = fz.Factorize([]byte("bc"), buf)
 	if len(buf) <= n {
 		t.Fatalf("second Factorize did not append: %v", buf)
+	}
+	if !raceEnabled {
+		doc := []byte("abcab-cabca")
+		if n := testing.AllocsPerRun(100, func() { buf = d.Factorize(doc, buf[:0]) }); n != 0 {
+			t.Errorf("warm Dictionary.Factorize allocates %v objects per call, want 0", n)
+		}
 	}
 }
 

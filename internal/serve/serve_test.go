@@ -222,6 +222,13 @@ func TestDoUsesPooledBuffer(t *testing.T) {
 	if err := s.Do(0, func([]byte) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Errorf("Do did not propagate fn error: %v", err)
 	}
+	// The scratch buffer goes back to the pool: a warm Do allocates nothing.
+	if !raceEnabled {
+		noop := func([]byte) error { return nil }
+		if n := testing.AllocsPerRun(100, func() { _ = s.Do(0, noop) }); n != 0 {
+			t.Errorf("warm Do allocates %v objects per call, want 0", n)
+		}
+	}
 }
 
 func TestErrorsAreCounted(t *testing.T) {
@@ -250,8 +257,9 @@ func TestErrorsAreCounted(t *testing.T) {
 
 // TestConcurrentGetAllBackends is the shared-Reader race test: 8+
 // goroutines hammer one Server (and thus one archive.Reader) with
-// overlapping ids. Run with -race to make the concurrency contract of
-// every backend an enforced property rather than an accident.
+// overlapping ids, through GetAppend and through Do's pooled buffer. Run
+// with -race to make the concurrency contract of every backend an
+// enforced property rather than an accident.
 func TestConcurrentGetAllBackends(t *testing.T) {
 	docs := makeDocs(64, 7)
 	for name, opts := range backendOptions(docs) {
@@ -267,6 +275,20 @@ func TestConcurrentGetAllBackends(t *testing.T) {
 						var err error
 						for i := 0; i < 200; i++ {
 							id := (g*13 + i*7) % len(docs) // overlapping across goroutines
+							if i%2 == 1 {
+								// doc is the pool's buffer, ours only during fn.
+								err = s.Do(id, func(doc []byte) error {
+									if !bytes.Equal(doc, docs[id]) {
+										return fmt.Errorf("%d bytes, want %d", len(doc), len(docs[id]))
+									}
+									return nil
+								})
+								if err != nil {
+									t.Errorf("goroutine %d Do(%d): %v", g, id, err)
+									return
+								}
+								continue
+							}
 							buf, err = s.GetAppend(buf[:0], id)
 							if err != nil || !bytes.Equal(buf, docs[id]) {
 								t.Errorf("goroutine %d Get(%d): %v", g, id, err)

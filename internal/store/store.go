@@ -368,14 +368,12 @@ func (r *Reader) Extent(id int) (off, n int64, err error) {
 // (internal/mmapio.Mapping satisfies it); duck-typed so this package
 // stays independent of how the caller produced its ReaderAt.
 type slicer interface {
-	//rlz:view
 	Slice(off, n int64) ([]byte, error)
 }
 
 // recPool holds the buffers records are staged in when the backing store
-// can only ReadAt.
-//
-//rlz:pool get=get put=put
+// can only ReadAt. A buffer from get goes back through put on every path
+// and is not used after.
 type recPool struct{ p sync.Pool }
 
 var recBufs recPool

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -381,7 +382,10 @@ func finishes(t *testing.T, wg *sync.WaitGroup, what string) {
 // TestLeaderFollower: with no committer goroutine, the appenders commit
 // for each other. Every wait returns only once its record is on disk,
 // concurrent appends share flushes, and nobody is left waiting — not by
-// a poisoned flush, not by Close.
+// a poisoned flush, not by Close. The appenders also call Admit and
+// Pending, a monitor polls Err and a checkpointer races the Close, so that
+// under -race every method that touches a `guarded by mu` field without mu
+// fails here.
 func TestLeaderFollower(t *testing.T) {
 	const writers = 8
 	each := 2000
@@ -399,7 +403,16 @@ func TestLeaderFollower(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				wait, err := l.Enqueue(seq.Add(1), []byte(fmt.Sprintf("writer %d doc %d", g, i)))
+				doc := []byte(fmt.Sprintf("writer %d doc %d", g, i))
+				if l.Pending() < 0 {
+					t.Errorf("writer %d: negative pending bytes", g)
+					return
+				}
+				err := l.Admit(int64(len(doc)))
+				var wait func() error
+				if err == nil {
+					wait, err = l.Enqueue(seq.Add(1), doc)
+				}
 				if err == nil {
 					err = wait()
 				}
@@ -458,22 +471,54 @@ func TestLeaderFollower(t *testing.T) {
 			}
 		}()
 	}
+	// A monitor polls the poison while the first failure lands.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for l2.Err() == nil {
+			runtime.Gosched()
+		}
+	}()
 	finishes(t, &wg, "appends over a failing flush")
 	if failed.Load() != writers*50 || l2.Err() == nil {
 		t.Fatalf("%d of %d appends failed, poison %v", failed.Load(), writers*50, l2.Err())
 	}
-	// Close with waiters in flight: they all return.
+	// Close with waiters and a checkpointer in flight: they all return.
+	// (Nothing reopens l3, so checkpointing records no segment holds is
+	// harmless here.)
 	fs.fail.Store(false)
 	l3dir := t.TempDir()
 	l3, _ := openT(t, l3dir, Options{FS: fs})
 	var underWay sync.WaitGroup
+	wg.Add(1)
+	underWay.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 1; ; n++ {
+			err := l3.Checkpoint()
+			if n == 20 || err != nil && n < 20 {
+				underWay.Done() // twenty cycles have raced the appenders, or one failed
+			}
+			if errors.Is(err, ErrClosed) {
+				return
+			}
+			if err != nil {
+				t.Errorf("checkpoint racing Close: %v", err)
+				return
+			}
+		}
+	}()
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		underWay.Add(1)
 		go func() {
 			defer wg.Done()
 			for n := 0; ; n++ {
-				wait, err := l3.Enqueue(seq.Add(1), []byte("racing close"))
+				err := l3.Admit(int64(len("racing close")))
+				var wait func() error
+				if err == nil {
+					wait, err = l3.Enqueue(seq.Add(1), []byte("racing close"))
+				}
 				if err == nil {
 					err = wait()
 				}
