@@ -243,30 +243,7 @@ func BenchmarkBlockCodecs(b *testing.B) {
 // a 256 KiB block of the block backend, where the symbol loop does. The
 // kernel has to earn its place on both; it allocates nothing.
 func BenchmarkInflate(b *testing.B) {
-	c := cfg(b)
-	coll := corpus.Generate(corpus.Gov, c.GovBytes, c.Seed)
-	text := coll.Bytes()
-	dict, err := rlz.NewDictionary(rlz.SampleEven(text, len(text)/100, 1<<10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The median document by factor count stands for "a document".
-	byFactors := make([][]rlz.Factor, coll.Len())
-	for i, d := range coll.Docs {
-		byFactors[i] = dict.Factorize(d.Body, nil)
-	}
-	sort.Slice(byFactors, func(i, j int) bool { return len(byFactors[i]) < len(byFactors[j]) })
-	var positions []byte
-	for _, f := range byFactors[len(byFactors)/2] {
-		positions = binary.LittleEndian.AppendUint32(positions, f.Pos)
-	}
-	for _, in := range []struct {
-		name string
-		raw  []byte
-	}{
-		{"positions", positions},
-		{"block256K", text[:min(len(text), 256<<10)]},
-	} {
+	for _, in := range zlibShapes(b) {
 		comp := codec.ZlibCompress(nil, in.raw)
 		out := make([]byte, 0, len(in.raw))
 		check := func(b *testing.B, got []byte, err error) {
@@ -310,6 +287,78 @@ func BenchmarkInflate(b *testing.B) {
 				if i == 0 {
 					check(b, got, err)
 				}
+			}
+		})
+	}
+}
+
+// zlibShapes are the two inputs the Z coding and the block backend hand
+// to zlib: the median document's (by factor count) U-coded position
+// stream, and a 256 KiB block of the collection.
+func zlibShapes(b *testing.B) []struct {
+	name string
+	raw  []byte
+} {
+	c := cfg(b)
+	coll := corpus.Generate(corpus.Gov, c.GovBytes, c.Seed)
+	text := coll.Bytes()
+	dict, err := rlz.NewDictionary(rlz.SampleEven(text, len(text)/100, 1<<10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	byFactors := make([][]rlz.Factor, coll.Len())
+	for i, d := range coll.Docs {
+		byFactors[i] = dict.Factorize(d.Body, nil)
+	}
+	sort.Slice(byFactors, func(i, j int) bool { return len(byFactors[i]) < len(byFactors[j]) })
+	var positions []byte
+	for _, f := range byFactors[len(byFactors)/2] {
+		positions = binary.LittleEndian.AppendUint32(positions, f.Pos)
+	}
+	return []struct {
+		name string
+		raw  []byte
+	}{
+		{"positions", positions},
+		{"block256K", text[:min(len(text), 256<<10)]},
+	}
+}
+
+// BenchmarkDeflate prices the module's deflater (codec.ZlibCompress)
+// against a compress/zlib writer at BestCompression reused through Reset,
+// on the same two shapes as BenchmarkInflate. Both write the same bytes;
+// on a kilobyte stream the writer's cost is mostly fixed — clearing
+// 640 KB of hash tables and sorting three Huffman alphabets — which is
+// what the deflater drops.
+func BenchmarkDeflate(b *testing.B) {
+	for _, in := range zlibShapes(b) {
+		var want bytes.Buffer
+		zw, err := zlib.NewWriterLevel(&want, zlib.BestCompression)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zw.Write(in.raw)
+		zw.Close()
+		out := make([]byte, 0, 2*want.Len())
+		b.Run(in.name+"/deflater", func(b *testing.B) {
+			b.SetBytes(int64(len(in.raw)))
+			b.ReportAllocs()
+			b.ReportMetric(float64(want.Len()), "comp-bytes")
+			for i := 0; i < b.N; i++ {
+				if got := codec.ZlibCompress(out, in.raw); i == 0 && !bytes.Equal(got, want.Bytes()) {
+					b.Fatal("deflater and compress/zlib differ")
+				}
+			}
+		})
+		b.Run(in.name+"/stdlib", func(b *testing.B) {
+			buf := bytes.NewBuffer(out)
+			b.SetBytes(int64(len(in.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				zw.Reset(buf)
+				zw.Write(in.raw)
+				zw.Close()
 			}
 		})
 	}

@@ -40,8 +40,9 @@ import (
 type Algorithm byte
 
 const (
-	// Zlib compresses blocks with compress/zlib at best compression —
-	// the paper's zlib baseline.
+	// Zlib compresses blocks as zlib streams at best compression — the
+	// paper's zlib baseline — on internal/codec's deflater, whose bytes
+	// are compress/zlib's at BestCompression.
 	Zlib Algorithm = 'z'
 	// LZ77 compresses blocks with the large-window coder from
 	// internal/lz77 — the paper's lzma baseline.

@@ -5,6 +5,12 @@
 // has always recorded in its header becomes a registry key here and
 // readers auto-detect whichever codec built the archive.
 //
+// The package owns both directions of zlib for the module: the inflate
+// kernel (inflate.go) behind every zlib and flate block and every Z-coded
+// RLZ stream, and the deflater (deflate.go) behind ZlibCompress and the
+// zlib codec, whose output is compress/zlib's at BestCompression byte for
+// byte. Only the flate codec still compresses with compress/zlib.
+//
 // Two design points matter for the hot read path:
 //
 //   - Decoders are stateful and pooled. A zlib decoder's Huffman tables
@@ -138,45 +144,56 @@ func (p *Pool) Get() Decoder { return p.p.Get().(Decoder) }
 // Put returns a decoder to the pool.
 func (p *Pool) Put(d Decoder) { p.p.Put(d) }
 
-// zlibBest is the paper's compressor, "zlib with best compression": the
-// block backend's baseline and RLZ's Z coding of factor streams.
-var zlibBest = newZlibCodec(zlib.BestCompression, 'z', "zlib")
-
 func init() {
-	Register(zlibBest)
-	Register(newZlibCodec(zlib.BestSpeed, 'f', "flate"))
+	Register(zlibCodec{id: 'z', name: "zlib", compress: ZlibCompress})
+	Register(zlibCodec{id: 'f', name: "flate", compress: flateCompress})
 	Register(LZMA(lz77.Options{}))
 	Register(LZR(lz77.Options{}))
 }
 
-// zlibCodec covers both deflate tiers: "zlib" at BestCompression (the
-// paper's baseline) and "flate" at BestSpeed (the speed tier). Both use
-// zlib framing so every block carries an Adler-32 and corrupt blocks are
-// rejected rather than served.
+// zlibCodec covers both deflate tiers: "zlib" at best compression (the
+// paper's baseline, on the module's own deflater) and "flate" at
+// BestSpeed (the speed tier, on compress/zlib). Both use zlib framing so
+// every block carries an Adler-32 and corrupt blocks are rejected rather
+// than served.
 type zlibCodec struct {
-	id   byte
-	name string
-	// encoders pools *zlibEncoder: a BestCompression deflater is ~800 KB
-	// of hash chains and window, far more than the blocks and factor
-	// streams it is asked to compress, so building one per call dominates
-	// encoding. A Reset writer emits the same bytes as a fresh one.
-	encoders *sync.Pool
+	id       byte
+	name     string
+	compress func(dst, src []byte) []byte
 }
 
-func newZlibCodec(level int, id byte, name string) zlibCodec {
-	return zlibCodec{id: id, name: name, encoders: &sync.Pool{New: func() any {
-		e := new(zlibEncoder)
-		zw, err := zlib.NewWriterLevel(&e.out, level)
-		if err != nil {
-			panic("codec: " + err.Error()) // level is one of zlib's constants
-		}
-		e.zw = zw
-		return e
-	}}}
+func (c zlibCodec) ID() byte     { return c.id }
+func (c zlibCodec) Name() string { return c.name }
+
+func (c zlibCodec) Compress(dst, src []byte) ([]byte, error) {
+	return c.compress(dst, src), nil
 }
 
-// zlibEncoder is one pooled compressor writing to its own append buffer.
-type zlibEncoder struct {
+func (c zlibCodec) NewDecoder() Decoder { return new(ZlibDecoder) }
+
+// ZlibCompress appends src compressed as a zlib stream at best
+// compression to dst: the paper's compressor, behind the block backend's
+// baseline and RLZ's Z coding of factor streams. The bytes are exactly
+// compress/zlib's at BestCompression; the deflater (deflate.go) is
+// pooled, since its ~850 KB of tables and window dwarf the kilobyte
+// streams it is mostly asked to compress.
+func ZlibCompress(dst, src []byte) []byte {
+	d := deflaters.Get().(*deflater)
+	dst = d.compress(dst, src)
+	deflaters.Put(d)
+	return dst
+}
+
+// flateEncoders pools compress/zlib BestSpeed writers, each writing to
+// its own append buffer. A Reset writer emits the same bytes as a fresh
+// one.
+var flateEncoders = sync.Pool{New: func() any {
+	e := new(flateEncoder)
+	e.zw, _ = zlib.NewWriterLevel(&e.out, zlib.BestSpeed) // a valid level: no error
+	return e
+}}
+
+type flateEncoder struct {
 	zw  *zlib.Writer
 	out appendWriter
 }
@@ -188,15 +205,8 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (c zlibCodec) ID() byte     { return c.id }
-func (c zlibCodec) Name() string { return c.name }
-
-func (c zlibCodec) Compress(dst, src []byte) ([]byte, error) {
-	return c.compress(dst, src), nil
-}
-
-func (c zlibCodec) compress(dst, src []byte) []byte {
-	e := c.encoders.Get().(*zlibEncoder)
+func flateCompress(dst, src []byte) []byte {
+	e := flateEncoders.Get().(*flateEncoder)
 	e.out.b = dst
 	e.zw.Reset(&e.out)
 	_, err := e.zw.Write(src)
@@ -204,18 +214,12 @@ func (c zlibCodec) compress(dst, src []byte) []byte {
 		err = e.zw.Close()
 	}
 	dst, e.out.b = e.out.b, nil
-	c.encoders.Put(e)
+	flateEncoders.Put(e)
 	if err != nil {
 		panic("codec: zlib to memory: " + err.Error()) // appendWriter cannot fail
 	}
 	return dst
 }
-
-func (c zlibCodec) NewDecoder() Decoder { return new(ZlibDecoder) }
-
-// ZlibCompress appends src compressed as a zlib stream at best
-// compression to dst, on a pooled compressor.
-func ZlibCompress(dst, src []byte) []byte { return zlibBest.compress(dst, src) }
 
 // ZlibDecoder is the one zlib inflater in the module: the block
 // backend's zlib and flate blocks and RLZ's Z-coded factor streams all

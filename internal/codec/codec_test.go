@@ -235,10 +235,14 @@ func TestLZROptionsDecodeAnyStream(t *testing.T) {
 }
 
 // TestZlibCompressMatchesFreshWriter pins the pooled compressors: a
-// stream from a warm, reused writer is byte-identical to what a writer
-// built for that one call emits, at both levels — archives must not
-// depend on what was compressed before them.
+// stream from a warm, reused compressor is byte-identical to what a
+// compress/zlib writer built for that one call emits, at both levels —
+// the module's deflater at best compression, compress/zlib's own at
+// BestSpeed. Archives must not depend on what was compressed before
+// them, nor on which deflater wrote them. The deflater's seeds add input
+// past the 64 KiB window buffer and blocks of more than 16 Ki tokens.
 func TestZlibCompressMatchesFreshWriter(t *testing.T) {
+	inputs := append(corpus(), deflateSeeds(t)...)
 	for _, c := range []struct {
 		name  string
 		level int
@@ -248,7 +252,7 @@ func TestZlibCompressMatchesFreshWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 3; round++ {
-			for i, src := range corpus() {
+			for i, src := range inputs {
 				var fresh bytes.Buffer
 				zw, err := zlib.NewWriterLevel(&fresh, c.level)
 				if err != nil {

@@ -125,10 +125,11 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 		// dictionary over 256 MiB *and* a quarter-gigabyte match, but the
 		// format stays sound by falling back to vbyte for the document,
 		// flagged in the stream's first byte.
-		lens := make([]uint32, len(factors))
-		for i, f := range factors {
-			lens[i] = f.Len
+		lens := sc.vals[:0]
+		for _, f := range factors {
+			lens = append(lens, f.Len)
 		}
+		sc.vals = lens
 		var err error
 		if raw, err = coding.PutSimple9(append(raw, lenModeSimple9), lens); err != nil {
 			raw = coding.AppendUvarint32s(append(raw[:0], lenModeVByte), lens)

@@ -27,12 +27,12 @@ import (
 // decodeScratch is the pooled state of one decode: the zlib inflater,
 // the buffers a record's streams are brought to kernel form in, and what
 // the S and H length codings decode through. PairCodec.Encode stages its
-// streams in the same two buffers.
+// streams in the same two buffers, and S lengths in vals.
 type decodeScratch struct {
 	zd    codec.ZlibDecoder
 	pos   []byte
 	lens  []byte
-	vals  []uint32        // Simple9's decoded lengths
+	vals  []uint32        // Simple9's lengths, decoded or to encode
 	huff  huffman.Codec   // the H coding's per-record code
 	slots [lenSlots]uint8 // and its codeword lengths
 }
