@@ -625,12 +625,14 @@ func BenchmarkMixedAppendRead(b *testing.B) {
 }
 
 // BenchmarkDurableAppend costs the write path's durability modes
-// (BENCH_wal.json): group commit (the default — appends join a shared
-// WAL batch and one fsync acknowledges all of them) and async (pre-WAL
-// acknowledgment from memory, the durability-free ceiling). Workers are
-// explicit goroutines, each a closed loop over one shared collection:
-// group commit's whole point is that concurrent appends amortize the
-// fsync, so the 8-worker rows are the headline.
+// (BENCH_wal.json): group commit (the default — each append writes its
+// frame to the open segment once and waits for a flush of the segment
+// that started after the write; one flush acknowledges every append in
+// flight) and async (the same write, acknowledged without waiting: the
+// durability-free ceiling). Workers are explicit goroutines, each a
+// closed loop over one shared collection: group commit's whole point is
+// that concurrent appends amortize the flush, so the 8-worker rows are
+// the headline.
 func BenchmarkDurableAppend(b *testing.B) {
 	doc := bytes.Repeat([]byte("durable-append-payload."), 45) // ~1 KiB
 	modes := []struct {

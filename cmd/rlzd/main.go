@@ -15,11 +15,14 @@
 // the append path into RLZ segments without a restart — the documents
 // keep their ids and bytes across the swap.
 //
-// Appends are durable by default: each is acknowledged when the WAL
-// batch it joined is fsynced (group commit); -async-appends
-// acknowledges from memory instead. When the in-flight WAL budget
-// (-wal-max-pending) is exhausted, writes answer 429 Too Many Requests
-// with Retry-After — back off and retry.
+// Appends are durable by default: each is written once, to the
+// collection's open segment, which is its log, and acknowledged once a
+// flush of that segment that started after the write has returned; one
+// flush is shared by every append in flight (group commit).
+// -async-appends acknowledges without waiting for the flush instead.
+// When the bytes appended but not yet flushed would pass
+// -wal-max-pending, writes answer 429 Too Many Requests with
+// Retry-After — back off and retry.
 //
 // Usage:
 //
@@ -74,7 +77,7 @@ func main() {
 	maxBatch := fs.Int("max-batch", 4096, "largest accepted POST /docs batch")
 	maxDoc := fs.String("max-doc", "16MB", "largest accepted POST /append document (and /append/batch body)")
 	asyncAppends := fs.Bool("async-appends", false, "acknowledge appends before they are durable; loses the tail on crash (live collections)")
-	walMaxPending := fs.String("wal-max-pending", "8MB", "WAL bytes in flight before appends answer 429 (live collections)")
+	walMaxPending := fs.String("wal-max-pending", "8MB", "bytes appended but not yet flushed before appends answer 429 (live collections)")
 	appendBatch := fs.Int("append-batch", 256, "largest accepted POST /append/batch document count")
 	compactAfter := fs.Int("compact-after", 0, "auto-compact when this many documents await compaction; 0 disables (live collections)")
 	compactEvery := fs.Duration("compact-every", 0, "auto-compact on this interval when work is pending; 0 disables (live collections)")
@@ -121,8 +124,8 @@ func main() {
 
 	// SIGINT and SIGTERM end the daemon in order: stop accepting, let
 	// in-flight requests and a running auto-compaction finish, then close
-	// the archive — for a live collection that checkpoints the log, so
-	// the next start has nothing to replay.
+	// the archive — for a live collection that cuts the open segment's
+	// zero fill and flushes it, so the next start has nothing to cut.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

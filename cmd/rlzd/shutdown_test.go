@@ -74,10 +74,31 @@ func startDaemon(t *testing.T, dir string) (*exec.Cmd, string) {
 	}
 }
 
+// closedCleanly fails the test unless the collection at dir was closed
+// with docs in its open segment: no write-ahead log beside it, and the
+// segment's file exactly as long as its frames — the zero fill cut.
+func closedCleanly(t *testing.T, dir string, docs [][]byte) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, wal.FileName)); !os.IsNotExist(err) {
+		t.Fatalf("a %s file after a graceful stop (%v)", wal.FileName, err)
+	}
+	man, err := collection.ReadManifest(filepath.Join(dir, collection.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(5) // the raw archive header, then one [len][crc] frame per document
+	for _, d := range docs {
+		want += 8 + int64(len(d))
+	}
+	st, err := os.Stat(filepath.Join(dir, man.OpenSeg))
+	if err != nil || st.Size() != want {
+		t.Fatalf("open segment %q after a graceful stop: %v, want %d bytes (%v)", man.OpenSeg, st, want, err)
+	}
+}
+
 // TestSigtermClosesCollection: SIGTERM is a graceful stop — the daemon
-// exits 0, the collection was closed (its log is down to the header, so
-// nothing is left to replay), and a restart serves every acknowledged
-// document.
+// exits 0, the collection was closed (no log, no zero fill), and a
+// restart serves every acknowledged document.
 func TestSigtermClosesCollection(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("no SIGTERM")
@@ -109,18 +130,7 @@ func TestSigtermClosesCollection(t *testing.T) {
 		t.Fatalf("SIGTERM'd daemon: %v\n%s", err, cmd.Stderr)
 	}
 
-	walPath := filepath.Join(dir, wal.FileName)
-	l, recs, err := wal.Open(walPath, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, serr := os.Stat(walPath)
-	if serr != nil || len(recs) != 0 || st.Size() != l.Size() {
-		t.Fatalf("log after a graceful stop: %d records, %d bytes on disk for a %d-byte header (%v)", len(recs), st.Size(), l.Size(), serr)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closedCleanly(t, dir, docs)
 
 	cmd2, url := startDaemon(t, dir)
 	for id, want := range docs {
@@ -146,7 +156,7 @@ func TestSigtermClosesCollection(t *testing.T) {
 // connection loop. With one POST /append half sent and one keep-alive
 // connection idle, SIGTERM closes the idle connection at once (not when its
 // 30 s read deadline expires), stops accepting, lets the append finish with a
-// 200 marked Connection: close, closes the collection (header-only log) and
+// 200 marked Connection: close, closes the collection (no log, no zero fill) and
 // exits 0 within 2 s; the appended document is served after a restart.
 func TestSigtermDrainsInFlightClosesIdle(t *testing.T) {
 	if runtime.GOOS == "windows" {
@@ -222,17 +232,7 @@ func TestSigtermDrainsInFlightClosesIdle(t *testing.T) {
 		t.Errorf("exit took %v after SIGTERM, want under 2s", d)
 	}
 
-	walPath := filepath.Join(dir, wal.FileName)
-	l, recs, err := wal.Open(walPath, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, serr := os.Stat(walPath); serr != nil || len(recs) != 0 || st.Size() != l.Size() {
-		t.Fatalf("log after a graceful stop: %d records, %v on disk for a %d-byte header (%v)", len(recs), st, l.Size(), serr)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closedCleanly(t, dir, [][]byte{doc})
 
 	cmd2, url := startDaemon(t, dir)
 	got, err := http.Get(fmt.Sprintf("%s/doc/%d", url, ack.ID))

@@ -34,23 +34,26 @@ var ErrDeleted = archive.ErrDeleted
 var ErrCompacting = fmt.Errorf("collection: compaction already in progress")
 
 // ErrBackpressure is returned by Append when the write path's in-flight
-// budget (WAL bytes awaiting fsync, or the pending-compaction document
-// backlog) is exhausted. The append did not happen; the caller should
-// back off and retry. rlzd surfaces it as HTTP 429 + Retry-After.
+// budget (bytes appended to the open segment and awaiting a flush, or
+// the pending-compaction document backlog) is exhausted. The append did
+// not happen; the caller should back off and retry. rlzd surfaces it as
+// HTTP 429 + Retry-After.
 var ErrBackpressure = wal.ErrBackpressure
 
 // Options configures an open Collection.
 //
-// Durability modes:
+// Durability modes. In both, an append writes its frame to the open
+// segment once; the open segment is the collection's log.
 //
-//   - default: group commit — appends are logged to a write-ahead log
-//     and acknowledged after the WAL batch they joined is fsynced; one
-//     fsync amortizes over every append in flight. An acknowledged
+//   - default: group commit — an append is acknowledged once a flush of
+//     the open segment that started after its write has returned; one
+//     flush amortizes over every append in flight. An acknowledged
 //     append survives any crash.
-//   - Async: appends are acknowledged from memory and are durable only
-//     at the next seal, sync or manifest publish; a crash loses at most
-//     the buffered tail (never a torn document). This was the default
-//     before the WAL existed.
+//   - Async: the same write, but the append does not wait: it is
+//     acknowledged from memory and durable at the next seal, delete or
+//     Close; a crash loses at most the unflushed tail (never a torn
+//     document). Since nothing waits for a flush, an Async append counts
+//     against no in-flight budget and leaves the file unfilled.
 type Options struct {
 	// Async acknowledges appends before they are durable.
 	Async bool
@@ -58,14 +61,11 @@ type Options struct {
 	// real filesystem (faultfs.OS). Tests install faultfs.NewSim() to
 	// inject failures.
 	FS faultfs.FS
-	// MaxWALPending bounds the bytes enqueued to the WAL but not yet
-	// fsynced; appends beyond it fail with ErrBackpressure. Zero means
-	// 8 MiB. Group-commit mode only.
+	// MaxWALPending bounds the bytes appended to the open segment but
+	// not yet flushed; appends beyond it fail with ErrBackpressure (one
+	// is always admitted when nothing is pending). Zero means 8 MiB.
+	// Group-commit mode only.
 	MaxWALPending int64
-	// CheckpointBytes is the WAL size at which the open segment is
-	// fsynced and the log rewound. Zero means 4 MiB. Group-commit
-	// mode only.
-	CheckpointBytes int64
 	// MaxPendingDocs bounds the pending-compaction backlog (open
 	// segment plus raw sealed segments); appends beyond it fail with
 	// ErrBackpressure until a compaction drains the backlog. Zero means
@@ -176,11 +176,6 @@ type Collection struct {
 	compacting bool       // guarded by mu
 	closed     bool       // guarded by mu
 
-	// wal is the group-commit write-ahead log; nil in Async mode.
-	// Enqueues happen under mu; the commit waits do not.
-	wal             *wal.Log
-	checkpointBytes int64
-
 	view atomic.Pointer[view]
 
 	// dictMu guards the prepared-dictionary cache and the usage
@@ -222,9 +217,9 @@ func Init(dir string) error {
 
 // Open opens the collection at dir (or its manifest path), recovering
 // the open append segment if the last process died mid-write and
-// replaying any write-ahead log records the segment had not yet
-// absorbed. archive.Open dispatches here automatically when it sees a
-// collection manifest, so read-only callers never call this directly.
+// draining a write-ahead log an older release left behind. archive.Open
+// dispatches here automatically when it sees a collection manifest, so
+// read-only callers never call this directly.
 func Open(dir string, opts Options) (*Collection, error) {
 	if opts.FS == nil {
 		opts.FS = faultfs.OS
@@ -236,12 +231,11 @@ func Open(dir string, opts Options) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Collection{dir: dir, opts: opts, fs: opts.FS, man: man,
-		checkpointBytes: opts.CheckpointBytes,
-		dicts:           make(map[uint64]*rlz.Dictionary)}
-	if c.checkpointBytes <= 0 {
-		c.checkpointBytes = 4 << 20
+	if opts.MaxWALPending <= 0 {
+		opts.MaxWALPending = 8 << 20
 	}
+	c := &Collection{dir: dir, opts: opts, fs: opts.FS, man: man,
+		dicts: make(map[uint64]*rlz.Dictionary)}
 	// Every member is held by this function until the view has its own
 	// references, so any failure below closes what was opened so far.
 	var members []*member
@@ -268,7 +262,7 @@ func Open(dir string, opts Options) (*Collection, error) {
 		}
 		members = append(members, newMember(open, man.OpenSeg))
 	}
-	if err := c.openWAL(open, man.NumSealedDocs()); err != nil {
+	if err := c.drainLegacyLog(open, man.NumSealedDocs()); err != nil {
 		return nil, err
 	}
 	// Clamp tombstones to the recovered document count: a tombstone can
@@ -289,9 +283,6 @@ func Open(dir string, opts Options) (*Collection, error) {
 		// tombstones (over freshly re-allocated ids) at the next crash.
 		man.Generation++
 		if err := WriteManifest(c.fs, dir, man); err != nil {
-			if c.wal != nil {
-				_ = c.wal.Close()
-			}
 			return nil, err
 		}
 	}
@@ -301,35 +292,28 @@ func Open(dir string, opts Options) (*Collection, error) {
 	return c, nil
 }
 
-// openWAL opens (or, in Async mode, drains and removes) the collection's
-// write-ahead log and replays surviving records into the recovered open
-// segment, whose first document has global id sealed. Records the
-// segment already holds durably are skipped; the rest are appended,
-// fsynced, and the log rewound — so every acknowledged append is
-// readable before Open returns, whatever the crash looked like.
-func (c *Collection) openWAL(open *openSegment, sealed int) error {
-	walPath := filepath.Join(c.dir, wal.FileName)
-	if c.opts.Async {
-		// Async mode does not run a WAL, but a log left by a previous
-		// group-commit process may still hold acked appends — drain it
-		// before removing it.
-		if _, err := c.fs.Stat(walPath); err != nil {
-			return nil
-		}
+// drainLegacyLog replays the write-ahead log an older release kept
+// beside the open segment, if there is one, and removes it. Its records
+// carry global ids; those at or past the recovered segment's end (its
+// first document has global id sealed) are acknowledged appends whose
+// segment bytes were lost, and are re-appended in order and flushed, so
+// every one is readable before Open returns. Records below the end are
+// already in the segment; a gap cannot occur (the log was rewound only
+// after the segment durably absorbed it), but the replay stops
+// defensively rather than misnumber documents.
+func (c *Collection) drainLegacyLog(open *openSegment, sealed int) error {
+	path := filepath.Join(c.dir, wal.FileName)
+	if _, err := c.fs.Stat(path); err != nil {
+		return nil
 	}
-	l, recs, err := wal.Open(walPath, wal.Options{FS: c.fs, MaxPending: c.opts.MaxWALPending})
+	l, recs, err := wal.Open(path, wal.Options{FS: c.fs})
 	if err != nil {
 		return err
 	}
-	replayed := 0
+	if err := l.Close(); err != nil {
+		return err
+	}
 	if len(recs) > 0 && open != nil {
-		// The open segment recovered to a whole-document boundary; WAL
-		// records at or past that boundary are acked appends whose
-		// segment bytes were lost. Re-append them in order. Records
-		// below the boundary are already in the segment (it was fsynced
-		// at or after their checkpoint); a gap cannot occur — the log
-		// is rewound only after the segment durably absorbed it — but
-		// stop defensively rather than misnumber documents.
 		total := uint64(sealed + open.NumDocs())
 		for _, r := range recs {
 			if r.Seq < total {
@@ -338,32 +322,19 @@ func (c *Collection) openWAL(open *openSegment, sealed int) error {
 			if r.Seq > total {
 				break
 			}
-			if _, err := open.append(r.Doc); err != nil {
-				_ = l.Close()
+			if _, _, err := open.append(r.Doc, 0); err != nil {
 				return fmt.Errorf("collection: replaying WAL record %d: %w", r.Seq, err)
 			}
 			total++
-			replayed++
 		}
-	}
-	if replayed > 0 {
 		if err := open.sync(); err != nil {
-			_ = l.Close()
 			return fmt.Errorf("collection: syncing WAL replay: %w", err)
 		}
 	}
-	if err := l.Checkpoint(); err != nil {
-		_ = l.Close()
+	if err := c.fs.Remove(path); err != nil {
 		return err
 	}
-	if !c.opts.Async {
-		c.wal = l
-		return nil
-	}
-	if err := l.Close(); err != nil {
-		return err
-	}
-	return l.Remove()
+	return c.fs.SyncDir(c.dir)
 }
 
 // openSegmentFile opens one sealed segment: a single-file archive,
@@ -450,96 +421,83 @@ func (c *Collection) Generation() uint64 { return c.view.Load().gen }
 // Append stores one document at the tail of the collection, returning
 // its stable global id. The document is readable immediately — before
 // any seal or compaction — and durable per the collection's mode: by
-// default when the WAL batch it joined commits (group fsync, before the
-// call returns), with Async at the next seal or sync. The first append after
-// a seal (or on a fresh collection) creates a new open segment, which
-// publishes a manifest so crash recovery knows where the write head is.
+// default before the call returns (a flush of the open segment, shared
+// with every append in flight), with Async at the next seal, delete or
+// Close. The first append after a seal (or on a fresh collection)
+// creates a new open segment, which publishes a manifest so crash
+// recovery knows where the write head is.
 //
 // ErrBackpressure (which the returned error wraps when the in-flight
 // budget is exhausted) means the append did not happen — back off and
 // retry.
 func (c *Collection) Append(doc []byte) (int, error) {
 	c.mu.Lock()
-	id, wait, err := c.appendLocked(doc)
+	id, open, end, err := c.appendLocked(doc)
 	c.mu.Unlock()
+	if err == nil && !c.opts.Async {
+		err = open.wait(end)
+	}
 	if err != nil {
 		return 0, err
-	}
-	if wait != nil {
-		if err := wait(); err != nil {
-			return 0, err
-		}
 	}
 	return id, nil
 }
 
 // AppendBatch appends docs in order, returning the global ids of the
-// appends that were durably acknowledged. All docs are enqueued before
-// any is waited for, so they share one WAL commit: a batch costs about
-// one fsync regardless of length.
+// appends that were durably acknowledged. All docs are written before
+// the batch waits, once, for its last frame: a batch costs about one
+// flush regardless of length.
 // On error the returned prefix of ids is still valid and durable; the
-// remaining docs were not appended (or, past the first WAL failure,
-// not acknowledged).
+// remaining docs were not appended (or, past a failed flush, not
+// acknowledged).
 func (c *Collection) AppendBatch(docs [][]byte) ([]int, error) {
 	if len(docs) == 0 {
 		return nil, nil
 	}
 	ids := make([]int, 0, len(docs))
-	waits := make([]func() error, 0, len(docs))
+	var open *openSegment
+	var end int64
 	c.mu.Lock()
 	var appendErr error
 	for _, doc := range docs {
-		id, wait, err := c.appendLocked(doc)
+		id, seg, e, err := c.appendLocked(doc)
 		if err != nil {
 			appendErr = err
 			break
 		}
 		ids = append(ids, id)
-		waits = append(waits, wait)
+		open, end = seg, e
 	}
 	c.mu.Unlock()
-	for i, wait := range waits {
-		if wait == nil {
-			continue
-		}
-		if err := wait(); err != nil {
-			// Everything from this doc on shares the failed commit (or a
-			// poisoned log): acknowledged ids stop here.
-			return ids[:i], err
+	if open != nil && !c.opts.Async {
+		if err := open.wait(end); err != nil {
+			// A failed flush acknowledges none of the batch, though an
+			// earlier one may have made a prefix durable.
+			return ids[:0], err
 		}
 	}
 	return ids, appendErr
 }
 
-// appendLocked admits, stores and (in group-commit mode) logs one
-// document. Called with mu held; the returned wait function — non-nil
-// only in group-commit mode — must be called without mu and blocks
-// until the WAL batch holding the record is durable.
-func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
+// appendLocked admits and stores one document, returning its global id,
+// the open segment holding it and the end of its frame there: the
+// append is durable once open.wait(end) returns nil. Called with mu
+// held.
+func (c *Collection) appendLocked(doc []byte) (id int, open *openSegment, end int64, err error) {
 	if c.closed {
-		return 0, nil, fmt.Errorf("collection: append to closed collection")
+		return 0, nil, 0, fmt.Errorf("collection: append to closed collection")
 	}
 	if c.opts.MaxPendingDocs > 0 {
 		if pending := c.pendingDocsLocked(); pending >= c.opts.MaxPendingDocs {
-			return 0, nil, fmt.Errorf("%w; %d documents await compaction", ErrBackpressure, pending)
-		}
-	}
-	if c.wal != nil {
-		// Fail before touching the segment: a doc written but refused by
-		// the log would sit unacknowledged in the segment and still count
-		// against every later id.
-		if err := c.wal.Admit(int64(len(doc))); err != nil {
-			return 0, nil, err
+			return 0, nil, 0, fmt.Errorf("%w; %d documents await compaction", ErrBackpressure, pending)
 		}
 	}
 	v := c.view.Load()
 	if v.open == nil {
 		m := c.cloneManifest()
-		var open *openSegment
 		for {
 			m.OpenSeg = segFileName(m.NextSeq)
 			m.NextSeq++
-			var err error
 			open, err = createOpenSegment(c.fs, c.dir, m.OpenSeg)
 			if err == nil {
 				break
@@ -552,7 +510,7 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 			if os.IsExist(err) {
 				continue
 			}
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		om := newMember(open, m.OpenSeg)
 		nv := newView(append(slices.Clip(v.members), om), v.set.Tombstones(), open)
@@ -564,44 +522,19 @@ func (c *Collection) appendLocked(doc []byte) (int, func() error, error) {
 		// recovery contract. If the manifest never landed they are
 		// unreferenced orphans for gc.
 		if err := c.publishLocked(m, nv); err != nil {
-			return 0, nil, err
+			return 0, nil, 0, err
 		}
 		v = nv
 	}
-	local, err := v.open.append(doc)
+	budget := c.opts.MaxWALPending
+	if c.opts.Async {
+		budget = 0 // nothing waits: no flush to bound, none to fill ahead for
+	}
+	local, end, err := v.open.append(doc, budget)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
-	id := v.sealedDocs() + local
-	if c.wal == nil {
-		return id, nil, nil
-	}
-	wait, err := c.wal.Enqueue(uint64(id), doc)
-	if err != nil {
-		// The doc is in the (volatile) segment but will never be acked;
-		// recovery semantics treat it like any unacknowledged append.
-		return 0, nil, err
-	}
-	if c.wal.Size()+c.wal.Pending() >= c.checkpointBytes {
-		c.checkpointLocked(v)
-	}
-	return id, wait, nil
-}
-
-// checkpointLocked makes the open segment durable and rewinds the WAL
-// — records the segment has absorbed and fsynced need no replay. Errors
-// are sticky in the respective layer (broken segment, poisoned log) and
-// surface on the next append; the current batch stays correct either
-// way (its records are durable via the segment after a successful
-// sync, via the WAL otherwise).
-func (c *Collection) checkpointLocked(v *view) {
-	if v.open == nil {
-		return
-	}
-	if err := v.open.sync(); err != nil {
-		return
-	}
-	_ = c.wal.Checkpoint()
+	return v.sealedDocs() + local, v.open, end, nil
 }
 
 // pendingDocsLocked counts the compaction backlog: documents in raw
@@ -686,18 +619,7 @@ func (c *Collection) sealLocked() error {
 	// The new view reads the sealed bytes through sr; the open segment
 	// drops out of it and closes its handles once older views drain.
 	nv := newView(append(slices.Clip(v.sealed()), sm), v.set.Tombstones(), nil)
-	if err := c.publishLocked(m, nv); err != nil {
-		return err
-	}
-	// Every WAL record is now covered by the sealed (fsynced) segment:
-	// rewind the log and, with no open segment left to protect, give its
-	// blocks back. A failure of either only poisons the log — the seal
-	// itself already succeeded — and surfaces on the next append.
-	if c.wal != nil {
-		_ = c.wal.Checkpoint()
-		_ = c.wal.Trim()
-	}
-	return nil
+	return c.publishLocked(m, nv)
 }
 
 // The read side: pin the current view, delegate to its segment set (the
@@ -928,7 +850,7 @@ func (c *Collection) GC() ([]string, error) {
 	if c.compacting {
 		return nil, ErrCompacting
 	}
-	keep := map[string]bool{ManifestName: true, wal.FileName: true}
+	keep := map[string]bool{ManifestName: true}
 	for _, d := range c.man.Dicts {
 		keep[filepath.ToSlash(filepath.Clean(d.Path))] = true
 	}
@@ -973,15 +895,15 @@ func (c *Collection) GC() ([]string, error) {
 	return removed, nil
 }
 
-// Close releases the collection's resources: the open segment is
-// fsynced and the write-ahead log checkpointed (in-flight Appends get
-// their final acknowledgment), so a closed collection holds a
-// header-only log and its next Open has nothing to replay; the log
-// closes, then the current view loses its installed
-// reference and its segment readers and open-segment handles close as soon as
-// in-flight reads drain (immediately, when none are in flight). A read
-// that arrives after the drain fails with an error and touches no
-// segment; Size and Stats, which return no error, report zeros.
+// Close releases the collection's resources: the open segment's zero
+// fill is cut and the segment flushed (in-flight Appends get their final
+// acknowledgment, in Async mode too), so a closed collection's open
+// segment is exactly as long as its frames; then the current view loses
+// its installed reference and its segment readers and open-segment
+// handles close as soon as in-flight reads drain (immediately, when none
+// are in flight). A read that arrives after the drain fails with an
+// error and touches no segment; Size and Stats, which return no error,
+// report zeros.
 func (c *Collection) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -989,11 +911,11 @@ func (c *Collection) Close() error {
 		return nil
 	}
 	c.closed = true
+	v := c.view.Load()
 	var err error
-	if c.wal != nil {
-		c.checkpointLocked(c.view.Load())
-		err = c.wal.Close()
+	if v.open != nil {
+		err = v.open.trim()
 	}
-	c.view.Load().unref()
+	v.unref()
 	return err
 }

@@ -11,20 +11,28 @@ import (
 	"rlz/internal/wal"
 )
 
-// dropWAL removes the write-ahead log, for scenarios that simulate the
-// total loss of open-segment documents: with the log present, recovery
-// would (correctly) replay the acknowledged appends the scenario
-// pretends are gone, so these tests model an Async-mode crash where no
-// durable copy exists.
-func dropWAL(t *testing.T, dir string) {
+// writeLegacyLog leaves in dir the write-ahead log an older release kept
+// beside the open segment, holding docs under global ids from first on,
+// each acknowledged.
+func writeLegacyLog(t *testing.T, dir string, first int, docs [][]byte) {
 	t.Helper()
-	if err := os.Remove(filepath.Join(dir, wal.FileName)); err != nil && !os.IsNotExist(err) {
+	l, _, err := wal.Open(filepath.Join(dir, wal.FileName), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range docs {
+		wait, err := l.Enqueue(uint64(first+i), d)
+		if err == nil {
+			err = wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
-
-// frameHeader is the size of rawstore's per-document [u32 len][u32 crc].
-const frameHeader = 8
 
 // frameStart returns the open segment's path and the offset in it of
 // the frame holding document id (which must be in the open segment).
@@ -235,7 +243,6 @@ func TestCrashFirstAppend(t *testing.T) {
 	if err := os.Truncate(path, at+frameHeader+3); err != nil {
 		t.Fatal(err)
 	}
-	dropWAL(t, dir)
 	c2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +271,6 @@ func TestCrashDataFileObliterated(t *testing.T) {
 	if err := os.Truncate(filepath.Join(dir, man.OpenSeg), 2); err != nil {
 		t.Fatal(err)
 	}
-	dropWAL(t, dir)
 	c, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen after obliteration: %v", err)
@@ -340,7 +346,6 @@ func TestCrashOpenSegmentFileMissing(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, man.OpenSeg)); err != nil {
 		t.Fatal(err)
 	}
-	dropWAL(t, dir)
 	c, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen without data file: %v", err)
@@ -376,7 +381,6 @@ func TestCrashStaleTombstoneClamped(t *testing.T) {
 	if err := os.Truncate(path, at); err != nil {
 		t.Fatal(err)
 	}
-	dropWAL(t, dir)
 	c, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -40,8 +40,8 @@ func faultOpen(t *testing.T, sim *faultfs.Sim, opts Options) (*Collection, strin
 }
 
 // abandon drops c's descriptors the way a dying process does. Unlike
-// Close it checkpoints nothing on the way out: the crash that follows
-// must find the log and the segment as the fault left them.
+// Close it flushes and trims nothing on the way out: the crash that
+// follows must find the segment as the fault left it.
 func abandon(c *Collection) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -49,9 +49,6 @@ func abandon(c *Collection) {
 		return
 	}
 	c.closed = true
-	if c.wal != nil {
-		_ = c.wal.Close()
-	}
 	c.view.Load().unref()
 }
 
@@ -60,38 +57,53 @@ func abandon(c *Collection) {
 // document. Cases marked sticky additionally pin the poisoned-writer
 // contract: after the first failed acknowledgment, every later append
 // on the same handle must keep failing rather than silently resume over
-// a broken log or segment.
+// a broken segment. "WAL" and "log" in a row name mean the open segment:
+// it is the collection's log.
 func TestFaultMatrix(t *testing.T) {
-	doc := func(i int) []byte {
-		return []byte(fmt.Sprintf("<doc %03d>matrix payload %d quick brown fox</doc>", i, i*31))
+	doc := func(i, size int) []byte {
+		d := []byte(fmt.Sprintf("<doc %03d>matrix payload %d quick brown fox</doc>", i, i*31))
+		if size > len(d) {
+			d = append(d, bytes.Repeat([]byte{'a' + byte(i%26)}, size-len(d))...)
+		}
+		return d
 	}
+	// seg matches the segment files' writes and flushes, and nothing
+	// else: a fault's Path matches anywhere in the file's path, test
+	// directory included.
+	const seg = "seg-"
 	cases := []struct {
-		name   string
-		opts   Options
-		prime  int             // appends that must ack before the script installs
-		script []faultfs.Fault // installed after priming
-		seal   bool            // attempt a Seal after the script installs (must fail, unless sealed)
-		sealed bool            // the fault lands after the seal's publish: Seal succeeds
-		post   int             // append attempts after the script installs
-		acked  int             // total acknowledged appends expected
-		sticky bool            // appends must keep failing after the first failure
-		// walSuffix is appended to the real WAL after the crash — a torn
-		// tail that DID reach durable media (the in-process tear cases
-		// model one that did not).
-		walSuffix []byte
+		name    string
+		docSize int             // pad every document to this many bytes
+		prime   int             // appends that must ack before the script installs
+		script  []faultfs.Fault // installed after priming
+		seal    bool            // attempt a Seal after the script installs (must fail, unless sealed)
+		sealed  bool            // the fault lands after the seal's publish: Seal succeeds
+		post    int             // append attempts after the script installs
+		acked   int             // total acknowledged appends expected
+		sticky  bool            // appends must keep failing after the first failure
+		// written skips the power cut: the process dies, the page cache
+		// survives, and recovery reads everything that was written.
+		written bool
+		// extra counts the unacknowledged documents recovery must find
+		// whole behind the acknowledged ones: the first extra that failed.
+		extra int
+		// segSuffix is written at the open segment's end after the crash
+		// — a torn tail that DID reach durable media (the in-process tear
+		// cases model one that did not).
+		segSuffix []byte
 	}{
 		{
 			name:   "fail WAL fsync N",
 			prime:  3,
-			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: wal.FileName}},
+			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: seg, N: 2}},
 			post:   5,
-			acked:  3,
+			acked:  4,
 			sticky: true,
 		},
 		{
 			name:   "torn WAL write at crash",
 			prime:  5,
-			script: []faultfs.Fault{{Op: faultfs.OpWrite, Path: wal.FileName, Tear: 7, Kill: true}},
+			script: []faultfs.Fault{{Op: faultfs.OpWrite, Path: seg, Tear: 7, Kill: true}},
 			post:   3,
 			acked:  5,
 			sticky: true,
@@ -100,19 +112,19 @@ func TestFaultMatrix(t *testing.T) {
 			name:      "torn WAL tail: partial length prefix",
 			prime:     5,
 			acked:     5,
-			walSuffix: []byte{0x40, 0x00},
+			segSuffix: []byte{0x40, 0x00},
 		},
 		{
 			name:      "torn WAL tail: frame header only",
 			prime:     5,
 			acked:     5,
-			walSuffix: []byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef},
+			segSuffix: []byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef},
 		},
 		{
 			name:      "torn WAL tail: partial payload",
 			prime:     5,
 			acked:     5,
-			walSuffix: []byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 'j', 'u', 'n', 'k'},
+			segSuffix: []byte{0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 'j', 'u', 'n', 'k'},
 		},
 		{
 			name:   "dropped manifest rename at seal",
@@ -128,55 +140,96 @@ func TestFaultMatrix(t *testing.T) {
 			acked:  2,
 		},
 		{
-			name:  "crash between WAL commit and checkpoint",
-			prime: 10,
-			acked: 10,
-		},
-		{
-			// Every append checkpoints, so the first one after the script
-			// installs hits the failing segment fsync: it is still
-			// acknowledged (its WAL record committed and is replayed at
-			// recovery), the segment is poisoned, and the rest are refused.
-			name:   "open segment poisoned on first fsync failure",
-			opts:   Options{CheckpointBytes: 1},
-			prime:  2,
-			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: "seg-"}},
-			post:   4,
-			acked:  3,
+			// The sixth frame is written, its flush never runs: after the
+			// power cut it is absent, and the next id is its id again.
+			name:   "kill between a frame's write and its flush",
+			prime:  5,
+			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: seg, Kill: true}},
+			post:   1,
+			acked:  5,
 			sticky: true,
 		},
 		{
-			// (Row names here say "log": a fault's Path matches anywhere in
-			// the file's path, test directory included.) The first commit
-			// after an open runs past the blocks the log holds, so its flush is the one that must also make a zero-fill
-			// step durable. It fails: nothing was acknowledged, nothing is.
+			// The same kill, but the page cache outlives the process: the
+			// unacknowledged frame is whole, and it keeps its id.
+			name:    "kill -9 between a frame's write and its flush",
+			prime:   5,
+			script:  []faultfs.Fault{{Op: faultfs.OpSync, Path: seg, Kill: true}},
+			post:    1,
+			acked:   5,
+			written: true,
+			extra:   1,
+		},
+		{
+			name:   "open segment poisoned on first fsync failure",
+			prime:  2,
+			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: seg}},
+			post:   4,
+			acked:  2,
+			sticky: true,
+		},
+		{
+			// The first append to a fresh segment runs past the blocks it
+			// holds, so its flush (the segment's second, after the
+			// header's) is the one that must also make a zero-fill step
+			// durable. It fails: nothing was acknowledged, nothing is.
 			name:   "fail the log fsync that follows a zero-fill step",
-			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: wal.FileName}},
+			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: seg, N: 2}},
 			post:   5,
 			acked:  0,
 			sticky: true,
 		},
 		{
-			// Appends 1 and 2 commit to the log, the third crosses the
-			// threshold and rewinds it; the process dies on the next
-			// commit's write. The log is then a new cycle's header over the
-			// old cycle's frames, which must stay dead.
+			// Three 300 KB documents fit the first fill step; the fourth
+			// crosses it, and the flush after its fill fails. The three
+			// survive, the fourth and every later append fail.
+			name:    "fail the flush that follows a later fill step",
+			docSize: 300 << 10,
+			prime:   3,
+			script:  []faultfs.Fault{{Op: faultfs.OpSync, Path: seg}},
+			post:    3,
+			acked:   3,
+			sticky:  true,
+		},
+		{
+			// The fourth 300 KB frame straddles the first 1 MiB boundary
+			// and is torn past it; the process dies with the torn bytes in
+			// the page cache.
+			name:    "tear a frame that straddles a fill boundary",
+			docSize: 300 << 10,
+			prime:   3,
+			script:  []faultfs.Fault{{Op: faultfs.OpWrite, Path: seg, Tear: 200 << 10, Kill: true}},
+			post:    1,
+			acked:   3,
+			written: true,
+		},
+		{
+			// The first append fills the file a step ahead and puts the
+			// write offset back behind its frame; the process dies on the
+			// next frame's write.
 			name:   "kill between log rewind and the next commit",
-			opts:   Options{CheckpointBytes: 180},
-			prime:  3,
-			script: []faultfs.Fault{{Op: faultfs.OpWrite, Path: wal.FileName, Kill: true}},
+			prime:  1,
+			script: []faultfs.Fault{{Op: faultfs.OpWrite, Path: seg, Kill: true}},
 			post:   2,
-			acked:  3,
+			acked:  1,
 			sticky: true,
 		},
 		{
-			// Seal has published the segment and checkpointed the log; the
-			// process dies giving the log's blocks back.
-			name:   "kill inside seal between log checkpoint and trim",
+			// Seal has cut the zero fill; the process dies writing the
+			// footer.
+			name:   "kill inside seal after the truncate",
 			prime:  5,
-			script: []faultfs.Fault{{Op: faultfs.OpTruncate, Path: wal.FileName, Kill: true}},
+			script: []faultfs.Fault{{Op: faultfs.OpWrite, Path: seg, Kill: true}},
 			seal:   true,
-			sealed: true,
+			post:   2,
+			acked:  5,
+			sticky: true,
+		},
+		{
+			name:   "kill inside seal after the footer, before its flush",
+			prime:  5,
+			script: []faultfs.Fault{{Op: faultfs.OpSync, Path: seg, Kill: true}},
+			seal:   true,
 			post:   2,
 			acked:  5,
 			sticky: true,
@@ -185,15 +238,12 @@ func TestFaultMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := faultfs.NewSim()
-			opts := tc.opts
-			if opts.CheckpointBytes == 0 {
-				opts.CheckpointBytes = 1 << 30 // no checkpoints unless the case wants them
-			}
-			c, dir := faultOpen(t, sim, opts)
-			var acked [][]byte
+			c, dir := faultOpen(t, sim, Options{})
+			var acked, unacked [][]byte
 			tryAppend := func(d []byte) error {
 				id, err := c.Append(d)
 				if err != nil {
+					unacked = append(unacked, d)
 					return err
 				}
 				if id != len(acked) {
@@ -203,7 +253,7 @@ func TestFaultMatrix(t *testing.T) {
 				return nil
 			}
 			for i := 0; i < tc.prime; i++ {
-				if err := tryAppend(doc(i)); err != nil {
+				if err := tryAppend(doc(i, tc.docSize)); err != nil {
 					t.Fatalf("prime append %d: %v", i, err)
 				}
 			}
@@ -215,7 +265,7 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			failures := 0
 			for i := 0; i < tc.post; i++ {
-				err := tryAppend(doc(tc.prime + i))
+				err := tryAppend(doc(tc.prime+i, tc.docSize))
 				if err != nil {
 					failures++
 					continue
@@ -231,16 +281,23 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("acknowledged %d appends, want %d", len(acked), tc.acked)
 			}
 
-			abandon(c) // a dead process still closes its descriptors in-test
-			if err := sim.Crash(sim.JournalLen()); err != nil {
-				t.Fatalf("crash: %v", err)
+			var segPath string
+			var segEnd int64
+			if open := c.view.Load().open; open != nil {
+				segPath, segEnd = filepath.Join(dir, open.name), open.Size()
 			}
-			if len(tc.walSuffix) > 0 {
-				f, err := os.OpenFile(filepath.Join(dir, wal.FileName), os.O_WRONLY|os.O_APPEND, 0o644)
+			abandon(c) // a dead process still closes its descriptors in-test
+			if !tc.written {
+				if err := sim.Crash(sim.JournalLen()); err != nil {
+					t.Fatalf("crash: %v", err)
+				}
+			}
+			if len(tc.segSuffix) > 0 {
+				f, err := os.OpenFile(segPath, os.O_WRONLY, 0o644)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := f.Write(tc.walSuffix); err != nil {
+				if _, err := f.WriteAt(tc.segSuffix, segEnd); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.Close(); err != nil {
@@ -248,28 +305,29 @@ func TestFaultMatrix(t *testing.T) {
 				}
 			}
 
+			want := append(acked[:len(acked):len(acked)], unacked[:tc.extra]...)
 			c2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("recovery open: %v", err)
 			}
-			if n := c2.NumDocs(); n != len(acked) {
-				t.Fatalf("recovered %d documents, want %d acknowledged", n, len(acked))
+			if n := c2.NumDocs(); n != len(want) {
+				t.Fatalf("recovered %d documents, want %d acknowledged and %d whole unacknowledged", n, len(acked), tc.extra)
 			}
-			for id, want := range acked {
+			for id, want := range want {
 				got, err := c2.Get(id)
 				if err != nil {
-					t.Fatalf("acked doc %d unreadable after recovery: %v", id, err)
+					t.Fatalf("doc %d unreadable after recovery: %v", id, err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("acked doc %d corrupted: got %d bytes, want %d", id, len(got), len(want))
+					t.Fatalf("doc %d corrupted: got %d bytes, want %d", id, len(got), len(want))
 				}
 			}
 			if _, err := c2.GC(); err != nil {
 				t.Fatalf("GC after recovery: %v", err)
 			}
 			// Recovery must leave a writable collection.
-			if id, err := c2.Append([]byte("post-recovery probe")); err != nil || id != len(acked) {
-				t.Fatalf("append after recovery = (%d, %v), want (%d, nil)", id, err, len(acked))
+			if id, err := c2.Append([]byte("post-recovery probe")); err != nil || id != len(want) {
+				t.Fatalf("append after recovery = (%d, %v), want (%d, nil)", id, err, len(want))
 			}
 			if err := c2.Close(); err != nil {
 				t.Fatalf("close after recovery: %v", err)
@@ -279,8 +337,8 @@ func TestFaultMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("second recovery: %v", err)
 			}
-			if n := c3.NumDocs(); n != len(acked)+1 {
-				t.Fatalf("second recovery sees %d documents, want %d", n, len(acked)+1)
+			if n := c3.NumDocs(); n != len(want)+1 {
+				t.Fatalf("second recovery sees %d documents, want %d", n, len(want)+1)
 			}
 			c3.Close()
 		})
@@ -288,12 +346,13 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // TestRecoverFrames damages the open segment's file the ways a crash or
-// the medium can, after every append was acknowledged and none
-// checkpointed, and recovers twice. With the write-ahead log, every
-// acknowledged document comes back byte-identical whatever the segment
-// lost: recovery keeps what verifies and replays the rest. Without it (an
-// Async-mode crash: the segment is the only copy) exactly the documents
+// the medium can, after every append was acknowledged, and recovers
+// twice. Alone (the segment is the only copy) exactly the documents
 // before the damage survive — a prefix, never a torn or a phantom one.
+// With a write-ahead log an older release left beside it, holding every
+// document, each one comes back byte-identical whatever the segment
+// lost: recovery keeps what verifies, replays the rest, and removes the
+// log.
 func TestRecoverFrames(t *testing.T) {
 	docs := make([][]byte, 8)
 	for i := range docs {
@@ -328,7 +387,7 @@ func TestRecoverFrames(t *testing.T) {
 				if err := Init(dir); err != nil {
 					t.Fatal(err)
 				}
-				c, err := Open(dir, Options{CheckpointBytes: 1 << 30})
+				c, err := Open(dir, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -360,14 +419,17 @@ func TestRecoverFrames(t *testing.T) {
 				if cerr := f.Close(); err != nil || cerr != nil {
 					t.Fatal(err, cerr)
 				}
-				want := docs
-				if !logged {
-					dropWAL(t, dir)
-					want = docs[:tc.survive]
+				want := docs[:tc.survive]
+				if logged {
+					writeLegacyLog(t, dir, 0, docs)
+					want = docs
 				}
 				// Recovery leaves a writable segment that seals into an
 				// ordinary archive, and a second one finds nothing to do.
 				c2 := reopenCheck(t, dir, want)
+				if _, err := os.Stat(filepath.Join(dir, wal.FileName)); !os.IsNotExist(err) {
+					t.Fatalf("legacy log still in the directory after Open: %v", err)
+				}
 				want = append(want[:len(want):len(want)], []byte("post-recovery probe"))
 				if id, err := c2.Append(want[len(want)-1]); err != nil || id != len(want)-1 {
 					t.Fatalf("append after recovery = (%d, %v), want id %d", id, err, len(want)-1)
@@ -388,9 +450,13 @@ func TestRecoverFrames(t *testing.T) {
 // harnessDoc builds one self-identifying payload: the unique header pins
 // which attempt it was, the trailing marker means any truncation differs
 // from every attempted payload — torn bytes cannot masquerade as a
-// document.
-func harnessDoc(seed int64, i int, rng *rand.Rand) []byte {
+// document. big payloads run 300–800 KB of one letter.
+func harnessDoc(seed int64, i int, rng *rand.Rand, big bool) []byte {
 	b := []byte(fmt.Sprintf("<s%d-a%03d>", seed, i))
+	if big {
+		b = append(b, bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, 300<<10+rng.Intn(500<<10))...)
+		return append(b, '#')
+	}
 	n := rng.Intn(256)
 	for j := 0; j < n; j++ {
 		b = append(b, byte('a'+rng.Intn(26)))
@@ -400,8 +466,8 @@ func harnessDoc(seed int64, i int, rng *rand.Rand) []byte {
 
 // TestFaultKillPointHarness runs hundreds of seeded fault scripts: each
 // seed drives a randomized append/seal workload over the injector with
-// one scripted fault (a kill at a random global step, a torn WAL write,
-// a failed fsync, or a dropped rename), loses power with a random
+// one scripted fault (a kill at a random global step, a torn segment
+// write, a failed fsync, or a dropped rename), loses power with a random
 // journal prefix surviving, recovers, and asserts the contract — every
 // acknowledged append is byte-identical, every readable id holds a
 // payload that was actually handed to Append, and the recovered
@@ -413,48 +479,47 @@ func TestFaultKillPointHarness(t *testing.T) {
 	}
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%03d", seed), func(t *testing.T) {
-			runKillPoint(t, int64(seed), 0)
+			runKillPoint(t, int64(seed), false)
 		})
 	}
-	// The same scripts with a threshold two or three appends reach, so
-	// each one rewinds the log several times before its fault lands and
-	// recovery always meets an earlier cycle's frames past the tail.
+	// The same scripts over 300–800 KB documents: the writer fills the
+	// file a step ahead and rewinds its offset behind the last frame
+	// every few appends, so faults land on fill writes, on flushes that
+	// follow one, and on frames that straddle a step.
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("rewinding/seed=%03d", seed), func(t *testing.T) {
-			runKillPoint(t, int64(seed), 400)
+			runKillPoint(t, int64(seed), true)
 		})
 	}
 }
 
-// runKillPoint runs one seeded script; checkpointBytes 0 draws the
-// threshold from the seed.
-func runKillPoint(t *testing.T, seed, checkpointBytes int64) {
+// runKillPoint runs one seeded script, over big documents if big.
+func runKillPoint(t *testing.T, seed int64, big bool) {
 	rng := rand.New(rand.NewSource(seed))
 	sim := faultfs.NewSim()
 	dir := filepath.Join(t.TempDir(), "coll")
 	if err := Init(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Small, varied checkpoint threshold: some runs crash mid-burn with
-	// records only in the WAL, others right after a checkpoint truncated
-	// it — both sides of the checkpoint boundary get crashed on.
-	if drawn := int64(1<<10 + rng.Intn(1<<14)); checkpointBytes == 0 {
-		checkpointBytes = drawn
-	}
-	c, err := Open(dir, Options{FS: sim, CheckpointBytes: checkpointBytes})
+	c, err := Open(dir, Options{FS: sim})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 
+	// A big run makes fewer appends, each a larger share of its steps.
+	attempts, steps, tear := 10+rng.Intn(30), 160, 40
+	if big {
+		attempts, steps, tear = 4+rng.Intn(8), 40, 800<<10
+	}
 	var script faultfs.Fault
 	switch rng.Intn(4) {
 	case 0: // power cut at a random step of the op stream
-		script = faultfs.Fault{Op: faultfs.OpAny, N: 1 + rng.Intn(160), Kill: true}
-	case 1: // torn WAL write at the cut
-		script = faultfs.Fault{Op: faultfs.OpWrite, Path: wal.FileName,
-			N: 1 + rng.Intn(20), Tear: rng.Intn(40), Kill: true}
+		script = faultfs.Fault{Op: faultfs.OpAny, N: 1 + rng.Intn(steps), Kill: true}
+	case 1: // torn segment write at the cut
+		script = faultfs.Fault{Op: faultfs.OpWrite, Path: "seg-",
+			N: 1 + rng.Intn(steps/8), Tear: rng.Intn(tear), Kill: true}
 	case 2: // one fsync fails, the process lives on
-		script = faultfs.Fault{Op: faultfs.OpSync, N: 1 + rng.Intn(40)}
+		script = faultfs.Fault{Op: faultfs.OpSync, N: 1 + rng.Intn(steps/4)}
 	case 3: // one rename never reaches the directory
 		script = faultfs.Fault{Op: faultfs.OpRename, N: 1 + rng.Intn(4)}
 	}
@@ -462,10 +527,9 @@ func runKillPoint(t *testing.T, seed, checkpointBytes int64) {
 
 	attempted := make(map[string]bool)
 	acked := make(map[int][]byte)
-	attempts := 10 + rng.Intn(30)
 	fails := 0
 	for i := 0; i < attempts && fails < 5; i++ {
-		payload := harnessDoc(seed, i, rng)
+		payload := harnessDoc(seed, i, rng, big)
 		attempted[string(payload)] = true
 		id, err := c.Append(payload)
 		if err != nil {

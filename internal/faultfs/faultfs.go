@@ -126,7 +126,7 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return osFile{f}, nil
+	return &osFile{f: f}, nil
 }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
@@ -163,16 +163,19 @@ func (osFS) SyncDir(dir string) error {
 	return err
 }
 
-type osFile struct{ f *os.File }
+type osFile struct {
+	f *os.File
+	syncer
+}
 
-func (o osFile) Write(p []byte) (int, error)             { return o.f.Write(p) }
-func (o osFile) ReadAt(p []byte, off int64) (int, error) { return o.f.ReadAt(p, off) }
-func (o osFile) Seek(off int64, whence int) (int64, error) {
+func (o *osFile) Write(p []byte) (int, error)             { return o.f.Write(p) }
+func (o *osFile) ReadAt(p []byte, off int64) (int, error) { return o.f.ReadAt(p, off) }
+func (o *osFile) Seek(off int64, whence int) (int64, error) {
 	return o.f.Seek(off, whence)
 }
-func (o osFile) Close() error               { return o.f.Close() }
-func (o osFile) Sync() error                { return syncFile(o.f) }
-func (o osFile) Truncate(size int64) error  { return o.f.Truncate(size) }
-func (o osFile) Stat() (os.FileInfo, error) { return o.f.Stat() }
-func (o osFile) Name() string               { return o.f.Name() }
-func (o osFile) Sys() *os.File              { return o.f }
+func (o *osFile) Close() error               { return o.f.Close() }
+func (o *osFile) Sync() error                { return o.sync(o.f) }
+func (o *osFile) Truncate(size int64) error  { return o.f.Truncate(size) }
+func (o *osFile) Stat() (os.FileInfo, error) { return o.f.Stat() }
+func (o *osFile) Name() string               { return o.f.Name() }
+func (o *osFile) Sys() *os.File              { return o.f }

@@ -4,6 +4,8 @@ package faultfs
 
 import "os"
 
-// syncFile flushes f with fsync: fdatasync is not portable, and fsync
+// syncer flushes a file with fsync: fdatasync is not portable, and fsync
 // makes durable everything fdatasync does.
-func syncFile(f *os.File) error { return f.Sync() }
+type syncer struct{}
+
+func (*syncer) sync(f *os.File) error { return f.Sync() }

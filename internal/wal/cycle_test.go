@@ -17,8 +17,8 @@ import (
 	"rlz/internal/faultfs"
 )
 
-// The log's life-cycle: it keeps its blocks across checkpoints (rewind),
-// so what an earlier cycle wrote stays on the file past the tail. These
+// The log's life-cycle: a checkpoint rewinds it in place, so what an
+// earlier cycle wrote stays on the file past the tail. These
 // tests take crash images with that residue in place — a clean Close
 // would trim it — and prove it is never read back.
 
@@ -70,9 +70,9 @@ type cycleStep struct {
 }
 
 // cycleScript draws cycles of one to four commits and a checkpoint.
-// Most documents are small; the odd large one pushes the tail across a
-// zero-fill step so later cycles run into earlier cycles' frames at
-// every kind of offset.
+// Most documents are small; the odd large one pushes the tail far out,
+// so later cycles run into earlier cycles' frames at every kind of
+// offset.
 func cycleScript(rng *rand.Rand, cycles int) []cycleStep {
 	var steps []cycleStep
 	for c := 0; c < cycles; c++ {
@@ -97,7 +97,7 @@ func cycleScript(rng *rand.Rand, cycles int) []cycleStep {
 type cycleState struct {
 	cur          []Record // enqueued since the last completed checkpoint, in order
 	acked        int      // how many of cur were acknowledged
-	checkpointed bool     // stopped inside Checkpoint: cur is durable elsewhere
+	checkpointed bool     // stopped inside checkpoint: cur is durable elsewhere
 }
 
 // runCycles drives steps against a log at path until one fails.
@@ -117,7 +117,7 @@ func runCycles(path string, fs faultfs.FS, steps []cycleStep) (st cycleState, er
 	for _, s := range steps {
 		if s.checkpoint {
 			st.checkpointed = true
-			if err := l.Checkpoint(); err != nil {
+			if err := l.checkpoint(); err != nil {
 				return st, err
 			}
 			st = cycleState{}
@@ -141,7 +141,7 @@ func runCycles(path string, fs faultfs.FS, steps []cycleStep) (st cycleState, er
 
 // TestRewindNeverResurrects kills a script of enqueue/commit/checkpoint
 // cycles at every filesystem step — including between a rewind's header
-// write and its flush, and inside a zero fill — and opens both extremes
+// write and its flush — and opens both extremes
 // of what the crash can leave: only what was flushed (the Sim's durable
 // image) and everything that was written. Either way Open returns
 // records of the current cycle only, in order, byte-identical, and every
@@ -209,7 +209,7 @@ func TestForgedFrameNeverReplays(t *testing.T) {
 		if err := mustEnqueue(t, l, 0, append(append([]byte(nil), pad...), forged...))(); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Checkpoint(); err != nil {
+		if err := l.checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		// Same sequence-number width, a document as long as the padding:
@@ -221,7 +221,7 @@ func TestForgedFrameNeverReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(data[l.Size():], forged) {
+		if !bytes.HasPrefix(data[l.tail():], forged) {
 			t.Fatalf("knowsSalt=%v: the tail does not sit on the forged frame; the test is not testing", knowsSalt)
 		}
 		recs := openBytes(t, data)
@@ -259,7 +259,7 @@ func TestVersion1Log(t *testing.T) {
 	if recs := openImage(t, path); len(recs) != 4 || string(recs[3].Doc) != "four" {
 		t.Fatalf("append to a version 1 log: image holds %d records, want 4", len(recs))
 	}
-	if err := l.Checkpoint(); err != nil {
+	if err := l.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := mustEnqueue(t, l, 4, []byte("five"))(); err != nil {
@@ -277,61 +277,6 @@ func TestVersion1Log(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBlocksKeptUntilTrim: commits and checkpoints leave the file's
-// length alone once it is filled; Trim and Close cut it to the tail.
-func TestBlocksKeptUntilTrim(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, FileName)
-	fileSize := func() int64 {
-		t.Helper()
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Size()
-	}
-	l, _ := openT(t, dir, Options{})
-	if err := mustEnqueue(t, l, 0, []byte("first"))(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fileSize(); got != fillStep {
-		t.Fatalf("file is %d bytes after the first commit, want one fill step (%d)", got, fillStep)
-	}
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mustEnqueue(t, l, 1, []byte("second"))(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fileSize(); got != fillStep {
-		t.Fatalf("file is %d bytes after a rewind and a commit, want %d still", got, fillStep)
-	}
-	if err := l.Trim(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fileSize(); got != l.Size() {
-		t.Fatalf("file is %d bytes after Trim, want the tail (%d)", got, l.Size())
-	}
-	if err := mustEnqueue(t, l, 2, bytes.Repeat([]byte("x"), fillStep))(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fileSize(); got != 2*fillStep {
-		t.Fatalf("file is %d bytes after a commit spanning a step, want %d", got, 2*fillStep)
-	}
-	tail := l.Size()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fileSize(); got != tail {
-		t.Fatalf("file is %d bytes after Close, want the tail (%d)", got, tail)
-	}
-	l2, recs := openT(t, dir, Options{})
-	defer func() { _ = l2.Close() }()
-	if len(recs) != 2 || recs[0].Seq != 1 || recs[1].Seq != 2 {
-		t.Fatalf("reopen after trim and close: %d records", len(recs))
 	}
 }
 
@@ -382,10 +327,10 @@ func finishes(t *testing.T, wg *sync.WaitGroup, what string) {
 // TestLeaderFollower: with no committer goroutine, the appenders commit
 // for each other. Every wait returns only once its record is on disk,
 // concurrent appends share flushes, and nobody is left waiting — not by
-// a poisoned flush, not by Close. The appenders also call Admit and
-// Pending, a monitor polls Err and a checkpointer races the Close, so that
-// under -race every method that touches a `guarded by mu` field without mu
-// fails here.
+// a poisoned flush, not by Close. The appenders also read the pending
+// bytes, a monitor polls the poison and a checkpointer races the Close,
+// so that under -race every method that touches a `guarded by mu` field
+// without mu fails here.
 func TestLeaderFollower(t *testing.T) {
 	const writers = 8
 	each := 2000
@@ -404,15 +349,11 @@ func TestLeaderFollower(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				doc := []byte(fmt.Sprintf("writer %d doc %d", g, i))
-				if l.Pending() < 0 {
+				if l.pendingBytes() < 0 {
 					t.Errorf("writer %d: negative pending bytes", g)
 					return
 				}
-				err := l.Admit(int64(len(doc)))
-				var wait func() error
-				if err == nil {
-					wait, err = l.Enqueue(seq.Add(1), doc)
-				}
+				wait, err := l.Enqueue(seq.Add(1), doc)
 				if err == nil {
 					err = wait()
 				}
@@ -475,13 +416,13 @@ func TestLeaderFollower(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for l2.Err() == nil {
+		for l2.poisoned() == nil {
 			runtime.Gosched()
 		}
 	}()
 	finishes(t, &wg, "appends over a failing flush")
-	if failed.Load() != writers*50 || l2.Err() == nil {
-		t.Fatalf("%d of %d appends failed, poison %v", failed.Load(), writers*50, l2.Err())
+	if failed.Load() != writers*50 || l2.poisoned() == nil {
+		t.Fatalf("%d of %d appends failed, poison %v", failed.Load(), writers*50, l2.poisoned())
 	}
 	// Close with waiters and a checkpointer in flight: they all return.
 	// (Nothing reopens l3, so checkpointing records no segment holds is
@@ -495,7 +436,7 @@ func TestLeaderFollower(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for n := 1; ; n++ {
-			err := l3.Checkpoint()
+			err := l3.checkpoint()
 			if n == 20 || err != nil && n < 20 {
 				underWay.Done() // twenty cycles have raced the appenders, or one failed
 			}
@@ -514,11 +455,7 @@ func TestLeaderFollower(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; ; n++ {
-				err := l3.Admit(int64(len("racing close")))
-				var wait func() error
-				if err == nil {
-					wait, err = l3.Enqueue(seq.Add(1), []byte("racing close"))
-				}
+				wait, err := l3.Enqueue(seq.Add(1), []byte("racing close"))
 				if err == nil {
 					err = wait()
 				}

@@ -1,29 +1,24 @@
-// Package wal implements a group-commit write-ahead log for the
-// collection's open segment.
+// Package wal implements the group-commit write-ahead log an older
+// release of the collection kept beside its open segment. Nothing
+// appends through it any more: internal/collection replays and removes a
+// log it finds at Open (legacy replay), and the benchmark times a commit
+// of it (its replay target).
 //
 // Appenders enqueue CRC-framed records and then wait for them to be
 // durable; the waiting appenders commit the log themselves. The first
 // waiter that finds no commit in flight takes everything queued so far,
 // writes and flushes it, and wakes its batch; appends that arrive while
 // that flush is in flight queue into the next batch, and one of their
-// waiters leads it the moment the flush returns. One disk flush thus
-// amortizes over every append that arrived during the previous one, with
-// no goroutine hand-off between an appender and its flush.
+// waiters leads it the moment the flush returns.
 //
-// The log keeps its blocks. The file is zero-filled a fixed step ahead
-// of the tail, so a steady-state commit overwrites blocks that already
-// exist and its flush has no size or extent change to journal. The log
-// is a redo log only: once the open segment has absorbed and fsynced the
-// records (checkpoint) the log rewinds — a new cycle salt goes into the
-// header and the tail returns to the first frame — and the blocks are
-// given back only by Trim (the collection calls it when it seals the
-// segment the log protects) and by Close.
-//
-// Every frame's CRC is seeded with its cycle's salt, so the frames an
-// earlier cycle left past the tail can never be read as records, not
-// even when a document embeds a well-formed frame and the new tail lands
-// exactly on it. A torn tail — the crash landing mid-frame — fails the
-// same CRC and is discarded on open.
+// The log a release wrote was rewound in place: once the open segment
+// had absorbed and fsynced the records (checkpoint), a new cycle salt
+// went into the header and the tail returned to the first frame, with
+// the earlier cycle's frames still on the file past it. Every frame's
+// CRC is seeded with its cycle's salt, so those frames can never be read
+// as records, not even when a document embeds a well-formed frame and
+// the new tail lands exactly on it. A torn tail — the crash landing
+// mid-frame — fails the same CRC and is discarded on open.
 package wal
 
 import (
@@ -36,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"rlz/internal/faultfs"
 )
@@ -61,8 +55,7 @@ const (
 	walVersion = 2
 	// A version 1 log (written before the log rewound in place) has no
 	// salt field: its frames start here and carry an unseeded CRC, which
-	// is salt 0. It is replayed as such and becomes version 2 at its
-	// first checkpoint.
+	// is salt 0. It is replayed as such.
 	v1HeaderSize = 8
 	// frame: u32 payload length + u32 CRC32-C(payload), seeded with the
 	// cycle salt + payload (uvarint sequence number, document)
@@ -70,17 +63,9 @@ const (
 	// maxRecord bounds a single frame's payload so a corrupt length
 	// field cannot trigger a giant allocation during recovery.
 	maxRecord = 1 << 30
-	// fillStep is how far past the tail the file is zero-filled each
-	// time a commit reaches the end of the blocks written so far.
-	// Reserving the blocks (fallocate) would not do: a flush over
-	// unwritten extents still journals their conversion.
-	fillStep = 1 << 20
 )
 
-var (
-	headerMagic = [6]byte{'R', 'L', 'Z', 'W', 'A', 'L'}
-	zeros       [fillStep]byte
-)
+var headerMagic = [6]byte{'R', 'L', 'Z', 'W', 'A', 'L'}
 
 // Record is one logged append: the document's global id and its bytes.
 type Record struct {
@@ -109,8 +94,6 @@ type batch struct {
 
 // Log is a group-commit write-ahead log. Safe for concurrent use.
 type Log struct {
-	fs         faultfs.FS
-	path       string
 	maxPending int64
 
 	mu sync.Mutex
@@ -120,24 +103,19 @@ type Log struct {
 	cur     *batch // guarded by mu; nil when nothing is queued
 	spare   []byte // guarded by mu; the last finished batch's buffer, for the next batch
 	salt    uint32 // guarded by mu; seeds the CRC of every frame of this cycle
-	busy    bool   // guarded by mu; the holder owns f and filled until it clears it
+	busy    bool   // guarded by mu; the holder owns f and size until it clears it
 	pending int64  // guarded by mu; bytes enqueued, not yet flushed (or discarded)
 	poison  error  // guarded by mu; sticky: set on first failed write/fsync
 	closed  bool   // guarded by mu
 
-	f      faultfs.File
-	filled int64 // bytes of the file written at least once: header, frames, zero fill
-
-	// size is atomic: Size is polled on every append (the checkpoint
-	// trigger) and must not wait behind the commit in flight.
-	size atomic.Int64 // the tail: header plus the frames committed this cycle
+	f    faultfs.File
+	size int64 // the tail: header plus the frames committed this cycle
 }
 
 // Open opens (creating if absent) the log at path and replays its
 // surviving records: the complete, CRC-verified frames of the current
 // cycle, in append order. Everything past them — a torn tail, an earlier
-// cycle's frames, zero fill — is cut off. The caller replays the records
-// into the open segment before accepting new appends.
+// cycle's frames, zero fill — is cut off.
 func Open(path string, opts Options) (*Log, []Record, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -169,9 +147,8 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	l := &Log{fs: fs, path: path, maxPending: maxPending, salt: salt, f: f, filled: valid}
+	l := &Log{maxPending: maxPending, salt: salt, f: f, size: valid}
 	l.flushed.L = &l.mu
-	l.size.Store(valid)
 	switch {
 	case fresh:
 		if err = l.rewind(salt); err == nil && created {
@@ -179,7 +156,7 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 			err = fs.SyncDir(filepath.Dir(path))
 		}
 	case valid < int64(len(data)):
-		if err = l.trim(); err == nil {
+		if err = f.Truncate(valid); err == nil {
 			err = f.Sync()
 		}
 	}
@@ -267,7 +244,7 @@ func frame(dst []byte, salt uint32, seq uint64, doc []byte) []byte {
 // function that blocks until the batch is durable (or failed),
 // committing it itself when no other waiter is. The record is NOT
 // durable until wait returns nil; a record whose wait is never called is
-// flushed by a later batch's leader, a checkpoint, or Close.
+// flushed by a later batch's leader or by Close.
 //
 // Enqueue itself never blocks on I/O: when the in-flight budget is
 // exhausted it fails fast with ErrBackpressure instead.
@@ -303,18 +280,10 @@ func (l *Log) wait(b *batch) error {
 	return b.err
 }
 
-// Admit reports whether a record with an n-byte payload could enqueue
-// right now: ErrBackpressure when the in-flight budget is exhausted,
-// the sticky poison error after a failed commit, nil otherwise. Callers
-// use it to fail fast before doing work whose record the log would then
-// refuse.
-func (l *Log) Admit(n int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.admitLocked(n)
-}
-
-// admitLocked is Admit. Called with mu held.
+// admitLocked reports whether a record with an n-byte payload could
+// enqueue right now: ErrBackpressure when the in-flight budget is
+// exhausted, the sticky poison error after a failed commit, nil
+// otherwise. Called with mu held.
 func (l *Log) admitLocked(n int64) error {
 	if l.closed {
 		return ErrClosed
@@ -327,30 +296,6 @@ func (l *Log) admitLocked(n int64) error {
 		return fmt.Errorf("%w (%d bytes in flight)", ErrBackpressure, l.pending)
 	}
 	return nil
-}
-
-// Pending returns the bytes enqueued but not yet flushed.
-func (l *Log) Pending() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pending
-}
-
-// Size returns the log's tail: the header plus the frames committed
-// since the last checkpoint — the collection checkpoints once this
-// passes its threshold. Lock-free, so the append path can poll it
-// without waiting on an in-flight commit.
-func (l *Log) Size() int64 {
-	return l.size.Load()
-}
-
-// Err returns the sticky poison error, if any: after a failed write or
-// fsync the kernel may have dropped dirty pages, so the log refuses all
-// further work rather than retry-and-lie.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.poison
 }
 
 // commitLocked takes the current batch, makes it durable and completes
@@ -389,42 +334,16 @@ func (l *Log) ownFileLocked(what string, op func() error) error {
 	return err
 }
 
-// idleLocked waits out the commit in flight and reports why the log can
-// take no more work, if it cannot. Called with mu held.
-func (l *Log) idleLocked() error {
-	for l.busy {
-		l.flushed.Wait()
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	return l.poison
-}
-
-// write makes buf durable at the tail. In the steady state that is one
-// write over blocks that already exist and one flush; a write that runs
-// past them also zero-fills the file up to the next step, so that the
-// flushes which follow find nothing but data to write. Called by busy's
-// holder.
+// write makes buf durable at the tail: one write, one flush. Called by
+// busy's holder.
 func (l *Log) write(buf []byte) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return err
 	}
-	end := l.size.Load() + int64(len(buf))
-	if end > l.filled {
-		fill := end - end%fillStep + fillStep
-		if _, err := l.f.Write(zeros[:fill-end]); err != nil {
-			return err
-		}
-		if _, err := l.f.Seek(end, io.SeekStart); err != nil {
-			return err
-		}
-		l.filled = fill
-	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.size.Store(end)
+	l.size += int64(len(buf))
 	return nil
 }
 
@@ -446,53 +365,13 @@ func (l *Log) rewind(salt uint32) error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.size.Store(headerSize)
+	l.size = headerSize
 	return nil
 }
 
-// trim cuts the file off at the tail. Called by busy's holder.
-func (l *Log) trim() error {
-	l.filled = l.size.Load()
-	return l.f.Truncate(l.filled)
-}
-
-// Checkpoint rewinds the log to its header. The caller must already
-// have made every logged record durable elsewhere (the open segment
-// fsynced) — including records still waiting in the current batch, whose
-// waiters are completed successfully without touching disk since their
-// bytes are durable via the segment.
-func (l *Log) Checkpoint() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.idleLocked(); err != nil {
-		return err
-	}
-	if b := l.cur; b != nil {
-		l.cur = nil
-		l.completeLocked(b, nil)
-	}
-	// Frames enqueued from here on belong to the new cycle.
-	salt := newSalt(l.salt)
-	l.salt = salt
-	return l.ownFileLocked("checkpoint", func() error { return l.rewind(salt) })
-}
-
-// Trim gives the blocks past the tail back to the filesystem, so that a
-// log with nothing to protect occupies only what it holds: right after
-// a checkpoint, its header. The blocks come back, zero-filled a step at
-// a time, as appends resume.
-func (l *Log) Trim() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.idleLocked(); err != nil {
-		return err
-	}
-	return l.ownFileLocked("trim", l.trim)
-}
-
-// Close flushes any queued batch, trims the file to its tail, and
-// closes it. Records that were enqueued but never flushed get the
-// flush's error through their wait functions.
+// Close flushes any queued batch and closes the file. Records that were
+// enqueued but never flushed get the flush's error through their wait
+// functions.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -507,19 +386,5 @@ func (l *Log) Close() error {
 			l.commitLocked()
 		}
 	}
-	// Nothing can take the file from here: the log refuses all work.
-	if l.poison == nil {
-		_ = l.trim() // the space is all a failure here would cost
-	}
 	return l.f.Close()
-}
-
-// Remove deletes the log file; used when a collection is switched to a
-// mode that does not use the WAL. Call only after Close.
-func (l *Log) Remove() error {
-	err := l.fs.Remove(l.path)
-	if err != nil && os.IsNotExist(err) {
-		return nil
-	}
-	return err
 }

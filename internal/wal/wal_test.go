@@ -21,6 +21,57 @@ func openT(t *testing.T, dir string, opts Options) (*Log, []Record) {
 	return l, recs
 }
 
+// checkpoint rewinds the log to its header, as the collection did once
+// its open segment had absorbed and fsynced every logged record —
+// including records still waiting in the current batch, whose waiters
+// are completed successfully without touching disk.
+func (l *Log) checkpoint() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.busy {
+		l.flushed.Wait()
+	}
+	if l.closed {
+		return ErrClosed
+	}
+	if l.poison != nil {
+		return l.poison
+	}
+	if b := l.cur; b != nil {
+		l.cur = nil
+		l.completeLocked(b, nil)
+	}
+	// Frames enqueued from here on belong to the new cycle.
+	salt := newSalt(l.salt)
+	l.salt = salt
+	return l.ownFileLocked("checkpoint", func() error { return l.rewind(salt) })
+}
+
+// tail returns the header plus the frames committed this cycle, once no
+// commit is in flight.
+func (l *Log) tail() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.busy {
+		l.flushed.Wait()
+	}
+	return l.size
+}
+
+// pendingBytes returns the bytes enqueued but not yet flushed.
+func (l *Log) pendingBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.pending
+}
+
+// poisoned returns the sticky error of a failed commit, if any.
+func (l *Log) poisoned() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.poison
+}
+
 func mustEnqueue(t *testing.T, l *Log, seq uint64, doc []byte) func() error {
 	t.Helper()
 	wait, err := l.Enqueue(seq, doc)
@@ -210,7 +261,7 @@ func TestPoisonOnFailedSync(t *testing.T) {
 	if _, err := l.Enqueue(2, []byte("after")); err == nil || !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("poisoned log accepted an append: %v", err)
 	}
-	if l.Err() == nil {
+	if l.poisoned() == nil {
 		t.Fatal("Err() must report the sticky poison")
 	}
 }
@@ -223,14 +274,14 @@ func TestCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	grown := l.Size()
+	grown := l.tail()
 	if grown <= headerSize {
 		t.Fatalf("size %d not grown", grown)
 	}
-	if err := l.Checkpoint(); err != nil {
+	if err := l.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Size(); got != headerSize {
+	if got := l.tail(); got != headerSize {
 		t.Fatalf("size after checkpoint %d, want %d", got, headerSize)
 	}
 	if err := mustEnqueue(t, l, 5, []byte("post"))(); err != nil {
@@ -247,7 +298,7 @@ func TestCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointCompletesPendingWaiters: records sitting in the current
-// batch when Checkpoint runs are acknowledged without a WAL flush —
+// batch when checkpoint runs are acknowledged without a WAL flush —
 // the caller's segment fsync already covers them.
 func TestCheckpointCompletesPendingWaiters(t *testing.T) {
 	dir := t.TempDir()
@@ -257,7 +308,7 @@ func TestCheckpointCompletesPendingWaiters(t *testing.T) {
 
 	w := mustEnqueue(t, l, 0, []byte("covered-by-segment"))
 	writes := sim.OpCount(faultfs.OpWrite)
-	if err := l.Checkpoint(); err != nil {
+	if err := l.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w(); err != nil {
@@ -266,7 +317,7 @@ func TestCheckpointCompletesPendingWaiters(t *testing.T) {
 	if got := sim.OpCount(faultfs.OpWrite) - writes; got != 1 {
 		t.Fatalf("checkpoint with a pending record wrote %d times, want the header alone", got)
 	}
-	if got := l.Pending(); got != 0 {
+	if got := l.pendingBytes(); got != 0 {
 		t.Fatalf("pending %d after checkpoint", got)
 	}
 }
