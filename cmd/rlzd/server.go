@@ -221,7 +221,8 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 		// The body lands in a pooled buffer sized from Content-Length (a
 		// chunked or lying body just grows it, inside the -max-doc bound
 		// either way). Reusing it is safe: Append copies the document into
-		// the segment and the log before it returns.
+		// its frame and writes that to the open segment's file before it
+		// returns, and nothing keeps a reference to the body.
 		body := appendBodies.Get().(*bytes.Buffer)
 		defer func() {
 			if body.Cap() <= maxPooledBody {

@@ -11,18 +11,26 @@
 // zlib codec, whose output is compress/zlib's at BestCompression byte for
 // byte. Only the flate codec still compresses with compress/zlib.
 //
-// Two design points matter for the hot read path:
+// Three design points matter for the hot read path:
 //
 //   - Decoders are stateful and pooled. A zlib decoder's Huffman tables
-//     are ~8 KB; constructing them per block read (what the blockstore
-//     originally did, with compress/zlib's ~40 KB reader) dominates the
-//     allocation profile of an uncached read. Pooled decoders make
-//     repeated decodes allocation-free in steady state.
+//     and header scratch are ~18 KB; constructing them per block read
+//     (what the blockstore originally did, with compress/zlib's ~40 KB
+//     reader) dominates the allocation profile of an uncached read.
+//     Pooled decoders make repeated decodes allocation-free in steady
+//     state.
 //   - Decode takes the block's exact uncompressed size, derived by the
 //     caller from metadata it already validated (the blockstore's
 //     document locators). A stream that inflates to any other size is
 //     corrupt, and a hostile stream can never make a decoder allocate
 //     beyond that budget.
+//   - Most symbols decode in a fast loop that runs while at least 16
+//     bytes of input and 3 of output are left (fastIn, fastOut). Inside
+//     those margins neither can run out within one pass, so the loop
+//     skips the per-literal truncation and output-length checks; a
+//     match is still checked against the output left. The last bytes
+//     of a block, and any stream shorter than the margins, decode in
+//     the careful loop, one symbol and every check at a time.
 package codec
 
 import (
@@ -226,7 +234,7 @@ func flateCompress(dst, src []byte) []byte {
 // decode on it. It is the inflate kernel (inflate.go) under zlib framing
 // — header checked, Adler-32 verified — with the output length bounded by
 // the caller before a byte is produced. The zero value is ready; keep
-// decoders pooled, they are ~8 KB of tables and not safe for concurrent
+// decoders pooled, they are ~18 KB of tables and not safe for concurrent
 // use.
 type ZlibDecoder struct {
 	f inflater

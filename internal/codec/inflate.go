@@ -35,15 +35,21 @@ const (
 
 // A decode table entry:
 //
-//	bits  0..5   bits to consume: the codeword length (less the root
-//	             width inside a subtable); the root width for a pointer
+//	bits  0..5   bits to consume: the whole codeword length, in a
+//	             subtable too; the root width for a pointer
 //	bits  8..11  extra bits of a length or distance symbol; the index
 //	             width of the subtable behind a pointer
 //	bits 12..15  entry kind (zero for a length or distance symbol)
-//	bits 16..31  literal byte, length or distance base, precode symbol,
-//	             or a subtable's first index
+//	bits 16..31  literal byte, length or distance base, or a subtable's
+//	             first index
+//
+// A precode entry holds a code length in bits 16..31, or is an entRun:
+// a repeat count's base in bits 16..31, its extra bits in bits 8..11, and
+// entPrev if it repeats the previous length rather than zero.
 const (
 	entBits    = 63 // six bits, so shifts by it compile to one instruction
+	entPrev    = 1 << 6
+	entRun     = 1 << 7
 	entLiteral = 1 << 12
 	entEOB     = 1 << 13
 	entSub     = 1 << 14
@@ -55,7 +61,13 @@ var (
 	distResults    [numDist]uint32
 	precodeResults [numPrecode]uint32
 
-	fixedLens [numLitLen + numDist]uint8
+	// reversed[c] is c with its litRootBits bits in reverse order.
+	reversed [1 << litRootBits]uint16
+
+	fixedLens                     [numLitLen + numDist]uint8
+	fixedGroups                   codeGroups
+	fixedLitCount, fixedDistCount [maxCodeLen + 1]uint16
+	noneBefore                    [maxCodeLen + 1]uint16 // first offsets of a code alone in its groups
 
 	// precodeOrder is the order in which a dynamic header stores the
 	// precode's own code lengths.
@@ -94,7 +106,16 @@ func init() {
 		}
 	}
 	for sym := range precodeResults {
-		precodeResults[sym] = uint32(sym) << 16
+		switch {
+		case sym < 16: // the length itself
+			precodeResults[sym] = uint32(sym) << 16
+		case sym == 16: // the previous length 3..6 times
+			precodeResults[sym] = entRun | entPrev | 3<<16 | 2<<8
+		case sym == 17: // zero 3..10 times
+			precodeResults[sym] = entRun | 3<<16 | 3<<8
+		default: // zero 11..138 times
+			precodeResults[sym] = entRun | 11<<16 | 7<<8
+		}
 	}
 	for sym := range fixedLens {
 		switch {
@@ -110,6 +131,11 @@ func init() {
 			fixedLens[sym] = 5
 		}
 	}
+	for c := range reversed {
+		reversed[c] = bits.Reverse16(uint16(c)) >> (16 - litRootBits)
+	}
+	fixedDistCount = fixedGroups.add(fixedLens[:])
+	fixedLitCount = fixedGroups.split(&fixedDistCount, numLitLen)
 }
 
 var (
@@ -130,8 +156,38 @@ type inflater struct {
 	lit    [litTableSize]uint32
 	dist   [distTableSize]uint32
 	pre    [1 << preRootBits]uint32
-	lens   [numLitLen + numDist]uint8 // a dynamic header's code lengths
-	sorted [numLitLen]uint16          // build's symbols ordered by codeword
+	groups codeGroups // the header being read, by codeword length
+}
+
+// codeGroups holds a code's symbols grouped by codeword length, each
+// group in symbol order: the order canonical codewords are handed out in.
+// A dynamic header's two codes share the groups, since its lengths are
+// one sequence: in each group the literal/length symbols come first, then
+// the distance symbols, numbered on from the literal/length ones.
+type codeGroups [maxCodeLen + 1][numLitLen + numDist]uint16
+
+// add fills the groups with the symbols of lens and returns how many
+// each group holds.
+func (g *codeGroups) add(lens []uint8) (count [maxCodeLen + 1]uint16) {
+	for sym, l := range lens {
+		g[l&maxCodeLen][count[l&maxCodeLen]] = uint16(sym)
+		count[l&maxCodeLen]++
+	}
+	return count
+}
+
+// split parts two codes that share the groups, given how many symbols
+// each group holds: the first code's symbols are those below n. It
+// returns the first code's counts and leaves the second's in count.
+func (g *codeGroups) split(count *[maxCodeLen + 1]uint16, n int) (first [maxCodeLen + 1]uint16) {
+	for l := range first {
+		first[l] = count[l]
+		for first[l] > 0 && int(g[l][first[l]-1]) >= n {
+			first[l]--
+		}
+		count[l] -= first[l]
+	}
+	return first
 }
 
 // bitReader is the input side of one inflate call; it lives on that
@@ -188,8 +244,8 @@ func (f *inflater) inflate(out, src []byte) (n, used int, err error) {
 			n, err = br.stored(out, n)
 		case 1:
 			if !f.fixed {
-				f.litBits, _ = f.build(f.lit[:], fixedLens[:numLitLen], litLenResults[:], litRootBits)
-				f.distBits, _ = f.build(f.dist[:], fixedLens[numLitLen:], distResults[:], distRootBits)
+				f.litBits, _ = f.build(f.lit[:], &fixedGroups, &noneBefore, &fixedLitCount, 0, litLenResults[:], litRootBits)
+				f.distBits, _ = f.build(f.dist[:], &fixedGroups, &fixedLitCount, &fixedDistCount, numLitLen, distResults[:], distRootBits)
 				f.fixed = true
 			}
 			n, err = f.huffmanBlock(&br, out, n)
@@ -235,6 +291,8 @@ func (br *bitReader) stored(out []byte, n int) (int, error) {
 }
 
 // readDynamic parses a dynamic block's header and builds its two codes.
+// The code lengths are grouped as they are read, so build need not pass
+// over them again to count or order them.
 func (f *inflater) readDynamic(br *bitReader) error {
 	br.refill()
 	nlit := int(br.take(5)) + 257
@@ -256,73 +314,102 @@ func (f *inflater) readDynamic(br *bitReader) error {
 	if br.bitcnt < 0 {
 		return errInflateTruncated
 	}
-	preBits, ok := f.build(f.pre[:], preLens[:], precodeResults[:], preRootBits)
+	count := f.groups.add(preLens[:])
+	preBits, ok := f.build(f.pre[:], &f.groups, &noneBefore, &count, 0, precodeResults[:], preRootBits)
 	if !ok {
 		return errInflateCode
 	}
-	preMask := uint64(1)<<preBits - 1
-	lens := f.lens[:nlit+ndist]
-	for i := 0; i < len(lens); {
-		if br.bitcnt < 14 { // a codeword and its extra bits
-			br.refill()
-		}
-		e := f.pre[br.bitbuf&preMask]
-		if e&entInvalid != 0 {
-			return errInflateCode
-		}
-		br.take(uint(e & entBits))
-		var rep int
-		var val uint8
-		switch sym := e >> 16; sym {
-		default:
-			rep, val = 1, uint8(sym)
-		case 16:
-			if i == 0 {
-				return errInflateBlock
-			}
-			rep, val = 3+int(br.take(2)), lens[i-1]
-		case 17:
-			rep = 3 + int(br.take(3))
-		case 18:
-			rep = 11 + int(br.take(7))
-		}
-		if br.bitcnt < 0 {
-			return errInflateTruncated
-		}
-		if rep > len(lens)-i {
-			return errInflateBlock
-		}
-		for ; rep > 0; rep-- {
-			lens[i] = val
-			i++
-		}
+	// Widen the precode's table to all seven bits: the loop reading the
+	// lengths then indexes it with a constant mask.
+	for w := preBits; w < preRootBits; w++ {
+		copy(f.pre[1<<w:2<<w], f.pre[:1<<w])
 	}
+	count = [maxCodeLen + 1]uint16{}
+	if err := f.readLengths(br, nlit+ndist, &count); err != nil {
+		return err
+	}
+	litCount := f.groups.split(&count, nlit)
 	f.fixed = false
-	if f.litBits, ok = f.build(f.lit[:], lens[:nlit], litLenResults[:], litRootBits); !ok {
+	if f.litBits, ok = f.build(f.lit[:], &f.groups, &noneBefore, &litCount, 0, litLenResults[:], litRootBits); !ok {
 		return errInflateCode
 	}
-	if f.distBits, ok = f.build(f.dist[:], lens[nlit:], distResults[:], distRootBits); !ok {
+	if f.distBits, ok = f.build(f.dist[:], &f.groups, &litCount, &count, nlit, distResults[:], distRootBits); !ok {
 		return errInflateCode
 	}
 	return nil
 }
 
-// build fills table with the canonical Huffman code whose codeword
-// lengths are lens, decoding symbol s to results[s], and returns the
-// root table's index width (at most rootMax). It reports false for a
-// code compress/flate rejects: over-subscribed, or incomplete other than
-// a single one-bit codeword. An empty code is accepted and decodes
-// nothing, since a block of literals alone never uses its distance code.
+// readLengths reads a dynamic header's n code lengths through the precode
+// in f.pre, adding each symbol to its group in f.groups and count.
+func (f *inflater) readLengths(br *bitReader, n int, count *[maxCodeLen + 1]uint16) error {
+	src, in, bitbuf, bitcnt := br.src, br.in, br.bitbuf, br.bitcnt
+	prev := uint32(0) // the last length read
+	for i := 0; i < n; {
+		if bitcnt < 14 { // a codeword and its extra bits
+			if in+8 <= len(src) {
+				bitbuf |= binary.LittleEndian.Uint64(src[in:]) << (uint(bitcnt) & 63)
+				in += (63 - bitcnt) >> 3
+				bitcnt |= 56
+			} else {
+				for bitcnt <= 56 && in < len(src) {
+					bitbuf |= uint64(src[in]) << (uint(bitcnt) & 63)
+					in++
+					bitcnt += 8
+				}
+			}
+		}
+		e := f.pre[bitbuf&(1<<preRootBits-1)]
+		bitbuf >>= e & entBits
+		bitcnt -= int(e & entBits)
+		if e&(entRun|entInvalid) == 0 { // one length, most of the time
+			prev = e >> 16 & maxCodeLen
+			f.groups[prev][count[prev]] = uint16(i)
+			count[prev]++
+			i++
+			continue
+		}
+		if e&entInvalid != 0 {
+			return errInflateCode
+		}
+		extra := e >> 8 & 15
+		rep := int(e>>16&0xff) + int(bitbuf&(1<<extra-1))
+		bitbuf >>= extra
+		bitcnt -= int(extra)
+		if e&entPrev == 0 {
+			prev = 0
+		} else if i == 0 {
+			return errInflateBlock
+		}
+		if rep > n-i {
+			return errInflateBlock
+		}
+		for end := i + rep; i < end; i++ {
+			f.groups[prev][count[prev]] = uint16(i)
+			count[prev]++
+		}
+	}
+	// Past the end of the input the loop reads zeros: whatever lengths
+	// they made, the stream is cut short.
+	if bitcnt < 0 {
+		return errInflateTruncated
+	}
+	br.in, br.bitbuf, br.bitcnt = in, bitbuf, bitcnt
+	return nil
+}
+
+// build fills table with a canonical Huffman code and returns the root
+// table's index width (at most rootMax). The code has count[l] codewords
+// of each length l: symbols groups[l][first[l]:][:count[l]], less base,
+// decoding symbol s to results[s]. It reports false for a code
+// compress/flate rejects: over-subscribed, or incomplete other than a
+// single one-bit codeword. An empty code is accepted and decodes nothing,
+// since a block of literals alone never uses its distance code.
 //
 // A document's streams are a kilobyte or two, so filling the tables must
 // not cost what decoding with them does: each codeword is written to the
 // root table once, at the width the table has when its length comes up,
 // and the table is doubled by one copy per further bit of width.
-func (f *inflater) build(table []uint32, lens []uint8, results []uint32, rootMax uint) (root uint, ok bool) {
-	var count [maxCodeLen + 1]uint16
-	for _, l := range lens {
-		count[l]++
-	}
+func (f *inflater) build(table []uint32, groups *codeGroups, first, count *[maxCodeLen + 1]uint16, base int, results []uint32, rootMax uint) (root uint, ok bool) {
 	maxLen := uint(maxCodeLen)
 	for maxLen > 0 && count[maxLen] == 0 {
 		maxLen--
@@ -331,52 +418,31 @@ func (f *inflater) build(table []uint32, lens []uint8, results []uint32, rootMax
 		table[0], table[1] = entInvalid, entInvalid
 		return 1, true
 	}
-	// offs[l] is the place in sorted of the first symbol of length l.
-	// Symbols without a codeword sort in front, which spares the pass
-	// below a branch per symbol.
-	var offs [maxCodeLen + 1]uint16
-	code, off := uint(0), count[0]
+	code := uint(0)
 	for l := uint(1); l <= maxLen; l++ {
-		offs[l] = off
-		off += count[l]
 		code = code<<1 + uint(count[l])
 	}
 	single := code == 1 && maxLen == 1 // one one-bit codeword
 	if code != 1<<maxLen && !single {
 		return 0, false
 	}
-	for sym, l := range lens {
-		f.sorted[offs[l]] = uint16(sym)
-		offs[l]++
-	}
 
 	root = min(rootMax, maxLen)
+	next := uint(0) // the next codeword
+	for l := uint(1); l <= root; l++ {
+		copy(table[1<<(l-1):1<<l], table[:1<<(l-1)])
+		next = place(table, groups[l][first[l]:][:count[l]], results, base, next<<1, l)
+	}
+	// Longer codewords go to subtables behind their first root bits.
 	rootSize := uint(1) << root
-	var (
-		at        = count[0]  // next symbol in f.sorted
-		next      = uint16(0) // its codeword
-		size      = uint(1)   // root entries laid out so far
-		subPrefix = ^uint(0)  // root index of the subtable being filled
-		subStart  uint        // its first entry
-		tableEnd  = rootSize  // first free entry
-	)
-	for l := uint(1); l <= maxLen; l++ {
+	subPrefix, subStart, tableEnd := ^uint(0), uint(0), rootSize
+	for l := root + 1; l <= maxLen; l++ {
 		next <<= 1
-		if l <= root {
-			copy(table[size:2*size], table[:size])
-			size <<= 1
-		}
-		for left := count[l]; left > 0; left-- { // codewords of length l still to place
-			sym := f.sorted[at]
-			at++
-			// DEFLATE packs codewords starting from their most
-			// significant bit, so the table is indexed by the reversal.
-			rev := uint(bits.Reverse16(next)) >> (16 - l)
+		syms := groups[l][first[l]:][:count[l]]
+		for k, sym := range syms {
+			left := len(syms) - k // codewords of length l still to place
+			rev := uint(bits.Reverse16(uint16(next))) >> (16 - l)
 			next++
-			if l <= root {
-				table[rev] = results[sym] | uint32(l)
-				continue
-			}
 			if prefix := rev & (rootSize - 1); prefix != subPrefix {
 				// A new subtable, as wide as the longest codeword that
 				// shares this prefix: widen it until the codewords still
@@ -397,7 +463,7 @@ func (f *inflater) build(table []uint32, lens []uint8, results []uint32, rootMax
 				}
 				table[prefix] = uint32(subStart)<<16 | entSub | uint32(subBits)<<8 | uint32(root)
 			}
-			e := results[sym] | uint32(l-root)
+			e := results[int(sym)-base] | uint32(l)
 			for i := subStart + rev>>root; i < tableEnd; i += 1 << (l - root) {
 				table[i] = e
 			}
@@ -409,12 +475,139 @@ func (f *inflater) build(table []uint32, lens []uint8, results []uint32, rootMax
 	return root, true
 }
 
+// place writes the codewords of length l from next on, one for each of
+// syms, to a root table that is l bits wide, and returns the codeword
+// after them. It is a function of its own so that its loop keeps its
+// values in registers.
+//
+//go:noinline
+func place(table []uint32, syms []uint16, results []uint32, base int, next, l uint) uint {
+	shift := litRootBits - l
+	for _, sym := range syms {
+		// DEFLATE packs codewords starting from their most significant
+		// bit, so the table is indexed by the reversal.
+		table[reversed[next]>>shift] = results[int(sym)-base] | uint32(l)
+		next++
+	}
+	return next
+}
+
+// Margins of huffmanBlock's fast loop. A pass refills at most twice, and
+// the first load advances the input by at most seven bytes, so while
+// fastIn bytes remain every refill is one unconditional 8-byte load. A
+// pass writes at most three literals, so while fastOut bytes of output
+// remain they need no check; a match is still checked against the output
+// left, once per match.
+const (
+	fastIn  = 16
+	fastOut = 3
+)
+
+// entry returns the table entry of the codeword at the front of bitbuf,
+// following a subtable pointer. It consumes nothing: the entry's low bits
+// are the codeword's whole length.
+func entry(table []uint32, bitbuf, rootMask uint64) uint32 {
+	e := table[bitbuf&rootMask]
+	if e&entSub != 0 {
+		e = table[uint64(e>>16)+bitbuf>>(e&entBits)&(1<<(e>>8&15)-1)]
+	}
+	return e
+}
+
 // huffmanBlock decodes one block's symbols with the current tables,
 // writing at out[n:], and returns the new output length.
+//
+// Most of a block decodes in a fast loop that runs while input and output
+// outlast the fastIn and fastOut margins. Nothing can run out mid-pass
+// there, so the loop checks neither truncation nor, per literal, the
+// output length. A pass looks up its first codeword in the bits left by
+// the last pass — a refill loads 64 bits and a pass takes at most 48 — and
+// refills while that lookup is under way. Up to three literals follow
+// from the 56 bits the refill leaves, since a codeword is at most 15. The
+// tail, and any stream too short for the margins, decodes in the careful
+// loop below it, one symbol and every check a pass.
 func (f *inflater) huffmanBlock(br *bitReader, out []byte, n int) (int, error) {
 	src, in, bitbuf, bitcnt := br.src, br.in, br.bitbuf, br.bitcnt
+	lit, dist := f.lit[:], f.dist[:]
 	litMask := uint64(1)<<f.litBits - 1
 	distMask := uint64(1)<<f.distBits - 1
+	if len(src)-in >= fastIn {
+		bitbuf |= binary.LittleEndian.Uint64(src[in:]) << (uint(bitcnt) & 63)
+		in += (63 - bitcnt) >> 3
+		bitcnt |= 56
+	}
+	for len(src)-in >= fastIn && len(out)-n >= fastOut {
+		e := entry(lit, bitbuf, litMask)
+		bitbuf |= binary.LittleEndian.Uint64(src[in:]) << (uint(bitcnt) & 63)
+		in += (63 - bitcnt) >> 3
+		bitcnt |= 56
+		if e&entLiteral != 0 {
+			bitbuf >>= e & entBits
+			bitcnt -= int(e & entBits)
+			out[n] = byte(e >> 16)
+			e = entry(lit, bitbuf, litMask)
+			if e&entLiteral == 0 {
+				n++
+			} else {
+				bitbuf >>= e & entBits
+				bitcnt -= int(e & entBits)
+				out[n+1] = byte(e >> 16)
+				e = entry(lit, bitbuf, litMask)
+				if e&entLiteral == 0 {
+					n += 2
+				} else {
+					bitbuf >>= e & entBits
+					bitcnt -= int(e & entBits)
+					out[n+2] = byte(e >> 16)
+					n += 3
+					continue
+				}
+			}
+			// A length or end of block after literals: a match takes up
+			// to 48 bits, so refill again.
+			bitbuf |= binary.LittleEndian.Uint64(src[in:]) << (uint(bitcnt) & 63)
+			in += (63 - bitcnt) >> 3
+			bitcnt |= 56
+		}
+		bitbuf >>= e & entBits
+		bitcnt -= int(e & entBits)
+		if e&(entEOB|entInvalid) != 0 {
+			if e&entInvalid != 0 {
+				return n, errInflateSymbol
+			}
+			br.in, br.bitbuf, br.bitcnt = in, bitbuf, bitcnt
+			return n, nil
+		}
+		extra := e >> 8 & 15
+		length := int(e>>16) + int(bitbuf&(1<<extra-1))
+		bitbuf >>= extra
+		bitcnt -= int(extra)
+
+		e = entry(dist, bitbuf, distMask)
+		if e&entInvalid != 0 {
+			return n, errInflateSymbol
+		}
+		bitbuf >>= e & entBits
+		bitcnt -= int(e & entBits)
+		extra = e >> 8 & 15
+		d := int(e>>16) + int(bitbuf&(1<<extra-1))
+		bitbuf >>= extra
+		bitcnt -= int(extra)
+		if d > n {
+			return n, errInflateDistance
+		}
+		if length > len(out)-n {
+			return n, errInflateTooLong
+		}
+		if end := n + length; d >= 8 && len(out)-end >= 7 && (length <= 32 || d < length) {
+			for i := n; i < end; i += 8 { // copyMatch's word loop, without the call
+				binary.LittleEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(out[i-d:]))
+			}
+			n = end
+		} else {
+			n = copyMatch(out, n, d, length)
+		}
+	}
 	for {
 		// One pass consumes at most 48 bits: a 15-bit length codeword
 		// with 5 extra bits, then a 15-bit distance codeword with 13.
@@ -431,14 +624,9 @@ func (f *inflater) huffmanBlock(br *bitReader, out []byte, n int) (int, error) {
 				}
 			}
 		}
-		e := f.lit[bitbuf&litMask]
+		e := entry(lit, bitbuf, litMask)
 		bitbuf >>= e & entBits
 		bitcnt -= int(e & entBits)
-		if e&entSub != 0 {
-			e = f.lit[uint64(e>>16)+bitbuf&(1<<(e>>8&15)-1)]
-			bitbuf >>= e & entBits
-			bitcnt -= int(e & entBits)
-		}
 		if bitcnt < 0 {
 			return n, errInflateTruncated
 		}
@@ -462,51 +650,52 @@ func (f *inflater) huffmanBlock(br *bitReader, out []byte, n int) (int, error) {
 		bitbuf >>= extra
 		bitcnt -= int(extra)
 
-		e = f.dist[bitbuf&distMask]
-		bitbuf >>= e & entBits
-		bitcnt -= int(e & entBits)
-		if e&entSub != 0 {
-			e = f.dist[uint64(e>>16)+bitbuf&(1<<(e>>8&15)-1)]
-			bitbuf >>= e & entBits
-			bitcnt -= int(e & entBits)
-		}
+		e = entry(dist, bitbuf, distMask)
 		if e&entInvalid != 0 {
 			return n, errInflateSymbol
 		}
+		bitbuf >>= e & entBits
+		bitcnt -= int(e & entBits)
 		extra = e >> 8 & 15
-		dist := int(e>>16) + int(bitbuf&(1<<extra-1))
+		d := int(e>>16) + int(bitbuf&(1<<extra-1))
 		bitbuf >>= extra
 		bitcnt -= int(extra)
 		if bitcnt < 0 {
 			return n, errInflateTruncated
 		}
-		if dist > n {
+		if d > n {
 			return n, errInflateDistance
 		}
 		if length > len(out)-n {
 			return n, errInflateTooLong
 		}
-		end := n + length
-		switch {
-		case dist >= 8 && len(out)-end >= 7 && (length <= 32 || dist < length):
-			// Most matches are a word or two long, less than a call to
-			// memmove costs: copy whole words, which may run up to seven
-			// bytes past the match into output not yet written. At eight
-			// bytes' distance and more a word never reads its own bytes,
-			// so this serves overlapping matches of any length too; only
-			// a long match clear of its source is left to memmove.
-			for i := n; i < end; i += 8 {
-				binary.LittleEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(out[i-dist:]))
-			}
-		case dist >= length:
-			copy(out[n:end], out[n-dist:])
-		default:
-			// The match overlaps its own output: bytes must be copied in
-			// order, each possibly written a moment ago.
-			for i := n; i < end; i++ {
-				out[i] = out[i-dist]
-			}
-		}
-		n = end
+		n = copyMatch(out, n, d, length)
 	}
+}
+
+// copyMatch copies the length bytes dist back from out[n] to out[n:] and
+// returns the new output length.
+func copyMatch(out []byte, n, dist, length int) int {
+	end := n + length
+	switch {
+	case dist >= 8 && len(out)-end >= 7 && (length <= 32 || dist < length):
+		// Most matches are a word or two long, less than a call to
+		// memmove costs: copy whole words, which may run up to seven
+		// bytes past the match into output not yet written. At eight
+		// bytes' distance and more a word never reads its own bytes,
+		// so this serves overlapping matches of any length too; only
+		// a long match clear of its source is left to memmove.
+		for i := n; i < end; i += 8 {
+			binary.LittleEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(out[i-dist:]))
+		}
+	case dist >= length:
+		copy(out[n:end], out[n-dist:])
+	default:
+		// The match overlaps its own output: bytes must be copied in
+		// order, each possibly written a moment ago.
+		for i := n; i < end; i++ {
+			out[i] = out[i-dist]
+		}
+	}
+	return end
 }

@@ -290,19 +290,46 @@ func handmadeStreams() (accepted, rejected [][]byte) {
 	return accepted, rejected
 }
 
-// matchStream is one fixed-code block: dist literals, a single match of
-// the given length at that distance, then trail more literals. Decoded
-// into exactly its size, the match ends trail bytes before the end of
-// the output: all the room a copy made in whole words has to overrun.
-func matchStream(dist, length, trail int) []byte {
-	lens := make([]uint, len(fixedLens))
+// fixedWriter assembles streams of fixed-code blocks, keeping what they
+// decode to.
+type fixedWriter struct {
+	bitWriter
+	lens                []uint
+	litCodes, distCodes []uint
+	want                []byte
+}
+
+func newFixedWriter() *fixedWriter {
+	w := &fixedWriter{lens: make([]uint, len(fixedLens))}
 	for i, l := range fixedLens {
-		lens[i] = uint(l)
+		w.lens[i] = uint(l)
 	}
-	litCodes, distCodes := canonical(lens[:numLitLen]), canonical(lens[numLitLen:])
+	w.litCodes, w.distCodes = canonical(w.lens[:numLitLen]), canonical(w.lens[numLitLen:])
+	return w
+}
+
+// block starts a fixed-code block.
+func (w *fixedWriter) block(final bool) {
+	if final {
+		w.bits(1, 1)
+	} else {
+		w.bits(0, 1)
+	}
+	w.bits(1, 2)
+}
+
+// literals writes n literals counting up from first.
+func (w *fixedWriter) literals(first byte, n int) {
+	for i := 0; i < n; i++ {
+		b := first + byte(i)
+		w.code(w.litCodes[b], w.lens[b])
+		w.want = append(w.want, b)
+	}
+}
+
+func (w *fixedWriter) match(dist, length int) {
 	// symbol writes the symbol of results whose range holds v, and the
 	// extra bits that place v in it.
-	w := &bitWriter{}
 	symbol := func(results []uint32, first int, codes, lens []uint, v int) {
 		sym := first
 		for sym+1 < len(results) && results[sym+1]&entInvalid == 0 && int(results[sym+1]>>16) <= v {
@@ -311,24 +338,101 @@ func matchStream(dist, length, trail int) []byte {
 		w.code(codes[sym], lens[sym])
 		w.bits(uint(v)-uint(results[sym]>>16), uint(results[sym]>>8&15))
 	}
-	w.bits(1, 1) // BFINAL
-	w.bits(1, 2) // fixed
-	want := make([]byte, 0, dist+length)
-	for i := 0; i < dist; i++ {
-		want = append(want, byte('a'+i))
-		w.code(litCodes['a'+i], lens['a'+i])
-	}
-	symbol(litLenResults[:], 257, litCodes, lens[:numLitLen], length)
-	symbol(distResults[:], 0, distCodes, lens[numLitLen:], dist)
+	symbol(litLenResults[:], 257, w.litCodes, w.lens[:numLitLen], length)
+	symbol(distResults[:], 0, w.distCodes, w.lens[numLitLen:], dist)
 	for i := 0; i < length; i++ {
-		want = append(want, want[len(want)-dist])
+		w.want = append(w.want, w.want[len(w.want)-dist])
 	}
-	for i := 0; i < trail; i++ {
-		want = append(want, byte('A'+i))
-		w.code(litCodes['A'+i], lens['A'+i])
+}
+
+// end ends the block.
+func (w *fixedWriter) end() { w.code(w.litCodes[256], w.lens[256]) }
+
+// padding ends the stream with n empty stored blocks and an empty final
+// fixed block: input the decoder reads after the output is complete.
+func (w *fixedWriter) padding(n int) {
+	for i := 0; i < n; i++ {
+		w.bits(0, 3)
+		w.n = 0
+		w.out = append(w.out, 0, 0, 0xff, 0xff)
 	}
-	w.code(litCodes[256], lens[256])
-	return zlibWrap(w.out, want)
+	w.block(true)
+	w.end()
+}
+
+func (w *fixedWriter) zlib() []byte { return zlibWrap(w.out, w.want) }
+
+// matchStream is one fixed-code block: dist literals, a single match of
+// the given length at that distance, then trail more literals. Decoded
+// into exactly its size, the match ends trail bytes before the end of
+// the output: all the room a copy made in whole words has to overrun.
+func matchStream(dist, length, trail int) []byte {
+	w := newFixedWriter()
+	w.block(true)
+	w.literals('a', dist)
+	w.match(dist, length)
+	w.literals('A', trail)
+	w.end()
+	return w.zlib()
+}
+
+// marginSeeds are streams that decode across the edges of huffmanBlock's
+// fast loop, every one of them accepted: its output ending at, inside
+// and past the output margin, a match started in the fast loop that
+// crosses it, final symbols inside the input margin, and a block that
+// ends and another that starts while the fast loop runs. Each leads with
+// enough literals for the fast loop to start.
+func marginSeeds() [][]byte {
+	const lead = 4 * fastIn
+	var seeds [][]byte
+	// Literals alone, the output ending at every offset from the margin;
+	// the padding keeps the input margin out of the way.
+	for n := lead - fastOut - 1; n <= lead+fastOut+1; n++ {
+		w := newFixedWriter()
+		w.block(false)
+		w.literals('!', n)
+		w.end()
+		w.padding(fastIn)
+		seeds = append(seeds, w.zlib())
+	}
+	// A match that starts inside the margins and ends in the last bytes of
+	// the output, or on them.
+	for _, dist := range []int{1, 7, 8, lead} {
+		for _, length := range []int{3, fastOut + 1, 10, 258} {
+			for trail := 0; trail <= fastOut; trail++ {
+				w := newFixedWriter()
+				w.block(false)
+				w.literals('!', lead)
+				w.match(dist, length)
+				w.literals('a', trail)
+				w.end()
+				w.padding(fastIn)
+				seeds = append(seeds, w.zlib())
+			}
+		}
+	}
+	// The last symbols inside the input margin, no padding behind them.
+	for trail := 0; trail <= fastIn; trail++ {
+		w := newFixedWriter()
+		w.block(true)
+		w.literals('!', lead)
+		w.match(lead, 20)
+		w.literals('a', trail)
+		w.end()
+		seeds = append(seeds, w.zlib())
+	}
+	// Two blocks, the first ending while the fast loop runs.
+	w := newFixedWriter()
+	w.block(false)
+	w.literals('!', lead)
+	w.end()
+	w.block(false)
+	w.literals('A', lead)
+	w.match(lead, 40)
+	w.end()
+	w.padding(fastIn)
+	seeds = append(seeds, w.zlib())
+	return seeds
 }
 
 func inflateSeeds(t testing.TB) [][]byte {
@@ -381,6 +485,35 @@ func inflateSeeds(t testing.TB) [][]byte {
 				seeds = append(seeds, matchStream(dist, length, trail))
 			}
 		}
+	}
+	seeds = append(seeds, marginSeeds()...)
+	// Faults met inside the fast loop: a length symbol and a distance
+	// symbol the format lacks, and a distance reaching before the output.
+	for _, fault := range []func(w *fixedWriter){
+		func(w *fixedWriter) { w.code(w.litCodes[286], w.lens[286]) },
+		func(w *fixedWriter) {
+			w.code(w.litCodes[257], w.lens[257])
+			w.code(w.distCodes[30], w.lens[numLitLen+30])
+		},
+		func(w *fixedWriter) {
+			w.code(w.litCodes[257], w.lens[257])
+			w.code(w.distCodes[29], w.lens[numLitLen+29])
+			w.bits(0, 13)
+		},
+	} {
+		w := newFixedWriter()
+		w.block(false)
+		w.literals('!', 4*fastIn)
+		fault(w)
+		w.end()
+		w.padding(fastIn)
+		seeds = append(seeds, w.zlib())
+	}
+	// Cut short inside the input margin: in the last bytes of the deflate
+	// data and in the Adler-32.
+	long := seeds[4]
+	for cut := 1; cut <= fastIn+4; cut++ {
+		seeds = append(seeds, long[:len(long)-cut])
 	}
 	return seeds
 }
@@ -445,11 +578,80 @@ func TestHandmadeStreamsAreWhatTheyClaim(t *testing.T) {
 			t.Errorf("rejected stream %d: compress/zlib accepts it", i)
 		}
 	}
+	for i, s := range marginSeeds() {
+		if _, err := stdInflate(s, 64<<10); err != nil {
+			t.Errorf("margin stream %d: compress/zlib says %v", i, err)
+		}
+	}
 	for _, m := range [][3]int{{1, 3, 0}, {1, 258, 0}, {7, 8, 1}, {8, 8, 0}, {9, 17, 7}, {9, 258, 8}} {
 		if out, err := stdInflate(matchStream(m[0], m[1], m[2]), 64<<10); err != nil || len(out) != m[0]+m[1]+m[2] {
 			t.Errorf("match of %d bytes at distance %d, %d literals behind it: compress/zlib yields %d bytes, %v", m[1], m[0], m[2], len(out), err)
 		}
 	}
+}
+
+// positionsStream stands in for one document's Z-coded position stream,
+// the stream a cold RLZ read mostly spends its time inflating: 467 factor
+// positions as little-endian words into a 96 KiB dictionary, deflated at
+// BestCompression into one dynamic block of ~1.3 KB (and the empty stored
+// block compress/flate ends every stream with).
+func positionsStream(tb testing.TB) (raw, comp []byte) {
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 467; i++ {
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(rng.Intn(96<<10)))
+	}
+	return raw, ZlibCompress(nil, raw)
+}
+
+// BenchmarkInflateParts prices the three parts of inflating the position
+// stream apart: the dynamic header with its three tables, the symbol loop
+// on tables already built, and the Adler-32 of the output. "whole" is the
+// Decode they add up to.
+func BenchmarkInflateParts(b *testing.B) {
+	raw, comp := positionsStream(b)
+	deflated := comp[2 : len(comp)-4]
+	var f inflater
+	header := func(b *testing.B) bitReader {
+		br := bitReader{src: deflated}
+		br.refill()
+		if hdr := br.take(3); hdr>>1 != 2 {
+			b.Fatalf("block header %03b, want a dynamic block", hdr)
+		}
+		if err := f.readDynamic(&br); err != nil {
+			b.Fatal(err)
+		}
+		return br
+	}
+	afterHeader := header(b)
+	out := make([]byte, len(raw))
+	b.Run("header", func(b *testing.B) {
+		b.ReportMetric(float64(len(comp)), "comp-bytes")
+		for i := 0; i < b.N; i++ {
+			header(b)
+		}
+	})
+	b.Run("symbols", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			br := afterHeader
+			if n, err := f.huffmanBlock(&br, out, 0); err != nil || n != len(raw) {
+				b.Fatalf("inflated %d of %d bytes: %v", n, len(raw), err)
+			}
+		}
+	})
+	b.Run("adler32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			adler32.Checksum(out)
+		}
+	})
+	b.Run("whole", func(b *testing.B) {
+		var dec ZlibDecoder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := dec.Decode(out[:0], comp, len(raw)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestInflateAllocatesNothing pins the kernel's reason to exist next to
@@ -458,7 +660,7 @@ func TestInflateAllocatesNothing(t *testing.T) {
 	seeds := inflateSeeds(t)
 	dec := new(ZlibDecoder)
 	buf := make([]byte, 0, 128<<10)
-	for _, s := range seeds[:9] {
+	for _, s := range append(seeds[:9:9], marginSeeds()...) {
 		s := s
 		if n := testing.AllocsPerRun(20, func() {
 			if _, err := dec.DecodeUpTo(buf, s, 100<<10); err != nil {
