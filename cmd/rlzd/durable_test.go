@@ -53,8 +53,56 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out.Bytes()
 }
 
+// postRaw posts body to url as it is and returns the status and the
+// response body.
+func postRaw(t *testing.T, url string, body io.Reader) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// postShort sends a POST to path whose body ends, with the client's side
+// of the connection, 4096 - len(body) bytes short of its Content-Length,
+// and returns the status of the answer.
+func postShort(t *testing.T, addr, path, body string) int {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST "+path+" HTTP/1.1\r\nHost: rlzd\r\nContent-Length: 4096\r\n\r\n"+body); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// chunked hides the reader's type, and with it the length: the client
+// sends the body chunked.
+func chunked(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
+
 // TestAppendBatchEndpoint: a batch lands in order, ids are contiguous,
-// and every document is readable byte-identical right away.
+// and every document is readable byte-identical right away — whether the
+// body came chunked, and whether it is in the canonical shape the handler
+// decodes itself or in one it leaves to encoding/json (a null document, a
+// key in another case, bytes after the object), which is answered as
+// encoding/json has it.
 func TestAppendBatchEndpoint(t *testing.T) {
 	ts, _, col := newAdmissionServer(t, collection.Options{}, muxOptions{maxBatch: 16})
 	docs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma"), {}, []byte("epsilon")}
@@ -78,12 +126,87 @@ func TestAppendBatchEndpoint(t *testing.T) {
 			t.Fatalf("doc %d after batch = (%q, %v), want %q", id, got, err, docs[i])
 		}
 	}
+
+	big := bytes.Repeat([]byte("a chunked batch document "), 2000)
+	bigBody, err := json.Marshal(appendBatchRequest{Docs: [][]byte{big, []byte("a")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want [][]byte
+	}{
+		{"chunked", chunked(bigBody), [][]byte{big, []byte("a")}},
+		{"null document", strings.NewReader(`{"docs":["YQ==",null]}`), [][]byte{[]byte("a"), {}}},
+		{"key in another case", strings.NewReader(`{"Docs":["Yg=="]}`), [][]byte{[]byte("b")}},
+		{"escaped", strings.NewReader(`{"docs":["Y\u0077=="]}`), [][]byte{[]byte("c")}},
+		{"trailing junk", strings.NewReader(`{"docs":["ZA=="]} and then {not json`), [][]byte{[]byte("d")}},
+	} {
+		status, body := postRaw(t, ts.URL+"/append/batch", tc.body)
+		var out appendBatchResponse
+		if err := json.Unmarshal(body, &out); status != http.StatusOK || err != nil || len(out.IDs) != len(tc.want) {
+			t.Fatalf("%s: batch append = %d %s, want 200 and %d ids", tc.name, status, body, len(tc.want))
+		}
+		for i, id := range out.IDs {
+			if got, err := col.Get(id); err != nil || !bytes.Equal(got, tc.want[i]) {
+				t.Fatalf("%s: document %d read back as %d bytes (%v), want %q", tc.name, id, len(got), err, tc.want[i])
+			}
+		}
+	}
 }
 
-// TestAppendBatchRejects: empty batches 400, over-count batches 413 with
-// nothing appended, malformed JSON 400.
+// TestAppendBatchConcurrentClients: two clients append different batches
+// at once, and every acknowledged id reads back as what that client sent —
+// the body buffers and arenas the requests share through the pools never
+// carry one batch's bytes into another.
+func TestAppendBatchConcurrentClients(t *testing.T) {
+	ts, _, col := newAdmissionServer(t, collection.Options{}, muxOptions{maxBatch: 16})
+	const clients, batches = 2, 40
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				docs := make([][]byte, 1+(g+b)%8)
+				for i := range docs {
+					docs[i] = bytes.Repeat([]byte(fmt.Sprintf("<c%d b%d d%d>", g, b, i)), 1+(g*batches+b*8+i)*37%2000)
+				}
+				raw, err := json.Marshal(appendBatchRequest{Docs: docs})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(ts.URL+"/append/batch", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out appendBatchResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || len(out.IDs) != len(docs) {
+					t.Errorf("client %d batch %d: %d ids (%v), want %d", g, b, len(out.IDs), err, len(docs))
+					return
+				}
+				for i, id := range out.IDs {
+					if got, err := col.Get(id); err != nil || !bytes.Equal(got, docs[i]) {
+						t.Errorf("client %d batch %d document %d read back as id %d: %d bytes, want %d (%v)", g, b, i, id, len(got), len(docs[i]), err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestAppendBatchRejects: empty batches 400, over-count batches 413,
+// a body one byte past -max-doc 413, malformed JSON 400, a body shorter
+// than its Content-Length 400 — and none of them appends anything.
 func TestAppendBatchRejects(t *testing.T) {
-	ts, _, col := newAdmissionServer(t, collection.Options{}, muxOptions{maxBatch: 16, appendBatch: 2})
+	const maxDoc = 4 << 10
+	ts, _, col := newAdmissionServer(t, collection.Options{}, muxOptions{maxBatch: 16, appendBatch: 2, maxDoc: maxDoc})
 	cases := []struct {
 		name string
 		body any
@@ -105,6 +228,19 @@ func TestAppendBatchRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", resp.StatusCode)
+	}
+
+	// A canonical body of maxDoc+1 bytes: whitespace pads it out.
+	head, tail := `{"docs":[`, `"YWJj"]}`
+	over := head + strings.Repeat(" ", maxDoc+1-len(head)-len(tail)) + tail
+	for _, body := range []io.Reader{strings.NewReader(over), chunked([]byte(over))} {
+		if status, raw := postRaw(t, ts.URL+"/append/batch", body); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("body one byte past -max-doc = %d %s, want 413", status, raw)
+		}
+	}
+
+	if status := postShort(t, ts.addr, "/append/batch", `{"docs":["YQ=="`); status != http.StatusBadRequest {
+		t.Errorf("body shorter than its Content-Length = %d, want 400", status)
 	}
 	if col.NumDocs() != 0 {
 		t.Fatalf("rejected batches appended %d documents", col.NumDocs())
@@ -216,57 +352,24 @@ func TestAppendBatchPartialAck(t *testing.T) {
 // append allocates far less than its body.
 func TestAppendBodyHandling(t *testing.T) {
 	ts, _, col := newAdmissionServer(t, collection.Options{}, muxOptions{maxBatch: 16, maxDoc: 1 << 16})
-
-	post := func(body io.Reader) (int, string) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/append", "application/octet-stream", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(raw)
-	}
-	// Hiding the reader's type hides its length: the client sends chunked.
-	chunked := func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }
-
 	doc := bytes.Repeat([]byte("chunked "), 3000)
-	status, ack := post(chunked(doc))
+	status, ack := postRaw(t, ts.URL+"/append", chunked(doc))
 	var want bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(map[string]any{"id": 0, "generation": col.Generation()}); err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusOK || ack != want.String() {
+	if status != http.StatusOK || string(ack) != want.String() {
 		t.Fatalf("chunked append = %d %q, want 200 %q", status, ack, want.String())
 	}
 	if got, err := col.Get(0); err != nil || !bytes.Equal(got, doc) {
 		t.Fatalf("chunked document read back %d bytes, want %d (%v)", len(got), len(doc), err)
 	}
-	if status, _ := post(chunked(make([]byte, 1<<16+1))); status != http.StatusRequestEntityTooLarge {
+	if status, _ := postRaw(t, ts.URL+"/append", chunked(make([]byte, 1<<16+1))); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("chunked body past the limit = %d, want 413", status)
 	}
 
-	conn, err := net.Dial("tcp", ts.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, "POST /append HTTP/1.1\r\nHost: rlzd\r\nContent-Length: 4096\r\n\r\nshort"); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("body shorter than its Content-Length = %d, want 400", resp.StatusCode)
+	if status := postShort(t, ts.addr, "/append", "short"); status != http.StatusBadRequest {
+		t.Fatalf("body shorter than its Content-Length = %d, want 400", status)
 	}
 	if n := col.NumDocs(); n != 1 {
 		t.Fatalf("refused bodies left %d documents, want 1", n)

@@ -38,8 +38,8 @@
 //	GET    /stats         serve.Stats as JSON, plus for a collection the
 //	                      generation breakdown ("live": every segment's
 //	                      path, backend, documents and size)
-//	POST   /append        raw document bytes in, JSON {"id":N} out
-//	                      (live collections only)
+//	POST   /append        raw document bytes in, JSON {"generation":G,"id":N}
+//	                      out (live collections only)
 //	POST   /append/batch  JSON {"docs":[base64,...]} in, JSON {"ids":[...]}
 //	                      out; one commit window for the whole batch
 //	                      (live collections only)

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"log"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"rlz/internal/archive"
 	"rlz/internal/collection"
@@ -57,13 +55,6 @@ type appendBatchResponse struct {
 	Generation uint64 `json:"generation"`
 	Error      string `json:"error,omitempty"`
 }
-
-// appendBodies holds the POST /append body buffers. One that grew past
-// maxPooledBody is dropped instead of returned, so a single huge
-// document does not pin its buffer for the life of the daemon.
-var appendBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBody = 1 << 20
 
 // muxOptions carries the write-path configuration of newMux.
 type muxOptions struct {
@@ -218,22 +209,12 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 		if readOnly(w) {
 			return
 		}
-		// The body lands in a pooled buffer sized from Content-Length (a
-		// chunked or lying body just grows it, inside the -max-doc bound
-		// either way). Reusing it is safe: Append copies the document into
+		// Reusing the pooled body is safe: Append copies the document into
 		// its frame and writes that to the open segment's file before it
 		// returns, and nothing keeps a reference to the body.
-		body := appendBodies.Get().(*bytes.Buffer)
-		defer func() {
-			if body.Cap() <= maxPooledBody {
-				body.Reset()
-				appendBodies.Put(body)
-			}
-		}()
-		if n := r.ContentLength; n > 0 && n <= opt.maxDoc {
-			body.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
-		}
-		if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, opt.maxDoc)); err != nil {
+		body, err := readBody(w, r, opt.maxDoc)
+		defer putBody(body)
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				http.Error(w, "document exceeds limit of "+strconv.FormatInt(opt.maxDoc, 10)+" bytes", http.StatusRequestEntityTooLarge)
@@ -270,9 +251,18 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 		}
 		// The whole batch body shares the single-document byte budget: a
 		// batch is a latency optimization (one commit window, about one
-		// fsync), not a bulk-import channel.
-		var req appendBatchRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, opt.maxDoc)).Decode(&req); err != nil {
+		// fsync), not a bulk-import channel. The documents are slices of the
+		// pooled arena (or, for a body not in the canonical shape, of what
+		// encoding/json allocated). Reusing the arena is safe for the same
+		// reason reusing the POST /append body is: AppendBatch copies each
+		// document into its frame and writes it to the open segment's file
+		// before it returns, and nothing keeps a reference to the documents.
+		body, err := readBody(w, r, opt.maxDoc)
+		defer putBody(body)
+		arena := batchArenas.Get().(*batchArena)
+		defer arena.put()
+		docs, err := arena.decode(body.Bytes(), err)
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				http.Error(w, "batch body exceeds limit of "+strconv.FormatInt(opt.maxDoc, 10)+" bytes", http.StatusRequestEntityTooLarge)
@@ -281,15 +271,15 @@ func newMux(srv *serve.Server, col *collection.Collection, opt muxOptions) http.
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if len(req.Docs) == 0 {
+		if len(docs) == 0 {
 			http.Error(w, `body must carry {"docs":[...]} with at least one document`, http.StatusBadRequest)
 			return
 		}
-		if len(req.Docs) > opt.appendBatch {
-			http.Error(w, "batch of "+strconv.Itoa(len(req.Docs))+" documents exceeds limit "+strconv.Itoa(opt.appendBatch), http.StatusRequestEntityTooLarge)
+		if len(docs) > opt.appendBatch {
+			http.Error(w, "batch of "+strconv.Itoa(len(docs))+" documents exceeds limit "+strconv.Itoa(opt.appendBatch), http.StatusRequestEntityTooLarge)
 			return
 		}
-		ids, err := col.AppendBatch(req.Docs)
+		ids, err := col.AppendBatch(docs)
 		resp := appendBatchResponse{IDs: ids, Generation: col.Generation()}
 		if resp.IDs == nil {
 			resp.IDs = []int{}
