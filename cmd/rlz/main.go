@@ -437,88 +437,65 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	defer r.Close()
+	br, ok := archive.As[archive.BatchReader](r)
+	if !ok {
+		br = archive.NewSet(r.Stats().Backend, []archive.Reader{r}, nil)
+	}
 	n := *workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	// Workers take sequential id chunks, several each so the cores stay
+	// busy to the end; a block archive decodes each block once per chunk
+	// it spans. Chunks are taken in id order, so once a bad id is known
+	// only the chunks below it still need checking: the report is the
+	// lowest bad id, as from a sequential scan.
 	var (
+		numDocs = r.NumDocs()
+		chunk   = max(1, numDocs/(8*n))
+		next    atomic.Int64
+		mu      sync.Mutex
 		deleted int64
 		badID   = -1
 		badErr  error
-		numDocs = r.NumDocs()
+		wg      sync.WaitGroup
 	)
-	record := func(id int, err error) {
-		// A live collection's tombstoned ids return not-found by design:
-		// they are verified absences, not decode failures.
-		if errors.Is(err, collection.ErrDeleted) {
-			deleted++
-			return
-		}
-		if badID < 0 || id < badID {
-			badID, badErr = id, err
-		}
-	}
-	if br, ok := archive.As[archive.BatchReader](r); ok {
-		// Batched verification: sequential id chunks decode each
-		// compressed block exactly once instead of once per resident
-		// document, with the blocks of a chunk fanned across the workers.
-		const chunk = 8192
-		ids := make([]int, chunk)
-		for base := 0; base < numDocs && badID < 0; base += chunk {
-			hi := base + chunk
-			if hi > numDocs {
-				hi = numDocs
-			}
-			ids = ids[:hi-base]
-			for i := range ids {
-				ids[i] = base + i
-			}
-			br.GetBatch(ids, n, func(i int, doc []byte, err error) {
-				if err != nil {
-					record(ids[i], err)
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids := make([]int, 0, chunk)
+			for {
+				base := int(next.Add(int64(chunk))) - chunk
+				mu.Lock()
+				done := base >= numDocs || (badID >= 0 && base > badID)
+				mu.Unlock()
+				if done {
+					return
 				}
-			})
-		}
-	} else {
-		// Per-document parallel decode: the Reader concurrency contract
-		// makes a shared reader safe, so verification scales with cores.
-		// Each worker reuses one buffer (the GetAppend zero-allocation
-		// path) rather than materializing documents it will discard.
-		var (
-			next      atomic.Int64
-			deltombed atomic.Int64
-			mu        sync.Mutex
-		)
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var buf []byte
-				for {
-					id := int(next.Add(1)) - 1
-					if id >= numDocs {
+				ids = ids[:0]
+				for id := base; id < min(base+chunk, numDocs); id++ {
+					ids = append(ids, id)
+				}
+				br.GetBatch(ids, 1, func(i int, _ []byte, err error) {
+					if err == nil {
 						return
 					}
-					var err error
-					if buf, err = r.GetAppend(buf[:0], id); err != nil {
-						if errors.Is(err, collection.ErrDeleted) {
-							deltombed.Add(1)
-							continue
-						}
-						mu.Lock()
-						if badID < 0 || id < badID {
-							badID, badErr = id, err
-						}
-						mu.Unlock()
-						return
+					mu.Lock()
+					defer mu.Unlock()
+					switch {
+					case errors.Is(err, collection.ErrDeleted):
+						// A tombstoned id is a verified absence, not a
+						// decode failure.
+						deleted++
+					case badID < 0 || ids[i] < badID:
+						badID, badErr = ids[i], err
 					}
-				}
-			}()
-		}
-		wg.Wait()
-		deleted += deltombed.Load()
+				})
+			}
+		}()
 	}
+	wg.Wait()
 	if badErr != nil {
 		return fmt.Errorf("document %d: %w", badID, badErr)
 	}

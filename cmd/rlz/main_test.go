@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,6 +91,8 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestVerifyAndStats: both commands run clean on a fresh archive
+// (TestVerifyReport damages one).
 func TestVerifyAndStats(t *testing.T) {
 	dir, _ := writeDocs(t)
 	arc := filepath.Join(t.TempDir(), "out.rlz")
@@ -102,30 +105,104 @@ func TestVerifyAndStats(t *testing.T) {
 	if err := cmdStats([]string{"-a", arc}); err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	// Corrupt a document record (not the dictionary — plain dictionary
-	// bytes carry no redundancy to check, by design): verify must fail
-	// because the ZV codec's zlib-coded position stream is checksummed.
-	r, err := store.OpenFile(arc)
+}
+
+// TestVerifyReport: verify's two outputs — the clean count with the
+// tombstones apart, and on damage the lowest bad id, the one a
+// sequential scan meets first — over a single .rlz, a block archive and
+// a shard-built collection with one tombstone, at more workers than
+// there are chunks to share.
+func TestVerifyReport(t *testing.T) {
+	dir, docs := writeDocs(t)
+	// record names a document to damage: its file within the collection
+	// ("" for the archive itself) and its id there.
+	type record struct {
+		file string
+		id   int
+	}
+	for name, tc := range map[string]struct {
+		build  []string
+		tomb   bool
+		damage []record
+	}{
+		"rlz":   {build: []string{"-codec", "ZV"}, damage: []record{{"", 10}, {"", 7}}},
+		"block": {build: []string{"-backend", "block", "-block", "256B"}, damage: []record{{"", 10}, {"", 7}}},
+		// Round robin: global ids 4-7 are seg-00000002's, 8-11 seg-00000003's.
+		"shards": {build: []string{"-shards", "3"}, tomb: true, damage: []record{{"seg-00000003", 2}, {"seg-00000002", 3}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			arc := filepath.Join(t.TempDir(), "a")
+			if err := cmdBuild(append([]string{"-o", arc, "-dir", dir}, tc.build...)); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("%s: %d documents decode cleanly (", arc, len(docs))
+			if tc.tomb {
+				c, err := collection.Open(arc, collection.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Delete(4); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				want = fmt.Sprintf("%s: %d documents decode cleanly, 1 tombstoned (", arc, len(docs)-1)
+			}
+			verify := func() (string, error) {
+				return captureStdout(t, func() error { return cmdVerify([]string{"-a", arc, "-workers", "5"}) })
+			}
+			if out, err := verify(); err != nil || !strings.HasPrefix(out, want) {
+				t.Fatalf("verify = %q, %v; want %q...", out, err, want)
+			}
+			for _, d := range tc.damage {
+				corruptRecord(t, filepath.Join(arc, d.file), d.id)
+			}
+			first := firstBadID(t, arc)
+			if _, err := verify(); err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("document %d: ", first)) {
+				t.Fatalf("verify of a damaged archive = %v, want document %d first", err, first)
+			}
+		})
+	}
+}
+
+// corruptRecord flips a byte inside the stored record of document id of
+// the single-file archive at path (a ZV record: inside its checksummed
+// position stream).
+func corruptRecord(t *testing.T, path string, id int) {
+	t.Helper()
+	r, err := archive.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, _, err := r.Extent(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off, n, err := r.Extent(id)
 	r.Close()
-	data, err := os.ReadFile(arc)
+	data, rerr := os.ReadFile(path)
+	if err != nil || rerr != nil {
+		t.Fatal(err, rerr)
+	}
+	data[off+min(8, n/2)] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// firstBadID is the reference: the first id, in order, whose read fails
+// for any reason but a tombstone.
+func firstBadID(t *testing.T, arc string) int {
+	t.Helper()
+	r, err := archive.Open(arc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[off+8] ^= 0xFF
-	bad := filepath.Join(t.TempDir(), "bad.rlz")
-	if err := os.WriteFile(bad, data, 0o644); err != nil {
-		t.Fatal(err)
+	defer r.Close()
+	for id := 0; id < r.NumDocs(); id++ {
+		if _, err := r.Get(id); err != nil && !errors.Is(err, collection.ErrDeleted) {
+			return id
+		}
 	}
-	if err := cmdVerify([]string{"-a", bad}); err == nil {
-		t.Error("verify accepted a corrupted archive")
-	}
+	t.Fatal("the damage went undetected")
+	return -1
 }
 
 func TestGetAndCatArgErrors(t *testing.T) {

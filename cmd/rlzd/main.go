@@ -64,7 +64,6 @@ import (
 	"rlz/internal/archive"
 	"rlz/internal/collection"
 	"rlz/internal/serve"
-	_ "rlz/internal/shard" // registers the legacy shard manifest, so shard directories from earlier builds still serve (read-only)
 	"rlz/internal/units"
 )
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -526,58 +527,28 @@ func TestServeShardSet(t *testing.T) {
 	}
 }
 
-// TestServeLegacyShardSetReadOnly: a shard directory written before
-// shard sets were collections (a SHRD manifest, given here as the bytes
-// that encoder wrote) is still served, as the static archive it is: reads
-// work, the write API answers 405, /stats has no live breakdown.
-func TestServeLegacyShardSetReadOnly(t *testing.T) {
-	docs := makeDocs(5, 11)
-	dir := t.TempDir()
-	if _, err := archive.Create(filepath.Join(dir, "shard-0000"), archive.FromBodies(docs), archive.Options{Backend: archive.Raw}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, archive.DirManifest), []byte("SHRD\x01\x03raw\x01\x0ashard-0000\x05SHRE"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if isCollection(dir) {
-		t.Fatal("rlzd takes a legacy shard directory for a collection")
-	}
-	r, err := archive.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	if got := backendLabel(r); got != "raw backend" {
-		t.Errorf("backendLabel = %q", got)
-	}
-	ts := startServer(t, newMux(serve.New(r, serve.Options{}), nil, muxOptions{maxBatch: 64}))
-	for i, want := range docs {
-		resp, err := http.Get(ts.URL + "/doc/" + strconv.Itoa(i))
-		if err != nil {
+// TestStartRefusesRetiredFormats: rlzd will not start on a directory in
+// a format nothing reads any more — a collection with an older release's
+// write-ahead log beside it, or a SHRD shard manifest — and says how to
+// get out. (internal/collection pins that the refusal changes no file.)
+func TestStartRefusesRetiredFormats(t *testing.T) {
+	for _, tc := range []struct{ file, data, want string }{
+		{"WAL", "WAL\x02 acknowledged records", "open the directory once with a release that drains it"},
+		{archive.DirManifest, "SHRD\x01\x03raw\x01\x0ashard-0000\x05SHRE", "rlz build -shards N"},
+	} {
+		dir := t.TempDir()
+		if err := collection.Init(dir); err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-			t.Fatalf("GET /doc/%d = %d", i, resp.StatusCode)
+		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	resp, err := http.Post(ts.URL+"/append", "application/octet-stream", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /append on a legacy shard set = %d, want 405", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Live != nil || st.NumDocs != len(docs) {
-		t.Errorf("/stats = %+v, %v", st, err)
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), daemonEnv+"=-a\n"+dir+"\n-addr\n127.0.0.1:0")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), collection.ErrRetiredFormat.Error()) || !strings.Contains(string(out), tc.want) {
+			t.Errorf("rlzd over a retired %s = %v, want a refusal naming %q:\n%s", tc.data[:4], err, tc.want, out)
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"rlz/internal/collection"
-	"rlz/internal/wal"
 )
 
 // daemonEnv makes the test binary run main() instead of the tests: the
@@ -75,13 +74,10 @@ func startDaemon(t *testing.T, dir string) (*exec.Cmd, string) {
 }
 
 // closedCleanly fails the test unless the collection at dir was closed
-// with docs in its open segment: no write-ahead log beside it, and the
-// segment's file exactly as long as its frames — the zero fill cut.
+// with docs in its open segment: the segment's file exactly as long as
+// its frames — the zero fill cut.
 func closedCleanly(t *testing.T, dir string, docs [][]byte) {
 	t.Helper()
-	if _, err := os.Stat(filepath.Join(dir, wal.FileName)); !os.IsNotExist(err) {
-		t.Fatalf("a %s file after a graceful stop (%v)", wal.FileName, err)
-	}
 	man, err := collection.ReadManifest(filepath.Join(dir, collection.ManifestName))
 	if err != nil {
 		t.Fatal(err)

@@ -347,8 +347,8 @@ func Open(path string) (Reader, error) {
 }
 
 // OpenFile opens one single-file archive, memory-mapped where the
-// platform allows — the member opener every multi-file format
-// (collections, legacy shard sets) uses for its parts. Multi-file magics
+// platform allows — the member opener a multi-file format (a
+// collection) uses for its parts. Multi-file magics
 // are refused with ErrNeedsPath, so a hostile manifest naming another
 // manifest (or itself) as a member fails cleanly instead of recursing.
 func OpenFile(path string) (Reader, error) {

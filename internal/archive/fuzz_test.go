@@ -1,17 +1,18 @@
-// External test package: importing internal/shard here registers the
-// manifest path-formats (its own legacy one and, through it, the
-// collection's) without an archive <-> shard import cycle, so the fuzzer
-// covers every registered magic including the manifests'.
+// External test package: importing internal/collection here registers
+// the manifest path-formats (the collection's LIVC, and the retired SHRD
+// one it refuses) without an archive <-> collection import cycle, so the
+// fuzzer covers every registered magic including the manifests'.
 package archive_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"rlz/internal/archive"
+	"rlz/internal/collection"
 	"rlz/internal/rlz"
-	_ "rlz/internal/shard"
 )
 
 // FuzzArchiveOpenBytes throws arbitrary bytes at the auto-detecting
@@ -19,17 +20,18 @@ import (
 // documents deterministically, and manifest-magic input must be turned
 // away with ErrNeedsPath rather than parsed. Seeded with valid archives
 // of all three backends, the corrupt-archive corpus shapes (truncated
-// footers, flipped magic, future versions), and a legacy shard manifest.
+// footers, flipped magic, future versions), a retired SHRD shard manifest
+// and a collection manifest.
 func FuzzArchiveOpenBytes(f *testing.F) {
 	docs := make([][]byte, 6)
 	for i := range docs {
 		docs[i] = []byte(fmt.Sprintf("<html><body>document %d shared boilerplate text</body></html>", i))
 	}
-	var collection []byte
+	var all []byte
 	for _, d := range docs {
-		collection = append(collection, d...)
+		all = append(all, d...)
 	}
-	dict := rlz.SampleEven(collection, len(collection)/4+1, 64)
+	dict := rlz.SampleEven(all, len(all)/4+1, 64)
 	for _, opts := range []archive.Options{
 		{Backend: archive.RLZ, Dict: dict, Codec: rlz.CodecZV},
 		{Backend: archive.Block, BlockSize: 256},
@@ -49,14 +51,18 @@ func FuzzArchiveOpenBytes(f *testing.F) {
 		versioned[4] = 99
 		f.Add(versioned) // future version
 	}
-	// A whole legacy shard manifest, as the encoder that is gone wrote it.
+	// A whole SHRD shard manifest, as the retired encoder wrote it.
 	f.Add([]byte("SHRD\x01\x03rlz\x02\x0ashard-0000\x03\x0ashard-0001\x03SHRE"))
 	f.Add([]byte("SHRD"))
 	f.Add([]byte{})
+	f.Add((&collection.Manifest{Generation: 3, NextSeq: 2, Segments: []collection.Segment{{Path: "seg-00000001", Docs: 6}}}).Marshal(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := archive.OpenBytes(data)
 		if err != nil {
+			if (bytes.HasPrefix(data, []byte("LIVC")) || bytes.HasPrefix(data, []byte("SHRD"))) && !errors.Is(err, archive.ErrNeedsPath) {
+				t.Fatalf("manifest magic: %v, want ErrNeedsPath", err)
+			}
 			return
 		}
 		defer r.Close()

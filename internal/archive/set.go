@@ -19,7 +19,8 @@ var ErrDeleted = fmt.Errorf("%w: deleted", docmap.ErrNoSuchDoc)
 // masks ids without renumbering them. It is itself a Reader (and a
 // Viewer, BatchReader and Searcher). A collection's routing snapshot is
 // a Set whose last member is the open append segment (when one is open);
-// a legacy shard manifest opens as a bare Set over its member files.
+// a caller wraps a lone archive in a one-member Set to reach the routed
+// capabilities (rlz grep, rlz verify).
 //
 // Ids at or past the last member's start are handed to the last member,
 // which bounds-checks them itself — so a last member that is still

@@ -15,13 +15,31 @@ import (
 	"rlz/internal/docmap"
 	"rlz/internal/faultfs"
 	"rlz/internal/rlz"
-	"rlz/internal/wal"
 )
 
 func init() {
 	archive.RegisterPathFormat(headerMagic, "live collection", func(path string) (archive.Reader, error) {
 		return Open(filepath.Dir(path), Options{})
 	})
+	// Registered only to be refused: by path with the way out, by bytes
+	// (archive.OpenBytes) with archive.ErrNeedsPath, never parsed.
+	archive.RegisterPathFormat(shrdMagic, "SHRD shard set", func(path string) (archive.Reader, error) {
+		return nil, shrdRefusal(path)
+	})
+}
+
+// ErrRetiredFormat is wrapped by Open when the directory holds a file in
+// a format no longer read: the write-ahead log an older release kept
+// beside the open segment, or a SHRD shard manifest (what bulk builds
+// wrote before they were collections). The error names the file and the
+// way out; no file is touched.
+var ErrRetiredFormat = errors.New("collection: format no longer read")
+
+// legacyLogName and shrdMagic name the two retired formats' files.
+const legacyLogName, shrdMagic = "WAL", "SHRD"
+
+func shrdRefusal(path string) error {
+	return fmt.Errorf("%w: %s is a SHRD shard manifest; no release converts it, so rebuild the directory from its source documents with 'rlz build -shards N'", ErrRetiredFormat, path)
 }
 
 // ErrDeleted is wrapped by reads of a tombstoned document (see
@@ -38,7 +56,7 @@ var ErrCompacting = fmt.Errorf("collection: compaction already in progress")
 // the pending-compaction document backlog) is exhausted. The append did
 // not happen; the caller should back off and retry. rlzd surfaces it as
 // HTTP 429 + Retry-After.
-var ErrBackpressure = wal.ErrBackpressure
+var ErrBackpressure = errors.New("collection: backpressure: in-flight byte budget exhausted")
 
 // Options configures an open Collection.
 //
@@ -216,8 +234,9 @@ func Init(dir string) error {
 }
 
 // Open opens the collection at dir (or its manifest path), recovering
-// the open append segment if the last process died mid-write and
-// draining a write-ahead log an older release left behind. archive.Open
+// the open append segment if the last process died mid-write. A
+// directory that still holds an older release's write-ahead log is
+// refused with ErrRetiredFormat before anything is touched. archive.Open
 // dispatches here automatically when it sees a collection manifest, so
 // read-only callers never call this directly.
 func Open(dir string, opts Options) (*Collection, error) {
@@ -230,6 +249,12 @@ func Open(dir string, opts Options) (*Collection, error) {
 	man, err := readManifest(opts.FS, filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
+	}
+	// The log's acknowledged records may be missing from the open
+	// segment, and only a release that drains it can replay them.
+	log := filepath.Join(dir, legacyLogName)
+	if _, err := opts.FS.Stat(log); err == nil {
+		return nil, fmt.Errorf("%w: %s is the write-ahead log of an older release; open the directory once with a release that drains it (commit 8f968e5 through c0a3233), then reopen", ErrRetiredFormat, log)
 	}
 	if opts.MaxWALPending <= 0 {
 		opts.MaxWALPending = 8 << 20
@@ -262,9 +287,6 @@ func Open(dir string, opts Options) (*Collection, error) {
 		}
 		members = append(members, newMember(open, man.OpenSeg))
 	}
-	if err := c.drainLegacyLog(open, man.NumSealedDocs()); err != nil {
-		return nil, err
-	}
 	// Clamp tombstones to the recovered document count: a tombstone can
 	// be published durably for an append whose bytes were still in OS
 	// buffers when the process died. Recovery truncates the lost tail,
@@ -292,54 +314,9 @@ func Open(dir string, opts Options) (*Collection, error) {
 	return c, nil
 }
 
-// drainLegacyLog replays the write-ahead log an older release kept
-// beside the open segment, if there is one, and removes it. Its records
-// carry global ids; those at or past the recovered segment's end (its
-// first document has global id sealed) are acknowledged appends whose
-// segment bytes were lost, and are re-appended in order and flushed, so
-// every one is readable before Open returns. Records below the end are
-// already in the segment; a gap cannot occur (the log was rewound only
-// after the segment durably absorbed it), but the replay stops
-// defensively rather than misnumber documents.
-func (c *Collection) drainLegacyLog(open *openSegment, sealed int) error {
-	path := filepath.Join(c.dir, wal.FileName)
-	if _, err := c.fs.Stat(path); err != nil {
-		return nil
-	}
-	l, recs, err := wal.Open(path, wal.Options{FS: c.fs})
-	if err != nil {
-		return err
-	}
-	if err := l.Close(); err != nil {
-		return err
-	}
-	if len(recs) > 0 && open != nil {
-		total := uint64(sealed + open.NumDocs())
-		for _, r := range recs {
-			if r.Seq < total {
-				continue
-			}
-			if r.Seq > total {
-				break
-			}
-			if _, _, err := open.append(r.Doc, 0); err != nil {
-				return fmt.Errorf("collection: replaying WAL record %d: %w", r.Seq, err)
-			}
-			total++
-		}
-		if err := open.sync(); err != nil {
-			return fmt.Errorf("collection: syncing WAL replay: %w", err)
-		}
-	}
-	if err := c.fs.Remove(path); err != nil {
-		return err
-	}
-	return c.fs.SyncDir(c.dir)
-}
-
 // openSegmentFile opens one sealed segment: a single-file archive,
-// memory-mapped. A manifest naming anything else (another collection, a
-// legacy shard manifest) is corrupt.
+// memory-mapped. A manifest naming anything else (another manifest) is
+// corrupt.
 func openSegmentFile(dir, path string) (archive.Reader, error) {
 	sr, err := archive.OpenFile(filepath.Join(dir, path))
 	if errors.Is(err, archive.ErrNeedsPath) {

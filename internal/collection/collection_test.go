@@ -414,6 +414,35 @@ func TestOpenRefusesVersion1OpenSegment(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesSHRD: a directory a bulk build wrote before it wrote
+// collections — a SHRD manifest, given as the bytes that encoder wrote,
+// over its member file — is refused as a retired format with the way
+// out, and no file changes.
+func TestOpenRefusesSHRD(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := archive.Create(filepath.Join(dir, "shard-0000"), archive.FromBodies(testDocs(5)), archive.Options{Backend: archive.Raw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("SHRD\x01\x03raw\x01\x0ashard-0000\x05SHRE"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkRefused(t, dir, "SHRD", "rlz build -shards N")
+}
+
+// TestOpenBytesRejectsManifest: a manifest is a multi-file format, so
+// the in-memory openers turn it away with a pointer to Open instead of
+// parsing it — the collection's own, and the retired SHRD one.
+func TestOpenBytesRejectsManifest(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"LIVC": (&Manifest{Generation: 1, NextSeq: 1}).Marshal(nil),
+		"SHRD": []byte("SHRD\x01\x03raw\x01\x0ashard-0000\x01SHRE"),
+	} {
+		if _, err := archive.OpenBytes(data); !errors.Is(err, archive.ErrNeedsPath) {
+			t.Errorf("OpenBytes(%s manifest) = %v, want ErrNeedsPath", name, err)
+		}
+	}
+}
+
 // TestConcurrentAppendRead hammers the read path while the write path
 // appends, deletes, seals and compacts — the live-store contract, run
 // under -race in CI. Compaction runs on its own goroutine beside the

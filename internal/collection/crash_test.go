@@ -3,33 +3,74 @@ package collection
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"rlz/internal/archive"
 	"rlz/internal/faultfs"
-	"rlz/internal/wal"
 )
 
-// writeLegacyLog leaves in dir the write-ahead log an older release kept
-// beside the open segment, holding docs under global ids from first on,
-// each acknowledged.
-func writeLegacyLog(t *testing.T, dir string, first int, docs [][]byte) {
+// dirFiles reads every file in dir (no recursion), keyed by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	l, _, err := wal.Open(filepath.Join(dir, wal.FileName), wal.Options{})
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range docs {
-		wait, err := l.Enqueue(uint64(first+i), d)
-		if err == nil {
-			err = wait()
-		}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		files[e.Name()] = data
 	}
-	if err := l.Close(); err != nil {
+	return files
+}
+
+// checkRefused opens dir every way a reader can and checks the refusal:
+// each fails with ErrRetiredFormat (not archive.ErrUnknownFormat) in an
+// error naming each of want, and no file in dir changed.
+func checkRefused(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	for name, open := range map[string]func() (archive.Reader, error){
+		"Open":                   func() (archive.Reader, error) { return Open(dir, Options{}) },
+		"Open(Async)":            func() (archive.Reader, error) { return Open(dir, Options{Async: true}) },
+		"archive.Open":           func() (archive.Reader, error) { return archive.Open(dir) },
+		"archive.Open(MANIFEST)": func() (archive.Reader, error) { return archive.Open(filepath.Join(dir, ManifestName)) },
+	} {
+		r, err := open()
+		if err == nil {
+			r.Close()
+			t.Fatalf("%s opened %s", name, dir)
+		}
+		for _, w := range want {
+			if !errors.Is(err, ErrRetiredFormat) || errors.Is(err, archive.ErrUnknownFormat) || !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s = %v, want ErrRetiredFormat naming %q", name, err, w)
+			}
+		}
+	}
+	if !maps.EqualFunc(before, dirFiles(t, dir), bytes.Equal) {
+		t.Fatal("the refusal changed a file")
+	}
+}
+
+// checkLogRefused leaves in dir the write-ahead log an older release
+// kept beside the open segment, checks that the directory is refused
+// with the log's name and the way out, and removes the log again, as a
+// release that drains it does.
+func checkLogRefused(t *testing.T, dir string) {
+	t.Helper()
+	log := filepath.Join(dir, legacyLogName)
+	if err := os.WriteFile(log, []byte("WAL\x02 records only the release that wrote them can replay"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkRefused(t, dir, log, "open the directory once with a release that drains it")
+	if err := os.Remove(log); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rlz/internal/faultfs"
-	"rlz/internal/wal"
 )
 
 // Fault-injection suite: the crash_test.go scenarios hand-craft on-disk
@@ -349,10 +348,9 @@ func TestFaultMatrix(t *testing.T) {
 // the medium can, after every append was acknowledged, and recovers
 // twice. Alone (the segment is the only copy) exactly the documents
 // before the damage survive — a prefix, never a torn or a phantom one.
-// With a write-ahead log an older release left beside it, holding every
-// document, each one comes back byte-identical whatever the segment
-// lost: recovery keeps what verifies, replays the rest, and removes the
-// log.
+// With a write-ahead log an older release left beside it (log=true) the
+// directory is refused before recovery cuts anything; once the log is
+// gone, recovery runs as it does alone.
 func TestRecoverFrames(t *testing.T) {
 	docs := make([][]byte, 8)
 	for i := range docs {
@@ -419,17 +417,13 @@ func TestRecoverFrames(t *testing.T) {
 				if cerr := f.Close(); err != nil || cerr != nil {
 					t.Fatal(err, cerr)
 				}
-				want := docs[:tc.survive]
 				if logged {
-					writeLegacyLog(t, dir, 0, docs)
-					want = docs
+					checkLogRefused(t, dir)
 				}
 				// Recovery leaves a writable segment that seals into an
 				// ordinary archive, and a second one finds nothing to do.
+				want := docs[:tc.survive]
 				c2 := reopenCheck(t, dir, want)
-				if _, err := os.Stat(filepath.Join(dir, wal.FileName)); !os.IsNotExist(err) {
-					t.Fatalf("legacy log still in the directory after Open: %v", err)
-				}
 				want = append(want[:len(want):len(want)], []byte("post-recovery probe"))
 				if id, err := c2.Append(want[len(want)-1]); err != nil || id != len(want)-1 {
 					t.Fatalf("append after recovery = (%d, %v), want id %d", id, err, len(want)-1)

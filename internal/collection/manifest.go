@@ -416,6 +416,9 @@ func readManifest(fs faultfs.FS, path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	if strings.HasPrefix(string(data), shrdMagic) {
+		return nil, shrdRefusal(path)
+	}
 	m, err := UnmarshalManifest(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

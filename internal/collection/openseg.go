@@ -236,9 +236,9 @@ func newOpenSegment(name string, f faultfs.File, w *rawstore.Writer) *openSegmen
 // end of its frame, the offset wait takes. budget is for appends that
 // will wait: a positive one refuses the document with ErrBackpressure
 // while more than that many bytes wait for a flush, and keeps the file
-// filled ahead for the flushes the waiters lead. Zero (Async mode, a
-// replay) bounds nothing and fills nothing. Called with the collection's
-// write lock held.
+// filled ahead for the flushes the waiters lead. Zero (Async mode)
+// bounds nothing and fills nothing. Called with the collection's write
+// lock held.
 func (s *openSegment) append(doc []byte, budget int64) (local int, end int64, err error) {
 	if err := s.admit(int64(len(doc)), budget); err != nil {
 		return 0, 0, err

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"rlz/internal/wal"
 )
 
 // fileSize returns the length of the file at path.
@@ -78,31 +76,33 @@ func TestOpenSegmentKeepsBlocksUntilTrim(t *testing.T) {
 	checkDocs(t, c2, docs, map[int]bool{0: true})
 }
 
-// TestLegacyLogReplayed: a directory an older release left — acknowledged
-// appends in its write-ahead log past what the open segment holds, a few
-// the segment already has — opens in either mode with every record served
-// byte-identical under its id, and without the log.
-func TestLegacyLogReplayed(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			docs := testDocs(12)
-			c, dir := newCollection(t, docs[:8])
+// TestLeftoverLogRefused: a directory an older release left with its
+// write-ahead log — over an open segment, or with everything sealed — is
+// refused untouched; once the log is gone, as a release that drains it
+// leaves the directory, it opens with every document.
+func TestLeftoverLogRefused(t *testing.T) {
+	for _, seal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sealed=%v", seal), func(t *testing.T) {
+			docs := testDocs(8)
+			c, dir := newCollection(t, docs)
+			if err := c.Delete(3); err != nil {
+				t.Fatal(err)
+			}
+			if seal {
+				if err := c.Seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			writeLegacyLog(t, dir, 5, docs[5:])
-			c2, err := Open(dir, Options{Async: async})
+			checkLogRefused(t, dir)
+			c2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c2.Close()
-			checkDocs(t, c2, docs, nil)
-			if _, err := os.Stat(filepath.Join(dir, wal.FileName)); !os.IsNotExist(err) {
-				t.Fatalf("legacy log left in place: %v", err)
-			}
-			if id, err := c2.Append([]byte("next")); err != nil || id != len(docs) {
-				t.Fatalf("append after the replay = (%d, %v), want id %d", id, err, len(docs))
-			}
+			checkDocs(t, c2, docs, map[int]bool{3: true})
 		})
 	}
 }

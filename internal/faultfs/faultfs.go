@@ -6,8 +6,7 @@
 // process" at a scripted step and then materialize exactly the bytes a
 // real crash would have preserved.
 //
-// internal/collection and internal/wal route every durability decision
-// through an FS, so the crash-recovery code that normally only runs
+// internal/collection routes every durability decision through an FS, so the crash-recovery code that normally only runs
 // after a power failure is exercised deterministically in tests: a
 // scripted Sim drives the write path into a specific failure, Crash
 // rolls the directory back to its durable image, and reopening proves

@@ -1,3 +1,16 @@
+// Package shard is the bulk loader for a collection: it partitions a
+// document source across N sealed segments built in parallel against one
+// shared prepared dictionary and publishes them as one generation of an
+// ordinary internal/collection directory (see Create). What it writes is
+// a collection in every respect: it opens through archive.Open as a
+// *collection.Collection, takes appends and deletes, and compacts against
+// the dictionary the build used.
+//
+// Global document ids are segment order: shard 0's documents come first,
+// then shard 1's, and so on. With contiguous-range routing that equals
+// append order; with round-robin routing it is a deterministic
+// permutation of it (document i of the input lands at shard i%N, local
+// id i/N).
 package shard
 
 import (
@@ -14,6 +27,10 @@ import (
 	"rlz/internal/faultfs"
 	"rlz/internal/rlz"
 )
+
+// maxShards bounds the shard count Create accepts: far above any sane
+// deployment, it keeps a typo from opening a million segment files.
+const maxShards = 1 << 20
 
 // Policy selects how Create routes documents to shards.
 type Policy int

@@ -471,8 +471,8 @@ func TestCreateFailureLeavesNoManifest(t *testing.T) {
 }
 
 // TestCreateRefusesExistingManifest: Create never builds over a directory
-// that already holds a MANIFEST — a live collection's or a legacy shard
-// set's — and leaves every byte of it alone: removing a manifest it did
+// that already holds a MANIFEST — a live collection's or a retired SHRD
+// shard set's — and leaves every byte of it alone: removing a manifest it did
 // not write would strand every document acknowledged under it.
 func TestCreateRefusesExistingManifest(t *testing.T) {
 	docs := makeDocs(16, 22)
@@ -492,8 +492,14 @@ func TestCreateRefusesExistingManifest(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		// The bytes the retired SHRD encoder wrote.
 		"SHRD": func(t *testing.T, dir string) {
-			buildLegacySet(t, dir, docs, 2, archive.Options{Backend: archive.Raw})
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, archive.DirManifest), []byte("SHRD\x01\x03raw\x01\x0ashard-0000\x10SHRE"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		},
 	}
 	for name, setup := range setups {
@@ -521,6 +527,9 @@ func TestCreateRefusesExistingManifest(t *testing.T) {
 				if !bytes.Equal(after[name], data) {
 					t.Errorf("a refused build changed %s", name)
 				}
+			}
+			if name == "SHRD" {
+				return // nothing reads that format any more
 			}
 			r, err := archive.Open(dir)
 			if err != nil {

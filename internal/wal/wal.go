@@ -1,8 +1,8 @@
 // Package wal implements the group-commit write-ahead log an older
-// release of the collection kept beside its open segment. Nothing
-// appends through it any more: internal/collection replays and removes a
-// log it finds at Open (legacy replay), and the benchmark times a commit
-// of it (its replay target).
+// release of the collection kept beside its open segment. It survives
+// only as the benchmark's replay target: benchmark/layers.go times a
+// commit of it (wal.commit_ns). No product package imports it, and
+// internal/collection refuses a directory that still holds such a log.
 //
 // Appenders enqueue CRC-framed records and then wait for them to be
 // durable; the waiting appenders commit the log themselves. The first

@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rlz/internal/wal"
+	"rlz/internal/collection"
 )
 
 // ErrBackpressure aliases the store's admission-control sentinel: an
@@ -22,7 +22,7 @@ import (
 // counts such failures separately from real errors — a load generator
 // that reports shed writes as failures can't tell an overloaded server
 // from a broken one.
-var ErrBackpressure = wal.ErrBackpressure
+var ErrBackpressure = collection.ErrBackpressure
 
 // Getter is the one-method view of a document server the load generator
 // drives: internal/serve.Server, any archive.Reader, and HTTPGetter all
