@@ -106,7 +106,7 @@ func cmdAppend(args []string) error {
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	dir := fs.String("a", "", "collection directory (required)")
-	codecName := fs.String("codec", "ZV", "rlz pair codec for compacted segments")
+	codecName := fs.String("codec", rlz.DefaultCodec.String(), "rlz pair codec for compacted segments")
 	dictSize := fs.String("dict", "0", "dictionary size when sampling a new one (0 means 1% of the compacted bytes)")
 	sampleSize := fs.String("sample", "1KB", "dictionary sample length when sampling a new one")
 	workers := fs.Int("workers", 0, "build concurrency; 0 means GOMAXPROCS")

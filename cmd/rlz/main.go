@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	rlz build -o archive.rlz [-backend rlz|block|raw] [-codec ZV] [-dict 1MB] [-sample 1KB] FILE...
+//	rlz build -o archive.rlz [-backend rlz|block|raw] [-codec PV] [-dict 1MB] [-sample 1KB] FILE...
 //	rlz build -o archive.blk -backend block [-block 256KB] [-alg zlib|flate|lzma|lzr] -dir ./crawl
 //	rlz build -o crawl.d -shards 16 -warc crawl.warc
 //	rlz get -a archive.rlz -id 3
@@ -107,7 +107,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rlz build  -o ARCHIVE [-backend rlz|block|raw] [-workers N] [-shards N] FILE... | -dir DIR | -warc FILE
-             rlz backend:   [-codec ZZ|ZV|UZ|UV|ZS|US|ZH|UH] [-dict SIZE] [-sample SIZE]
+             rlz backend:   [-codec ZZ|ZV|UZ|UV|ZS|US|ZH|UH|PV] [-dict SIZE] [-sample SIZE]
              block backend: [-block SIZE] [-alg zlib|flate|lzma|lzr]
              -shards N > 1 writes a collection directory of N segments built in
              parallel (refused if it already holds one); every command takes -a DIR
@@ -121,7 +121,7 @@ func usage() {
   rlz append -a DIR FILE... | -dir DIR | -warc FILE
              appends to a live collection, creating it if absent;
              documents are readable (rlzd, get, grep) immediately
-  rlz compact -a DIR [-codec ZV] [-dict SIZE] [-sample SIZE] [-workers N]
+  rlz compact -a DIR [-codec PV] [-dict SIZE] [-sample SIZE] [-workers N]
              [-adapt [-evict FRACTION] [-gain FRACTION]] [-upgrade-stale]
              seals the open segment and rewrites raw segments as RLZ; -adapt
              re-samples the dictionary's cold regions from the drained documents
@@ -135,7 +135,7 @@ func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	out := fs.String("o", "", "output archive path (required)")
 	backendName := fs.String("backend", "rlz", "storage backend: rlz, block or raw")
-	codecName := fs.String("codec", "ZV", "rlz pair codec: ZZ, ZV, UZ, UV (paper) or ZS, US, ZH, UH (extensions)")
+	codecName := fs.String("codec", rlz.DefaultCodec.String(), "rlz pair codec: ZZ, ZV, UZ, UV (paper) or ZS, US, ZH, UH, PV (extensions)")
 	dictSize := fs.String("dict", "0", "rlz dictionary size (e.g. 1MB); 0 means 1% of the collection")
 	sampleSize := fs.String("sample", "1KB", "rlz dictionary sample length")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the build to this file")

@@ -23,8 +23,9 @@ type Options struct {
 	Backend Backend
 
 	// RLZ: the sampled dictionary (required; see SampleDict) and the
-	// position-length pair codec (zero value means ZV, the paper's
-	// best general-purpose choice).
+	// position-length pair codec (zero value means rlz.DefaultCodec, PV:
+	// the paper's ZV with positions bit-packed wherever that is no longer
+	// than their zlib stream).
 	Dict  []byte
 	Codec rlz.PairCodec
 	// PreparedDict optionally supplies an already-indexed dictionary to
@@ -81,7 +82,7 @@ func NewWriter(w io.Writer, opts Options) (Writer, error) {
 	case RLZ:
 		codec := opts.Codec
 		if codec == (rlz.PairCodec{}) {
-			codec = rlz.CodecZV
+			codec = rlz.DefaultCodec
 		}
 		var sw *store.Writer
 		var err error

@@ -30,7 +30,7 @@ func TestParallelBuildAllocsPerDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, codec := range []rlz.PairCodec{rlz.CodecZV, rlz.CodecZZ, rlz.CodecZS} {
+	for _, codec := range []rlz.PairCodec{rlz.CodecZV, rlz.CodecZZ, rlz.CodecZS, rlz.CodecPV} {
 		opts := Options{PreparedDict: dict, Codec: codec, Workers: 2}
 		build := func(n int) float64 {
 			return testing.AllocsPerRun(3, func() {

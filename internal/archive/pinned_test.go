@@ -21,6 +21,10 @@ var pinnedArchiveDigests = map[string]string{
 	"gov/ZZ":  "cdf029d14ca1a71fac44de9a636224563844bc808ac84a8c994c0753eafe8703",
 	"wiki/ZV": "bc11f33bd8bb56070eba7f108ab0169e4c4bf22187bc82dfa036a713fe2d7c30",
 	"wiki/ZZ": "5b7a9644ebe8db90b501e016f42a168efc61f6200295a47fc950bf25dd409cb6",
+	// Recorded when PV became the default codec; the four above did not
+	// move with it.
+	"gov/PV":  "82686bdbf1a7b077a62271833d0f3b5d6f77d9f150c08017d8a93dcb720a55cc",
+	"wiki/PV": "fb493c6d4825f693ac2555eef51cfbb8c3162b776b9df764eede4124442f01e5",
 }
 
 func TestArchiveBytesPinned(t *testing.T) {
@@ -32,7 +36,7 @@ func TestArchiveBytesPinned(t *testing.T) {
 		for i, d := range c.Docs {
 			bodies[i] = d.Body
 		}
-		for _, codec := range []rlz.PairCodec{rlz.CodecZV, rlz.CodecZZ} {
+		for _, codec := range []rlz.PairCodec{rlz.CodecZV, rlz.CodecZZ, rlz.CodecPV} {
 			key := prof.Name + "/" + codec.String()
 			for _, workers := range []int{1, 4} {
 				var buf bytes.Buffer

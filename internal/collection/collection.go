@@ -719,6 +719,7 @@ func (c *Collection) Stats() archive.Stats {
 type SegmentInfo struct {
 	Path    string          `json:"path"`
 	Backend archive.Backend `json:"backend"`
+	Codec   string          `json:"codec,omitempty"` // RLZ segments: the pair codec (ZV, PV, ...)
 	Docs    int             `json:"num_docs"`
 	Size    int64           `json:"size_bytes"`
 }
@@ -779,7 +780,7 @@ func (c *Collection) Info() Info {
 		sr := seg.r
 		st := sr.Stats()
 		info.Segments = append(info.Segments, SegmentInfo{
-			Path: seg.path, Backend: st.Backend, Docs: st.NumDocs, Size: sr.Size(),
+			Path: seg.path, Backend: st.Backend, Codec: st.Codec, Docs: st.NumDocs, Size: sr.Size(),
 		})
 		if st.Backend == archive.Raw {
 			info.PendingDocs += st.NumDocs

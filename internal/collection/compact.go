@@ -12,9 +12,9 @@ import (
 )
 
 // CompactOptions tunes the background compactor. The zero value selects
-// the repository defaults: ZV codec, a sampled dictionary of 1% of the
-// compacted bytes, the fast factorization engine with its k-gram ladder
-// on, GOMAXPROCS build workers.
+// the repository defaults: rlz.DefaultCodec (PV), a sampled dictionary
+// of 1% of the compacted bytes, the fast factorization engine with its
+// k-gram ladder on, GOMAXPROCS build workers.
 type CompactOptions struct {
 	// Codec is the RLZ pair codec for compacted segments.
 	Codec rlz.PairCodec

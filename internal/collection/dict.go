@@ -275,7 +275,7 @@ func (c *Collection) sampleAdaptive(cur *rlz.Dictionary, heat *rlz.RegionHeat, r
 func trialGain(cur, cand *rlz.Dictionary, runs []run, tomb map[int]struct{}, opts CompactOptions) float64 {
 	codec := opts.Codec
 	if codec == (rlz.PairCodec{}) {
-		codec = rlz.CodecZV
+		codec = rlz.DefaultCodec
 	}
 	fzCur := rlz.NewFactorizer(cur, rlz.FactorizerOptions{})
 	fzCand := rlz.NewFactorizer(cand, rlz.FactorizerOptions{})

@@ -157,9 +157,9 @@ func TestRemainingTablesRun(t *testing.T) {
 
 func TestExtensionsShape(t *testing.T) {
 	tab := runQuick(t, Runner{"Extensions", Extensions})
-	// 4 paper codecs + 4 extension codecs + 1 refined dictionary row.
-	if len(tab.Rows) != 9 {
-		t.Fatalf("rows = %d, want 9", len(tab.Rows))
+	// 4 paper codecs + 5 extension codecs + 1 refined dictionary row.
+	if len(tab.Rows) != 10 {
+		t.Fatalf("rows = %d, want 10", len(tab.Rows))
 	}
 	enc := map[string]float64{}
 	for _, row := range tab.Rows {

@@ -50,7 +50,10 @@ func Extensions(cfg Config) (*Table, error) {
 	}
 	for _, codec := range rlz.ExtensionCodecs {
 		kind := "simple9"
-		if codec.Len == rlz.LenH {
+		switch {
+		case codec.Pos == rlz.PosP:
+			kind = "packed or zlib positions"
+		case codec.Len == rlz.LenH:
 			kind = "huffman"
 		}
 		if err := run(fmt.Sprintf("even/%s (%s)", codec, kind), evenDict, codec); err != nil {

@@ -178,10 +178,3 @@ func TestAdaptiveSamplerShortStream(t *testing.T) {
 		t.Fatalf("output size %d, want kept %d + stream %d", len(out), 2*rs, len(stream))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

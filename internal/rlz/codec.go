@@ -3,12 +3,21 @@ package rlz
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"rlz/internal/codec"
 	"rlz/internal/coding"
 )
 
 // PosCoding selects how factor positions are encoded (§3.4 of the paper).
+//
+// P chooses between two forms per record, not per segment, because
+// neither wins everywhere. At a 1 % dictionary of the 32 MiB Gov stand-in
+// zlib spends 20.8 bits per position where a fixed width needs 19, and
+// 79 % of records pack. At a 0.1 % dictionary a document's factors are
+// short and repeat within it, zlib's matches catch them, and packing every
+// record would store 20.6 % more bytes than ZV on Gov and 22.7 % more on
+// Wiki; nearly every record keeps zlib there.
 type PosCoding byte
 
 // LenCoding selects how factor lengths are encoded (§3.4 of the paper).
@@ -24,9 +33,14 @@ type LenCoding byte
 // lengths.
 // H (semi-static Huffman over length slots) is a further extension point
 // between V and Z in decode cost.
+// P stores each document's positions in whichever of two forms is
+// shorter, behind a tag byte: bit-packed at the width of its largest
+// position, which decodes without inflate, or Z's zlib stream; a P record
+// ends in a CRC32-C of everything before it (codec_packed.go).
 const (
 	PosU PosCoding = 'U'
 	PosZ PosCoding = 'Z'
+	PosP PosCoding = 'P'
 	LenV LenCoding = 'V'
 	LenZ LenCoding = 'Z'
 	LenS LenCoding = 'S'
@@ -43,7 +57,8 @@ type PairCodec struct {
 }
 
 // The four codecs evaluated throughout the paper's Tables 4, 5 and 8,
-// plus the future-work Simple9 variants (US, ZS).
+// plus the future-work Simple9 variants (US, ZS), the Huffman-coded
+// lengths (UH, ZH) and tagged positions with vbyte lengths (PV).
 var (
 	CodecZZ = PairCodec{PosZ, LenZ}
 	CodecZV = PairCodec{PosZ, LenV}
@@ -53,23 +68,30 @@ var (
 	CodecZS = PairCodec{PosZ, LenS}
 	CodecUH = PairCodec{PosU, LenH}
 	CodecZH = PairCodec{PosZ, LenH}
+	CodecPV = PairCodec{PosP, LenV}
 )
+
+// DefaultCodec is the codec every builder and compactor uses when none
+// is named: ZV's length stream, and positions that skip inflate wherever
+// packing them is no longer than their zlib stream.
+var DefaultCodec = CodecPV
 
 // AllCodecs lists the paper's codecs in the order its tables present them.
 var AllCodecs = []PairCodec{CodecZZ, CodecZV, CodecUZ, CodecUV}
 
 // ExtensionCodecs lists the codecs this implementation adds beyond the
-// paper: Simple9-coded lengths (the integer coding §6 proposes exploring)
-// and semi-static Huffman-coded lengths.
-var ExtensionCodecs = []PairCodec{CodecZS, CodecUS, CodecZH, CodecUH}
+// paper: Simple9-coded lengths (the integer coding §6 proposes exploring),
+// semi-static Huffman-coded lengths, and tagged positions.
+var ExtensionCodecs = []PairCodec{CodecZS, CodecUS, CodecZH, CodecUH, CodecPV}
 
-// CodecByName parses a codec name such as "ZV" or "US".
+// CodecByName parses a codec name such as "ZV" or "US". Every position
+// coding pairs with every length coding.
 func CodecByName(name string) (PairCodec, error) {
 	if len(name) != 2 {
 		return PairCodec{}, fmt.Errorf("rlz: bad codec name %q", name)
 	}
 	c := PairCodec{PosCoding(name[0]), LenCoding(name[1])}
-	if (c.Pos != PosU && c.Pos != PosZ) ||
+	if (c.Pos != PosU && c.Pos != PosZ && c.Pos != PosP) ||
 		(c.Len != LenV && c.Len != LenZ && c.Len != LenS && c.Len != LenH) {
 		return PairCodec{}, fmt.Errorf("rlz: bad codec name %q", name)
 	}
@@ -94,29 +116,46 @@ const (
 //
 //	vbyte  factor count k
 //	vbyte  byte length of the position stream
-//	       position stream (k positions; U = 4k bytes, Z = zlib blob)
+//	       position stream (k positions; U = 4k bytes, Z = zlib blob,
+//	       P = tag byte, then packed positions or a zlib blob)
 //	vbyte  byte length of the length stream
 //	       length stream (k lengths; V = vbytes, Z = zlib blob of vbytes)
+//	u32    P only: CRC32-C of every byte above, little-endian
 //
+// A record of no factors is its count alone (and, under P, the CRC).
 // Literal factors participate as (byte value, 0) pairs, exactly as the
 // paper stores them.
 func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
+	start := len(dst)
 	dst = coding.PutUvarint32(dst, uint32(len(factors)))
-	if len(factors) == 0 {
-		return dst
+	if len(factors) > 0 {
+		dst = c.putStreams(dst, factors)
 	}
+	if c.Pos == PosP {
+		dst = coding.PutU32(dst, crc32.Checksum(dst[start:], castagnoli))
+	}
+	return dst
+}
 
+// putStreams appends the position and length streams of a record of at
+// least one factor to dst.
+func (c PairCodec) putStreams(dst []byte, factors []Factor) []byte {
 	// Each stream is staged in the pooled scratch — its raw form in one
-	// buffer, its deflated form (Z) in the other — because its byte length
-	// goes in front of it; a warm build worker allocates nothing here.
+	// buffer, its deflated form (Z, P) in the other — because its byte
+	// length goes in front of it; a warm build worker allocates nothing
+	// here.
 	sc := scratch.get()
 	raw := putPositions(sc.pos[:0], factors)
-	blob := raw
-	if c.Pos == PosZ {
+	switch c.Pos {
+	case PosU:
+		dst = putBlob(dst, raw)
+	case PosZ:
 		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
-		blob = sc.lens
+		dst = putBlob(dst, sc.lens)
+	case PosP:
+		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
+		dst = putTaggedPositions(dst, factors, sc.lens)
 	}
-	dst = putBlob(dst, blob)
 
 	raw = raw[:0]
 	switch c.Len {
@@ -139,7 +178,7 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 	default:
 		raw = putLengths(raw, factors)
 	}
-	blob = raw
+	blob := raw
 	if c.Len == LenZ {
 		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
 		blob = sc.lens

@@ -19,10 +19,10 @@ import (
 //	                 length stream   (vbytes)  ──┴─appendRuns──▶ dictionary runs appended to dst
 //
 // open brings every codec's record to that one form — Z streams are
-// inflated, S and H lengths recoded as vbytes — and the run-copy kernel
-// walks the two streams in step. No []Factor is built on the way;
-// callers that hold factors (Dictionary.Decode, DecodeRange) stage them
-// as the same two streams.
+// inflated, packed P positions widened, S and H lengths recoded as
+// vbytes — and the run-copy kernel walks the two streams in step. No
+// []Factor is built on the way; callers that hold factors
+// (Dictionary.Decode, DecodeRange) stage them as the same two streams.
 
 // decodeScratch is the pooled state of one decode: the zlib inflater,
 // the buffers a record's streams are brought to kernel form in, and what
@@ -64,10 +64,10 @@ type record struct {
 }
 
 // open parses the record at the front of src and brings its streams to
-// kernel form in sc. Inflation is bounded before it starts: positions to
-// exactly 4k bytes, vbyte lengths to at most 5k, so a hostile blob is
-// rejected at the byte that crosses the bound, whatever it would have
-// inflated to.
+// kernel form in sc. A P record's CRC is checked before either stream is
+// read. Inflation is bounded before it starts: positions to exactly 4k
+// bytes, vbyte lengths to at most 5k, so a hostile blob is rejected at
+// the byte that crosses the bound, whatever it would have inflated to.
 //
 //rlz:hotpath
 func (c PairCodec) open(sc *decodeScratch, src []byte) (record, error) {
@@ -76,29 +76,41 @@ func (c PairCodec) open(sc *decodeScratch, src []byte) (record, error) {
 		return record{}, fmt.Errorf("%w: count: %v", ErrCorruptEncoding, err)
 	}
 	rec := record{k: int(k32), used: n}
-	if rec.k == 0 {
-		return rec, nil
-	}
 	if rec.k > len(src)*256 { // each factor needs at least some encoded bytes somewhere
 		return rec, fmt.Errorf("%w: implausible factor count %d", ErrCorruptEncoding, rec.k)
 	}
-	rec.pos, n, err = readBlob(src[rec.used:])
-	if err != nil {
-		return rec, fmt.Errorf("%w: position stream: %v", ErrCorruptEncoding, err)
+	if rec.k > 0 {
+		rec.pos, n, err = readBlob(src[rec.used:])
+		if err != nil {
+			return rec, fmt.Errorf("%w: position stream: %v", ErrCorruptEncoding, err)
+		}
+		rec.used += n
+		rec.lens, n, err = readBlob(src[rec.used:])
+		if err != nil {
+			return rec, fmt.Errorf("%w: length stream: %v", ErrCorruptEncoding, err)
+		}
+		rec.used += n
 	}
-	rec.used += n
-	rec.lens, n, err = readBlob(src[rec.used:])
-	if err != nil {
-		return rec, fmt.Errorf("%w: length stream: %v", ErrCorruptEncoding, err)
+	if c.Pos == PosP {
+		if rec.used, err = checkCRC(src, rec.used); err != nil {
+			return rec, err
+		}
 	}
-	rec.used += n
+	if rec.k == 0 {
+		return rec, nil
+	}
 
-	if c.Pos == PosZ {
+	switch c.Pos {
+	case PosZ:
 		sc.pos, err = sc.zd.Decode(sc.pos[:0], rec.pos, 4*rec.k)
 		if err != nil {
 			return rec, fmt.Errorf("%w: position zlib: %v", ErrCorruptEncoding, err)
 		}
 		rec.pos = sc.pos
+	case PosP:
+		if rec.pos, err = sc.taggedPositions(rec.pos, rec.k); err != nil {
+			return rec, err
+		}
 	}
 	if len(rec.pos) != 4*rec.k {
 		return rec, fmt.Errorf("%w: position stream holds %d bytes for %d factors", ErrCorruptEncoding, len(rec.pos), rec.k)

@@ -137,7 +137,8 @@ func TestDecodeRecordRangeMatchesDecodeRange(t *testing.T) {
 }
 
 // bombRecord frames a record of k literal factors with bomb in place of
-// its position stream, or else its length stream.
+// its position stream (behind the zlib tag, under P), or else its length
+// stream.
 func bombRecord(c PairCodec, k int, bomb []byte, inPositions bool) []byte {
 	honest := make([]Factor, k)
 	for i := range honest {
@@ -149,8 +150,14 @@ func bombRecord(c PairCodec, k int, bomb []byte, inPositions bool) []byte {
 	lens, _, _ := readBlob(rec[n+m:])
 	if inPositions {
 		pos = bomb
+		if c.Pos == PosP {
+			pos = append([]byte{posTagZlib}, bomb...)
+		}
 	} else {
 		lens = bomb
+	}
+	if c.Pos == PosP {
+		return sealP(k, pos, lens)
 	}
 	out := coding.PutUvarint32(nil, uint32(k))
 	out = coding.PutUvarint32(out, uint32(len(pos)))
@@ -177,6 +184,7 @@ func TestDecodeRejectsStreamBombs(t *testing.T) {
 	}{
 		{"positions", CodecZV, true},
 		{"positions", CodecZZ, true},
+		{"positions", CodecPV, true},
 		{"lengths", CodecUZ, false},
 		{"lengths", CodecZZ, false},
 	} {

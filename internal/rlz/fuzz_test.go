@@ -100,14 +100,24 @@ func refDecodeUV(text, rec []byte) (doc []byte, used int, ok bool) {
 	return doc, used, len(lens) == 0
 }
 
+// resealMode is the bit of FuzzDecodeRecord's codec byte that re-seals
+// the CRC of a P record before it is decoded.
+const resealMode = 0x80
+
 // FuzzDecodeRecord holds the run-copy kernel and everything in front of
 // it to two other decoders on arbitrary record bytes, under every codec
 // and into destinations with every kind of spare capacity (decodeBoth):
 // the fused DecodeRecord against the layered PairCodec.Decode +
-// Dictionary.Decode, and both, for UV records, against refDecodeUV. They
-// must yield the same bytes and record length, or all reject, with what
-// dst held left in place. A range of the same record must come out as
-// that slice of the whole.
+// Dictionary.Decode, and both, for UV records, against refDecodeUV, and
+// for PV records against refDecodeUV after refPVtoUV. They must yield the
+// same bytes and record length, or all reject, with what dst held left in
+// place. A range of the same record must come out as that slice of the
+// whole.
+//
+// A P record's CRC rejects nearly every mutation before the checks
+// behind it run, so the codec byte's high bit selects a mode that
+// re-seals the CRC (resealP) of a P record before it is decoded: the
+// mutations then reach the tag, width, length and padding checks.
 func FuzzDecodeRecord(f *testing.F) {
 	text := []byte("<html><head><title>relative lempel-ziv</title></head><body>factorization of web collections</body></html>\n")
 	m := uint32(len(text))
@@ -132,6 +142,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, fs := range seeds {
 		for i, c := range everyCodec {
 			f.Add(text, c.Encode(nil, fs), uint8(i), int16(-1), int16(40))
+			if c.Pos == PosP {
+				f.Add(text, c.Encode(nil, fs), uint8(i)|resealMode, int16(-1), int16(40))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, dictData, rec []byte, codec uint8, from, to int16) {
@@ -142,10 +155,24 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		c := everyCodec[int(codec)%len(everyCodec)]
+		c := everyCodec[int(codec&^resealMode)%len(everyCodec)]
+		if codec&resealMode != 0 && c.Pos == PosP {
+			rec = resealP(rec)
+		}
 		doc, err := decodeBoth(t, d, c, rec)
-		if c == CodecUV {
-			want, used, ok := refDecodeUV(dictData, rec)
+		if c == CodecUV || c == CodecPV {
+			uv, used, ok := rec, 0, true
+			if c == CodecPV {
+				uv, used, ok = refPVtoUV(rec)
+			}
+			var want []byte
+			var uvUsed int
+			if ok {
+				want, uvUsed, ok = refDecodeUV(dictData, uv)
+			}
+			if c == CodecUV {
+				used = uvUsed
+			}
 			if ok != (err == nil) {
 				t.Fatalf("reference accepts = %v, decoders' err = %v", ok, err)
 			}

@@ -345,7 +345,7 @@ func TestGetAppendSteadyStateAllocs(t *testing.T) {
 // even without the detector.
 func TestConcurrentReadersShareThePools(t *testing.T) {
 	docs := makeDocs(80, 59)
-	for _, codec := range []rlz.PairCodec{rlz.CodecZZ, rlz.CodecZS} {
+	for _, codec := range []rlz.PairCodec{rlz.CodecZZ, rlz.CodecZS, rlz.CodecPV} {
 		arc := buildArchive(t, docs, codec)
 		inMemory, err := OpenBytes(arc)
 		if err != nil {
