@@ -307,7 +307,6 @@ func (w *response) WriteHeader(code int) {
 	}
 }
 
-//rlz:hotpath
 func (w *response) Write(p []byte) (int, error) {
 	if w.status == 0 {
 		w.WriteHeader(http.StatusOK)
@@ -354,8 +353,6 @@ func (w *response) finish() {
 // flush sends what the response owes the wire up to and including p — the
 // header block if it has not gone, the buffered body, p — in one writev,
 // framed as one chunk when the response is chunked.
-//
-//rlz:hotpath
 func (w *response) flush(p []byte) {
 	c := w.c
 	held := len(w.buf)
@@ -385,8 +382,6 @@ func (w *response) flush(p []byte) {
 
 // appendHeader appends the status line and header block to w.buf, settling
 // how the body is framed and whether the connection survives it.
-//
-//rlz:hotpath
 func (w *response) appendHeader() {
 	http11 := w.req.ProtoAtLeast(1, 1)
 	w.chunked = w.streaming && http11

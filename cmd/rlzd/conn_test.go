@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -85,8 +86,14 @@ func staticHandler(t testing.TB, opts archive.Options, cacheDocs int) http.Handl
 }
 
 // bytesPerRun reports the heap bytes one call of f allocates, averaged over
-// runs calls after a warm-up call.
+// runs calls after a warm-up call. The runs see one P and no GC: sync.Pool
+// keeps each P's last Put in a slot other Ps cannot take, so a goroutine
+// moved to another P between requests (routine on a loaded machine) misses
+// the pool and reallocates a whole body buffer and arena, and a GC empties
+// the pools outright.
 func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -1,5 +1,5 @@
-// Command rlzvet runs the repository's invariant analyzers (refpair,
-// hotalloc, errclose, alloccap, fsyncorder) over Go packages:
+// Command rlzvet runs the repository's invariant analyzers (errclose,
+// alloccap) over Go packages:
 //
 //	rlzvet [-json] [packages]   (default ./...)
 //

@@ -1,21 +1,20 @@
 // Package analysis is this repository's static-analysis framework: a
 // stdlib-only equivalent of golang.org/x/tools/go/analysis (which the
-// build environment cannot fetch) plus the five analyzers that check
-// invariants no test or stock tool checks — refcount pairing (refpair),
-// allocation-free hot paths (hotalloc), unchecked Close/Sync/Remove
-// errors (errclose), untrusted decoded sizes clamped before allocation
-// (alloccap), and fsync before os.Rename in //rlz:publishes functions
-// (fsyncorder).
+// build environment cannot fetch) plus the two analyzers that check
+// invariants on paths tests do not take — unchecked Close/Sync/Remove
+// errors (errclose) and untrusted decoded sizes clamped before
+// allocation (alloccap).
 //
 // Lock discipline on `guarded by mu` fields, pooled-buffer and mmap-view
-// lifetimes and typed-atomic copies are checked elsewhere: by the race
-// job, the allocation pins, the read-only mapping and stock go vet's
-// copylocks (CHANGES.md, PR 25, has the mutation table that shows it).
+// lifetimes, typed-atomic copies, allocation-free hot paths, reference
+// pairing and fsync-before-rename are checked elsewhere: by the race
+// job, the allocation pins, the view-pin and pool probes, the fault
+// matrix, the read-only mapping and stock go vet's copylocks (CHANGES.md
+// has the mutation tables that show it).
 //
-// alloccap and fsyncorder consume per-function summaries (summary.go)
-// computed package by package in dependency order over one shared fact
-// index, so a clamp or an fsync inside a callee in another package
-// satisfies the caller's obligation.
+// alloccap consumes per-function summaries (summary.go) computed package
+// by package in dependency order over one shared fact index, so a clamp
+// inside a callee in another package satisfies the caller's obligation.
 //
 // The analyzers are annotation-driven: types and functions opt into an
 // invariant with an //rlz: comment (see annotate.go for the grammar),
@@ -75,11 +74,8 @@ type Diagnostic struct {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		RefPair,
-		HotAlloc,
 		ErrClose,
 		AllocCap,
-		FsyncOrder,
 	}
 }
 

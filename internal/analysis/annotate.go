@@ -9,27 +9,9 @@ import (
 )
 
 // The //rlz: annotation grammar. Each directive is one comment line in
-// a declaration's doc (or trailing line comment):
+// a function declaration's doc (or trailing line comment); any other
+// verb, and any directive on a type, is a finding:
 //
-//	//rlz:refcounted acquire=M release=N   on a type: method M takes a
-//	        reference that method N must release. A bool-returning M is
-//	        a conditional acquire (the CAS tryRef idiom): the reference
-//	        exists only on the true branch.
-//	//rlz:acquire release=closure          on a func: one of the results
-//	        is a func() that must be called (or deferred) on all paths.
-//	//rlz:acquire release=M                on a func: the first non-error
-//	        result carries a reference that a call ending in .M() on it
-//	        (e.h.unref(), v.unref()) must release on all paths.
-//	//rlz:unbalanced <reason>              on a func: refpair does not
-//	        check it — it transfers reference ownership by design
-//	        (install/drain points). The reason is mandatory.
-//	//rlz:hotpath                          on a func: no fmt/log calls,
-//	        no capturing closures, no interface boxing outside cold
-//	        (return/panic) positions.
-//	//rlz:publishes                        on a func: it atomically
-//	        publishes a file — fsyncorder verifies every path that
-//	        reaches its os.Rename fsyncs the data first and handles the
-//	        rename error.
 //	//rlz:trusted <reason>                 on a func, or as a line
 //	        comment on an allocation statement: alloccap accepts the
 //	        decoded size without a clamp. The reason is mandatory.
@@ -40,16 +22,6 @@ import (
 // Entry is every annotation attached to one declaration, keyed by the
 // declaration's qualified name. The zero value means unannotated.
 type Entry struct {
-	Refcounted       bool
-	Acquire, Release string // refcounted method names
-
-	AcquireFunc    bool
-	AcquireRelease string // "closure" or a release method name
-
-	Unbalanced bool
-	HotPath    bool
-
-	Publishes bool
 	Trusted   bool
 	Untrusted bool // integer results decode untrusted input (taint sources)
 }
@@ -57,7 +29,7 @@ type Entry struct {
 // Index maps qualified declaration names to their annotations across
 // every package the driver has seen — the suite's facts store. Keys:
 //
-//	types and funcs    pkgpath.Name
+//	funcs              pkgpath.Name
 //	methods            pkgpath.RecvType.Name (interface methods too)
 //
 // Beyond the syntactic annotations, the index carries the computed
@@ -125,15 +97,6 @@ func FuncKey(fn *types.Func) string {
 	return pkgPath + "." + fn.Name()
 }
 
-// TypeKey builds the index key for a named type.
-func TypeKey(n *types.Named) string {
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
 // collectAnnotations scans one package's syntax for //rlz: directives
 // and folds them into idx. Malformed directives are returned as findings
 // so they fail the build loudly instead of being silently ignored.
@@ -161,12 +124,11 @@ func collectAnnotations(fset *token.FileSet, pkgPath string, files []*ast.File, 
 					if !ok {
 						continue
 					}
-					key := pkgPath + "." + ts.Name.Name
 					doc := ts.Doc
 					if doc == nil && len(d.Specs) == 1 {
 						doc = d.Doc
 					}
-					collectTypeDirectives(key, doc, ts.Comment, idx, report)
+					collectTypeDirectives(doc, ts.Comment, report)
 					if it, ok := ts.Type.(*ast.InterfaceType); ok {
 						collectInterfaceMethods(pkgPath, ts.Name.Name, it, idx, report)
 					}
@@ -209,36 +171,13 @@ func directives(groups ...*ast.CommentGroup) []*ast.Comment {
 	return out
 }
 
-// kvArgs parses "k1=v1 k2=v2" directive arguments.
-func kvArgs(args []string) (map[string]string, bool) {
-	m := map[string]string{}
-	for _, a := range args {
-		k, v, ok := strings.Cut(a, "=")
-		if !ok || k == "" || v == "" {
-			return nil, false
-		}
-		m[k] = v
-	}
-	return m, true
-}
-
 type reportFn func(pos token.Pos, format string, args ...any)
 
-func collectTypeDirectives(key string, doc, line *ast.CommentGroup, idx *Index, report reportFn) {
+// collectTypeDirectives reports every directive on a type: none is valid
+// there.
+func collectTypeDirectives(doc, line *ast.CommentGroup, report reportFn) {
 	for _, c := range directives(doc, line) {
-		verb, args := splitDirective(c.Text)
-		switch verb {
-		case "refcounted":
-			kv, ok := kvArgs(args)
-			if !ok || kv["acquire"] == "" || kv["release"] == "" || len(kv) != 2 {
-				report(c.Pos(), "malformed directive %q (want //rlz:refcounted acquire=M release=N)", c.Text)
-				continue
-			}
-			e := idx.entry(key)
-			e.Refcounted, e.Acquire, e.Release = true, kv["acquire"], kv["release"]
-		default:
-			report(c.Pos(), "directive %q is not valid on a type", c.Text)
-		}
+		report(c.Pos(), "directive %q is not valid on a type", c.Text)
 	}
 }
 
@@ -246,28 +185,6 @@ func collectFuncDirectives(key string, doc *ast.CommentGroup, idx *Index, report
 	for _, c := range directives(doc) {
 		verb, args := splitDirective(c.Text)
 		switch verb {
-		case "acquire":
-			kv, ok := kvArgs(args)
-			if !ok || kv["release"] == "" || len(kv) != 1 {
-				report(c.Pos(), "malformed directive %q (want //rlz:acquire release=closure|M)", c.Text)
-				continue
-			}
-			e := idx.entry(key)
-			e.AcquireFunc, e.AcquireRelease = true, kv["release"]
-		case "unbalanced":
-			if len(args) == 0 {
-				report(c.Pos(), "//rlz:unbalanced needs a reason")
-				continue
-			}
-			idx.entry(key).Unbalanced = true
-		case "hotpath":
-			idx.entry(key).HotPath = true
-		case "publishes":
-			if len(args) != 0 {
-				report(c.Pos(), "malformed directive %q (want //rlz:publishes with no arguments)", c.Text)
-				continue
-			}
-			idx.entry(key).Publishes = true
 		case "trusted":
 			if len(args) == 0 {
 				report(c.Pos(), "//rlz:trusted needs a reason")

@@ -10,11 +10,8 @@ import (
 
 func fix(name string) string { return filepath.Join("testdata", "src", name) }
 
-func TestRefPair(t *testing.T)    { analysistest.Run(t, analysis.RefPair, fix("refpair")) }
-func TestHotAlloc(t *testing.T)   { analysistest.Run(t, analysis.HotAlloc, fix("hotalloc")) }
-func TestErrClose(t *testing.T)   { analysistest.Run(t, analysis.ErrClose, fix("errclose")) }
-func TestAllocCap(t *testing.T)   { analysistest.Run(t, analysis.AllocCap, fix("alloccap")) }
-func TestFsyncOrder(t *testing.T) { analysistest.Run(t, analysis.FsyncOrder, fix("fsyncorder")) }
+func TestErrClose(t *testing.T) { analysistest.Run(t, analysis.ErrClose, fix("errclose")) }
+func TestAllocCap(t *testing.T) { analysistest.Run(t, analysis.AllocCap, fix("alloccap")) }
 
 // The cross-package pair: same dep/app split, with and without the
 // clamp in the dep package. The ok fixture has no want comments — the

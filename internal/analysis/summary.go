@@ -11,11 +11,9 @@ import (
 
 // Interprocedural dataflow summaries. For every function a package
 // declares, the suite computes which of its results carry sizes decoded
-// from untrusted input without a clamp, which of its parameters reach an
-// allocation size unclamped, and whether it fsyncs or renames files.
-// Summaries ride the Index, so a clamp inside internal/codec satisfies an
-// allocation in internal/blockstore and a helper that fsyncs counts as
-// fsync evidence in an //rlz:publishes function one package over.
+// from untrusted input without a clamp, and which of its parameters reach
+// an allocation size unclamped. Summaries ride the Index, so a clamp
+// inside internal/codec satisfies an allocation in internal/blockstore.
 //
 // The taint model (alloccap's contract): a value is untrusted if it was
 // decoded from raw bytes — a result of encoding/binary's Uvarint/Varint/
@@ -53,19 +51,12 @@ type FuncSummary struct {
 	// allocation size (make length/capacity), directly or through a
 	// callee, without being clamped first.
 	UnclampedAllocParams []int
-	// Syncs reports that the function fsyncs an *os.File, directly or
-	// through a callee — fsync evidence for fsyncorder.
-	Syncs bool
-	// Renames reports that the function calls os.Rename, directly or
-	// through a callee — a publish point for fsyncorder.
-	Renames bool
 }
 
 func (s *FuncSummary) equal(o *FuncSummary) bool {
 	return slices.Equal(s.TaintedResults, o.TaintedResults) &&
 		maps.Equal(s.ParamBounded, o.ParamBounded) &&
-		slices.Equal(s.UnclampedAllocParams, o.UnclampedAllocParams) &&
-		s.Syncs == o.Syncs && s.Renames == o.Renames
+		slices.Equal(s.UnclampedAllocParams, o.UnclampedAllocParams)
 }
 
 // computeSummaries records in idx the dataflow summary of every function
@@ -117,26 +108,6 @@ func summarize(pkg *Package, idx *Index, decl *ast.FuncDecl) *FuncSummary {
 	sum := &FuncSummary{}
 	info := pkg.Info
 
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isFileSyncCall(info, call) {
-			sum.Syncs = true
-		}
-		if fn := calleeOf(info, call); fn != nil {
-			if isOSRename(fn) {
-				sum.Renames = true
-			}
-			if dep := idx.Summary(FuncKey(fn)); dep != nil {
-				sum.Syncs = sum.Syncs || dep.Syncs
-				sum.Renames = sum.Renames || dep.Renames
-			}
-		}
-		return true
-	})
-
 	// Source-seeded taint: which results leave unclamped?
 	sc := newTaintScope(pkg.Info, idx, decl, nil)
 	sum.TaintedResults, sum.ParamBounded = sc.taintedResults()
@@ -181,44 +152,6 @@ func paramObjs(info *types.Info, decl *ast.FuncDecl) []types.Object {
 func isIntegerType(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
-}
-
-// faultfsPath is the fault-injection filesystem package. Its FS.Rename
-// and File.Sync are the durability primitives on the injected write
-// path: under the OS implementation they are exactly os.Rename and
-// (*os.File).Sync, and under the simulator they model the same
-// semantics. The fsyncorder contract treats them as equivalent.
-const faultfsPath = "rlz/internal/faultfs"
-
-func isOSRename(fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() == "os" && fn.Name() == "Rename" {
-		return true
-	}
-	return fn.Pkg().Path() == faultfsPath && fn.Name() == "Rename"
-}
-
-// isFileSyncCall reports whether call is .Sync() on an *os.File or on a
-// faultfs file/filesystem (whose Sync is an fsync by contract).
-func isFileSyncCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeOf(info, call)
-	if fn == nil || fn.Name() != "Sync" {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return false
-	}
-	n := namedOf(sig.Recv().Type())
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	if n.Obj().Pkg().Path() == "os" && n.Obj().Name() == "File" {
-		return true
-	}
-	return n.Obj().Pkg().Path() == faultfsPath
 }
 
 // taintScope tracks untrusted-size dataflow through one function body
@@ -636,7 +569,7 @@ func (s *taintScope) taintedResults() ([]int, map[int]int) {
 			set[i] = true
 		}
 	}
-	inspectUnit(s.decl.Body, func(n ast.Node) bool {
+	inspectBody(s.decl.Body, func(n ast.Node) bool {
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
 			return true

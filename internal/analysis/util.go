@@ -5,52 +5,8 @@ import (
 	"go/types"
 )
 
-// Shared helpers for the analyzers: callee resolution, receiver
-// stringification, subject-mention queries, and the per-function "unit"
-// iteration that treats each function literal as its own analysis
-// scope.
-
-// unit is one function-shaped region: a declaration body or a function
-// literal. Literals inherit the enclosing declaration's annotations —
-// a closure inside an //rlz:unbalanced function is part of that
-// function's hand-audited region.
-type unit struct {
-	name string // for diagnostics
-	body *ast.BlockStmt
-	// decl is nil for literals.
-	decl *ast.FuncDecl
-	// entry is the annotation entry of the enclosing declaration (may
-	// be nil).
-	entry *Entry
-}
-
-// unitsOf yields every function body in the files: each declaration,
-// and each function literal as a separate unit.
-func unitsOf(pass *Pass) []unit {
-	var out []unit
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			var entry *Entry
-			name := fd.Name.Name
-			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				entry = pass.Ann.Lookup(FuncKey(obj))
-				name = funcTitle(obj)
-			}
-			out = append(out, unit{name: name, body: fd.Body, decl: fd, entry: entry})
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					out = append(out, unit{name: name + " (func literal)", body: lit.Body, entry: entry})
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
+// Shared helpers for the analyzers: callee resolution, type unwrapping
+// and a body walk that leaves nested function literals alone.
 
 func funcTitle(fn *types.Func) string {
 	sig, _ := fn.Type().(*types.Signature)
@@ -66,9 +22,9 @@ func funcTitle(fn *types.Func) string {
 	return fn.Name()
 }
 
-// inspectUnit walks the unit's own statements, not descending into
-// nested function literals (each is its own unit).
-func inspectUnit(body *ast.BlockStmt, fn func(ast.Node) bool) {
+// inspectBody walks body's own statements, not descending into nested
+// function literals.
+func inspectBody(body *ast.BlockStmt, fn func(ast.Node) bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -91,14 +47,6 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// recvOf returns the receiver expression of a method call, or nil.
-func recvOf(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
-}
-
 // namedOf unwraps pointers and returns the named type of t, or nil.
 func namedOf(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
@@ -108,183 +56,8 @@ func namedOf(t types.Type) *types.Named {
 	return n
 }
 
-// rootObj returns the object of the leftmost identifier of expr
-// (c in c.man.Segments, v in v[i:j]), or nil.
-func rootObj(info *types.Info, expr ast.Expr) types.Object {
-	for {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.Ident:
-			return info.ObjectOf(e)
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.SliceExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.CallExpr:
-			expr = e.Fun
-		default:
-			return nil
-		}
-	}
-}
-
-// mentions reports whether any identifier under n resolves to obj.
-func mentions(info *types.Info, n ast.Node, obj types.Object) bool {
-	if n == nil || obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := c.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// isTerminalCall reports whether stmt unconditionally ends execution:
-// panic, os.Exit, log.Fatal*, runtime.Goexit.
-func isTerminalCall(info *types.Info, stmt ast.Stmt) bool {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "panic" {
-			return true
-		}
-	}
-	fn := calleeOf(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "os":
-		return fn.Name() == "Exit"
-	case "log":
-		return fn.Name() == "Fatal" || fn.Name() == "Fatalf" || fn.Name() == "Fatalln" ||
-			fn.Name() == "Panic" || fn.Name() == "Panicf" || fn.Name() == "Panicln"
-	case "runtime":
-		return fn.Name() == "Goexit"
-	}
-	return false
-}
-
-// errGuardBodies collects every statement inside `if <errObj> != nil`
-// blocks of the unit: paths through them are the acquire-failed paths
-// of a (value, err) acquire and are exempt from the release obligation.
-func errGuardBodies(info *types.Info, body *ast.BlockStmt, errObj types.Object) map[ast.Stmt]bool {
-	if errObj == nil {
-		return nil
-	}
-	out := map[ast.Stmt]bool{}
-	inspectUnit(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		bin, ok := ifs.Cond.(*ast.BinaryExpr)
-		if !ok || bin.Op.String() != "!=" {
-			return true
-		}
-		x, xok := ast.Unparen(bin.X).(*ast.Ident)
-		y, yok := ast.Unparen(bin.Y).(*ast.Ident)
-		if !xok || !yok || y.Name != "nil" || info.ObjectOf(x) != errObj {
-			return true
-		}
-		ast.Inspect(ifs.Body, func(m ast.Node) bool {
-			if s, ok := m.(ast.Stmt); ok {
-				out[s] = true
-			}
-			return true
-		})
-		return true
-	})
-	return out
-}
-
 // isErrorType reports whether t is the built-in error interface.
 func isErrorType(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Pkg() == nil && n.Obj().Name() == "error"
-}
-
-// callPolarity locates call inside an if condition. It returns the
-// enclosing if statement and whether the call's boolean result is
-// negated there (`!x.tryRef()`, possibly an operand of ||/&&). ok is
-// false if the call is not part of any if condition in the unit.
-func callPolarity(body *ast.BlockStmt, call *ast.CallExpr) (ifs *ast.IfStmt, negated, ok bool) {
-	inspectUnit(body, func(n ast.Node) bool {
-		s, isIf := n.(*ast.IfStmt)
-		if !isIf || ok {
-			return !ok
-		}
-		neg, found := polarityIn(s.Cond, call, false)
-		if found {
-			ifs, negated, ok = s, neg, true
-			return false
-		}
-		return true
-	})
-	return ifs, negated, ok
-}
-
-func polarityIn(e ast.Expr, call *ast.CallExpr, neg bool) (bool, bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		if e == call {
-			return neg, true
-		}
-	case *ast.UnaryExpr:
-		if e.Op.String() == "!" {
-			return polarityIn(e.X, call, !neg)
-		}
-	case *ast.BinaryExpr:
-		if n, ok := polarityIn(e.X, call, neg); ok {
-			return n, ok
-		}
-		return polarityIn(e.Y, call, neg)
-	}
-	return false, false
-}
-
-// assignedIdents maps each non-blank LHS ident of an assignment or
-// value-spec statement to its position among the assigned values.
-func assignedIdents(stmt ast.Stmt) []*ast.Ident {
-	switch s := stmt.(type) {
-	case *ast.AssignStmt:
-		out := make([]*ast.Ident, len(s.Lhs))
-		for i, l := range s.Lhs {
-			if id, ok := ast.Unparen(l).(*ast.Ident); ok {
-				out[i] = id
-			}
-		}
-		return out
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return nil
-		}
-		var out []*ast.Ident
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			out = append(out, vs.Names...)
-		}
-		return out
-	}
-	return nil
 }

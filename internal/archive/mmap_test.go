@@ -50,9 +50,9 @@ func TestOpenServesRawZeroCopy(t *testing.T) {
 	}
 }
 
-// TestViewSteadyStateAllocs pins the tentpole claim that mmap-backed
-// raw-segment reads are allocation-free: a zero-copy View performs no
-// per-read allocation once the reader is warm.
+// TestViewSteadyStateAllocs pins mmap-backed raw-segment reads at zero
+// allocations once the reader is warm: a zero-copy View, and a GetAppend
+// that copies out of the mapping.
 func TestViewSteadyStateAllocs(t *testing.T) {
 	if !mmapio.Supported() {
 		t.Skip("no mmap on this platform")
@@ -88,6 +88,20 @@ func TestViewSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("zero-copy View allocates %.1f times per read, want 0", allocs)
 	}
 	_ = sink
+	if raceEnabled {
+		return // the race detector's instrumentation allocates in GetAppend
+	}
+	// A copying read of the same mapping allocates nothing either.
+	buf := make([]byte, 0, 4<<10)
+	allocs = testing.AllocsPerRun(200, func() {
+		if buf, err = r.GetAppend(buf[:0], id); err != nil || !bytes.Equal(buf, docs[id]) {
+			t.Fatalf("GetAppend(%d): %v", id, err)
+		}
+		id = (id + 1) % len(docs)
+	})
+	if allocs > 0 {
+		t.Fatalf("GetAppend on a mapped raw archive allocates %.1f times per read, want 0", allocs)
+	}
 }
 
 // TestViewerConcurrent races many zero-copy readers over one mapping.

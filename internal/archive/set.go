@@ -143,8 +143,6 @@ func (s *Set) Close() error {
 // route maps a global id to its member and the member-local id: the
 // last member whose start is at or below id. Tombstoned and negative ids
 // fail here; ids past the end reach the last member, which rejects them.
-//
-//rlz:hotpath
 func (s *Set) route(id int) (member, local int, err error) {
 	if _, dead := s.tomb[id]; dead {
 		return 0, 0, fmt.Errorf("archive: document %d: %w", id, ErrDeleted)
@@ -170,8 +168,6 @@ func (s *Set) route(id int) (member, local int, err error) {
 func (s *Set) Get(id int) ([]byte, error) { return s.GetAppend(nil, id) }
 
 // GetAppend retrieves document id, appending its text to dst.
-//
-//rlz:hotpath
 func (s *Set) GetAppend(dst []byte, id int) ([]byte, error) {
 	m, local, err := s.route(id)
 	if err != nil {
@@ -196,8 +192,6 @@ func (s *Set) Extent(id int) (off, n int64, err error) {
 // Viewer. ok=false means the owning member has no zero-copy path for
 // this document — fall back to GetAppend. doc is valid only during fn
 // and only for reading.
-//
-//rlz:hotpath
 func (s *Set) View(id int, fn func(doc []byte) error) (bool, error) {
 	m, local, err := s.route(id)
 	if err != nil {

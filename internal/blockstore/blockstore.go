@@ -447,8 +447,6 @@ func (r *Reader) getBuf() *[]byte {
 // decodeBlock returns block bi decompressed into a pooled buffer that
 // release returns — callers must copy what outlives the call, and must
 // not call release twice.
-//
-//rlz:acquire release=closure
 func (r *Reader) decodeBlock(bi uint32) (block []byte, release func(), err error) {
 	noop := func() {}
 	o, l, err := r.blocks.Extent(int(bi))
@@ -503,8 +501,6 @@ func (r *Reader) decodeBlock(bi uint32) (block []byte, release func(), err error
 }
 
 // docFromBlock slices document id out of its decoded block.
-//
-//rlz:hotpath
 func (r *Reader) docFromBlock(block []byte, id int) ([]byte, error) {
 	loc := r.docs[id]
 	end := int(loc.offset) + int(loc.length)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -622,6 +623,37 @@ func TestGetBatch(t *testing.T) {
 	}
 }
 
+// TestGetBatchReturnsEveryBlockBuffer: a batch puts each decoded block's
+// buffer back into the pool once, decoding in turn or in parallel. The
+// reader serves views, so block buffers are the only ones pooled.
+func TestGetBatchReturnsEveryBlockBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	docs := makeDocs(80, 43)
+	arc := build(t, docs, Options{BlockSize: 2048})
+	r, err := Open(viewReaderAt(arc), int64(len(arc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		for round := 0; round < 3; round++ {
+			pooled(t, r)
+			ids := []int{0, 30, 31, 60, 79}
+			r.GetBatch(ids, workers, func(i int, doc []byte, err error) {
+				if err != nil || !bytes.Equal(doc, docs[ids[i]]) {
+					t.Errorf("workers=%d: id %d: %v", workers, ids[i], err)
+				}
+			})
+			if n := pooled(t, r); n == 0 {
+				t.Errorf("workers=%d: no block buffer went back to the pool", workers)
+			}
+		}
+	}
+}
+
 // TestGetBatchSingleBlockDedupe: a batch of many documents from one block
 // must decode that block exactly once.
 func TestGetBatchSingleBlockDedupe(t *testing.T) {
@@ -693,4 +725,44 @@ func TestGetAppendSteadyStateAllocs(t *testing.T) {
 	if avg > 1 {
 		t.Errorf("uncached GetAppend allocates %.1f objects/read in steady state, want 1", avg)
 	}
+	// A read that fails after its block decoded puts both its buffers back
+	// all the same. On one P with the GC held off the pool keeps what it is
+	// given, so after a run of failing reads it still holds two.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r.docs[8].length = 1 << 20 // past the end of its block
+	for i := 0; i < 20; i++ {
+		if _, err := r.GetAppend(buf[:0], 8); !errors.Is(err, ErrCorruptArchive) {
+			t.Fatalf("document past its block's end: %v", err)
+		}
+	}
+	if held := pooled(t, r); held < 2 {
+		t.Errorf("after 20 failing reads the pool holds %d buffers, want 2: a failing read kept one", held)
+	}
 }
+
+// pooled empties r's buffer pool and returns how many buffers it held,
+// failing t if one was in it twice (a release that ran twice). Call it on
+// one P with the GC held off, where the pool keeps what it is given.
+func pooled(t *testing.T, r *Reader) int {
+	t.Helper()
+	seen := map[*[]byte]bool{}
+	for b := r.bufs.Get(); b != nil; b = r.bufs.Get() {
+		if p := b.(*[]byte); seen[p] {
+			t.Errorf("a buffer was put back into the pool twice")
+		} else {
+			seen[p] = true
+		}
+	}
+	return len(seen)
+}
+
+// viewReaderAt serves reads and zero-copy slices of one byte slice, as a
+// mapping does.
+type viewReaderAt []byte
+
+func (v viewReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(v).ReadAt(p, off)
+}
+
+func (v viewReaderAt) Slice(off, n int64) ([]byte, error) { return v[off : off+n : off+n], nil }

@@ -1,8 +1,8 @@
-// Package codec is the pluggable per-block compressor registry behind
-// the block backend (internal/blockstore). The paper's baseline fixes
-// one adaptive compressor per archive; production serving wants a ladder
-// of ratio-vs-decode-speed points, so the algorithm byte the blockstore
-// has always recorded in its header becomes a registry key here and
+// Package codec is the per-block compressor table behind the block
+// backend (internal/blockstore). The paper's baseline fixes one adaptive
+// compressor per archive; production serving wants a ladder of
+// ratio-vs-decode-speed points, so the algorithm byte the blockstore has
+// always recorded in its header becomes a key into this table and
 // readers auto-detect whichever codec built the archive.
 //
 // The package owns both directions of zlib for the module: the inflate
@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/adler32"
-	"sort"
 	"sync"
 
 	"rlz/internal/lz77"
@@ -75,62 +74,42 @@ type Codec interface {
 	NewDecoder() Decoder
 }
 
-var (
-	mu      sync.RWMutex
-	byID    = map[byte]Codec{}
-	byName  = map[string]Codec{}
-	ordered []Codec
-)
-
-// Register adds a codec to the registry. Built-in codecs register
-// themselves in this package's init; future codecs register from their
-// own package's init and every ByID/ByName caller picks them up.
-func Register(c Codec) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := byID[c.ID()]; dup {
-		panic(fmt.Sprintf("codec: id %q registered twice", c.ID()))
-	}
-	if _, dup := byName[c.Name()]; dup {
-		panic(fmt.Sprintf("codec: name %q registered twice", c.Name()))
-	}
-	byID[c.ID()] = c
-	byName[c.Name()] = c
-	ordered = append(ordered, c)
+// codecs is every block codec, in name order: the table ByID, ByName and
+// Names read.
+var codecs = [...]Codec{
+	zlibCodec{id: 'f', name: "flate", compress: flateCompress},
+	LZMA(lz77.Options{}),
+	LZR(lz77.Options{}),
+	zlibCodec{id: 'z', name: "zlib", compress: ZlibCompress},
 }
 
 // ByID resolves the algorithm byte an archive header records.
 func ByID(id byte) (Codec, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	c, ok := byID[id]
-	return c, ok
+	for _, c := range codecs {
+		if c.ID() == id {
+			return c, true
+		}
+	}
+	return nil, false
 }
 
 // ByName resolves a CLI codec name, or returns an error naming every
-// registered codec — the fail-fast path of rlz build -alg.
+// codec — the fail-fast path of rlz build -alg.
 func ByName(name string) (Codec, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	if c, ok := byName[name]; ok {
-		return c, nil
+	for _, c := range codecs {
+		if c.Name() == name {
+			return c, nil
+		}
 	}
-	return nil, fmt.Errorf("codec: unknown algorithm %q (want %v)", name, namesLocked())
+	return nil, fmt.Errorf("codec: unknown algorithm %q (want %v)", name, Names())
 }
 
-// Names lists the registered codec names in stable order.
+// Names lists the codec names in sorted order.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(ordered))
-	for _, c := range ordered {
-		out = append(out, c.Name())
+	out := make([]string, len(codecs))
+	for i, c := range codecs {
+		out[i] = c.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -151,13 +130,6 @@ func (p *Pool) Get() Decoder { return p.p.Get().(Decoder) }
 
 // Put returns a decoder to the pool.
 func (p *Pool) Put(d Decoder) { p.p.Put(d) }
-
-func init() {
-	Register(zlibCodec{id: 'z', name: "zlib", compress: ZlibCompress})
-	Register(zlibCodec{id: 'f', name: "flate", compress: flateCompress})
-	Register(LZMA(lz77.Options{}))
-	Register(LZR(lz77.Options{}))
-}
 
 // zlibCodec covers both deflate tiers: "zlib" at best compression (the
 // paper's baseline, on the module's own deflater) and "flate" at

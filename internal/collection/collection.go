@@ -131,8 +131,6 @@ type view struct {
 // takes one reference on each, released when the view drains. The caller
 // holds the view's installed reference: publishLocked hands it to the
 // collection, or drops it when the publish fails.
-//
-//rlz:unbalanced member refs taken here are released by the view's drain
 func newView(members []*member, tomb map[int]struct{}, open *openSegment) *view {
 	readers := make([]archive.Reader, len(members))
 	for i, m := range members {
@@ -374,8 +372,6 @@ var errClosed = errors.New("collection: closed")
 // Close the current view is drained for good and no other replaces it;
 // reads then fail with errClosed before they touch a segment — a view
 // handed out unpinned would race the unmapping of its files.
-//
-//rlz:acquire release=closure
 func (c *Collection) acquireView() (*view, func(), error) {
 	for {
 		v := c.view.Load()

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"rlz/internal/archive"
+	"rlz/internal/faultfs"
 	"rlz/internal/mmapio"
 )
 
@@ -164,6 +166,61 @@ func TestViewRacesCompactGCClose(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReadsRacingPublishesDrainEveryView races readers against a stream of
+// view publishes, one per Delete, then closes the collection: every member
+// the views shared must have drained to zero references. A reader that pins
+// a view just as a publish replaces it drops that pin and retries on the
+// fresh view; keeping the pin, or dropping it twice, leaves a count off zero.
+func TestReadsRacingPublishesDrainEveryView(t *testing.T) {
+	docs := testDocs(300)
+	dir := filepath.Join(t.TempDir(), "coll")
+	if err := Init(dir); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir, Options{FS: faultfs.NewSim()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AppendBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+	members := c.view.Load().members
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var buf []byte
+			for !stop.Load() {
+				id := rng.Intn(len(docs))
+				doc, err := c.GetAppend(buf[:0], id)
+				if err != nil && !errors.Is(err, archive.ErrDeleted) {
+					t.Errorf("GetAppend(%d) beside the deletes: %v", id, err)
+					return
+				}
+				buf = doc
+			}
+		}(int64(r))
+	}
+	for id := range docs {
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range members {
+		if n := m.n.Load(); n != 0 {
+			t.Errorf("member %s holds %d references after Close, want 0", m.path, n)
+		}
+	}
+}
+
 // TestViewAfterCloseFails pins down the post-Close behavior: every read
 // fails closed, before it touches a segment whose mapping is gone.
 func TestViewAfterCloseFails(t *testing.T) {
@@ -172,8 +229,56 @@ func TestViewAfterCloseFails(t *testing.T) {
 		docs[i] = raceDoc(i)
 	}
 	c, _ := newCollection(t, docs)
+	// A compacted segment and an open one, so both kinds of member are
+	// checked for a drain at Close.
+	if _, err := c.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AppendBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+	// Every read releases its view pin, and only once: a read that kept it
+	// would hold the view open past Close, so the reads after it would
+	// succeed; one that released it twice drains the view under the next.
+	for round := 0; round < 2; round++ {
+		for _, id := range []int{3, len(docs) + 3} { // compacted, open
+			if _, err := c.View(id, func(b []byte) error { return nil }); err != nil {
+				t.Fatalf("View(%d): %v", id, err)
+			}
+		}
+		if doc, err := c.GetAppend(nil, 3); err != nil || !bytes.Equal(doc, docs[3]) {
+			t.Fatalf("GetAppend: %v", err)
+		}
+		if _, err := c.GetRange(3, 0, 4); err != nil {
+			t.Fatalf("GetRange: %v", err)
+		}
+		if _, _, err := c.Extent(3); err != nil {
+			t.Fatalf("Extent: %v", err)
+		}
+		if _, err := c.FindAll([]byte("payload"), 1); err != nil {
+			t.Fatalf("FindAll: %v", err)
+		}
+		c.GetBatch([]int{1, 2}, 2, func(i int, doc []byte, err error) {
+			if err != nil {
+				t.Errorf("GetBatch: %v", err)
+			}
+		})
+		if c.Size() == 0 || c.Stats().NumDocs != 2*len(docs) {
+			t.Fatalf("Size/Stats: %d, %+v", c.Size(), c.Stats())
+		}
+	}
+	v := c.view.Load()
+	mapping := v.open.mapping.Load()
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	for _, m := range v.members {
+		if n := m.n.Load(); n != 0 {
+			t.Errorf("member %s holds %d references after Close, want 0", m.path, n)
+		}
+	}
+	if mapping != nil && mapping.n.Load() != 0 {
+		t.Errorf("the open segment's mapping holds %d references after Close, want 0", mapping.n.Load())
 	}
 	if ok, err := c.View(3, func(b []byte) error { return nil }); ok || !errors.Is(err, errClosed) {
 		t.Errorf("View after Close: ok=%v err=%v", ok, err)
@@ -202,5 +307,39 @@ func TestViewAfterCloseFails(t *testing.T) {
 	}
 	if c.Size() != 0 || c.Stats() != (archive.Stats{}) {
 		t.Errorf("Size/Stats after Close: %d, %+v", c.Size(), c.Stats())
+	}
+
+	// A callback that closes the collection still reads whole documents:
+	// the read's view pin, not the collection, keeps the segments (here a
+	// sealed raw one, read through its mapping) open until the read returns.
+	c, _ = newCollection(t, docs)
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	c.GetBatch([]int{0, 1, 2, 3}, 1, func(i int, doc []byte, err error) {
+		if i == 0 {
+			if err := c.Close(); err != nil {
+				t.Errorf("Close inside GetBatch: %v", err)
+			}
+		}
+		if err != nil || !bytes.Equal(doc, docs[i]) {
+			t.Errorf("GetBatch id %d after a Close inside the batch: %d bytes, %v", i, len(doc), err)
+		}
+	})
+	c, _ = newCollection(t, docs)
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := c.View(5, func(doc []byte) error {
+		if err := c.Close(); err != nil {
+			return err
+		}
+		if !bytes.Equal(doc, docs[5]) {
+			return errors.New("document changed under its view")
+		}
+		return nil
+	})
+	if err != nil || ok != mmapio.Supported() {
+		t.Errorf("View with a Close inside its callback: ok=%v err=%v", ok, err)
 	}
 }

@@ -382,8 +382,6 @@ func (s *openSegment) Stats() archive.Stats {
 }
 
 // Extent returns the in-file extent of segment-local document id.
-//
-//rlz:hotpath
 func (s *openSegment) Extent(local int) (off, n int64, err error) { return s.w.Extent(local) }
 
 // Get retrieves segment-local document id.
@@ -391,8 +389,6 @@ func (s *openSegment) Get(local int) ([]byte, error) { return s.GetAppend(nil, l
 
 // GetAppend retrieves segment-local document id, appending its bytes to
 // dst.
-//
-//rlz:hotpath
 func (s *openSegment) GetAppend(dst []byte, local int) ([]byte, error) {
 	off, n, err := s.Extent(local)
 	if err != nil {

@@ -13,8 +13,6 @@ import "sync/atomic"
 // object cannot be resurrected; the unref that reaches 0 runs drain,
 // exactly once. "Retired" therefore needs no flag of its own: it is the
 // installed reference having been dropped.
-//
-//rlz:refcounted acquire=tryRef release=unref
 type refcount struct {
 	n     atomic.Int64
 	drain func()

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"rlz/internal/archive"
 )
 
 // fileSize returns the length of the file at path.
@@ -160,6 +162,71 @@ func TestAppendAllocs(t *testing.T) {
 	})
 	if allocs >= 1 {
 		t.Fatalf("Collection.Append allocates %.2f times per append, want below 1", allocs)
+	}
+}
+
+// TestSetReadsAllocateNothing pins the read path below the view pin at 0:
+// a warm GetAppend or View through a view's segment set allocates nothing,
+// whether it routes to a sealed RLZ segment or to the open segment. (The
+// view pin's release func is the one allocation a Collection read adds.)
+func TestSetReadsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	docs := testDocs(40)
+	c, _ := newCollection(t, docs[:30])
+	if _, err := c.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs[30:] {
+		if _, err := c.Append(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := c.view.Load()
+	if v.open == nil || len(v.members) != 2 {
+		t.Fatalf("want one sealed segment and the open segment, have %d members", len(v.members))
+	}
+	if b := v.members[0].r.Stats().Backend; b != archive.RLZ {
+		t.Fatalf("the compacted segment is %s, want %s", b, archive.RLZ)
+	}
+	set := v.set
+	buf := make([]byte, 0, 4<<10)
+	var err error
+	for i, want := range docs { // warm the pools, check the bytes
+		if buf, err = set.GetAppend(buf[:0], i); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("document %d: %v", i, err)
+		}
+	}
+	var viewed int
+	view := func(doc []byte) error { viewed += len(doc); return nil }
+	for _, local := range []int{0, 29} { // the sealed segment: no zero-copy path, routed all the same
+		if ok, err := set.View(local, view); ok || err != nil {
+			t.Fatalf("View(%d) on the sealed RLZ segment = %v, %v; want a fallback", local, ok, err)
+		}
+	}
+	if ok, err := set.View(35, view); !ok || err != nil {
+		t.Fatalf("View(35) on the open segment = %v, %v; want it served from the mapping", ok, err)
+	}
+	// One loop per segment: AllocsPerRun rounds down, so an allocation on
+	// a quarter of the reads would read as 0.
+	for _, seg := range []struct {
+		name     string
+		first, n int
+	}{{"sealed RLZ", 0, 30}, {"open", 30, 10}} {
+		id := 0
+		if n := testing.AllocsPerRun(200, func() {
+			buf, _ = set.GetAppend(buf[:0], seg.first+id%seg.n)
+			id++
+		}); n != 0 {
+			t.Errorf("GetAppend through the segment set to the %s segment allocates %v objects per read, want 0", seg.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			_, _ = set.View(seg.first+id%seg.n, view)
+			id++
+		}); n != 0 {
+			t.Errorf("View through the segment set to the %s segment allocates %v objects per read, want 0", seg.name, n)
+		}
 	}
 }
 

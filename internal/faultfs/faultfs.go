@@ -96,8 +96,6 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 // become path. A directory-fsync failure propagates (the rename may not
 // be durable); only FS implementations downgrade a genuinely unsupported
 // dir fsync to best-effort.
-//
-//rlz:publishes
 func Publish(fs FS, f File, path string) error {
 	tmp := f.Name()
 	err := f.Sync()

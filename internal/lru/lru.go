@@ -52,8 +52,6 @@ func New(capacity int) *Cache {
 // Get returns the cached bytes for key, or nil on a miss. The returned
 // slice is cache-owned and read-only; its capacity is clamped to its
 // length so appending reallocates rather than mutating the cache.
-//
-//rlz:hotpath
 func (c *Cache) Get(key uint64) []byte {
 	c.mu.Lock()
 	el, ok := c.entries[key]

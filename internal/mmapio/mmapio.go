@@ -62,8 +62,6 @@ func (m *Mapping) Len() int64 { return int64(len(m.data)) }
 
 // Slice returns the sub-slice [off, off+n) of the mapping with no copy.
 // The slice is read-only (a write faults) and is invalidated by Close.
-//
-//rlz:hotpath
 func (m *Mapping) Slice(off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > int64(len(m.data)) {
 		return nil, fmt.Errorf("mmapio: slice [%d,%d) outside mapping of %d bytes", off, off+n, len(m.data))
@@ -72,8 +70,6 @@ func (m *Mapping) Slice(off, n int64) ([]byte, error) {
 }
 
 // ReadAt implements io.ReaderAt over the mapping: one copy, no syscall.
-//
-//rlz:hotpath
 func (m *Mapping) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("mmapio: negative offset %d", off)

@@ -241,8 +241,6 @@ func (w *Writer) Size() int64 {
 
 // Extent returns the absolute extent of document id's bytes within the
 // archive being written.
-//
-//rlz:hotpath
 func (w *Writer) Extent(id int) (off, n int64, err error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -348,8 +346,6 @@ func (r *Reader) Extent(id int) (off, n int64, err error) {
 }
 
 // GetAppend retrieves document id, appending its text to dst.
-//
-//rlz:hotpath
 func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
 	off, n, err := r.Extent(id)
 	if err != nil {

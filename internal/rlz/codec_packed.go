@@ -81,8 +81,6 @@ func checkCRC(src []byte, used int) (int, error) {
 // taggedPositions brings a P position stream of k positions to kernel
 // form: packed positions are widened to 4-byte words in sc.pos, a zlib
 // stream is inflated there exactly as Z's is.
-//
-//rlz:hotpath
 func (sc *decodeScratch) taggedPositions(blob []byte, k int) ([]byte, error) {
 	if len(blob) == 0 {
 		return nil, fmt.Errorf("%w: empty position stream", ErrCorruptEncoding)

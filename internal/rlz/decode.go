@@ -68,8 +68,6 @@ type record struct {
 // read. Inflation is bounded before it starts: positions to exactly 4k
 // bytes, vbyte lengths to at most 5k, so a hostile blob is rejected at
 // the byte that crosses the bound, whatever it would have inflated to.
-//
-//rlz:hotpath
 func (c PairCodec) open(sc *decodeScratch, src []byte) (record, error) {
 	k32, n, err := coding.Uvarint32(src)
 	if err != nil {
@@ -161,8 +159,6 @@ func (rec record) appendFactors(factors []Factor) ([]Factor, error) {
 // with the same validation — and returns the output and the number of
 // record bytes consumed. On error dst is returned as it came. src is
 // only read, so it may be a view of a file mapping.
-//
-//rlz:hotpath
 func (d *Dictionary) DecodeRecord(dst []byte, c PairCodec, src []byte) ([]byte, int, error) {
 	sc := scratch.get()
 	rec, err := c.open(sc, src)
@@ -199,8 +195,6 @@ const runSlack = 32
 // stores wherever dictionary and destination both have runSlack bytes
 // from its start; longer runs and the ends of both take append. On error
 // dst is returned as it came.
-//
-//rlz:hotpath
 func (d *Dictionary) appendRuns(dst []byte, rec record) ([]byte, error) {
 	text := d.data
 	m := uint32(len(text))

@@ -118,8 +118,6 @@ func matchLen(a, b []byte) int32 {
 //     — so the skip/narrow alternation terminates;
 //   - a single surviving candidate switches to direct extension
 //     (csp2-style, as before, now eight bytes per step).
-//
-//rlz:hotpath
 func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 	text, slots := f.sa.Text(), f.sa.SA()
 	m := int32(len(text))

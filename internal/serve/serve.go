@@ -32,9 +32,9 @@ type Options struct {
 	// documents; a value <= 0 disables caching, the paper-faithful mode
 	// where every request pays full decode cost.
 	CacheDocs int
-	// Workers bounds GetBatch fan-out: at most Workers documents are
-	// fetched from the backend concurrently. 0 means GOMAXPROCS; 1
-	// forces sequential batches.
+	// Workers bounds GetBatch fan-out on backends that batch natively:
+	// at most Workers block decodes run concurrently. 0 means
+	// GOMAXPROCS; 1 forces sequential batches.
 	Workers int
 }
 
@@ -72,7 +72,7 @@ const epochCycle = 1 << (64 - epochShift)
 type Server struct {
 	r       archive.Reader
 	viewer  archive.Viewer      // r's zero-copy capability, or nil
-	batcher archive.BatchReader // r's native batching, or nil
+	batcher archive.BatchReader // r's native batching, or r in a one-member Set
 	epoch   atomic.Uint64
 	cache   *lru.Cache // nil = uncached
 	workers int
@@ -99,7 +99,10 @@ func (s *Server) RecordBackpressure() { s.backpressure.Add(1) }
 func New(r archive.Reader, opts Options) *Server {
 	s := &Server{r: r, workers: opts.workers()}
 	s.viewer, _ = archive.As[archive.Viewer](r)
-	s.batcher, _ = archive.As[archive.BatchReader](r)
+	var ok bool
+	if s.batcher, ok = archive.As[archive.BatchReader](r); !ok {
+		s.batcher = archive.NewSet(r.Stats().Backend, []archive.Reader{r}, nil)
+	}
 	s.epoch.Store(1)
 	if opts.CacheDocs > 0 {
 		s.cache = lru.New(opts.CacheDocs)
@@ -251,23 +254,19 @@ type Result struct {
 	Err  error
 }
 
-// GetBatch retrieves every id. On backends that batch natively
-// (archive.BatchReader — the block backend, live collections) the cache
-// is consulted first and the misses go down in ONE backend batch, which
-// dedupes documents sharing a compressed block and decodes each distinct
-// block at most once across at most Options.Workers concurrent workers.
-// Other backends fan individual fetches across the worker pool as
-// before. The returned slice always has len(ids) results in request
-// order; failures (out-of-range ids, decode errors) are reported per
-// document in Result.Err, so one bad id does not void the rest of the
-// batch.
+// GetBatch retrieves every id. The cache is consulted first and the
+// misses go down in ONE backend batch (archive.BatchReader; a reader
+// without one is wrapped in a one-member archive.Set, which decodes its
+// documents in turn). The block backend dedupes documents sharing a
+// compressed block and decodes each distinct block at most once across
+// at most Options.Workers concurrent workers. The returned slice always
+// has len(ids) results in request order; failures (out-of-range ids,
+// decode errors) are reported per document in Result.Err, so one bad id
+// does not void the rest of the batch.
 func (s *Server) GetBatch(ids []int) []Result {
 	out := make([]Result, len(ids))
 	if len(ids) == 0 {
 		return out
-	}
-	if s.batcher == nil {
-		return s.getBatchFanout(ids, out)
 	}
 	epoch := s.epoch.Load()
 	start := time.Now()
@@ -313,41 +312,6 @@ func (s *Server) GetBatch(ids []int) []Result {
 	// request unit at this layer (rlzd's /docs endpoint), and per-id
 	// shares of a concurrent decode are not meaningful.
 	s.lat.observe(time.Since(start))
-	return out
-}
-
-// getBatchFanout is the per-document batch path for backends without
-// native batching: fetches fan across at most Options.Workers
-// goroutines, each through the normal cached Get path.
-func (s *Server) getBatchFanout(ids []int, out []Result) []Result {
-	workers := s.workers
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		for i, id := range ids {
-			out[i] = Result{ID: id}
-			out[i].Data, out[i].Err = s.Get(id)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				out[i] = Result{ID: ids[i]}
-				out[i].Data, out[i].Err = s.Get(ids[i])
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }
 

@@ -392,8 +392,6 @@ func (p *recPool) put(b *[]byte) { p.p.Put(b) }
 // copy), else a pooled buffer filled by ReadAt; either way it is decoded
 // straight into dst on internal/rlz's pooled state. On error dst is
 // returned as it came.
-//
-//rlz:hotpath
 func (r *Reader) decodeRange(dst []byte, id, from, to int) ([]byte, error) {
 	off, n, err := r.Extent(id)
 	if err != nil {
@@ -423,8 +421,6 @@ func (r *Reader) decodeRange(dst []byte, id, from, to int) ([]byte, error) {
 
 // decodeRecord decodes one record; a range covering any document takes
 // the fused whole-document path.
-//
-//rlz:hotpath
 func (r *Reader) decodeRecord(dst, rec []byte, from, to int) (out []byte, err error) {
 	if from <= 0 && to == math.MaxInt {
 		out, _, err = r.dict.DecodeRecord(dst, r.codec, rec)
@@ -437,8 +433,6 @@ func (r *Reader) decodeRecord(dst, rec []byte, from, to int) (out []byte, err er
 // GetAppend retrieves document id, appending its text to dst. Pass the
 // same buffer across calls and a warm Reader allocates nothing (see
 // decodeRange).
-//
-//rlz:hotpath
 func (r *Reader) GetAppend(dst []byte, id int) ([]byte, error) {
 	return r.decodeRange(dst, id, 0, math.MaxInt)
 }
