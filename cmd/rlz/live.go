@@ -99,15 +99,17 @@ func cmdAppend(args []string) error {
 }
 
 // cmdCompact seals the open segment and drains every raw segment into
-// RLZ archives built against the collection's shared dictionary. -adapt
-// lets the pass learn a new dictionary generation (-evict and -gain tune
-// what it evicts and when it adopts); -upgrade-stale also rewrites RLZ
-// segments built against older generations.
+// RLZ archives built against the collection's shared dictionary, sampling
+// a larger one first when the drained bytes' -dict budget is at least
+// twice the newest dictionary. -adapt lets the pass learn a new
+// dictionary generation (-evict and -gain tune what it evicts and when
+// it adopts); -upgrade-stale also rewrites RLZ segments built against
+// older generations.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	dir := fs.String("a", "", "collection directory (required)")
 	codecName := fs.String("codec", rlz.DefaultCodec.String(), "rlz pair codec for compacted segments")
-	dictSize := fs.String("dict", "0", "dictionary size when sampling a new one (0 means 1% of the compacted bytes)")
+	dictSize := fs.String("dict", "0", "dictionary budget (0 means 1% of the compacted bytes): the size of a new sample, taken on the first compaction and whenever the newest dictionary holds at most half the budget")
 	sampleSize := fs.String("sample", "1KB", "dictionary sample length when sampling a new one")
 	workers := fs.Int("workers", 0, "build concurrency; 0 means GOMAXPROCS")
 	adapt := fs.Bool("adapt", false, "learn: evict cold dictionary regions and re-sample from the drained documents, adopting the result when the trial gain clears -gain")

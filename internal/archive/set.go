@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"rlz/internal/docmap"
 )
@@ -211,42 +212,64 @@ func (s *Set) View(id int, fn func(doc []byte) error) (bool, error) {
 // ids, from the calling goroutine, unroutable ids first and then in
 // member order; doc is only valid during the call.
 func (s *Set) GetBatch(ids []int, workers int, visit func(i int, doc []byte, err error)) {
-	type sub struct {
-		idx    []int // indices into ids
-		locals []int
-	}
-	subs := make([]sub, len(s.members))
+	b := batchPool.Get().(*batchScratch)
+	b.member, b.local = b.member[:0], b.local[:0]
 	for i, id := range ids {
 		m, local, err := s.route(id)
 		if err != nil {
 			visit(i, nil, err)
-			continue
+			m = -1
 		}
-		subs[m].idx = append(subs[m].idx, i)
-		subs[m].locals = append(subs[m].locals, local)
+		b.member = append(b.member, m)
+		b.local = append(b.local, local)
 	}
-	var buf []byte
-	for m, sb := range subs {
-		if len(sb.idx) == 0 {
+	b.visit = visit
+	for m := range s.members {
+		b.idx, b.locals = b.idx[:0], b.locals[:0]
+		for i, owner := range b.member {
+			if owner == m {
+				b.idx = append(b.idx, i)
+				b.locals = append(b.locals, b.local[i])
+			}
+		}
+		if len(b.idx) == 0 {
 			continue
 		}
 		if br := s.batchers[m]; br != nil {
-			br.GetBatch(sb.locals, workers, func(j int, doc []byte, err error) {
-				visit(sb.idx[j], doc, err)
-			})
+			br.GetBatch(b.locals, workers, b.relay)
 			continue
 		}
-		for j, local := range sb.locals {
+		for j, local := range b.locals {
 			var err error
-			buf, err = s.members[m].GetAppend(buf[:0], local)
+			b.buf, err = s.members[m].GetAppend(b.buf[:0], local)
 			if err != nil {
-				visit(sb.idx[j], nil, err)
+				visit(b.idx[j], nil, err)
 			} else {
-				visit(sb.idx[j], buf, nil)
+				visit(b.idx[j], b.buf, nil)
 			}
 		}
 	}
+	b.visit = nil
+	batchPool.Put(b)
 }
+
+// batchScratch is one GetBatch call's routing state and document buffer,
+// pooled so that a warm batch allocates nothing.
+type batchScratch struct {
+	member, local []int // per index of ids: owning member (-1 unroutable), local id
+	idx, locals   []int // the sub-batch of the member being served
+	buf           []byte
+	visit         func(i int, doc []byte, err error)
+	// relay hands a batching member's visits on under their indices into
+	// ids; built once per scratch, so passing it allocates nothing.
+	relay func(j int, doc []byte, err error)
+}
+
+var batchPool = sync.Pool{New: func() any {
+	b := &batchScratch{}
+	b.relay = func(j int, doc []byte, err error) { b.visit(b.idx[j], doc, err) }
+	return b
+}}
 
 // GetRange retrieves bytes [from, to) of document id, implementing
 // Searcher: without decoding the whole document where the owning member

@@ -151,14 +151,23 @@ type TotalSizer interface {
 	TotalSize() (int64, error)
 }
 
+// DictBudget is the dictionary size sampled from a collection of total
+// document bytes: dictSize when positive, else the repository's default
+// of 1% of the collection with a 4 KiB floor.
+func DictBudget(total int64, dictSize int) int {
+	if dictSize > 0 {
+		return dictSize
+	}
+	return max(int(total/100), 4096)
+}
+
 // SampleDict builds an RLZ dictionary by the paper's even-sampling scheme
 // (§3.3) from a streamed collection: one pass to measure the collection
 // (skipped when the source is a TotalSizer), one pass to copy the sample
 // windows. openSrc must return a fresh source over the same documents
-// each call. A dictSize <= 0 selects 1% of the collection with a 4 KiB
-// floor — the repository's default budget. The result is byte-identical
-// to rlz.SampleEven over the concatenated collection. Returns the
-// dictionary and the collection's total size.
+// each call. The dictionary's size is DictBudget(total, dictSize). The
+// result is byte-identical to rlz.SampleEven over the concatenated
+// collection. Returns the dictionary and the collection's total size.
 func SampleDict(openSrc func() (DocSource, error), dictSize, sampleSize int) ([]byte, int64, error) {
 	src, err := openSrc()
 	if err != nil {
@@ -168,13 +177,7 @@ func SampleDict(openSrc func() (DocSource, error), dictSize, sampleSize int) ([]
 	if err != nil {
 		return nil, 0, err
 	}
-	if dictSize <= 0 {
-		dictSize = int(total / 100)
-		if dictSize < 4096 {
-			dictSize = 4096
-		}
-	}
-	sampler := rlz.NewEvenSampler(total, dictSize, sampleSize)
+	sampler := rlz.NewEvenSampler(total, DictBudget(total, dictSize), sampleSize)
 	src, err = openSrc()
 	if err != nil {
 		return nil, 0, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,9 @@ func TestCompactFaultMatrixDictPublish(t *testing.T) {
 		seal   bool // seal before installing the script
 		script []faultfs.Fault
 		kill   bool // the fault is a power cut: crash and recover
+		// grow runs a small first compaction before the script, so the
+		// faulted compaction publishes a grown generation 2 over it.
+		grow bool
 	}{
 		{
 			name:   "fail dict tmp fsync",
@@ -197,13 +201,31 @@ func TestCompactFaultMatrixDictPublish(t *testing.T) {
 			script: []faultfs.Fault{{Op: faultfs.OpRename, Path: ManifestName, Kill: true}},
 			kill:   true,
 		},
+		{
+			// The grown dictionary lands durably, the manifest that would
+			// adopt it never does: recovery must keep serving generation
+			// 1 and gc the orphan generation 2.
+			name:   "kill at manifest publish after grown dict publish",
+			seal:   true,
+			script: []faultfs.Fault{{Op: faultfs.OpRename, Path: ManifestName, Kill: true}},
+			kill:   true,
+			grow:   true,
+		},
 	}
-	docs := driftedDocs(0, 20)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := faultfs.NewSim()
 			c, dir := faultOpen(t, sim, Options{})
+			docs := driftedDocs(0, 20)
 			appendAll(t, c, 0, docs)
+			if tc.grow {
+				if res, err := c.Compact(CompactOptions{}); err != nil || res.Dict != 1 {
+					t.Fatalf("first compaction %+v: %v, want generation 1", res, err)
+				}
+				bulk := grownDocs(1, 64, 16<<10)
+				appendAll(t, c, len(docs), bulk)
+				docs = append(docs, bulk...)
+			}
 			if tc.seal {
 				if err := c.Seal(); err != nil {
 					t.Fatal(err)
@@ -245,8 +267,17 @@ func TestCompactFaultMatrixDictPublish(t *testing.T) {
 					}
 				}
 			}
-			if _, err := c2.GC(); err != nil {
+			removed, err := c2.GC()
+			if err != nil {
 				t.Fatalf("GC: %v", err)
+			}
+			if tc.grow {
+				if man == nil || len(man.Dicts) != 1 || man.Dicts[0].ID != 1 {
+					t.Fatalf("recovered manifest dicts %+v, want generation 1 still serving", man.Dicts)
+				}
+				if !slices.Contains(removed, dictFileName(2)) {
+					t.Fatalf("gc removed %v, want the orphan %s", removed, dictFileName(2))
+				}
 			}
 
 			// The retried compaction completes the interrupted adoption.
@@ -256,6 +287,9 @@ func TestCompactFaultMatrixDictPublish(t *testing.T) {
 			}
 			if res.Compacted == 0 || !res.Relearned || res.Dict == 0 {
 				t.Fatalf("retried compaction %+v, want a published dictionary generation", res)
+			}
+			if tc.grow && res.Dict != 2 {
+				t.Fatalf("retried compaction adopted generation %d, want the grown generation 2", res.Dict)
 			}
 			checkDocs(t, c2, docs, nil)
 
@@ -295,7 +329,7 @@ func TestCompactFaultMatrixDictPublish(t *testing.T) {
 // every suffix array it ever built. Each round appends drifted
 // documents, forces adoption of a new generation, then runs the
 // follow-up UpgradeStale pass that drains the previous generation's
-// segments — after which the cache must hold only the live dictionary.
+// segments. The cache must hold only the newest dictionary after both.
 func TestPreparedDictCacheReleased(t *testing.T) {
 	c, dir := newCollection(t, nil)
 	var all [][]byte
@@ -311,6 +345,12 @@ func TestPreparedDictCacheReleased(t *testing.T) {
 		if !res.Relearned || res.Dict != uint64(round+1) {
 			t.Fatalf("round %d: dict=%d relearned=%v, want adopted generation %d",
 				round, res.Dict, res.Relearned, round+1)
+		}
+		// Only the newest generation is a factorization target: adopting
+		// one releases its predecessor's prepared state at once, before
+		// any upgrade pass drains the predecessor's segments.
+		if n := c.preparedDictCount(); n > 1 {
+			t.Fatalf("round %d: %d prepared dictionaries cached after adoption, want 1", round, n)
 		}
 		// Adoption leaves the previous generation's segments stale; the
 		// upgrade pass rebuilds them against the new dictionary, retiring

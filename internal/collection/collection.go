@@ -195,10 +195,10 @@ type Collection struct {
 	view atomic.Pointer[view]
 
 	// dictMu guards the prepared-dictionary cache and the usage
-	// accumulator. Prepared dictionaries (suffix array + k-gram ladder) are
+	// accumulator. A prepared dictionary (suffix array + k-gram ladder) is
 	// built once per generation per process and shared by all build
-	// workers; entries are released when the generation retires
-	// (releaseDicts), not at process exit.
+	// workers; only the newest generation's stays cached (see
+	// preparedDict).
 	dictMu sync.Mutex
 	dicts  map[uint64]*rlz.Dictionary
 	// heat accumulates factor-reference usage of dictionary heatID across
@@ -366,24 +366,25 @@ func (c *Collection) publishLocked(m *Manifest, v *view) error {
 // errClosed is what reads return once Close has drained the last view.
 var errClosed = errors.New("collection: closed")
 
-// acquireView pins the current view for one read, returning it with its
-// release func: a view being drained cannot be resurrected, and a
+// acquireView pins the current view for one read; the caller releases
+// it with v.unref (a pinned *view, not a release func, so the read
+// allocates nothing). A view being drained cannot be resurrected, and a
 // pointer move between load and ref retries on the fresh view. After
 // Close the current view is drained for good and no other replaces it;
 // reads then fail with errClosed before they touch a segment — a view
 // handed out unpinned would race the unmapping of its files.
-func (c *Collection) acquireView() (*view, func(), error) {
+func (c *Collection) acquireView() (*view, error) {
 	for {
 		v := c.view.Load()
 		if v.tryRef() {
 			if c.view.Load() == v {
-				return v, v.unref, nil
+				return v, nil
 			}
 			v.unref()
 			continue
 		}
 		if c.view.Load() == v {
-			return nil, nil, errClosed
+			return nil, errClosed
 		}
 	}
 }
@@ -601,11 +602,11 @@ func (c *Collection) sealLocked() error {
 
 // GetAppend retrieves document id, appending its text to dst.
 func (c *Collection) GetAppend(dst []byte, id int) ([]byte, error) {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		return dst, err
 	}
-	defer release()
+	defer v.unref()
 	return v.set.GetAppend(dst, id)
 }
 
@@ -622,11 +623,11 @@ func (c *Collection) Get(id int) ([]byte, error) {
 // path (unmapped platform, compressed segment, beyond the open segment's
 // mapped prefix) — fall back to GetAppend.
 func (c *Collection) View(id int, fn func(doc []byte) error) (bool, error) {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		return false, err
 	}
-	defer release()
+	defer v.unref()
 	return v.set.View(id, fn)
 }
 
@@ -634,25 +635,25 @@ func (c *Collection) View(id int, fn func(doc []byte) error) (bool, error) {
 // sub-batch per segment, delegated to segments that batch natively (see
 // archive.Set.GetBatch for the visit contract).
 func (c *Collection) GetBatch(ids []int, workers int, visit func(i int, doc []byte, err error)) {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		for i := range ids {
 			visit(i, nil, err)
 		}
 		return
 	}
-	defer release()
+	defer v.unref()
 	v.set.GetBatch(ids, workers, visit)
 }
 
 // Extent returns the extent a Get for id physically reads, within the
 // owning segment's file (a collection has no single byte address space).
 func (c *Collection) Extent(id int) (off, n int64, err error) {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		return 0, 0, err
 	}
-	defer release()
+	defer v.unref()
 	return v.set.Extent(id)
 }
 
@@ -663,22 +664,22 @@ func (c *Collection) Extent(id int) (off, n int64, err error) {
 // match. Together with GetRange this makes rlz grep work over a
 // collection unchanged.
 func (c *Collection) FindAll(pattern []byte, limit int) ([]archive.Match, error) {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer v.unref()
 	return v.set.FindAll(pattern, limit)
 }
 
 // GetRange retrieves bytes [from, to) of document id, without decoding
 // the whole document where the owning segment supports it (RLZ).
 func (c *Collection) GetRange(id, from, to int) ([]byte, error) {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer v.unref()
 	return v.set.GetRange(id, from, to)
 }
 
@@ -690,11 +691,11 @@ func (c *Collection) NumDocs() int { return c.view.Load().set.NumDocs() }
 // Size returns the total on-disk payload size: sealed segment bytes
 // plus the open segment's current extent.
 func (c *Collection) Size() int64 {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		return 0
 	}
-	defer release()
+	defer v.unref()
 	return v.set.Size()
 }
 
@@ -703,11 +704,11 @@ func (c *Collection) Size() int64 {
 // Info). One pinned view supplies every figure, so the snapshot cannot
 // tear across a concurrent generation swap.
 func (c *Collection) Stats() archive.Stats {
-	v, release, err := c.acquireView()
+	v, err := c.acquireView()
 	if err != nil {
 		return archive.Stats{}
 	}
-	defer release()
+	defer v.unref()
 	return v.set.Stats()
 }
 
@@ -858,13 +859,6 @@ func (c *Collection) GC() ([]string, error) {
 		}
 		removed = append(removed, name)
 	}
-	// Prepared in-memory state follows the file set: only live
-	// generations stay cached.
-	live := make(map[uint64]bool, len(c.man.Dicts))
-	for _, d := range c.man.Dicts {
-		live[d.ID] = true
-	}
-	c.releaseDicts(live)
 	sort.Strings(removed)
 	return removed, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // CompactOptions tunes the background compactor. The zero value selects
-// the repository defaults: rlz.DefaultCodec (PV), a sampled dictionary
+// the repository defaults: rlz.DefaultCodec (PV), a dictionary budget
 // of 1% of the compacted bytes, the fast factorization engine with its
 // k-gram ladder on, GOMAXPROCS build workers.
 type CompactOptions struct {
@@ -20,12 +20,16 @@ type CompactOptions struct {
 	Codec rlz.PairCodec
 	// Dict supplies the compaction dictionary directly; it becomes a new
 	// dictionary generation unless it equals the current one. When empty,
-	// the current generation is reused (or, on the first compaction, a
-	// dictionary is sampled from the documents being compacted and
-	// published as generation 1).
+	// a dictionary is sampled from the documents being compacted and
+	// published as a new generation on the first compaction, and on any
+	// later one whose budget (DictSize) is at least twice the newest
+	// generation's size; otherwise the newest generation is reused.
 	Dict []byte
-	// DictSize and SampleSize tune dictionary sampling (see
-	// archive.SampleDict); ignored when a dictionary already exists.
+	// DictSize is the dictionary budget: the size a fresh sample takes,
+	// and what the newest generation is measured against to decide
+	// whether to take one. 0 selects 1% of the compacted documents' bytes
+	// with a 4 KiB floor (archive.DictBudget). SampleSize is the length of
+	// each sampled window (see archive.SampleDict).
 	DictSize   int
 	SampleSize int
 	// Adapt lets this compaction learn: a candidate dictionary is built
@@ -289,24 +293,23 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		c.dictMu.Unlock()
 	}
 
+	// Only the newest generation stays prepared: when this compaction
+	// adopted one, its predecessor's prepared state goes now, although
+	// the predecessor's segments (which decode from their own embedded
+	// copy) keep its file until they drain.
+	if len(m.Dicts) > 0 {
+		c.releaseDictsExcept(m.Dicts[len(m.Dicts)-1].ID)
+	}
+
 	// Garbage-collect the superseded segment files. Old views may still
 	// be mid-read on them: their readers stay open (retired) and POSIX
 	// keeps unlinked files readable, so removal is safe immediately.
-	// Retired dictionary files follow the same rule — prepared in-memory
-	// state goes with them (the satellite fix: a long-running daemon no
-	// longer pins every generation's suffix array forever).
+	// Retired dictionary files follow the same rule.
 	for _, p := range superseded {
 		_ = c.fs.RemoveAll(filepath.Join(c.dir, p))
 	}
-	if len(retired) > 0 {
-		live := make(map[uint64]bool, len(m.Dicts))
-		for _, d := range m.Dicts {
-			live[d.ID] = true
-		}
-		c.releaseDicts(live)
-		for _, d := range retired {
-			_ = c.fs.Remove(filepath.Join(c.dir, d.Path))
-		}
+	for _, d := range retired {
+		_ = c.fs.Remove(filepath.Join(c.dir, d.Path))
 	}
 	return res, nil
 }
@@ -420,30 +423,24 @@ func BuildSegment(fs faultfs.FS, dir string, seq uint64, src archive.DocSource, 
 	return Segment{Path: name, Docs: res.Docs, Raw: res.RawBytes}, nil
 }
 
-// multiRunSource chains every run's documents for dictionary sampling.
-type multiRunSource struct {
-	runs []run
-	tomb map[int]struct{}
-	i    int
-	cur  *runSource
-}
-
-func (s *multiRunSource) Next() (archive.Doc, error) {
-	for {
-		if s.cur == nil {
-			if s.i >= len(s.runs) {
-				return archive.Doc{}, io.EOF
+// eachDoc calls fn with the segment reader and local id of every live
+// document the runs drain, in id order (tombstoned documents are
+// skipped), and returns fn's first error.
+func eachDoc(runs []run, tomb map[int]struct{}, fn func(sr archive.Reader, local int) error) error {
+	for i := range runs {
+		id := runs[i].start
+		for _, sr := range runs[i].segs {
+			for local := 0; local < sr.NumDocs(); local, id = local+1, id+1 {
+				if _, dead := tomb[id]; dead {
+					continue
+				}
+				if err := fn(sr, local); err != nil {
+					return fmt.Errorf("collection: reading document %d for compaction: %w", id, err)
+				}
 			}
-			s.cur = &runSource{r: &s.runs[s.i], tomb: s.tomb, id: s.runs[s.i].start}
-			s.i++
 		}
-		d, err := s.cur.Next()
-		if err == io.EOF {
-			s.cur = nil
-			continue
-		}
-		return d, err
 	}
+	return nil
 }
 
 // splice returns s with [lo, hi) replaced by one element, leaving s

@@ -48,11 +48,13 @@ type chosenDict struct {
 }
 
 // preparedDict returns the prepared (suffix-array-indexed) form of
-// dictionary id, reading path on first use. The cache holds only
-// compaction-target dictionaries — retired generations are released by
-// releaseDictsLocked when their last referencing segment goes away, so a
-// long-running daemon's memory tracks the live dictionary set, not its
-// history.
+// dictionary id, reading path on first use. Only the newest generation
+// is ever a factorization target (older segments decode from the
+// dictionary their own header embeds), so the cache holds at most that
+// one: a compaction that adopts a generation releases its predecessor's
+// suffix array, ladder and factorizer pool at once (releaseDictsExcept),
+// and a long-running daemon's memory holds one prepared dictionary, not
+// its history.
 func (c *Collection) preparedDict(id uint64, path string) (*rlz.Dictionary, error) {
 	c.dictMu.Lock()
 	d := c.dicts[id]
@@ -86,14 +88,15 @@ func (c *Collection) releaseDict(id uint64) {
 	c.dictMu.Unlock()
 }
 
-// releaseDicts drops prepared state for every dictionary id not in live,
-// releasing the suffix array, k-gram ladder and factorizer pool of
-// retired generations (all three hang off the rlz.Dictionary).
-func (c *Collection) releaseDicts(live map[uint64]bool) {
+// releaseDictsExcept drops prepared state for every dictionary but id,
+// releasing the suffix array, k-gram ladder and factorizer pool of every
+// generation no compaction targets any more (all three hang off the
+// rlz.Dictionary).
+func (c *Collection) releaseDictsExcept(id uint64) {
 	c.dictMu.Lock()
-	for id := range c.dicts {
-		if !live[id] {
-			delete(c.dicts, id)
+	for k := range c.dicts {
+		if k != id {
+			delete(c.dicts, k)
 		}
 	}
 	c.dictMu.Unlock()
@@ -114,13 +117,22 @@ func (c *Collection) preparedDictCount() int {
 //  2. No dictionary yet: a fresh even sample over the pending documents
 //     becomes generation 1 (or the unversioned placeholder when every
 //     pending document is empty).
-//  3. A dictionary exists and opts.Adapt is set: build a candidate with
+//  3. Growth: the budget is what a fresh sample over the pending
+//     documents would hold (opts.DictSize, else 1% of their bytes with a
+//     4 KiB floor, see archive.DictBudget; never more than the pending
+//     bytes themselves). When the newest generation is at most half of
+//     it, a fresh even sample becomes a new generation, so a collection
+//     that outgrows its first sample is never factorized against a
+//     dictionary far below the paper's representative fraction. The
+//     factor of two is the hysteresis: equal-sized compactions never
+//     re-sample. Growth takes precedence over opts.Adapt.
+//  4. A dictionary exists and opts.Adapt is set: build a candidate with
 //     AdaptiveSampler from the current dictionary's observed usage and
 //     the pending documents, trial-factorize a bounded sample against
 //     both, and adopt the candidate only when the encoded-byte gain
 //     clears opts.MinRatioGain. No usage data means nothing to learn
 //     from: reuse.
-//  4. Otherwise: reuse the current dictionary.
+//  5. Otherwise: reuse the current dictionary.
 //
 // A newly adopted dictionary's file is published (atomically, fsynced)
 // here, before any segment is built against it — a crash later leaves an
@@ -133,12 +145,11 @@ func (c *Collection) chooseDict(dicts []Dict, runs []run, tomb map[int]struct{},
 		nextID = latest.ID + 1
 	}
 
-	publish := func(data []byte) (chosenDict, error) {
-		pd, err := PublishDict(c.fs, c.dir, nextID, data)
+	publish := func(d *rlz.Dictionary, err error) (chosenDict, error) {
 		if err != nil {
 			return chosenDict{}, err
 		}
-		d, err := rlz.NewDictionary(data)
+		pd, err := PublishDict(c.fs, c.dir, nextID, d.Bytes())
 		if err != nil {
 			return chosenDict{}, err
 		}
@@ -163,54 +174,48 @@ func (c *Collection) chooseDict(dicts []Dict, runs []run, tomb map[int]struct{},
 				return reuse()
 			}
 		}
-		return publish(opts.Dict)
+		return publish(rlz.NewDictionary(opts.Dict))
 	}
 
-	if latest == nil {
-		data, _, err := archive.SampleDict(func() (archive.DocSource, error) {
-			return &multiRunSource{runs: runs, tomb: tomb}, nil
-		}, opts.DictSize, opts.SampleSize)
-		if err != nil {
-			return chosenDict{}, fmt.Errorf("collection: sampling compaction dictionary: %w", err)
-		}
-		if len(data) == 0 {
-			// Every pending document is empty or tombstoned: there is
-			// nothing to sample, but the run must still drain (otherwise
-			// the auto-compactor retries it forever). Factorize against a
-			// minimal placeholder and do not version it, so the first
-			// compaction that sees real bytes samples a proper dictionary.
-			d, err := rlz.NewDictionary([]byte{0})
-			if err != nil {
-				return chosenDict{}, err
-			}
-			return chosenDict{dict: d}, nil
-		}
-		return publish(data)
-	}
-
-	if !opts.Adapt {
-		return reuse()
-	}
-	cur, err := c.preparedDict(latest.ID, latest.Path)
+	total, err := drainedBytes(runs, tomb)
 	if err != nil {
 		return chosenDict{}, err
 	}
-	heat := c.heatFor(latest.ID, cur.Len())
-	if heat.Copies() == 0 {
-		// No observed usage yet (first compaction against this
-		// dictionary, or a restart discarded the in-memory heat): nothing
-		// to rank evictions by.
-		return reuse()
+	budget := min(int64(archive.DictBudget(total, opts.DictSize)), total)
+	if latest != nil {
+		// The file's size, not the prepared form: preparing builds the
+		// suffix array of the generation growth is about to replace.
+		st, err := c.fs.Stat(filepath.Join(c.dir, latest.Path))
+		if err != nil {
+			return chosenDict{}, fmt.Errorf("collection: sizing dictionary %d: %w", latest.ID, err)
+		}
+		if 2*st.Size() > budget {
+			if opts.Adapt {
+				if cand := c.adaptCandidate(latest, runs, tomb, total, opts); cand != nil {
+					return publish(cand, nil)
+				}
+			}
+			return reuse()
+		}
 	}
-	cand, err := c.sampleAdaptive(cur, heat, runs, tomb, opts)
-	if err != nil || cand == nil {
-		return reuse()
+	data, err := sampleFresh(runs, tomb, total, int(budget), opts.SampleSize)
+	if err != nil {
+		return chosenDict{}, fmt.Errorf("collection: sampling compaction dictionary: %w", err)
 	}
-	gain := trialGain(cur, cand, runs, tomb, opts)
-	if gain < opts.minRatioGain() {
-		return reuse()
+	if len(data) == 0 {
+		// Only reached without a dictionary (growth needs a non-empty
+		// budget). Every pending document is empty or tombstoned: there is
+		// nothing to sample, but the run must still drain (otherwise
+		// the auto-compactor retries it forever). Factorize against a
+		// minimal placeholder and do not version it, so the first
+		// compaction that sees real bytes samples a proper dictionary.
+		d, err := rlz.NewDictionary([]byte{0})
+		if err != nil {
+			return chosenDict{}, err
+		}
+		return chosenDict{dict: d}, nil
 	}
-	return publish(cand.Bytes())
+	return publish(rlz.NewDictionary(data))
 }
 
 // heatFor returns the usage accumulator for dictionary id, creating it
@@ -226,45 +231,84 @@ func (c *Collection) heatFor(id uint64, dictLen int) *rlz.RegionHeat {
 	return c.heat
 }
 
-// sampleAdaptive runs the two-pass AdaptiveSampler over the pending
-// documents: measure the stream, then evict cold regions of cur and
-// refill from the stream. Returns nil when the stream is empty.
-func (c *Collection) sampleAdaptive(cur *rlz.Dictionary, heat *rlz.RegionHeat, runs []run, tomb map[int]struct{}, opts CompactOptions) (*rlz.Dictionary, error) {
-	var total int64
-	src := &multiRunSource{runs: runs, tomb: tomb}
-	for {
-		d, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		total += int64(len(d.Body))
+// adaptCandidate is chooseDict's step 4: the AdaptiveSampler candidate
+// built from latest's observed usage and the pending documents (total
+// bytes), or nil when there is no usage to learn from or the candidate's
+// trial gain falls short of opts.MinRatioGain.
+func (c *Collection) adaptCandidate(latest *Dict, runs []run, tomb map[int]struct{}, total int64, opts CompactOptions) *rlz.Dictionary {
+	cur, err := c.preparedDict(latest.ID, latest.Path)
+	if err != nil {
+		return nil
 	}
-	if total == 0 {
-		return nil, nil
+	heat := c.heatFor(latest.ID, cur.Len())
+	if heat.Copies() == 0 || total == 0 {
+		// No observed usage yet (first compaction against this
+		// dictionary, or a restart discarded the in-memory heat): nothing
+		// to rank evictions by.
+		return nil
 	}
 	s := rlz.NewAdaptiveSampler(cur.Bytes(), heat, total, rlz.AdaptiveOptions{
 		EvictFraction: opts.EvictFraction,
 		SampleSize:    opts.SampleSize,
 	})
-	src = &multiRunSource{runs: runs, tomb: tomb}
-	for {
-		d, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		_, _ = s.Write(d.Body)
+	if err := drain(runs, tomb, s); err != nil {
+		return nil
 	}
 	data := s.Bytes()
 	if len(data) == 0 {
-		return nil, nil
+		return nil
 	}
-	return rlz.NewDictionary(data)
+	cand, err := rlz.NewDictionary(data)
+	if err != nil || trialGain(cur, cand, runs, tomb, opts) < opts.minRatioGain() {
+		return nil
+	}
+	return cand
+}
+
+// drainedBytes sums the bytes of the documents the runs drain,
+// tombstones excluded: the collection size a fresh sample over them
+// measures. A raw segment's extents are its documents, so only a stale
+// RLZ segment (an UpgradeStale run) is decoded.
+func drainedBytes(runs []run, tomb map[int]struct{}) (int64, error) {
+	var total int64
+	var buf []byte
+	err := eachDoc(runs, tomb, func(sr archive.Reader, local int) error {
+		var n int64
+		var err error
+		if sr.Stats().Backend == archive.Raw {
+			_, n, err = sr.Extent(local)
+		} else {
+			buf, err = sr.GetAppend(buf[:0], local)
+			n = int64(len(buf))
+		}
+		total += n
+		return err
+	})
+	return total, err
+}
+
+// sampleFresh even-samples budget bytes from the runs' documents, which
+// hold total bytes: the paper's scheme (§3.3), byte-identical to
+// archive.SampleDict over the same documents.
+func sampleFresh(runs []run, tomb map[int]struct{}, total int64, budget, sampleSize int) ([]byte, error) {
+	s := rlz.NewEvenSampler(total, budget, sampleSize)
+	if err := drain(runs, tomb, s); err != nil {
+		return nil, err
+	}
+	return s.Bytes(), nil
+}
+
+// drain writes every document the runs drain to w, in id order, through
+// one reused buffer.
+func drain(runs []run, tomb map[int]struct{}, w io.Writer) error {
+	var buf []byte
+	return eachDoc(runs, tomb, func(sr archive.Reader, local int) error {
+		var err error
+		if buf, err = sr.GetAppend(buf[:0], local); err == nil {
+			_, err = w.Write(buf)
+		}
+		return err
+	})
 }
 
 // trialGain factorizes a bounded prefix of the pending documents against
@@ -279,27 +323,28 @@ func trialGain(cur, cand *rlz.Dictionary, runs []run, tomb map[int]struct{}, opt
 	}
 	fzCur := rlz.NewFactorizer(cur, rlz.FactorizerOptions{})
 	fzCand := rlz.NewFactorizer(cand, rlz.FactorizerOptions{})
-	src := &multiRunSource{runs: runs, tomb: tomb}
 	var curBytes, candBytes int64
 	var consumed int64
 	var factors []rlz.Factor
-	var rec []byte
-	for consumed < trialBudget {
-		d, err := src.Next()
-		if err != nil {
-			break
+	var doc, rec []byte
+	// A read error ends the trial early, like the budget does.
+	_ = eachDoc(runs, tomb, func(sr archive.Reader, local int) error {
+		if consumed >= trialBudget {
+			return io.EOF
 		}
-		if len(d.Body) == 0 {
-			continue
+		var err error
+		if doc, err = sr.GetAppend(doc[:0], local); err != nil || len(doc) == 0 {
+			return err
 		}
-		consumed += int64(len(d.Body))
-		factors = fzCur.Factorize(d.Body, factors[:0])
+		consumed += int64(len(doc))
+		factors = fzCur.Factorize(doc, factors[:0])
 		rec = codec.Encode(rec[:0], factors)
 		curBytes += int64(len(rec))
-		factors = fzCand.Factorize(d.Body, factors[:0])
+		factors = fzCand.Factorize(doc, factors[:0])
 		rec = codec.Encode(rec[:0], factors)
 		candBytes += int64(len(rec))
-	}
+		return nil
+	})
 	if curBytes == 0 {
 		return 0
 	}

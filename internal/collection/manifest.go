@@ -14,8 +14,13 @@
 //   - at most one open append segment — a rawstore archive still being
 //     written (see openSegment), where newly appended documents land and
 //     become readable immediately.
-//   - dict-<id> — the dictionary generations the compactor factorizes
-//     against, listed in the manifest (prepared once per process).
+//   - dict-<id> — the dictionary generations, listed in the manifest.
+//     The first compaction samples generation 1 from the documents it
+//     drains; a later one samples a new generation when the newest holds
+//     at most half of its budget (1% of the drained bytes by default), or
+//     adopts one it learned (CompactOptions.Adapt). Compactions factorize
+//     against the newest generation only, the one kept prepared in
+//     memory; older segments decode from the copy their header embeds.
 //
 // Global document ids are append order and are stable for the lifetime
 // of the collection: sealing and compaction reorganize bytes, never ids.

@@ -167,8 +167,9 @@ func TestAppendAllocs(t *testing.T) {
 
 // TestSetReadsAllocateNothing pins the read path below the view pin at 0:
 // a warm GetAppend or View through a view's segment set allocates nothing,
-// whether it routes to a sealed RLZ segment or to the open segment. (The
-// view pin's release func is the one allocation a Collection read adds.)
+// whether it routes to a sealed RLZ segment or to the open segment.
+// TestCollectionReadsAllocateNothing pins the layer above, view pin
+// included.
 func TestSetReadsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
@@ -227,6 +228,82 @@ func TestSetReadsAllocateNothing(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("View through the segment set to the %s segment allocates %v objects per read, want 0", seg.name, n)
 		}
+	}
+}
+
+// TestCollectionReadsAllocateNothing pins the served path at 0: a warm
+// Collection GetAppend, View or GetBatch pins and releases the current
+// view and allocates nothing, whether it routes to a sealed RLZ segment,
+// a sealed raw segment or the open segment.
+func TestCollectionReadsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries at random under the race detector")
+	}
+	docs := testDocs(50)
+	c, _ := newCollection(t, docs[:30])
+	if _, err := c.Compact(CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, c, 30, docs[30:40])
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, c, 40, docs[40:])
+	v := c.view.Load()
+	if v.open == nil || len(v.members) != 3 {
+		t.Fatalf("want two sealed segments and the open segment, have %d members", len(v.members))
+	}
+	for i, want := range []archive.Backend{archive.RLZ, archive.Raw} {
+		if b := v.members[i].r.Stats().Backend; b != want {
+			t.Fatalf("segment %d is %s, want %s", i, b, want)
+		}
+	}
+	buf := make([]byte, 0, 4<<10)
+	var err error
+	for i, want := range docs { // warm the pools, check the bytes
+		if buf, err = c.GetAppend(buf[:0], i); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("document %d: %v", i, err)
+		}
+	}
+	var viewed int
+	view := func(doc []byte) error { viewed += len(doc); return nil }
+	var batchErr error
+	visit := func(_ int, doc []byte, err error) {
+		viewed += len(doc)
+		if err != nil {
+			batchErr = err
+		}
+	}
+	ids := make([]int, 1)
+	// One loop per segment: AllocsPerRun rounds down, so an allocation on
+	// a third of the reads would read as 0.
+	for _, seg := range []struct {
+		name     string
+		first, n int
+	}{{"sealed RLZ", 0, 30}, {"sealed raw", 30, 10}, {"open", 40, 10}} {
+		id := 0
+		if n := testing.AllocsPerRun(200, func() {
+			buf, _ = c.GetAppend(buf[:0], seg.first+id%seg.n)
+			id++
+		}); n != 0 {
+			t.Errorf("Collection.GetAppend from the %s segment allocates %v objects per read, want 0", seg.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			_, _ = c.View(seg.first+id%seg.n, view)
+			id++
+		}); n != 0 {
+			t.Errorf("Collection.View from the %s segment allocates %v objects per read, want 0", seg.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			ids[0] = seg.first + id%seg.n
+			c.GetBatch(ids, 1, visit)
+			id++
+		}); n != 0 {
+			t.Errorf("Collection.GetBatch from the %s segment allocates %v objects per read, want 0", seg.name, n)
+		}
+	}
+	if batchErr != nil {
+		t.Fatal(batchErr)
 	}
 }
 
