@@ -7,13 +7,21 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"rlz/internal/archive"
+	"rlz/internal/coding"
+	"rlz/internal/collection"
+	"rlz/internal/corpus"
+	"rlz/internal/serve"
+	"rlz/internal/store"
 )
 
 // testServer is rlzd's connection loop on a loopback listener: the one
@@ -107,18 +115,39 @@ func bytesPerRun(runs int, f func()) uint64 {
 // TestGetDocAllocations pins what a GET /doc/{id} allocates at what parsing
 // the request and running the mux allocate by themselves: the connection loop
 // and the response writer add nothing, whether the document is a view of the
-// archive or a cache hit. A whole connection adds its conn, header map and
-// write scratch to that, but not its 4 KiB read buffer, which is pooled.
+// archive, a cache hit, or read uncached from a live collection's sealed RLZ
+// segment (records in repeats form), sealed raw segment or open segment. The
+// live reads themselves allocate nothing: parsing and the mux allocate as
+// much for them as for the view of a mapping. A whole connection adds its
+// conn, header map and write scratch to that, but not its 4 KiB read
+// buffer, which is pooled.
 func TestGetDocAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under the race detector")
 	}
-	for name, h := range map[string]http.Handler{
-		"view":   staticHandler(t, archive.Options{Backend: archive.Raw}, 0),
-		"cached": staticHandler(t, archive.Options{Backend: archive.Block, BlockSize: 4096}, 8),
-	} {
-		t.Run(name, func(t *testing.T) {
-			raw := []byte(get("/doc/1"))
+	live, docs, ids := liveHandler(t)
+	cases := []struct {
+		name string
+		h    http.Handler
+		id   int
+		want int
+	}{
+		{"view", staticHandler(t, archive.Options{Backend: archive.Raw}, 0), 1, len(fixtureDocs()[1])},
+		{"cached", staticHandler(t, archive.Options{Backend: archive.Block, BlockSize: 4096}, 8), 1, len(fixtureDocs()[1])},
+	}
+	for i, seg := range []string{"live sealed RLZ", "live sealed raw", "live open"} {
+		cases = append(cases, struct {
+			name string
+			h    http.Handler
+			id   int
+			want int
+		}{seg, live, ids[i], len(docs[ids[i]])})
+	}
+	var viewFloor float64
+	for _, tc := range cases {
+		h := tc.h
+		t.Run(tc.name, func(t *testing.T) {
+			raw := []byte(get("/doc/" + strconv.Itoa(tc.id)))
 			var in bytes.Reader
 			br := bufio.NewReader(&in)
 			dw := discardWriter{h: make(http.Header)}
@@ -131,10 +160,15 @@ func TestGetDocAllocations(t *testing.T) {
 				clear(dw.h)
 				h.ServeHTTP(dw, req)
 			})
+			if tc.name == "view" {
+				viewFloor = floor
+			} else if strings.HasPrefix(tc.name, "live") && floor > viewFloor {
+				t.Errorf("GET /doc/{id} from a live collection allocates %v times in http.ReadRequest and the mux, from a mapped archive %v", floor, viewFloor)
+			}
 
 			mc := &memConn{}
 			c := newServer(nil, h).newConn(mc)
-			want := len(fixtureDocs()[1])
+			want := tc.want
 			got := testing.AllocsPerRun(200, func() {
 				mc.in.Reset(raw)
 				mc.written = 0
@@ -161,6 +195,71 @@ func TestGetDocAllocations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// liveHandler serves a live collection of seeded Gov documents, uncached,
+// in three segments: a sealed RLZ segment compacted with the default
+// codec, whose records take the repeats form, a sealed raw one and the
+// open one. It returns the documents and an id in each segment.
+func liveHandler(t *testing.T) (http.Handler, [][]byte, [3]int) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "live")
+	if err := collection.Init(dir); err != nil {
+		t.Fatal(err)
+	}
+	col, err := collection.Open(dir, collection.Options{Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { col.Close() })
+	var docs [][]byte
+	for _, d := range corpus.Generate(corpus.Gov, 256<<10, 41).Docs {
+		docs = append(docs, d.Body)
+	}
+	ids := [3]int{0, len(docs) - 6, len(docs) - 3} // the segments' first ids
+	for i, d := range docs {
+		if i == ids[1] {
+			if _, err = col.Compact(collection.CompactOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == ids[2] {
+			if err = col.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := col.Append(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "seg-*"))
+	repeats := 0
+	for _, path := range paths {
+		seg, err := os.ReadFile(path)
+		if err != nil || !bytes.HasPrefix(seg, []byte("RLZA")) {
+			continue
+		}
+		r, err := store.OpenBytes(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < r.NumDocs(); id++ {
+			off, _, err := r.Extent(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := seg[off:]
+			k, n, _ := coding.Uvarint32(rec)
+			_, m, _ := coding.Uvarint32(rec[n:])
+			if k > 0 && rec[n+m] == 33 { // the repeats form's position tag
+				repeats++
+			}
+		}
+	}
+	if repeats == 0 {
+		t.Fatal("the sealed RLZ segment holds no record in repeats form")
+	}
+	return newMux(serve.New(col, serve.Options{}), col, muxOptions{maxBatch: 64, errlog: log.New(io.Discard, "", 0)}), docs, ids
 }
 
 // FuzzConnLoop feeds arbitrary bytes to the connection loop down a net.Pipe.

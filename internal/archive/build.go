@@ -24,8 +24,8 @@ type Options struct {
 
 	// RLZ: the sampled dictionary (required; see SampleDict) and the
 	// position-length pair codec (zero value means rlz.DefaultCodec, PV:
-	// the paper's ZV with positions bit-packed wherever that is no longer
-	// than their zlib stream).
+	// the paper's ZV lengths with positions bit-packed, or coded as
+	// repeats of earlier runs of factors wherever that is shorter).
 	Dict  []byte
 	Codec rlz.PairCodec
 	// PreparedDict optionally supplies an already-indexed dictionary to

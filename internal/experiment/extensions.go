@@ -52,7 +52,7 @@ func Extensions(cfg Config) (*Table, error) {
 		kind := "simple9"
 		switch {
 		case codec.Pos == rlz.PosP:
-			kind = "packed or zlib positions"
+			kind = "packed or repeated positions"
 		case codec.Len == rlz.LenH:
 			kind = "huffman"
 		}

@@ -12,12 +12,16 @@ import (
 // PosCoding selects how factor positions are encoded (§3.4 of the paper).
 //
 // P chooses between two forms per record, not per segment, because
-// neither wins everywhere. At a 1 % dictionary of the 32 MiB Gov stand-in
-// zlib spends 20.8 bits per position where a fixed width needs 19, and
-// 79 % of records pack. At a 0.1 % dictionary a document's factors are
-// short and repeat within it, zlib's matches catch them, and packing every
-// record would store 20.6 % more bytes than ZV on Gov and 22.7 % more on
-// Wiki; nearly every record keeps zlib there.
+// neither wins everywhere. The within-document patterns the paper's Z
+// codings catch are mostly whole runs of factors repeated, same
+// positions and lengths; the repeats form codes each such run as one
+// back-reference. At a 1 % dictionary of the 32 MiB Gov stand-in 17 %
+// of factors sit inside a repeat, 72 % of records take that form and
+// the rest pack, and PV stores 19 % less than ZV. At a 0.1 % dictionary
+// factors are short, 47 % of them sit inside a repeat, every record
+// takes that form, and PV stores 31 % less than ZV on Gov and 30 % less
+// on Wiki, where packing every record would store 20.6 % and 22.7 % more.
+// Neither form needs inflate.
 type PosCoding byte
 
 // LenCoding selects how factor lengths are encoded (§3.4 of the paper).
@@ -33,10 +37,11 @@ type LenCoding byte
 // lengths.
 // H (semi-static Huffman over length slots) is a further extension point
 // between V and Z in decode cost.
-// P stores each document's positions in whichever of two forms is
-// shorter, behind a tag byte: bit-packed at the width of its largest
-// position, which decodes without inflate, or Z's zlib stream; a P record
-// ends in a CRC32-C of everything before it (codec_packed.go).
+// P stores each document's positions behind a tag byte, bit-packed at
+// the width of its largest position, or, where that makes the record
+// strictly shorter, as tokens that are either a packed position or a
+// repeat of earlier factors; a P record ends in a CRC32-C of everything
+// before it (codec_packed.go).
 const (
 	PosU PosCoding = 'U'
 	PosZ PosCoding = 'Z'
@@ -72,8 +77,7 @@ var (
 )
 
 // DefaultCodec is the codec every builder and compactor uses when none
-// is named: ZV's length stream, and positions that skip inflate wherever
-// packing them is no longer than their zlib stream.
+// is named: ZV's length stream, and positions that never need inflate.
 var DefaultCodec = CodecPV
 
 // AllCodecs lists the paper's codecs in the order its tables present them.
@@ -117,9 +121,10 @@ const (
 //	vbyte  factor count k
 //	vbyte  byte length of the position stream
 //	       position stream (k positions; U = 4k bytes, Z = zlib blob,
-//	       P = tag byte, then packed positions or a zlib blob)
+//	       P = tag byte, then packed positions or repeats tokens)
 //	vbyte  byte length of the length stream
-//	       length stream (k lengths; V = vbytes, Z = zlib blob of vbytes)
+//	       length stream (k lengths, or under P repeats one per flag-0
+//	       token; V = vbytes, Z = zlib blob of vbytes)
 //	u32    P only: CRC32-C of every byte above, little-endian
 //
 // A record of no factors is its count alone (and, under P, the CRC).
@@ -141,23 +146,29 @@ func (c PairCodec) Encode(dst []byte, factors []Factor) []byte {
 // least one factor to dst.
 func (c PairCodec) putStreams(dst []byte, factors []Factor) []byte {
 	// Each stream is staged in the pooled scratch — its raw form in one
-	// buffer, its deflated form (Z, P) in the other — because its byte
+	// buffer, its deflated form (Z) in the other — because its byte
 	// length goes in front of it; a warm build worker allocates nothing
 	// here.
 	sc := scratch.get()
-	raw := putPositions(sc.pos[:0], factors)
-	switch c.Pos {
-	case PosU:
-		dst = putBlob(dst, raw)
-	case PosZ:
-		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
-		dst = putBlob(dst, sc.lens)
-	case PosP:
-		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
-		dst = putTaggedPositions(dst, factors, sc.lens)
+	if c.Pos == PosP {
+		dst = c.putTagged(dst, factors, sc)
+	} else {
+		sc.pos = putPositions(sc.pos[:0], factors)
+		blob := sc.pos
+		if c.Pos == PosZ {
+			sc.lens = codec.ZlibCompress(sc.lens[:0], sc.pos)
+			blob = sc.lens
+		}
+		dst = c.putLenStream(putBlob(dst, blob), factors, sc)
 	}
+	scratch.put(sc)
+	return dst
+}
 
-	raw = raw[:0]
+// putLenStream appends the length stream of factors to dst, staged in
+// sc as putStreams stages it.
+func (c PairCodec) putLenStream(dst []byte, factors []Factor, sc *decodeScratch) []byte {
+	raw := sc.pos[:0]
 	switch c.Len {
 	case LenS:
 		// Simple9 needs values below 2^28; a factor that long implies a
@@ -178,15 +189,12 @@ func (c PairCodec) putStreams(dst []byte, factors []Factor) []byte {
 	default:
 		raw = putLengths(raw, factors)
 	}
-	blob := raw
+	sc.pos = raw
 	if c.Len == LenZ {
 		sc.lens = codec.ZlibCompress(sc.lens[:0], raw)
-		blob = sc.lens
+		return putBlob(dst, sc.lens)
 	}
-	dst = putBlob(dst, blob)
-	sc.pos = raw
-	scratch.put(sc)
-	return dst
+	return putBlob(dst, raw)
 }
 
 // putPositions appends the U coding of the factors' positions to dst:

@@ -3,6 +3,9 @@ package rlz
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"rlz/internal/codec"
@@ -23,18 +26,27 @@ import (
 // vbytes — and the run-copy kernel walks the two streams in step. No
 // []Factor is built on the way; callers that hold factors
 // (Dictionary.Decode, DecodeRange) stage them as the same two streams.
+// A P record in repeats form is the one exception: its token stream
+// goes to its own kernel, appendRepeats, which copies each repeat from
+// the document's own earlier bytes.
 
 // decodeScratch is the pooled state of one decode: the zlib inflater,
-// the buffers a record's streams are brought to kernel form in, and what
-// the S and H length codings decode through. PairCodec.Encode stages its
-// streams in the same two buffers, and S lengths in vals.
+// the buffers a record's streams are brought to kernel form in, what
+// the S and H length codings decode through, and the factor offsets of
+// a repeats record. PairCodec.Encode stages its streams in the same two
+// buffers, S lengths in vals, and a record's repeats form in the last
+// three.
 type decodeScratch struct {
-	zd    codec.ZlibDecoder
-	pos   []byte
-	lens  []byte
-	vals  []uint32        // Simple9's lengths, decoded or to encode
-	huff  huffman.Codec   // the H coding's per-record code
-	slots [lenSlots]uint8 // and its codeword lengths
+	zd     codec.ZlibDecoder
+	pos    []byte
+	lens   []byte
+	vals   []uint32        // Simple9's lengths, decoded or to encode
+	huff   huffman.Codec   // the H coding's per-record code
+	slots  [lenSlots]uint8 // and its codeword lengths
+	starts []int32         // each factor's offset in a repeats record's document
+	table  []uint32        // the encoder's pairTable
+	lits   []Factor        // the factors of its flag-0 tokens
+	rep    []byte          // and its position stream
 }
 
 // scratchPool is the one pool behind every decode entry point, so a
@@ -55,10 +67,13 @@ func (s *scratchPool) put(sc *decodeScratch) { s.p.Put(sc) }
 
 // record is a document record in kernel form: its factor count, its
 // positions as little-endian uint32s and its lengths as vbytes. The
-// streams alias the record's source or the scratch that opened it.
+// streams alias the record's source or the scratch that opened it. A P
+// record in repeats form keeps its token stream in pos instead, and its
+// position width in w.
 type record struct {
 	k    int
-	pos  []byte // exactly 4k bytes
+	pos  []byte // exactly 4k bytes, or repeats tokens if w > 0
+	w    uint
 	lens []byte
 	used int // bytes of the source the record occupied
 }
@@ -106,11 +121,11 @@ func (c PairCodec) open(sc *decodeScratch, src []byte) (record, error) {
 		}
 		rec.pos = sc.pos
 	case PosP:
-		if rec.pos, err = sc.taggedPositions(rec.pos, rec.k); err != nil {
+		if rec.pos, rec.w, err = sc.taggedPositions(rec.pos, rec.k); err != nil {
 			return rec, err
 		}
 	}
-	if len(rec.pos) != 4*rec.k {
+	if rec.w == 0 && len(rec.pos) != 4*rec.k {
 		return rec, fmt.Errorf("%w: position stream holds %d bytes for %d factors", ErrCorruptEncoding, len(rec.pos), rec.k)
 	}
 	switch c.Len {
@@ -120,10 +135,18 @@ func (c PairCodec) open(sc *decodeScratch, src []byte) (record, error) {
 			return rec, fmt.Errorf("%w: length zlib: %v", ErrCorruptEncoding, err)
 		}
 		rec.lens = sc.lens
-	case LenS:
-		rec.lens, err = sc.simple9Lens(rec.lens, rec.k)
-	case LenH:
-		rec.lens, err = sc.huffmanLens(rec.lens, rec.k)
+	case LenS, LenH:
+		n := rec.k
+		if rec.w > 0 {
+			if n, err = flagZeroTokens(rec.pos, rec.w, rec.k); err != nil {
+				return rec, err
+			}
+		}
+		if c.Len == LenS {
+			rec.lens, err = sc.simple9Lens(rec.lens, n)
+		} else {
+			rec.lens, err = sc.huffmanLens(rec.lens, n)
+		}
 	}
 	return rec, err
 }
@@ -138,6 +161,9 @@ func (sc *decodeScratch) stage(factors []Factor) record {
 
 // appendFactors appends the record's factors to factors.
 func (rec record) appendFactors(factors []Factor) ([]Factor, error) {
+	if rec.w > 0 {
+		return rec.appendRepeatFactors(factors)
+	}
 	base := len(factors)
 	off := 0
 	for i := 0; i < rec.k; i++ {
@@ -162,7 +188,10 @@ func (rec record) appendFactors(factors []Factor) ([]Factor, error) {
 func (d *Dictionary) DecodeRecord(dst []byte, c PairCodec, src []byte) ([]byte, int, error) {
 	sc := scratch.get()
 	rec, err := c.open(sc, src)
-	if err == nil {
+	switch {
+	case err == nil && rec.w > 0:
+		dst, err = d.appendRepeats(dst, rec, sc, maxRepeatsDoc)
+	case err == nil:
 		dst, err = d.appendRuns(dst, rec)
 	}
 	scratch.put(sc)
@@ -170,11 +199,16 @@ func (d *Dictionary) DecodeRecord(dst []byte, c PairCodec, src []byte) ([]byte, 
 }
 
 // DecodeRecordRange appends bytes [from, to) of the record's document to
-// dst (see DecodeRange). On error dst is returned as it came.
+// dst (see DecodeRange). A record in repeats form is decoded from its
+// start up to to, and what lies before from trimmed off. On error dst is
+// returned as it came.
 func (d *Dictionary) DecodeRecordRange(dst []byte, c PairCodec, src []byte, from, to int) ([]byte, int, error) {
 	sc := scratch.get()
 	rec, err := c.open(sc, src)
-	if err == nil {
+	switch {
+	case err == nil && rec.w > 0:
+		dst, err = d.appendRepeatsRange(dst, rec, sc, from, to)
+	case err == nil:
 		dst, err = d.appendRange(dst, rec, from, to)
 	}
 	scratch.put(sc)
@@ -226,11 +260,7 @@ func (d *Dictionary) appendRuns(dst []byte, rec record) ([]byte, error) {
 			return dst, fmt.Errorf("%w: (%d, %d) in dictionary of %d", ErrBadFactor, p, l, m)
 		}
 		if n := len(out); l <= runSlack && m-p >= runSlack && cap(out)-n >= runSlack {
-			s, t := text[p:p+runSlack], out[n:n+runSlack]
-			binary.LittleEndian.PutUint64(t, binary.LittleEndian.Uint64(s))
-			binary.LittleEndian.PutUint64(t[8:], binary.LittleEndian.Uint64(s[8:]))
-			binary.LittleEndian.PutUint64(t[16:], binary.LittleEndian.Uint64(s[16:]))
-			binary.LittleEndian.PutUint64(t[24:], binary.LittleEndian.Uint64(s[24:]))
+			copyWords(out[n:n+runSlack], text[p:p+runSlack])
 			out = out[:n+int(l)]
 			continue
 		}
@@ -274,4 +304,147 @@ func (d *Dictionary) appendRange(dst []byte, rec record, from, to int) ([]byte, 
 	n := len(dst)
 	keep := out[n+skip : n+skip+min(to, at)-from]
 	return out[:n+copy(out[n:], keep)], nil
+}
+
+// copyWords copies runSlack bytes from s to t as four 8-byte words, all
+// four loaded before any is stored, so t may overlap s's tail.
+func copyWords(t, s []byte) {
+	a, b := binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[8:])
+	c, e := binary.LittleEndian.Uint64(s[16:]), binary.LittleEndian.Uint64(s[24:])
+	binary.LittleEndian.PutUint64(t, a)
+	binary.LittleEndian.PutUint64(t[8:], b)
+	binary.LittleEndian.PutUint64(t[16:], c)
+	binary.LittleEndian.PutUint64(t[24:], e)
+}
+
+// maxRepeatsDoc bounds the document a repeats record decodes to, so
+// that each factor's offset fits starts' int32.
+const maxRepeatsDoc = math.MaxInt32
+
+// appendRepeats is the kernel of a record in repeats form. A flag-0
+// token's factor is copied from the dictionary as appendRuns copies it;
+// a repeat of r factors d back is one forward copy of the bytes those
+// factors decoded to earlier in the document, found through sc.starts,
+// each factor's offset in it, and overlapping its own output where
+// r > d. Output is bounded as appendRuns' is: each factor is at most a
+// dictionary's length. Decoding stops once limit bytes are out; the
+// checks only the whole record can fail — its padding and the count of
+// its length stream — run only when it decodes to the end. On error dst
+// is returned as it came.
+func (d *Dictionary) appendRepeats(dst []byte, rec record, sc *decodeScratch, limit int) ([]byte, error) {
+	text := d.data
+	m := uint32(len(text))
+	k, w, bk := rec.k, rec.w, uint(bits.Len(uint(rec.k)))
+	sc.starts = slices.Grow(sc.starts[:0], k+1)[:k+1]
+	starts := sc.starts
+	t := newTokenReader(rec.pos, w, k)
+	lens := rec.lens
+	out, base := dst, len(dst)
+	limit = min(limit, maxRepeatsDoc)
+	i, off := 0, 0
+	for i < k && len(out)-base < limit {
+		starts[i] = int32(len(out) - base)
+		t.refill()
+		if t.acc&1 == 0 {
+			v, ok := t.take(1 + w)
+			if !ok {
+				return dst, errTruncatedToken(i)
+			}
+			p := uint32(v >> 1)
+			var l uint32
+			if off < len(lens) && lens[off] < 0x80 {
+				l = uint32(lens[off])
+				off++
+			} else {
+				v, n, err := coding.Uvarint32(lens[off:])
+				if err != nil {
+					return dst, fmt.Errorf("%w: length %d: %v", ErrCorruptEncoding, i, err)
+				}
+				l = v
+				off += n
+			}
+			i++
+			if l == 0 {
+				if p > 255 {
+					return dst, fmt.Errorf("%w: literal value %d", ErrBadFactor, p)
+				}
+				out = append(out, byte(p))
+				continue
+			}
+			if p >= m || l > m-p {
+				return dst, fmt.Errorf("%w: (%d, %d) in dictionary of %d", ErrBadFactor, p, l, m)
+			}
+			if n := len(out); l <= runSlack && m-p >= runSlack && cap(out)-n >= runSlack {
+				copyWords(out[n:n+runSlack], text[p:p+runSlack])
+				out = out[:n+int(l)]
+				continue
+			}
+			out = append(out, text[p:p+l]...)
+			continue
+		}
+		v, ok := t.take(1 + bk + repeatCountBits)
+		if !ok {
+			return dst, errTruncatedToken(i)
+		}
+		dist, r := int(v>>1&(1<<bk-1))+1, int(v>>(1+bk))+2
+		if err := repeatAt(dist, r, i, k); err != nil {
+			return dst, err
+		}
+		// The r factors repeat every dist with a period of span bytes.
+		from, span := int(starts[i-dist]), int(starts[i]-starts[i-dist])
+		size := r/dist*span + int(starts[i-dist+r%dist]) - from
+		if int(starts[i])+size > maxRepeatsDoc {
+			return dst, fmt.Errorf("%w: document longer than %d bytes", ErrCorruptEncoding, maxRepeatsDoc)
+		}
+		for j := i + 1; j <= i+r; j++ {
+			starts[j] = starts[j-dist] + int32(span)
+		}
+		i += r
+		n := len(out)
+		switch src := base + from; {
+		case size <= span && size <= runSlack && cap(out)-n >= runSlack:
+			copyWords(out[n:n+runSlack], out[src:src+runSlack])
+			out = out[:n+size]
+		case size <= span:
+			out = append(out, out[src:src+size]...)
+		default: // the copy overlaps its source: each pass doubles what it can take
+			out = slices.Grow(out, size)[:n+size]
+			for c := n; c < n+size; {
+				c += copy(out[c:n+size], out[src:c])
+			}
+		}
+	}
+	if i < k {
+		if limit < maxRepeatsDoc {
+			return out, nil
+		}
+		return dst, fmt.Errorf("%w: document longer than %d bytes", ErrCorruptEncoding, maxRepeatsDoc)
+	}
+	if err := t.end(); err != nil {
+		return dst, err
+	}
+	if off != len(lens) {
+		return dst, fmt.Errorf("%w: %d trailing bytes in length stream", ErrCorruptEncoding, len(lens)-off)
+	}
+	return out, nil
+}
+
+// appendRepeatsRange appends bytes [from, to) of a repeats record's
+// document to dst: it decodes the document up to to and trims off what
+// lies before from.
+func (d *Dictionary) appendRepeatsRange(dst []byte, rec record, sc *decodeScratch, from, to int) ([]byte, error) {
+	from = max(from, 0)
+	if to <= from {
+		return dst, nil
+	}
+	out, err := d.appendRepeats(dst, rec, sc, to)
+	if err != nil {
+		return dst, err
+	}
+	n := len(dst)
+	end := min(len(out)-n, to)
+	if from >= end {
+		return dst, nil
+	}
+	return out[:n+copy(out[n:], out[n+from:n+end])], nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"rlz/internal/coding"
 )
 
 // FuzzFactorizeEquivalence holds the fast factorization engine (k-gram
@@ -100,6 +102,19 @@ func refDecodeUV(text, rec []byte) (doc []byte, used int, ok bool) {
 	return doc, used, len(lens) == 0
 }
 
+// repeatSeeds returns factor sequences, against a dictionary of m > 32
+// bytes, whose PV records take the repeats form: runs repeated far
+// back, back to back, and overlapping their own copy (d < r).
+func repeatSeeds(m uint32) [][]Factor {
+	a, b, c := Factor{Pos: 0, Len: 7}, Factor{Pos: m - 5, Len: 5}, Factor{Pos: 'q'}
+	far := []Factor{a, b, c, {Pos: 9, Len: 2}, {Pos: 20, Len: 12}, a, b, c, {Pos: m - 1, Len: 1}, a, b, c}
+	var overlap []Factor // d = 2, r = 20
+	for i := 0; i < 22; i++ {
+		overlap = append(overlap, []Factor{a, c}[i%2])
+	}
+	return [][]Factor{far, overlap, append(overlap, far...)}
+}
+
 // resealMode is the bit of FuzzDecodeRecord's codec byte that re-seals
 // the CRC of a P record before it is decoded.
 const resealMode = 0x80
@@ -139,6 +154,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	sized = append(sized, Factor{Pos: m - runSlack, Len: 16}, Factor{Pos: m - runSlack, Len: runSlack},
 		Factor{Pos: m - runSlack + 1, Len: 16}, Factor{Pos: m - runSlack + 1, Len: runSlack - 1})
 	seeds = append(seeds, tail, sized, append(sized[:len(sized):len(sized)], Factor{Pos: m - 3, Len: 4}))
+	seeds = append(seeds, repeatSeeds(m)...)
 	for _, fs := range seeds {
 		for i, c := range everyCodec {
 			f.Add(text, c.Encode(nil, fs), uint8(i), int16(-1), int16(40))
@@ -189,4 +205,27 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("range [%d,%d) of a %d-byte document: %d bytes, %v", from, to, len(doc), len(part)-4, err)
 		}
 	})
+}
+
+// TestRepeatSeedsTakeRepeats keeps FuzzDecodeRecord's repeat seeds what
+// they are for: PV records in repeats form, one with a repeat that
+// overlaps its own copy.
+func TestRepeatSeedsTakeRepeats(t *testing.T) {
+	for i, fs := range repeatSeeds(100) {
+		rec := CodecPV.Encode(nil, fs)
+		if tagOf(rec) != posTagRepeats {
+			t.Errorf("seed %d: position tag %d, want %d", i, tagOf(rec), posTagRepeats)
+		}
+	}
+	// Two flag-0 tokens of 1+7 bits, then the repeat: d−1 and r−2 in
+	// bit-length(22) = 5 and 6 bits.
+	rec := CodecPV.Encode(nil, repeatSeeds(100)[1])
+	_, n, _ := coding.Uvarint32(rec)
+	pos, _, _ := readBlob(rec[n:])
+	tr := newTokenReader(pos[2:], 7, 22)
+	tr.refill()
+	tr.take(16)
+	if v, _ := tr.take(1 + 5 + repeatCountBits); v&1 != 1 || v>>1&31+1 != 2 || v>>6+2 != 20 {
+		t.Errorf("overlapping seed: third token %#x, want a repeat of 20 factors 2 back", v)
+	}
 }

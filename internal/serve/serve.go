@@ -77,6 +77,7 @@ type Server struct {
 	cache   *lru.Cache // nil = uncached
 	workers int
 	pool    sync.Pool // *[]byte scratch buffers for Do and GetBatch
+	views   sync.Pool // *viewCall, for Do's zero-copy path
 
 	requests     atomic.Int64
 	errors       atomic.Int64
@@ -190,6 +191,16 @@ func (s *Server) GetAppend(dst []byte, id int) ([]byte, error) {
 	return dst, nil
 }
 
+// viewCall is the state of one zero-copy Do with the func the viewer
+// calls, built once per pooled value: a closure made per call would
+// escape through the Viewer interface, with what it captures.
+type viewCall struct {
+	fn     func(doc []byte) error
+	n      int
+	called bool
+	visit  func(doc []byte) error
+}
+
 // Get retrieves document id into a fresh caller-owned buffer.
 func (s *Server) Get(id int) ([]byte, error) {
 	return s.GetAppend(nil, id)
@@ -207,13 +218,19 @@ func (s *Server) Get(id int) ([]byte, error) {
 func (s *Server) Do(id int, fn func(doc []byte) error) error {
 	if s.viewer != nil {
 		start := time.Now()
-		var n int
-		called := false
-		handled, err := s.viewer.View(id, func(doc []byte) error {
-			called = true
-			n = len(doc)
-			return fn(doc)
-		})
+		vc, _ := s.views.Get().(*viewCall)
+		if vc == nil {
+			vc = new(viewCall)
+			vc.visit = func(doc []byte) error {
+				vc.called, vc.n = true, len(doc)
+				return vc.fn(doc)
+			}
+		}
+		vc.fn, vc.called, vc.n = fn, false, 0
+		handled, err := s.viewer.View(id, vc.visit)
+		called, n := vc.called, vc.n
+		vc.fn = nil
+		s.views.Put(vc)
 		if handled {
 			s.requests.Add(1)
 			if !called {

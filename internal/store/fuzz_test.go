@@ -47,6 +47,20 @@ func FuzzOpenBytes(f *testing.F) {
 	})
 }
 
+// repeatSeeds returns the factor sequences of rlz's FuzzDecodeRecord
+// seeds of the same name, whose PV records take the repeats form: runs
+// repeated far back, back to back, and overlapping their own copy
+// (d < r).
+func repeatSeeds(m uint32) [][]rlz.Factor {
+	a, b, c := rlz.Factor{Pos: 0, Len: 7}, rlz.Factor{Pos: m - 5, Len: 5}, rlz.Factor{Pos: 'q'}
+	far := []rlz.Factor{a, b, c, {Pos: 9, Len: 2}, {Pos: 20, Len: 12}, a, b, c, {Pos: m - 1, Len: 1}, a, b, c}
+	var overlap []rlz.Factor // d = 2, r = 20
+	for i := 0; i < 22; i++ {
+		overlap = append(overlap, []rlz.Factor{a, c}[i%2])
+	}
+	return [][]rlz.Factor{far, overlap, append(overlap, far...)}
+}
+
 // FuzzCodecDecode exercises every pair codec's decoder on arbitrary
 // record bytes, and holds the fused record decoder the read path uses
 // (rlz.Dictionary.DecodeRecord) to the layered one it replaced there
@@ -60,7 +74,8 @@ func FuzzCodecDecode(f *testing.F) {
 	}
 	m := uint32(len(dictText))
 	fs := []rlz.Factor{{Pos: 3, Len: 10}, {Pos: 'x', Len: 0}, {Pos: 0, Len: 1}, {Pos: m - 200, Len: 200}}
-	for _, c := range append(append([]rlz.PairCodec{}, rlz.AllCodecs...), rlz.ExtensionCodecs...) {
+	pz, ps, ph := rlz.PairCodec{Pos: rlz.PosP, Len: rlz.LenZ}, rlz.PairCodec{Pos: rlz.PosP, Len: rlz.LenS}, rlz.PairCodec{Pos: rlz.PosP, Len: rlz.LenH}
+	for _, c := range append(append([]rlz.PairCodec{pz, ps, ph}, rlz.AllCodecs...), rlz.ExtensionCodecs...) {
 		rec := c.Encode(nil, fs)
 		f.Add(c.String(), rec)
 		f.Add(c.String(), rec[:len(rec)-1])
@@ -70,6 +85,9 @@ func FuzzCodecDecode(f *testing.F) {
 		f.Add(c.String(), c.Encode(nil, []rlz.Factor{{Pos: m - 1, Len: 2}}))     // runs off the end
 		f.Add(c.String(), c.Encode(nil, []rlz.Factor{{Pos: m, Len: 1}}))         // starts past it
 		f.Add(c.String(), c.Encode(nil, []rlz.Factor{{Pos: 1, Len: 1<<32 - 1}})) // wraps a uint32
+		for _, seed := range repeatSeeds(m) {
+			f.Add(c.String(), c.Encode(nil, seed))
+		}
 	}
 	f.Fuzz(func(t *testing.T, name string, data []byte) {
 		codec, err := rlz.CodecByName(name)

@@ -31,8 +31,13 @@ import (
 	"rlz/internal/rlz"
 )
 
+// The header's version is 2 for a P segment and 1 for every other; a
+// Reader takes both. A version 2 segment may hold P records in repeats
+// form, which a reader of version 1 alone would fail on at every read,
+// so it refuses the segment at open instead.
 const (
 	version     = 1
+	versionP    = 2
 	headerMagic = "RLZA"
 	footerMagic = "RLZE"
 	footerSize  = 8 + 4
@@ -110,7 +115,11 @@ func newWriter(w io.Writer, dict *rlz.Dictionary, dictData []byte, codec rlz.Pai
 	}
 	var hdr []byte
 	hdr = append(hdr, headerMagic...)
-	hdr = append(hdr, version, byte(codec.Pos), byte(codec.Len))
+	v := byte(version)
+	if codec.Pos == rlz.PosP {
+		v = versionP
+	}
+	hdr = append(hdr, v, byte(codec.Pos), byte(codec.Len))
 	hdr = coding.PutUvarint64(hdr, uint64(len(dictData)))
 	hdr = append(hdr, dictData...)
 	if _, err := sw.w.Write(hdr); err != nil {
@@ -264,7 +273,7 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	if string(hdrProbe[:4]) != headerMagic {
 		return nil, fmt.Errorf("%w: bad header magic", ErrCorruptArchive)
 	}
-	if hdrProbe[4] != version {
+	if v := hdrProbe[4]; v != version && v != versionP {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptArchive, hdrProbe[4])
 	}
 	codec, err := rlz.CodecByName(string(hdrProbe[5:7]))
