@@ -48,21 +48,7 @@ func TestParentPVArchiveReads(t *testing.T) {
 	if v := arc[len(headerMagic)]; v != version {
 		t.Fatalf("fixture header version %d, want %d", v, version)
 	}
-	r, err := OpenBytes(arc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumDocs() != len(docs) {
-		t.Fatalf("%d documents, want %d", r.NumDocs(), len(docs))
-	}
-	for id, doc := range docs {
-		for _, span := range [][2]int{{0, len(doc)}, {len(doc) / 3, len(doc) / 2}, {len(doc) - 7, len(doc) + 7}} {
-			want := doc[max(span[0], 0):min(span[1], len(doc))]
-			if got, err := r.GetRange(id, span[0], span[1]); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("document %d [%d,%d): %d bytes, want %d (%v)", id, span[0], span[1], len(got), len(want), err)
-			}
-		}
-	}
+	readsBack(t, arc, docs)
 	forms := flipEveryRecordByte(t, append([]byte{}, arc...), docs)
 	if forms["zlib"] == 0 || forms["packed"] == 0 {
 		t.Fatalf("the fixture should hold zlib and packed records: %v", forms)
@@ -84,10 +70,33 @@ func TestParentPVArchiveReads(t *testing.T) {
 	if v := buf.Bytes()[len(headerMagic)]; v != versionP {
 		t.Fatalf("a PV archive written today has header version %d, want %d", v, versionP)
 	}
+	readsBack(t, buf.Bytes(), docs)
 	if forms := flipEveryRecordByte(t, buf.Bytes(), docs); forms["zlib"] != 0 || forms["repeats"] == 0 {
 		t.Fatalf("the archive written today should hold repeats records and no zlib ones: %v", forms)
 	}
 	t.Logf("%d bytes written before repeats, %d today", len(arc), buf.Len())
+}
+
+// readsBack checks that the archive arc holds docs: each one whole and
+// in ranges that start inside it, near its end and past it, through
+// GetRange (for a record in repeats form, mostly inside a repeat).
+func readsBack(t *testing.T, arc []byte, docs [][]byte) {
+	t.Helper()
+	r, err := OpenBytes(arc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumDocs() != len(docs) {
+		t.Fatalf("%d documents, want %d", r.NumDocs(), len(docs))
+	}
+	for id, doc := range docs {
+		for _, span := range [][2]int{{0, len(doc)}, {len(doc) / 3, len(doc) / 2}, {len(doc) - 7, len(doc) + 7}} {
+			want := doc[max(span[0], 0):min(span[1], len(doc))]
+			if got, err := r.GetRange(id, span[0], span[1]); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("document %d [%d,%d): %d bytes, want %d (%v)", id, span[0], span[1], len(got), len(want), err)
+			}
+		}
+	}
 }
 
 // TestHeaderVersionByCodec checks the version each codec's archive is
