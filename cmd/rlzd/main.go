@@ -4,10 +4,10 @@
 // bulk-built by rlz build -shards, the two are one format — is served
 // through the same flag. Requests are served concurrently through
 // internal/serve's goroutine-safe Server, with an optional hot-document
-// LRU cache and live read statistics, over cleartext HTTP/1.1 and 1.0 by
-// the daemon's own connection loop (conn.go: keep-alive, pipelining,
-// HEAD, chunked and 100-continue request bodies; no TLS, HTTP/2 or
-// hijacking).
+// cache (SIEVE eviction) and live read statistics, over cleartext
+// HTTP/1.1 and 1.0 by the daemon's own connection loop (conn.go:
+// keep-alive, pipelining, HEAD, chunked and 100-continue request bodies;
+// no TLS, HTTP/2 or hijacking).
 //
 // Serving a live collection additionally enables the write API: new
 // documents are appended over HTTP and readable immediately, deletes
@@ -71,7 +71,7 @@ func main() {
 	fs := flag.NewFlagSet("rlzd", flag.ExitOnError)
 	arc := fs.String("a", "", "archive path (required; backend auto-detected)")
 	addr := fs.String("addr", ":8087", "listen address")
-	cacheDocs := fs.Int("cache", 1024, "hot-document LRU capacity in documents; 0 disables")
+	cacheDocs := fs.Int("cache", 1024, "hot-document cache capacity in documents (SIEVE eviction); 0 disables")
 	workers := fs.Int("workers", 0, "batch fan-out per request; 0 means GOMAXPROCS")
 	maxBatch := fs.Int("max-batch", 4096, "largest accepted POST /docs batch")
 	maxDoc := fs.String("max-doc", "16MB", "largest accepted POST /append document (and /append/batch body)")

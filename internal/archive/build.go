@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -128,13 +129,19 @@ type BuildResult struct {
 // whole, and the expensive per-unit work (RLZ factorization, block
 // compression) runs on opts.Workers goroutines with commits in document
 // order, so the output is byte-for-byte identical to a sequential build
-// — the compression-side scalability §3.2 advertises.
+// — the compression-side scalability §3.2 advertises. The backend
+// writers write through a buffer flushed before Build returns, so a
+// file receives one write per 64 KiB rather than one per record.
 func Build(w io.Writer, src DocSource, opts Options) (BuildResult, error) {
-	aw, err := NewWriter(w, opts)
+	bw := bufio.NewWriterSize(w, buildBuffer)
+	aw, err := NewWriter(bw, opts)
 	if err != nil {
 		return BuildResult{}, err
 	}
 	res, err := build(aw, src, opts)
+	if err == nil {
+		err = bw.Flush()
+	}
 	if err != nil {
 		// Failed builds still close the writer so backend pipelines
 		// drain their goroutines; the archive bytes are garbage either
@@ -152,6 +159,9 @@ func Build(w io.Writer, src DocSource, opts Options) (BuildResult, error) {
 	}
 	return res, nil
 }
+
+// buildBuffer is the size of the buffer Build writes through.
+const buildBuffer = 64 << 10
 
 // rlzWorker is what one parallel-build worker keeps between documents:
 // its engine, the factor slice and the buffer a record is assembled in.

@@ -49,3 +49,42 @@ func TestParallelBuildAllocsPerDocument(t *testing.T) {
 		}
 	}
 }
+
+// writeCounter counts the Write calls that reach it.
+type writeCounter struct{ writes, bytes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestBuildBuffersWrites pins how many writes a 500-document build makes
+// on its io.Writer: one per 64 KiB of output, not one per record, on the
+// sequential path and on the parallel one, whose committer writes
+// encoded records, for every backend.
+func TestBuildBuffersWrites(t *testing.T) {
+	c := corpus.Generate(corpus.Gov, 4<<20, 3)
+	bodies := make([][]byte, 500)
+	for i := range bodies {
+		bodies[i] = c.Docs[i%len(c.Docs)].Body
+	}
+	dict := rlz.SampleEven(c.Bytes(), 64<<10, 1024)
+	for _, opts := range []Options{
+		{Backend: RLZ, Dict: dict, Workers: 1},
+		{Backend: RLZ, Dict: dict, Workers: 4},
+		{Backend: Block, Workers: 1},
+		{Backend: Raw},
+	} {
+		var w writeCounter
+		if _, err := Build(&w, FromBodies(bodies), opts); err != nil {
+			t.Fatal(err)
+		}
+		// A write the buffer passes straight through (the dictionary)
+		// can cost one more write for the buffered bytes before it.
+		if most := 2*(w.bytes/buildBuffer) + 2; w.writes > most {
+			t.Errorf("%s workers=%d: %d writes for %d bytes, want at most %d", opts.Backend, opts.Workers, w.writes, w.bytes, most)
+		}
+		t.Logf("%s workers=%d: %d writes for %d bytes", opts.Backend, opts.Workers, w.writes, w.bytes)
+	}
+}

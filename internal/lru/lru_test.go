@@ -25,11 +25,13 @@ func TestGetPut(t *testing.T) {
 	}
 }
 
-func TestEvictionIsLRU(t *testing.T) {
+// TestEvictionSparesVisited checks that eviction passes over an entry
+// read since it was cached and takes the oldest one that was not.
+func TestEvictionSparesVisited(t *testing.T) {
 	c := New(2)
 	c.Put(1, []byte("one"))
 	c.Put(2, []byte("two"))
-	c.Get(1) // promote 1; 2 is now LRU
+	c.Get(1) // visit 1: the hand clears its bit and moves on to 2
 	c.Put(3, []byte("three"))
 	if got := c.Get(2); got != nil {
 		t.Fatalf("entry 2 should have been evicted, got %q", got)

@@ -1,8 +1,9 @@
 // Package serve is the concurrent document-serving layer over
 // internal/archive: it wraps any archive.Reader in an explicit
-// concurrency contract and adds what a hot read path needs — a promoted
-// LRU document cache (internal/lru; the one cache on the read path, so
-// every backend benefits and none keeps its own),
+// concurrency contract and adds what a hot read path needs — a document
+// cache with SIEVE eviction (internal/lru; the one cache on the read
+// path, so every backend benefits and none keeps its own, and its
+// buffers are recycled, so a warm miss allocates nothing),
 // per-request buffer pooling around the GetAppend zero-allocation path,
 // a batch API with per-document error reporting, read statistics
 // (hits, misses, bytes decoded, p50/p99 latency), and a cache epoch that
@@ -28,9 +29,10 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// CacheDocs is the capacity of the decoded-document LRU cache, in
-	// documents; a value <= 0 disables caching, the paper-faithful mode
-	// where every request pays full decode cost.
+	// CacheDocs is the capacity of the decoded-document cache, in
+	// documents (SIEVE eviction, see internal/lru); a value <= 0
+	// disables caching, the paper-faithful mode where every request pays
+	// full decode cost.
 	CacheDocs int
 	// Workers bounds GetBatch fan-out on backends that batch natively:
 	// at most Workers block decodes run concurrently. 0 means
@@ -119,7 +121,7 @@ func New(r archive.Reader, opts Options) *Server {
 // cycle boundary (every 2^24 bumps — unreachable in practice, cheap to
 // guard). A request already in flight across the boundary may re-insert
 // one pre-boundary entry afterwards; it would need to survive another
-// full cycle of bumps under LRU pressure to ever alias, so the guard is
+// full cycle of bumps under eviction pressure to ever alias, so the guard is
 // sound for any real workload.
 func (s *Server) purgeOnCycle(epoch uint64) {
 	if s.cache != nil && epoch%epochCycle == 0 {
@@ -142,7 +144,7 @@ func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 // NumDocs returns the number of documents in the underlying archive.
 func (s *Server) NumDocs() int { return s.r.NumDocs() }
 
-// cacheKey maps (epoch, id) to an LRU key; ok is false for ids too
+// cacheKey maps (epoch, id) to a cache key; ok is false for ids too
 // large to tag with an epoch, which simply bypass the cache.
 func cacheKey(epoch uint64, id int) (key uint64, ok bool) {
 	if uint64(id) >= 1<<epochShift {
@@ -166,15 +168,15 @@ func (s *Server) GetAppend(dst []byte, id int) ([]byte, error) {
 	// One epoch read per request: a request that began before a bump
 	// publishes its cache entry under the dead epoch's key.
 	key, cacheable := cacheKey(s.epoch.Load(), id)
+	base := len(dst)
 	if s.cache != nil && cacheable {
-		if doc := s.cache.Get(key); doc != nil {
+		if out, ok := s.cache.GetAppend(dst, key); ok {
 			s.hits.Add(1)
-			s.served.Add(int64(len(doc)))
+			s.served.Add(int64(len(out) - base))
 			s.lat.observe(time.Since(start))
-			return append(dst, doc...), nil
+			return out, nil
 		}
 	}
-	base := len(dst)
 	dst, err := s.r.GetAppend(dst, id)
 	if err != nil {
 		s.errors.Add(1)
@@ -296,7 +298,7 @@ func (s *Server) GetBatch(ids []int) []Result {
 		if s.cache != nil {
 			if key, cacheable := cacheKey(epoch, id); cacheable {
 				if doc := s.cache.Get(key); doc != nil {
-					out[i].Data = append([]byte(nil), doc...)
+					out[i].Data = doc
 					s.hits.Add(1)
 					s.served.Add(int64(len(doc)))
 					continue

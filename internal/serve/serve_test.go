@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -249,6 +250,53 @@ func TestDoUsesPooledBuffer(t *testing.T) {
 			t.Errorf("warm Do from a collection's %s segment allocates %v objects per call, want 0", seg.name, n)
 		}
 	}
+	// A miss that evicts copies the document into the victim's buffer.
+	// Five ids of like size from the sealed RLZ segment cycle through a
+	// four-document cache, so every call misses; once each slot's buffer
+	// has held the largest of them, no miss allocates.
+	ids := likeSizedIDs(t, col, segs[0], 5)
+	s = New(col, Options{CacheDocs: 4})
+	buf := make([]byte, 0, 64<<10)
+	next := 0
+	miss := map[string]func(){
+		"Do":        func() { _ = s.Do(ids[next%len(ids)], noop); next++ },
+		"GetAppend": func() { buf, _ = s.GetAppend(buf[:0], ids[next%len(ids)]); next++ },
+	}
+	for name, call := range miss {
+		for range 4 * len(ids) {
+			call()
+		}
+		hits := s.Stats().CacheHits
+		if n := testing.AllocsPerRun(100, call); n != 0 {
+			t.Errorf("warm %s missing the cache allocates %v objects per call, want 0", name, n)
+		}
+		if st := s.Stats(); st.CacheHits != hits {
+			t.Errorf("%s: %d cache hits while cycling %d ids through %d slots, want none", name, st.CacheHits-hits, len(ids), st.CacheCap)
+		}
+	}
+}
+
+// likeSizedIDs returns the n ids of seg whose sizes sit around its
+// median, checking that the largest fits the buffer of any other under
+// the cache's reuse bound (at most twice the document plus 4 KiB).
+func likeSizedIDs(t *testing.T, r archive.Reader, seg liveSegment, n int) []int {
+	t.Helper()
+	ids := make([]int, seg.n)
+	size := make(map[int]int, seg.n)
+	for i := range ids {
+		ids[i] = seg.first + i
+		doc, err := r.GetAppend(nil, ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[ids[i]] = len(doc)
+	}
+	slices.SortFunc(ids, func(a, b int) int { return size[a] - size[b] })
+	ids = ids[(len(ids)-n)/2:][:n]
+	if lo, hi := size[ids[0]], size[ids[n-1]]; hi > 2*lo+4<<10 {
+		t.Fatalf("ids %v span %d to %d bytes, too wide for one buffer to serve all", ids, lo, hi)
+	}
+	return ids
 }
 
 // liveSegment is a run of a collection's ids that one segment holds.
