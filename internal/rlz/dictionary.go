@@ -12,8 +12,9 @@
 //
 // The package provides dictionary construction (even, prefix and random
 // sampling), the suffix-array factorizer (Factorizer: each factor opens
-// through the dictionary's k-gram ladder, then narrows by boundary skip
-// and interval search), the decoder, the paper's four position–length
+// through the dictionary's k-gram ladder, then takes one lcp-bounded
+// binary search over a wide interval, or boundary skips and linear scans
+// over a narrow one), the decoder, the paper's four position–length
 // pair codecs (ZZ, ZV, UZ, UV from §3.4), and the statistics the paper
 // reports (average factor length, dictionary utilization, factor-length
 // histograms).

@@ -13,9 +13,11 @@ import (
 // benchmark/layers.go names both and a change may not edit the benchmark.
 type FactorizerOptions struct{}
 
-// linearThreshold is the interval size at or below which the factorizer's
-// inlined search scans slots sequentially instead of binary-searching;
-// see suffix.Refine for the same trade-off in the exported primitive.
+// linearThreshold is the interval size at or below which Factorize
+// narrows a factor's interval a byte at a time by sequential scans; a
+// wider one takes longestMatch's binary search. Thresholds from 16 to 48
+// measure alike, 96 and 192 slower on web dictionaries; see suffix.Refine
+// for the same trade-off in the exported primitive.
 const linearThreshold = 48
 
 // A rung of the ladder that misses restStreak factor openings in a row is
@@ -103,21 +105,25 @@ func matchLen(a, b []byte) int32 {
 // This is the paper's Figure 1 loop with the hot path flattened:
 //
 //   - each factor opens with a ladder lookup of its first 8, else 4, else
-//     2 bytes, landing on the interval at that depth (falling back to
-//     narrowing from the full array when no rung holds the gram, fewer
-//     bytes remain, or the rungs are resting — see restStreak); a rung
-//     that misses bounds the factor below its width, so the search that
-//     follows stops there instead of finding out;
-//   - the interval's boundary suffixes absorb shared prefixes: while both
-//     boundaries match the next pattern bytes every suffix between them
-//     does too, so depth advances by sequential eight-byte compares with
-//     no search at all;
-//   - when the boundaries diverge, one equal_range-style closure-free
-//     binary search (linear scan below linearThreshold) narrows the
-//     interval, which strictly shrinks — the diverging boundary drops out
-//     — so the skip/narrow alternation terminates;
+//     2 bytes, landing on the interval at that depth (falling back to the
+//     full array when no rung holds the gram, fewer bytes remain, or the
+//     rungs are resting — see restStreak); a rung that misses bounds the
+//     factor below its width, so the search that follows stops there
+//     instead of finding out;
+//   - an interval wider than linearThreshold is searched once for the
+//     whole pattern (longestMatch): an lcp-bounded binary search for its
+//     insertion point, whose neighbours hold the longest match;
+//   - a narrower one is narrowed a byte at a time: while both boundary
+//     suffixes match the next pattern bytes every suffix between them
+//     does too, so depth advances by eight-byte compares with no search
+//     at all, and where they diverge a linear scan narrows the interval,
+//     which strictly shrinks — the diverging boundary drops out;
 //   - a single surviving candidate switches to direct extension
-//     (csp2-style, as before, now eight bytes per step).
+//     (csp2-style, eight bytes per step).
+//
+// Both searches report the leftmost suffix of the interval that shares
+// the longest match, which is the suffix the reference's last Refine
+// leaves at the interval's low end; so every factor is the reference's.
 func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 	text, slots := f.sa.Text(), f.sa.SA()
 	m := int32(len(text))
@@ -125,10 +131,10 @@ func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 	rungs := f.rungs
 	narrowest := len(rungs) - 1
 	var gates [suffix.MaxRungs]rungGate
-	// The whole search runs on (lo, hi) locals with the bound searches
-	// inlined — one Refine-sized function call per character showed up as
-	// a top cost in the build profile, and the suffix-array probes here
-	// are the innermost loop of every archive build.
+	// The narrow search runs on (lo, hi) locals with the scans inlined —
+	// one Refine-sized function call per character showed up as a top
+	// cost in the build profile, and the suffix-array probes here are the
+	// innermost loop of every archive build.
 	for i := int32(0); i < n; {
 		var lo, depth int32
 		hi := int32(len(slots))
@@ -152,6 +158,12 @@ func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 			gate.missed()
 			end = i + k - 1
 		}
+		if hi-lo > linearThreshold && i+depth < end {
+			// hi = lo: the match is settled, nothing below narrows or
+			// extends it.
+			lo, depth = longestMatch(text, slots, doc[i:end], lo, hi, depth)
+			hi = lo
+		}
 		for i+depth < end && hi-lo > 1 {
 			// Boundary skip (see the doc comment): capped at the lower
 			// boundary's match length, then at the upper's.
@@ -161,73 +173,31 @@ func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 					break
 				}
 			}
+			// Linear scan for the run of slots holding c at depth. An
+			// exhausted suffix (p >= m) sorts before every character.
 			c := doc[i+depth]
-			l, h := lo, hi
-			var newLo, newHi int32
-			for {
-				if h-l <= linearThreshold {
-					// Small range: sequential scan beats further probes.
-					k := l
-					for k < h {
-						if p := slots[k] + depth; p < m && text[p] >= c {
-							break
-						}
-						k++
-					}
-					newLo = k
-					for k < h {
-						if p := slots[k] + depth; p >= m || text[p] != c {
-							break
-						}
-						k++
-					}
-					newHi = k
+			k := lo
+			for k < hi {
+				if p := slots[k] + depth; p < m && text[p] >= c {
 					break
 				}
-				// equal_range: one probe sequence until a slot holding c
-				// is hit, then bound the run from both sides within the
-				// halves — ~1.5 log probes instead of 2 log. An exhausted
-				// suffix (p >= m) sorts before every character.
-				mid := int32(uint32(l+h) >> 1)
-				p := slots[mid] + depth
-				if p >= m || text[p] < c {
-					l = mid + 1
-					continue
+				k++
+			}
+			newLo := k
+			for k < hi {
+				if p := slots[k] + depth; p >= m || text[p] != c {
+					break
 				}
-				if text[p] > c {
-					h = mid
-					continue
-				}
-				lb, lh := l, mid
-				for lb < lh {
-					m2 := int32(uint32(lb+lh) >> 1)
-					if p2 := slots[m2] + depth; p2 < m && text[p2] >= c {
-						lh = m2
-					} else {
-						lb = m2 + 1
-					}
-				}
-				newLo = lb
-				ub, uh := mid+1, h
-				for ub < uh {
-					m2 := int32(uint32(ub+uh) >> 1)
-					if p2 := slots[m2] + depth; p2 < m && text[p2] > c {
-						uh = m2
-					} else {
-						ub = m2 + 1
-					}
-				}
-				newHi = ub
+				k++
+			}
+			if newLo >= k {
 				break
 			}
-			if newLo >= newHi {
-				break
-			}
-			lo, hi = newLo, newHi
+			lo, hi = newLo, k
 			depth++
 		}
 		// One candidate suffix left: extend by direct comparison
-		// (csp2-style, now eight bytes per step). Running it before the
+		// (csp2-style, eight bytes per step). Running it before the
 		// literal check matters for the depth == 0 corner — a one-byte
 		// dictionary starts at a size-1 interval with nothing matched yet,
 		// and matchLen from depth 0 is exactly the verification the
@@ -245,4 +215,80 @@ func (f *Factorizer) Factorize(doc []byte, factors []Factor) []Factor {
 		i += depth
 	}
 	return factors
+}
+
+// longestMatch returns the leftmost slot of [lo,hi) whose suffix shares
+// the longest prefix with pat, and that prefix's length; every suffix in
+// [lo,hi) shares pat[:depth], and depth < len(pat).
+//
+// It binary-searches for pat's insertion point l — the first slot whose
+// suffix is not below pat — tracking llcp and rlcp, the prefix pat shares
+// with the slots at l-1 and r; every suffix between those two shares
+// min(llcp, rlcp) with pat, so each probe compares from there (Manber and
+// Myers' bound). A suffix that matches all of pat counts as not below it,
+// and one that runs out first (the dictionary's end) as below. The
+// longest match is with l-1 or l, and the lcp with pat never decreases
+// from lo up to l-1, so when l-1 holds it the leftmost slot that does is
+// found by galloping left and bisecting.
+//
+// A pattern one byte past depth — most factors of a document that shares
+// little with the dictionary open so, after the 2-byte rung misses —
+// takes a plain lower-bound search on that byte instead: the lcp-tracked
+// probe costs such documents a third of their speed.
+func longestMatch(text []byte, slots []int32, pat []byte, lo, hi, depth int32) (slot, n int32) {
+	m, plen := int32(len(text)), int32(len(pat))
+	l, r := lo, hi
+	if plen-depth == 1 {
+		c := pat[depth]
+		for l < r {
+			mid := int32(uint32(l+r) >> 1)
+			if p := slots[mid] + depth; p < m && text[p] >= c {
+				r = mid
+			} else {
+				l = mid + 1
+			}
+		}
+		if l < hi {
+			if p := slots[l] + depth; p < m && text[p] == c {
+				return l, plen
+			}
+		}
+		return lo, depth
+	}
+	llcp, rlcp := depth, depth // a neighbour outside [lo,hi) counts as depth
+	for l < r {
+		mid := int32(uint32(l+r) >> 1)
+		s, k := slots[mid], min(llcp, rlcp)
+		k += matchLen(text[s+k:], pat[k:])
+		if k == plen || (s+k < m && text[s+k] > pat[k]) {
+			r, rlcp = mid, k
+		} else {
+			l, llcp = mid+1, k
+		}
+	}
+	switch {
+	case llcp <= depth && rlcp <= depth:
+		return lo, depth
+	case llcp < rlcp:
+		return l, rlcp
+	}
+	// The longest match is llcp, held by l-1: gallop left from there while
+	// slots still hold it (g, the leftmost seen so far), then bisect (b, g).
+	n = llcp
+	g, step := l-1, int32(1)
+	b := g - 1
+	for b >= lo && matchLen(text[slots[b]+depth:], pat[depth:n]) == n-depth {
+		g, step = b, step<<1
+		b = g - step
+	}
+	b = max(b, lo-1) // b holds less than n, or lies outside [lo,hi)
+	for g-b > 1 {
+		mid := int32(uint32(b+g) >> 1)
+		if matchLen(text[slots[mid]+depth:], pat[depth:n]) == n-depth {
+			g = mid
+		} else {
+			b = mid
+		}
+	}
+	return g, n
 }

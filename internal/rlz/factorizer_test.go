@@ -139,12 +139,15 @@ func TestFactorizerEquivalenceCorners(t *testing.T) {
 	}
 }
 
-// cornerCases are dictionary/document pairs at the ladder's edges; rungs
-// is the number of rungs the dictionary must come out with (-1: any).
+// cornerCases are dictionary/document pairs at the ladder's edges and at
+// the exits of longestMatch's general search; rungs is the number of
+// rungs the dictionary must come out with (-1: any), and wide, when set,
+// the exit some factor opening of doc must take (see wideExits).
 func cornerCases() []struct {
 	name      string
 	dict, doc []byte
 	rungs     int
+	wide      string
 } {
 	rng := rand.New(rand.NewSource(17))
 	random := func(n int) []byte {
@@ -161,26 +164,147 @@ func cornerCases() []struct {
 	// text again: every rung rests, and must be probing again (and
 	// hitting) by the end.
 	streak := append(random(2000), web[:300]...)
+	// "prefix__000|" to "prefix__099|", eight times over: 800 suffixes
+	// open with "prefix__", the 8-byte rung's widest interval, and ten
+	// of every hundred go on with "05". A copy ending in a bare
+	// "prefix__05" adds a suffix the dictionary's end cuts short.
+	var units []byte
+	for j := 0; j < 100; j++ {
+		units = fmt.Appendf(units, "prefix__%03d|", j)
+	}
+	prefixes := bytes.Repeat(units, 8)
+	cutShort := append(bytes.Clone(prefixes), "prefix__05"...)
 	return []struct {
 		name      string
 		dict, doc []byte
 		rungs     int
+		wide      string
 	}{
-		{"one-byte dictionary", []byte("a"), []byte("aaabaa"), 0},
-		{"dictionary shorter than the 2-rung", []byte("a"), []byte("a"), 0},
-		{"dictionary shorter than the 4-rung", []byte("aaa"), []byte("aaaaaaaaaa"), -1},
-		{"dictionary shorter than the 8-rung", []byte("aaaaaaa"), []byte("aaaaaaaaaaaaaaaaaaaa"), -1},
-		{"a^n", bytes.Repeat([]byte("a"), 100), bytes.Repeat([]byte("a"), 333), 3},
-		{"period 2", bytes.Repeat([]byte("ab"), 60), append(bytes.Repeat([]byte("ab"), 50), []byte("ba ab aab")...), 3},
-		{"all 256 byte values", bytes.Repeat(all, 8), append(append([]byte{}, all[100:]...), all[:130]...), 3},
-		{"zero runs", bytes.Repeat([]byte{0, 0, 0, 1}, 32), append(make([]byte, 21), 1, 0, 0), 3},
-		{"0xFF runs", bytes.Repeat([]byte{0xFF, 0xFF, 0xFF, 0}, 32), bytes.Repeat([]byte{0xFF}, 19), 3},
-		{"document shorter than a rung", web, web[5:8], 3},
-		{"tail shorter than a rung", web, append(append([]byte{}, web[:40]...), web[7:10]...), 3},
-		{"seven-byte document", web, web[3:10], 3},
-		{"random dictionary", random(4096), random(600), 0},
-		{"random dictionary, directly indexed 2-byte rung", random(300 << 10), random(2000), 1},
-		{"miss streak then hits", web, streak, 3},
+		{"one-byte dictionary", []byte("a"), []byte("aaabaa"), 0, ""},
+		{"dictionary shorter than the 2-rung", []byte("a"), []byte("a"), 0, ""},
+		{"dictionary shorter than the 4-rung", []byte("aaa"), []byte("aaaaaaaaaa"), -1, ""},
+		{"dictionary shorter than the 8-rung", []byte("aaaaaaa"), []byte("aaaaaaaaaaaaaaaaaaaa"), -1, ""},
+		{"a^n", bytes.Repeat([]byte("a"), 100), bytes.Repeat([]byte("a"), 333), 3, ""},
+		{"period 2", bytes.Repeat([]byte("ab"), 60), append(bytes.Repeat([]byte("ab"), 50), []byte("ba ab aab")...), 3, ""},
+		{"all 256 byte values", bytes.Repeat(all, 8), append(append([]byte{}, all[100:]...), all[:130]...), 3, ""},
+		{"zero runs", bytes.Repeat([]byte{0, 0, 0, 1}, 32), append(make([]byte, 21), 1, 0, 0), 3, ""},
+		{"0xFF runs", bytes.Repeat([]byte{0xFF, 0xFF, 0xFF, 0}, 32), bytes.Repeat([]byte{0xFF}, 19), 3, ""},
+		{"document shorter than a rung", web, web[5:8], 3, ""},
+		{"tail shorter than a rung", web, append(append([]byte{}, web[:40]...), web[7:10]...), 3, ""},
+		{"seven-byte document", web, web[3:10], 3, ""},
+		{"random dictionary", random(4096), random(600), 0, ""},
+		{"random dictionary, directly indexed 2-byte rung", random(300 << 10), random(2000), 1, ""},
+		{"miss streak then hits", web, streak, 3, ""},
+		{"wide: longest match right of the insertion point", prefixes, []byte("prefix__05!prefix__05!"), 3, exitRight},
+		{"wide: longest match left of it, galloping", prefixes, []byte("prefix__05xprefix__05x"), 3, exitGallop},
+		{"wide: all of the pattern matched", prefixes, []byte("..prefix__051"), 3, exitWhole},
+		{"wide: suffix cut short by the dictionary's end", cutShort, []byte("prefix__050!prefix__050!"), 3, exitTextEnd},
+		{"wide: pattern cut short by a rung miss", prefixes, []byte("efix_#xprefix__05!"), 3, exitRungMiss},
+	}
+}
+
+// The exits of longestMatch's general search that wideExits tells apart.
+const (
+	exitRight    = "longest match right of the insertion point"
+	exitGallop   = "longest match left of it, three or more slots holding it"
+	exitWhole    = "all of the pattern matched"
+	exitTextEnd  = "the suffix below the insertion point ends at the dictionary's end"
+	exitRungMiss = "the pattern ends where a rung missed"
+)
+
+// wideExits replays Factorize's factor openings on doc — rung probes,
+// rest gates and the bound a missed rung sets — and, for each opening
+// whose interval is wider than linearThreshold with at least two pattern
+// bytes past its depth (the ones that take longestMatch's general
+// search), names the exits it reaches. It finds them by comparing
+// suffixes one slot at a time, not by longestMatch's own search.
+func wideExits(d *Dictionary, doc []byte) map[string]bool {
+	sa := d.index()
+	text, slots := sa.Text(), sa.SA()
+	m, n := int32(len(text)), int32(len(doc))
+	rungs := d.ladder()
+	var gates [suffix.MaxRungs]rungGate
+	exits := map[string]bool{}
+	i := int32(0)
+	for _, f := range d.factorizeNoFastPath(doc, nil) {
+		lo, hi, depth, end := int32(0), int32(len(slots)), int32(0), n
+		for r := range rungs {
+			rg, gate := &rungs[r], &gates[r]
+			if n-i < rg.K || (r < len(rungs)-1 && gate.resting()) {
+				continue
+			}
+			if jlo, jhi := rg.Lookup(suffix.Gram(doc, int(i))); jlo < jhi {
+				lo, hi, depth = jlo, jhi, rg.K
+				gate.hit()
+				break
+			}
+			gate.missed()
+			end = i + rg.K - 1
+		}
+		start := i
+		i += max(int32(f.Len), 1)
+		if hi-lo <= linearThreshold || end-start-depth < 2 {
+			continue
+		}
+		pat := doc[start:end]
+		plen := int32(len(pat))
+		lcp := func(j int32) int32 {
+			k := int32(0)
+			for p := slots[j]; k < plen && p+k < m && text[p+k] == pat[k]; k++ {
+			}
+			return k
+		}
+		below := func(j int32) bool {
+			k := lcp(j)
+			return k < plen && (slots[j]+k == m || text[slots[j]+k] < pat[k])
+		}
+		l := lo
+		for l < hi && below(l) {
+			l++
+		}
+		left, right := depth, depth
+		if l > lo {
+			left = lcp(l - 1)
+		}
+		if l < hi {
+			right = lcp(l)
+		}
+		best := max(left, right)
+		run := 0
+		for j := l - 1; j >= lo && lcp(j) >= best; j-- {
+			run++
+		}
+		switch {
+		case best == plen:
+			exits[exitWhole] = true
+		case best > depth && left < best:
+			exits[exitRight] = true
+		case best > depth && run >= 3:
+			exits[exitGallop] = true
+		}
+		if l > lo && slots[l-1]+left == m {
+			exits[exitTextEnd] = true
+		}
+		if end < n {
+			exits[exitRungMiss] = true
+		}
+	}
+	return exits
+}
+
+// TestWideSearchExits holds longestMatch to the reference on the corner
+// rows written for its exits, checking first that each row's document
+// does reach the exit it is named for.
+func TestWideSearchExits(t *testing.T) {
+	for _, c := range cornerCases() {
+		if c.wide == "" {
+			continue
+		}
+		d := mustDict(t, c.dict)
+		if exits := wideExits(d, c.doc); !exits[c.wide] {
+			t.Errorf("%s: no opening reaches %q (reached: %v)", c.name, c.wide, exits)
+		}
+		checkEngines(t, c.name, d, c.doc)
 	}
 }
 

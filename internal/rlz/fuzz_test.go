@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzFactorizeEquivalence holds the fast factorization engine (k-gram
-// ladder + boundary skip + inlined interval search), ladder on and off,
+// ladder, wide-interval binary search, boundary skip and linear scan)
 // byte-identical to factorizeNoFastPath — the paper's pure binary-search
 // factorizer — on arbitrary dictionary/document pairs, and checks the
 // factors still round-trip through Decode. Each input also runs against

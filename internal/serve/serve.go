@@ -282,25 +282,38 @@ type Result struct {
 // has len(ids) results in request order; failures (out-of-range ids,
 // decode errors) are reported per document in Result.Err, so one bad id
 // does not void the rest of the batch.
+//
+// Every document is copied into one arena, which the results share:
+// each Data is a slice of it capped at its own end. The documents are
+// gathered in a pooled scratch buffer (the backend calls visit from a
+// single goroutine, so it needs no lock), span holding each one's
+// bounds, and copied into the arena in one exact-size allocation once
+// all are in: a batch allocates its results, its bookkeeping and its
+// bytes once, whatever the number of documents. (The scratch buffer
+// keeps the size of the largest batch it served while it stays pooled.)
 func (s *Server) GetBatch(ids []int) []Result {
-	out := make([]Result, len(ids))
-	if len(ids) == 0 {
+	n := len(ids)
+	out := make([]Result, n)
+	if n == 0 {
 		return out
 	}
 	epoch := s.epoch.Load()
 	start := time.Now()
-	s.requests.Add(int64(len(ids)))
+	s.requests.Add(int64(n))
+	bufp := s.pool.Get().(*[]byte) // visit shares *bufp, not a boxed copy
+	work := make([]int, 4*n)
+	// miss holds positions in ids, missIds the backend ids in parallel.
+	miss, missIds, span := work[:0:n], work[n:n:2*n], work[2*n:]
 	// Resolve cache hits up front; only misses reach the backend.
-	miss := make([]int, 0, len(ids))    // positions in ids
-	missIds := make([]int, 0, len(ids)) // parallel backend ids
 	for i, id := range ids {
 		out[i] = Result{ID: id}
 		if s.cache != nil {
 			if key, cacheable := cacheKey(epoch, id); cacheable {
-				if doc := s.cache.Get(key); doc != nil {
-					out[i].Data = doc
+				off, hit := len(*bufp), false
+				if *bufp, hit = s.cache.GetAppend(*bufp, key); hit {
+					span[2*i], span[2*i+1] = off, len(*bufp)
 					s.hits.Add(1)
-					s.served.Add(int64(len(doc)))
+					s.served.Add(int64(len(*bufp) - off))
 					continue
 				}
 			}
@@ -316,16 +329,27 @@ func (s *Server) GetBatch(ids []int) []Result {
 				s.errors.Add(1)
 				return
 			}
-			out[i].Data = append([]byte(nil), doc...)
+			off := len(*bufp)
+			*bufp = append(*bufp, doc...)
+			span[2*i], span[2*i+1] = off, len(*bufp)
 			if s.cache != nil {
 				if key, cacheable := cacheKey(epoch, out[i].ID); cacheable {
 					s.misses.Add(1)
-					s.cache.Put(key, out[i].Data)
+					s.cache.Put(key, doc)
 				}
 			}
 			s.decoded.Add(int64(len(doc)))
 			s.served.Add(int64(len(doc)))
 		})
+	}
+	arena := append([]byte(nil), *bufp...)
+	*bufp = (*bufp)[:0]
+	s.pool.Put(bufp)
+	for i := range out {
+		if out[i].Err == nil {
+			end := span[2*i+1]
+			out[i].Data = arena[span[2*i]:end:end]
+		}
 	}
 	// One latency observation for the whole batch: the batch is the
 	// request unit at this layer (rlzd's /docs endpoint), and per-id

@@ -517,3 +517,48 @@ func TestStatsString(t *testing.T) {
 		t.Error("Stats.String is empty")
 	}
 }
+
+// TestGetBatchAllocations pins what a 32-document batch allocates: its
+// results, one bookkeeping slice and one arena all its documents share —
+// not a buffer per document. One batch is served wholly from the cache;
+// the other misses it wholly (two disjoint id sets take turns through a
+// 4-document cache) and adds the backend's visit closure. The block
+// backend's decode allocates on its own account, so its misses are not
+// pinned here.
+func TestGetBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	docs := makeDocs(64, 11)
+	ids := func(from int) []int {
+		out := make([]int, 32)
+		for i := range out {
+			out[i] = from + i
+		}
+		return out
+	}
+	a, b := ids(0), ids(32)
+	for name, opts := range backendOptions(docs) {
+		r := buildArchive(t, docs, opts)
+		hot := New(r, Options{CacheDocs: 64})
+		hot.GetBatch(a)
+		if n := testing.AllocsPerRun(50, func() { hot.GetBatch(a) }); n != 3 {
+			t.Errorf("%s: an all-hit batch allocates %v objects, want 3", name, n)
+		}
+		cold := New(r, Options{CacheDocs: 4})
+		n := testing.AllocsPerRun(50, func() {
+			for _, res := range cold.GetBatch(a) {
+				if res.Err != nil || !bytes.Equal(res.Data, docs[res.ID]) {
+					t.Fatalf("%s: id %d: wrong document (%v)", name, res.ID, res.Err)
+				}
+			}
+			cold.GetBatch(b)
+		})
+		if st := cold.Stats(); st.CacheHits != 0 {
+			t.Fatalf("%s: %d cache hits, want every lookup to miss", name, st.CacheHits)
+		}
+		if name != "block" && n != 2*4 {
+			t.Errorf("%s: an all-miss batch allocates %v objects, want 4", name, n/2)
+		}
+	}
+}
