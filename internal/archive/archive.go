@@ -10,8 +10,11 @@
 //   - Writer and Reader: the common build/access interface every backend
 //     implements. On-disk formats are owned by the backend packages and
 //     are byte-for-byte unchanged by going through this layer.
-//   - A format registry keyed by the 4-byte header magic, so Open and
-//     OpenBytes auto-detect which backend wrote an archive.
+//   - Dispatch on the 4-byte header magic, so Open and OpenBytes
+//     auto-detect which backend wrote an archive: a switch over
+//     internal/container's three single-file formats, and a registry of
+//     multi-file path formats (RegisterPathFormat) for the collection's
+//     manifests.
 //   - DocSource: a streaming document iterator, so collections are built
 //     from corpus walks, WARC files or generators without materializing
 //     a [][]byte of the whole collection.
@@ -26,7 +29,11 @@ import (
 	"os"
 	"path/filepath"
 
+	"rlz/internal/blockstore"
+	"rlz/internal/container"
 	"rlz/internal/mmapio"
+	"rlz/internal/rawstore"
+	"rlz/internal/store"
 )
 
 // Backend names one of the storage schemes the paper evaluates.
@@ -79,8 +86,8 @@ type Writer interface {
 // only via io.ReaderAt.ReadAt, and any internal caching or lazily built
 // state is internally synchronized. internal/serve builds its serving
 // layer on this guarantee, and the archive test suite enforces it under
-// the race detector for every registered backend (shared reader, 8+
-// goroutines, overlapping ids).
+// the race detector for every backend (shared reader, 8+ goroutines,
+// overlapping ids).
 type Reader interface {
 	// Get retrieves document id.
 	Get(id int) ([]byte, error)
@@ -187,33 +194,6 @@ type BatchReader interface {
 	GetBatch(ids []int, workers int, visit func(i int, doc []byte, err error))
 }
 
-// OpenFunc opens one backend's archive from r covering size bytes.
-type OpenFunc func(r io.ReaderAt, size int64) (Reader, error)
-
-type entry struct {
-	magic   string
-	backend Backend
-	open    OpenFunc
-}
-
-var registry []entry
-
-// RegisterFormat adds a backend to the magic-dispatch table used by Open.
-// magic must be the archive's first 4 header bytes. Built-in backends
-// register themselves; future backends (new codecs, sharded stores) add
-// themselves here and every Open-based caller picks them up.
-func RegisterFormat(magic string, backend Backend, open OpenFunc) {
-	if len(magic) != 4 {
-		panic(fmt.Sprintf("archive: magic %q must be 4 bytes", magic))
-	}
-	for _, e := range registry {
-		if e.magic == magic {
-			panic(fmt.Sprintf("archive: magic %q registered twice", magic))
-		}
-	}
-	registry = append(registry, entry{magic: magic, backend: backend, open: open})
-}
-
 // DirManifest is the well-known file name multi-file formats place in
 // their archive directory; Open(dir) looks for it, so a collection opens
 // from either its directory or its manifest path.
@@ -232,18 +212,16 @@ var pathRegistry []pathEntry
 
 // RegisterPathFormat adds a multi-file format to Open's dispatch table.
 // magic must be the manifest file's first 4 bytes; name is used in error
-// messages. Unlike RegisterFormat, the opener receives the manifest's
-// path so it can resolve sibling files. OpenReaderAt and OpenBytes reject
-// these magics with a pointer to Open, since a lone ReaderAt cannot reach
-// the other files.
+// messages. The opener receives the manifest's path so it can resolve
+// sibling files. OpenReaderAt and OpenBytes reject these magics with a
+// pointer to Open, since a lone ReaderAt cannot reach the other files.
 func RegisterPathFormat(magic, name string, open func(path string) (Reader, error)) {
 	if len(magic) != 4 {
 		panic(fmt.Sprintf("archive: magic %q must be 4 bytes", magic))
 	}
-	for _, e := range registry {
-		if e.magic == magic {
-			panic(fmt.Sprintf("archive: magic %q registered twice", magic))
-		}
+	switch magic {
+	case container.RLZ.Magic, container.Block.Magic, container.Raw.Magic:
+		panic(fmt.Sprintf("archive: magic %q is a single-file format's", magic))
 	}
 	for _, e := range pathRegistry {
 		if e.magic == magic {
@@ -253,8 +231,8 @@ func RegisterPathFormat(magic, name string, open func(path string) (Reader, erro
 	pathRegistry = append(pathRegistry, pathEntry{magic: magic, name: name, open: open})
 }
 
-// ErrUnknownFormat is wrapped by Open when no registered backend claims
-// the archive's magic.
+// ErrUnknownFormat is wrapped by Open when no backend or path format
+// claims the archive's magic.
 var ErrUnknownFormat = fmt.Errorf("archive: unknown format")
 
 // ErrNeedsPath is wrapped by OpenReaderAt and OpenBytes when the magic
@@ -271,21 +249,33 @@ func OpenReaderAt(r io.ReaderAt, size int64) (Reader, error) {
 	if _, err := r.ReadAt(magic[:], 0); err != nil {
 		return nil, fmt.Errorf("archive: reading magic: %w", err)
 	}
-	for _, e := range registry {
-		if string(magic[:]) == e.magic {
-			return e.open(r, size)
+	switch string(magic[:]) {
+	case container.RLZ.Magic:
+		rd, err := store.Open(r, size)
+		if err != nil {
+			return nil, err
 		}
+		return rlzReader{rd}, nil
+	case container.Block.Magic:
+		rd, err := blockstore.Open(r, size)
+		if err != nil {
+			return nil, err
+		}
+		return blockReader{rd}, nil
+	case container.Raw.Magic:
+		rd, err := rawstore.Open(r, size)
+		if err != nil {
+			return nil, err
+		}
+		return rawReader{rd}, nil
 	}
 	for _, e := range pathRegistry {
 		if string(magic[:]) == e.magic {
 			return nil, fmt.Errorf("%w: %s archives", ErrNeedsPath, e.name)
 		}
 	}
-	known := make([]string, 0, len(registry))
-	for _, e := range registry {
-		known = append(known, fmt.Sprintf("%q (%s)", e.magic, e.backend))
-	}
-	return nil, fmt.Errorf("%w: magic % x; known: %v", ErrUnknownFormat, magic, known)
+	return nil, fmt.Errorf("%w: magic % x; known: %q (%s), %q (%s), %q (%s)", ErrUnknownFormat, magic,
+		container.RLZ.Magic, RLZ, container.Block.Magic, Block, container.Raw.Magic, Raw)
 }
 
 // OpenBytes auto-detects and opens an archive held in memory.

@@ -1,39 +1,10 @@
 package archive
 
 import (
-	"io"
-
 	"rlz/internal/blockstore"
 	"rlz/internal/rawstore"
 	"rlz/internal/store"
 )
-
-// The built-in backends register by their header magic. The magics are
-// owned by the backend packages' formats; they are mirrored here because
-// dispatch must happen before any backend parses the file.
-func init() {
-	RegisterFormat("RLZA", RLZ, func(r io.ReaderAt, size int64) (Reader, error) {
-		rd, err := store.Open(r, size)
-		if err != nil {
-			return nil, err
-		}
-		return rlzReader{rd}, nil
-	})
-	RegisterFormat("BLKS", Block, func(r io.ReaderAt, size int64) (Reader, error) {
-		rd, err := blockstore.Open(r, size)
-		if err != nil {
-			return nil, err
-		}
-		return blockReader{rd}, nil
-	})
-	RegisterFormat("RAWS", Raw, func(r io.ReaderAt, size int64) (Reader, error) {
-		rd, err := rawstore.Open(r, size)
-		if err != nil {
-			return nil, err
-		}
-		return rawReader{rd}, nil
-	})
-}
 
 // rlzReader adapts *store.Reader; the embedded methods already match the
 // Reader interface (and GetRange the Set's range probe), so only Stats is

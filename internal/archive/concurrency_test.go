@@ -11,7 +11,7 @@ import (
 // goroutines requesting overlapping ids through Get, GetAppend and
 // Extent simultaneously. Run under -race this enforces the Reader
 // interface's concurrency contract (methods safe with distinct
-// destination buffers) for every registered backend.
+// destination buffers) for every backend.
 func TestConcurrentGetSharedReader(t *testing.T) {
 	docs := makeDocs(48, 11)
 	for backend, opts := range optionsFor(t, docs) {

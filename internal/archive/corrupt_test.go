@@ -3,9 +3,13 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"rlz/internal/blockstore"
+	"rlz/internal/coding"
+	"rlz/internal/container"
+	"rlz/internal/docmap"
 	"rlz/internal/rawstore"
 	"rlz/internal/store"
 )
@@ -91,5 +95,56 @@ func TestOpenGarbageBody(t *testing.T) {
 			r.Close()
 			t.Errorf("%s + garbage opened cleanly", magic)
 		}
+	}
+}
+
+// WrapDocmap rewrites the first map in a sealed segment's tail — the
+// document map, or a block archive's block map — to the deltas 2^64−5,
+// total+5, 0, …: the running offset wraps uint64 and comes back to the
+// same total, so the map still covers the payload exactly while its first
+// entry claims 2^64−5 bytes. The map must hold at least two entries.
+// FuzzArchiveOpenBytes seeds with it too.
+func WrapDocmap(seg []byte) []byte {
+	foot := len(seg) - container.FooterSize
+	mapOff, _ := coding.U64(seg[foot:])
+	m, used, err := docmap.Unmarshal(seg[mapOff:foot])
+	if err != nil || m.Len() < 2 {
+		panic("WrapDocmap: no map of two entries to wrap")
+	}
+	out := coding.PutUvarint64(bytes.Clone(seg[:mapOff]), uint64(m.Len()))
+	out = coding.PutUvarint64(out, math.MaxUint64-4)
+	out = coding.PutUvarint64(out, m.Total()+5)
+	for i := 2; i < m.Len(); i++ {
+		out = coding.PutUvarint64(out, 0)
+	}
+	out = append(out, seg[int(mapOff)+used:foot]...)
+	return append(coding.PutU64(out, mapOff), seg[foot+8:]...)
+}
+
+// A document map whose running offset wraps must not open: before the
+// wrap was rejected, every backend opened it and then panicked on Get
+// over a plain ReaderAt, sizing a buffer by a negative length.
+func TestOpenWrappedDocmap(t *testing.T) {
+	for backend, data := range validArchives(t) {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: wrapped map panicked: %v", backend, p)
+				}
+			}()
+			r, err := OpenBytes(WrapDocmap(data))
+			if err != nil {
+				if !errors.Is(err, corruptArchiveErr[backend]) {
+					t.Errorf("%s: error %v does not wrap the backend's ErrCorruptArchive", backend, err)
+				}
+				return
+			}
+			defer r.Close()
+			for id := 0; id < r.NumDocs(); id++ {
+				if _, err := r.Get(id); err == nil {
+					t.Errorf("%s: wrapped map opened and Get(%d) succeeded", backend, id)
+				}
+			}
+		}()
 	}
 }

@@ -1,7 +1,7 @@
 // External test package: importing internal/collection here registers
 // the manifest path-formats (the collection's LIVC, and the retired SHRD
 // one it refuses) without an archive <-> collection import cycle, so the
-// fuzzer covers every registered magic including the manifests'.
+// fuzzer covers the manifests' magics too.
 package archive_test
 
 import (
@@ -20,8 +20,8 @@ import (
 // documents deterministically, and manifest-magic input must be turned
 // away with ErrNeedsPath rather than parsed. Seeded with valid archives
 // of all three backends, the corrupt-archive corpus shapes (truncated
-// footers, flipped magic, future versions), a retired SHRD shard manifest
-// and a collection manifest.
+// footers, flipped magic, future versions, a document map that wraps
+// uint64), a retired SHRD shard manifest and a collection manifest.
 func FuzzArchiveOpenBytes(f *testing.F) {
 	docs := make([][]byte, 6)
 	for i := range docs {
@@ -49,7 +49,8 @@ func FuzzArchiveOpenBytes(f *testing.F) {
 		f.Add(flipped) // unknown magic
 		versioned := bytes.Clone(data)
 		versioned[4] = 99
-		f.Add(versioned) // future version
+		f.Add(versioned)                // future version
+		f.Add(archive.WrapDocmap(data)) // map offsets wrap uint64
 	}
 	// A whole SHRD shard manifest, as the retired encoder wrote it.
 	f.Add([]byte("SHRD\x01\x03rlz\x02\x0ashard-0000\x03\x0ashard-0001\x03SHRE"))

@@ -10,13 +10,13 @@
 // the trade-off RLZ is designed to escape. A block size of zero means one
 // document per block (the paper's "0.0MB" rows).
 //
-// Layout:
+// Layout of the body and maps, which internal/container frames as
+// container.Block (header: magic, version; footer: map offset, end magic):
 //
-//	header  magic "BLKS", version, algorithm byte (a codec registry ID)
-//	blocks  compressed blocks, concatenated
-//	maps    block map (extents of blocks), then per-document locators
-//	        (block index delta, offset in block, length), then footer
-//	        (u64 map offset, magic "BLKE")
+//	body  algorithm byte (a codec registry ID),
+//	      compressed blocks, concatenated
+//	maps  block map (extents of blocks), then per-document locators
+//	      (block index delta, offset in block, length)
 package blockstore
 
 import (
@@ -29,6 +29,7 @@ import (
 
 	"rlz/internal/codec"
 	"rlz/internal/coding"
+	"rlz/internal/container"
 	"rlz/internal/docmap"
 	"rlz/internal/lz77"
 	"rlz/internal/pipeline"
@@ -71,14 +72,12 @@ func (a Algorithm) String() string {
 }
 
 const (
-	version     = 1
-	headerMagic = "BLKS"
-	footerMagic = "BLKE"
-	footerSize  = 8 + 4
+	version    = 1
+	blockStart = container.HeaderSize + 1 // after the algorithm byte
 )
 
 // ErrCorruptArchive is returned when a blockstore fails structural checks.
-var ErrCorruptArchive = errors.New("blockstore: corrupt archive")
+var ErrCorruptArchive = container.ErrCorrupt
 
 // MaxBlockUncompressed is the largest uncompressed block size Open
 // accepts from an archive's document locators — the hard ceiling on
@@ -140,7 +139,7 @@ type docLoc struct {
 
 // Writer builds a blocked archive.
 type Writer struct {
-	w         countingWriter
+	w         container.Writer
 	opt       Options
 	codec     codec.Codec
 	blocks    *docmap.Map // extents of compressed blocks
@@ -152,17 +151,6 @@ type Writer struct {
 	closeErr  error
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // NewWriter starts a blocked archive on w. An Options.Algorithm that is
 // not in the codec registry fails here — before any bytes are written —
 // with an error naming the registered codecs.
@@ -171,9 +159,8 @@ func NewWriter(w io.Writer, opt Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := &Writer{w: countingWriter{w: w}, opt: opt, codec: cdc, blocks: docmap.New()}
-	hdr := []byte(headerMagic)
-	hdr = append(hdr, version, byte(opt.algorithm()))
+	bw := &Writer{w: container.Writer{W: w}, opt: opt, codec: cdc, blocks: docmap.New()}
+	hdr := append(container.Block.AppendHeader(nil, version), byte(opt.algorithm()))
 	if _, err := bw.w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("blockstore: writing header: %w", err)
 	}
@@ -260,9 +247,8 @@ func (w *Writer) Close() error {
 		w.closeErr = err
 		return err
 	}
-	mapOff := w.w.n
-	var tail []byte
-	tail = w.blocks.Marshal(tail)
+	mapOff := w.w.N
+	tail := w.blocks.Marshal(nil)
 	tail = coding.PutUvarint64(tail, uint64(len(w.docs)))
 	prevBlock := uint32(0)
 	for _, d := range w.docs {
@@ -271,8 +257,7 @@ func (w *Writer) Close() error {
 		tail = coding.PutUvarint32(tail, d.offset)
 		tail = coding.PutUvarint32(tail, d.length)
 	}
-	tail = coding.PutU64(tail, uint64(mapOff))
-	tail = append(tail, footerMagic...)
+	tail = container.Block.AppendFooter(tail, mapOff)
 	if _, err := w.w.Write(tail); err != nil {
 		w.closeErr = fmt.Errorf("blockstore: writing footer: %w", err)
 		return w.closeErr
@@ -291,53 +276,30 @@ func (w *Writer) Close() error {
 // are drawn from internal pools, the maps are immutable after Open, and
 // the underlying io.ReaderAt is accessed only through ReadAt).
 type Reader struct {
-	r          io.ReaderAt
-	alg        Algorithm
-	decoders   *codec.Pool // nil only when constructed unsafely; reads fail loudly
-	blocks     *docmap.Map
-	docs       []docLoc
-	blockRaw   []int64 // per-block exact uncompressed size, from the locators
-	blockStart int64
-	size       int64
-	bufs       sync.Pool // *[]byte scratch: compressed reads and decoded blocks
+	r        io.ReaderAt
+	alg      Algorithm
+	decoders *codec.Pool // nil only when constructed unsafely; reads fail loudly
+	blocks   *docmap.Map
+	docs     []docLoc
+	blockRaw []int64 // per-block exact uncompressed size, from the locators
+	size     int64
+	bufs     sync.Pool // *[]byte scratch: compressed reads and decoded blocks
 }
 
 // Open reads a blocked archive's maps from r, which must cover size bytes.
 func Open(r io.ReaderAt, size int64) (*Reader, error) {
-	if size < footerSize+6 {
-		return nil, fmt.Errorf("%w: too small (%d bytes)", ErrCorruptArchive, size)
+	_, mapOff, tail, err := container.Block.Open(r, size)
+	if err != nil {
+		return nil, err
 	}
-	hdr := make([]byte, 6)
-	if _, err := r.ReadAt(hdr, 0); err != nil {
+	var algByte [1]byte
+	if _, err := r.ReadAt(algByte[:], container.HeaderSize); err != nil {
 		return nil, fmt.Errorf("blockstore: reading header: %w", err)
 	}
-	if string(hdr[:4]) != headerMagic {
-		return nil, fmt.Errorf("%w: bad header magic", ErrCorruptArchive)
-	}
-	if hdr[4] != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptArchive, hdr[4])
-	}
-	alg := Algorithm(hdr[5])
-	cdc, ok := codec.ByID(hdr[5])
+	alg := Algorithm(algByte[0])
+	cdc, ok := codec.ByID(algByte[0])
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown algorithm %q (known: %v)", ErrCorruptArchive, hdr[5], codec.Names())
-	}
-
-	foot := make([]byte, footerSize)
-	if _, err := r.ReadAt(foot, size-footerSize); err != nil {
-		return nil, fmt.Errorf("blockstore: reading footer: %w", err)
-	}
-	if string(foot[8:]) != footerMagic {
-		return nil, fmt.Errorf("%w: bad footer magic", ErrCorruptArchive)
-	}
-	mapOff64, _ := coding.U64(foot)
-	mapOff := int64(mapOff64)
-	if mapOff < 6 || mapOff > size-footerSize {
-		return nil, fmt.Errorf("%w: map offset %d out of range", ErrCorruptArchive, mapOff)
-	}
-	tail := make([]byte, size-footerSize-mapOff)
-	if _, err := r.ReadAt(tail, mapOff); err != nil {
-		return nil, fmt.Errorf("blockstore: reading maps: %w", err)
+		return nil, fmt.Errorf("%w: unknown algorithm %q (known: %v)", ErrCorruptArchive, algByte[0], codec.Names())
 	}
 
 	blocks, used, err := docmap.Unmarshal(tail)
@@ -371,8 +333,7 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 			return nil, fmt.Errorf("%w: document %d in block %d of %d", ErrCorruptArchive, i, prevBlock, blocks.Len())
 		}
 	}
-	blockStart := int64(6)
-	if int64(blocks.Total()) != mapOff-blockStart {
+	if mapOff < blockStart || int64(blocks.Total()) != mapOff-blockStart {
 		return nil, fmt.Errorf("%w: block map covers %d bytes, region is %d", ErrCorruptArchive, blocks.Total(), mapOff-blockStart)
 	}
 	// Derive each block's uncompressed size from its locators: documents
@@ -392,8 +353,7 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	}
 	return &Reader{
 		r: r, alg: alg, decoders: codec.NewPool(cdc),
-		blocks: blocks, docs: docs, blockRaw: blockRaw,
-		blockStart: blockStart, size: size,
+		blocks: blocks, docs: docs, blockRaw: blockRaw, size: size,
 	}, nil
 }
 
@@ -424,14 +384,7 @@ func (r *Reader) Extent(id int) (off, n int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return r.blockStart + int64(o), int64(l), nil
-}
-
-// slicer is the zero-copy capability of a memory-mapped backing store
-// (internal/mmapio.Mapping satisfies it); duck-typed so this package
-// stays independent of how the caller produced its ReaderAt.
-type slicer interface {
-	Slice(off, n int64) ([]byte, error)
+	return blockStart + int64(o), int64(l), nil
 }
 
 // getBuf draws a scratch buffer from the reader's pool; the caller owns
@@ -460,15 +413,15 @@ func (r *Reader) decodeBlock(bi uint32) (block []byte, release func(), err error
 		comp []byte
 		cb   *[]byte
 	)
-	if sl, ok := r.r.(slicer); ok {
-		comp, err = sl.Slice(r.blockStart+int64(o), int64(l))
+	if sl, ok := r.r.(container.Slicer); ok {
+		comp, err = sl.Slice(blockStart+int64(o), int64(l))
 		if err != nil {
 			return nil, noop, fmt.Errorf("blockstore: reading block %d: %w", bi, err)
 		}
 	} else {
 		cb = r.getBuf()
 		comp = append((*cb)[:0], make([]byte, int(l))...)
-		if _, err := r.r.ReadAt(comp, r.blockStart+int64(o)); err != nil {
+		if _, err := r.r.ReadAt(comp, blockStart+int64(o)); err != nil {
 			*cb = comp
 			r.bufs.Put(cb)
 			return nil, noop, fmt.Errorf("blockstore: reading block %d: %w", bi, err)

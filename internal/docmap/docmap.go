@@ -7,6 +7,7 @@ package docmap
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rlz/internal/coding"
 )
@@ -72,7 +73,8 @@ func (m *Map) Marshal(dst []byte) []byte {
 }
 
 // Unmarshal parses a map serialized by Marshal, returning the map and the
-// number of bytes consumed.
+// number of bytes consumed. Every extent of a map it returns lies within
+// [0, Total()].
 func Unmarshal(src []byte) (*Map, int, error) {
 	count, pos, err := coding.Uvarint64(src)
 	if err != nil {
@@ -93,6 +95,11 @@ func Unmarshal(src []byte) (*Map, int, error) {
 			return nil, 0, fmt.Errorf("docmap: delta %d: %w", i, err)
 		}
 		pos += n
+		if d > math.MaxUint64-total {
+			// A wrapped offset would give an earlier document a negative
+			// length while the total still matched the payload.
+			return nil, 0, fmt.Errorf("docmap: delta %d wraps the offset past 2^64", i)
+		}
 		total += d
 		m.offsets = append(m.offsets, total)
 	}

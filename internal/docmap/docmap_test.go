@@ -1,6 +1,7 @@
 package docmap
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -139,6 +140,26 @@ func TestUnmarshalCountVsRemainingBytes(t *testing.T) {
 	m, used, err := Unmarshal(good)
 	if err != nil || used != len(good) || m.Len() != 4 || m.Total() != 10 {
 		t.Errorf("exact-fit map rejected: %v (len %d, total %d)", err, m.Len(), m.Total())
+	}
+}
+
+// A map whose running offset wraps uint64 must be rejected, even when it
+// wraps back to a plausible total: its first document would span
+// 2^64−5 bytes. The largest offset that does not wrap is accepted.
+func TestUnmarshalRejectsWrappingOffset(t *testing.T) {
+	wrapped := coding.PutUvarint64(nil, 3)
+	wrapped = coding.PutUvarint64(wrapped, math.MaxUint64-4)
+	wrapped = coding.PutUvarint64(wrapped, 100+5)
+	wrapped = coding.PutUvarint64(wrapped, 0)
+	if m, _, err := Unmarshal(wrapped); err == nil {
+		_, n, _ := m.Extent(0)
+		t.Fatalf("wrapping map accepted: total %d, document 0 of %d bytes", m.Total(), n)
+	}
+	edge := coding.PutUvarint64(nil, 2)
+	edge = coding.PutUvarint64(edge, math.MaxUint64-4)
+	edge = coding.PutUvarint64(edge, 4)
+	if m, _, err := Unmarshal(edge); err != nil || m.Total() != math.MaxUint64 {
+		t.Fatalf("map ending at 2^64-1 rejected: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package docmap
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"rlz/internal/coding"
@@ -9,9 +10,9 @@ import (
 
 // FuzzDocmapUnmarshal throws arbitrary bytes at the docmap parser: no
 // input may panic or allocate beyond the plausibility bound, and any map
-// that parses must survive a marshal/unmarshal round trip unchanged.
-// Seeded with valid maps and the corrupt-footer corpus from the
-// regression tests.
+// that parses must lie within [0, Total()] extent by extent and survive
+// a marshal/unmarshal round trip unchanged. Seeded with valid maps and
+// the corrupt-footer corpus from the regression tests.
 func FuzzDocmapUnmarshal(f *testing.F) {
 	small := New()
 	for _, n := range []uint64{0, 1, 127, 128, 1 << 20} {
@@ -25,6 +26,8 @@ func FuzzDocmapUnmarshal(f *testing.F) {
 	f.Add(append(coding.PutUvarint64(nil, 200), make([]byte, 198)...))          // count == len(src)
 	f.Add(append(small.Marshal(nil), 0xAB, 0xCD))                               // trailing data
 	f.Add(append(coding.PutUvarint64(nil, 2), 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 1)) // multi-byte deltas
+	wrapped := coding.PutUvarint64(coding.PutUvarint64(nil, 2), math.MaxUint64-4)
+	f.Add(coding.PutUvarint64(wrapped, 5)) // offsets wrap back to 0
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, used, err := Unmarshal(data)
@@ -33,6 +36,11 @@ func FuzzDocmapUnmarshal(f *testing.F) {
 		}
 		if used > len(data) {
 			t.Fatalf("consumed %d of %d bytes", used, len(data))
+		}
+		for i := 0; i < m.Len(); i++ {
+			if off, n, err := m.Extent(i); err != nil || off > m.Total() || n > m.Total()-off {
+				t.Fatalf("extent %d [%d,+%d) outside [0,%d]: %v", i, off, n, m.Total(), err)
+			}
 		}
 		enc := m.Marshal(nil)
 		m2, used2, err := Unmarshal(enc)

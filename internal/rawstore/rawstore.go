@@ -3,13 +3,12 @@
 // extent. Random access reads exactly the requested document's bytes; the
 // cost is storage at 100 % of the collection size.
 //
-// Layout:
+// Layout of the body and maps, which internal/container frames as
+// container.Raw (header: magic, version; footer: map offset, end magic):
 //
-//	header  magic "RAWS", version
-//	payload version 2: one frame per document, [u32 len][u32 crc][doc]
-//	        version 1: documents, concatenated
-//	docmap  delta-vbyte document map of document lengths
-//	footer  u64 docmap offset, magic "RAWE"
+//	body  version 2: one frame per document, [u32 len][u32 crc][doc]
+//	      version 1: documents, concatenated
+//	maps  delta-vbyte document map of document lengths
 //
 // Integers are little-endian. A frame's crc is CRC32-C over its len field
 // followed by the document, so eight zero bytes are not an empty document
@@ -33,17 +32,14 @@ import (
 	"math"
 	"sync"
 
-	"rlz/internal/coding"
+	"rlz/internal/container"
 	"rlz/internal/docmap"
 )
 
 const (
-	version     = 2
-	headerMagic = "RAWS"
-	footerMagic = "RAWE"
-	headerSize  = 5
-	footerSize  = 8 + 4
-	frameSize   = 4 + 4 // version 2's per-document len + crc
+	version    = 2
+	headerSize = container.HeaderSize
+	frameSize  = 4 + 4 // version 2's per-document len + crc
 
 	// maxKeptFrame bounds the scratch a Writer keeps between appends, so
 	// one huge document does not pin its size for the Writer's life.
@@ -53,7 +49,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorruptArchive is returned when a raw archive fails structural checks.
-var ErrCorruptArchive = errors.New("rawstore: corrupt archive")
+var ErrCorruptArchive = container.ErrCorrupt
 
 // ErrVersion1 is returned by Recover for a version-1 archive in progress:
 // its payload carries no boundaries, so it cannot be resumed.
@@ -79,7 +75,7 @@ type Writer struct {
 
 // NewWriter starts a raw archive on w.
 func NewWriter(w io.Writer) (*Writer, error) {
-	if _, err := w.Write(append([]byte(headerMagic), version)); err != nil {
+	if _, err := w.Write(container.Raw.AppendHeader(nil, version)); err != nil {
 		return nil, fmt.Errorf("rawstore: writing header: %w", err)
 	}
 	return &Writer{w: w, m: docmap.New()}, nil
@@ -124,7 +120,7 @@ func Recover(f File) (*Writer, error) {
 		}
 		return w, nil
 	}
-	ver, err := readHeader(f)
+	ver, err := container.Raw.CheckHeader(f)
 	if err != nil {
 		return nil, err
 	}
@@ -146,21 +142,6 @@ func Recover(f File) (*Writer, error) {
 		return nil, err
 	}
 	return w, nil
-}
-
-// readHeader checks the magic and returns the version, 1 or 2.
-func readHeader(r io.ReaderAt) (byte, error) {
-	var hdr [headerSize]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return 0, fmt.Errorf("rawstore: reading header: %w", err)
-	}
-	if string(hdr[:4]) != headerMagic {
-		return 0, fmt.Errorf("%w: bad header magic", ErrCorruptArchive)
-	}
-	if hdr[4] != 1 && hdr[4] != version {
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrCorruptArchive, hdr[4])
-	}
-	return hdr[4], nil
 }
 
 // scanFrames walks the version-2 payload of the size-byte file r and
@@ -269,8 +250,7 @@ func (w *Writer) Close() error {
 	w.mu.RLock()
 	tail := w.m.Marshal(nil)
 	w.mu.RUnlock()
-	tail = coding.PutU64(tail, uint64(w.Size()))
-	tail = append(tail, footerMagic...)
+	tail = container.Raw.AppendFooter(tail, w.Size())
 	if _, err := w.w.Write(tail); err != nil {
 		w.closeErr = fmt.Errorf("rawstore: writing footer: %w", err)
 	}
@@ -292,10 +272,7 @@ type Reader struct {
 
 // Open reads a raw archive's document map from r covering size bytes.
 func Open(r io.ReaderAt, size int64) (*Reader, error) {
-	if size < headerSize+footerSize {
-		return nil, fmt.Errorf("%w: too small (%d bytes)", ErrCorruptArchive, size)
-	}
-	ver, err := readHeader(r)
+	ver, mapOff, mapBytes, err := container.Raw.Open(r, size)
 	if err != nil {
 		return nil, err
 	}
@@ -303,28 +280,14 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	if ver == version {
 		stride = frameSize
 	}
-	foot := make([]byte, footerSize)
-	if _, err := r.ReadAt(foot, size-footerSize); err != nil {
-		return nil, fmt.Errorf("rawstore: reading footer: %w", err)
-	}
-	if string(foot[8:]) != footerMagic {
-		return nil, fmt.Errorf("%w: bad footer magic", ErrCorruptArchive)
-	}
-	mapOff64, _ := coding.U64(foot)
-	mapOff := int64(mapOff64)
-	if mapOff < headerSize || mapOff > size-footerSize {
-		return nil, fmt.Errorf("%w: docmap offset %d out of range", ErrCorruptArchive, mapOff)
-	}
-	mapBytes := make([]byte, size-footerSize-mapOff)
-	if _, err := r.ReadAt(mapBytes, mapOff); err != nil {
-		return nil, fmt.Errorf("rawstore: reading document map: %w", err)
-	}
 	m, _, err := docmap.Unmarshal(mapBytes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptArchive, err)
 	}
-	if covered := int64(m.Total()) + stride*int64(m.Len()); covered != mapOff-headerSize {
-		return nil, fmt.Errorf("%w: docmap covers %d bytes, payload is %d", ErrCorruptArchive, covered, mapOff-headerSize)
+	// Total is bounded by the payload first, so the sum cannot wrap.
+	payload := mapOff - headerSize
+	if m.Total() > uint64(payload) || int64(m.Total())+stride*int64(m.Len()) != payload {
+		return nil, fmt.Errorf("%w: docmap covers %d bytes and %d frames, payload is %d", ErrCorruptArchive, m.Total(), m.Len(), payload)
 	}
 	return &Reader{r: r, m: m, stride: stride, size: size}, nil
 }
@@ -364,20 +327,13 @@ func (r *Reader) Get(id int) ([]byte, error) {
 	return r.GetAppend(nil, id)
 }
 
-// slicer is the zero-copy capability of a memory-mapped backing store
-// (internal/mmapio.Mapping satisfies it); duck-typed so this package
-// stays independent of how the caller produced its ReaderAt.
-type slicer interface {
-	Slice(off, n int64) ([]byte, error)
-}
-
 // View serves document id as a sub-slice of the backing memory mapping —
 // no read, no copy, no allocation — implementing archive.Viewer. ok is
 // false when the archive was not opened over a mapping (fall back to
 // GetAppend). doc is a slice of the mapping: it is valid only during fn
 // and only for reading; fn copies whatever must outlive the call.
 func (r *Reader) View(id int, fn func(doc []byte) error) (bool, error) {
-	s, ok := r.r.(slicer)
+	s, ok := r.r.(container.Slicer)
 	if !ok {
 		return false, nil
 	}

@@ -2,10 +2,15 @@ package rawstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rlz/internal/coding"
+	"rlz/internal/container"
 )
 
 func build(t testing.TB, docs [][]byte) []byte {
@@ -137,15 +142,13 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestCorruptionRejected(t *testing.T) {
 	arc := build(t, sampleDocs(5))
-	bad := append([]byte{}, arc...)
-	bad[0] = 'X'
-	if _, err := OpenBytes(bad); err == nil {
-		t.Error("bad header accepted")
-	}
-	bad = append([]byte{}, arc...)
-	bad[len(bad)-2] = 'X'
-	if _, err := OpenBytes(bad); err == nil {
-		t.Error("bad footer accepted")
+	// One document of 2^64−8 bytes plus its 8-byte frame sums, in int64,
+	// to the empty payload; its read would size a buffer of −8 bytes.
+	huge := coding.PutUvarint64(container.Raw.AppendHeader(nil, version), 1)
+	huge = coding.PutUvarint64(huge, math.MaxUint64-7)
+	huge = container.Raw.AppendFooter(huge, headerSize)
+	if _, err := OpenBytes(huge); !errors.Is(err, ErrCorruptArchive) {
+		t.Errorf("map of 2^64-8 bytes over an empty payload: %v", err)
 	}
 	for i := 0; i < len(arc); i += 7 {
 		func() {

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"testing"
+
+	"rlz/internal/container"
 )
 
 // memFile is an in-memory File.
@@ -106,7 +108,7 @@ func FuzzRecover(f *testing.F) {
 			}
 			return w
 		}
-		file := &memFile{b: append(append([]byte(headerMagic), version), payload...)}
+		file := &memFile{b: append(container.Raw.AppendHeader(nil, version), payload...)}
 		w := check(file, want)
 		if len(file.b) > headerSize+len(payload) {
 			t.Fatalf("recovery grew the file to %d bytes", len(file.b))

@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"rlz/internal/container"
 	"rlz/internal/corpus"
 	"rlz/internal/rlz"
 )
@@ -45,7 +46,7 @@ func TestParentPVArchiveReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	dict, docs := parentPVDocs()
-	if v := arc[len(headerMagic)]; v != version {
+	if v := arc[len(container.RLZ.Magic)]; v != version {
 		t.Fatalf("fixture header version %d, want %d", v, version)
 	}
 	readsBack(t, arc, docs)
@@ -67,7 +68,7 @@ func TestParentPVArchiveReads(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v := buf.Bytes()[len(headerMagic)]; v != versionP {
+	if v := buf.Bytes()[len(container.RLZ.Magic)]; v != versionP {
 		t.Fatalf("a PV archive written today has header version %d, want %d", v, versionP)
 	}
 	readsBack(t, buf.Bytes(), docs)
@@ -124,10 +125,10 @@ func TestHeaderVersionByCodec(t *testing.T) {
 		if c.Pos == rlz.PosP {
 			want = versionP
 		}
-		if got := arc[len(headerMagic)]; got != want {
+		if got := arc[len(container.RLZ.Magic)]; got != want {
 			t.Errorf("%s: header version %d, want %d", name, got, want)
 		}
-		arc[len(headerMagic)] = 3
+		arc[len(container.RLZ.Magic)] = 3
 		if _, err := OpenBytes(arc); err == nil {
 			t.Errorf("%s: version 3 opened", name)
 		}

@@ -1,14 +1,14 @@
-// Package store implements the on-disk RLZ archive container: the format
+// Package store implements the on-disk RLZ archive: the format
 // that ties together the dictionary, the per-document factor encodings and
 // the document map (§3.1 of the paper).
 //
-// Layout (all integers little-endian or vbyte):
+// Layout of the body and maps, which internal/container frames as
+// container.RLZ (header: magic, version; footer: map offset, end magic):
 //
-//	header   magic "RLZA", version, position coding, length coding
-//	         vbyte dictionary length, dictionary bytes
-//	payload  per-document factor records (PairCodec framing), concatenated
-//	docmap   delta-vbyte document map
-//	footer   u64 absolute offset of docmap, magic "RLZE"
+//	body  position coding, length coding (1 byte each),
+//	      vbyte dictionary length, dictionary bytes,
+//	      per-document factor records (PairCodec framing), concatenated
+//	maps  delta-vbyte document map
 //
 // A Reader keeps the dictionary resident in memory (the property RLZ's
 // random-access speed rests on) and reads only the requested document's
@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"rlz/internal/coding"
+	"rlz/internal/container"
 	"rlz/internal/docmap"
 	"rlz/internal/rlz"
 )
@@ -36,20 +37,17 @@ import (
 // form, which a reader of version 1 alone would fail on at every read,
 // so it refuses the segment at open instead.
 const (
-	version     = 1
-	versionP    = 2
-	headerMagic = "RLZA"
-	footerMagic = "RLZE"
-	footerSize  = 8 + 4
+	version  = 1
+	versionP = 2
 )
 
 // ErrCorruptArchive is returned when an archive fails structural checks.
-var ErrCorruptArchive = errors.New("store: corrupt archive")
+var ErrCorruptArchive = container.ErrCorrupt
 
 // Writer builds an RLZ archive by factorizing appended documents against a
 // fixed dictionary. It must be closed to produce a readable archive.
 type Writer struct {
-	w       countingWriter
+	w       container.Writer
 	dict    *rlz.Dictionary
 	codec   rlz.PairCodec
 	fz      *rlz.Factorizer // lazy: prefactored writers never factorize
@@ -58,17 +56,6 @@ type Writer struct {
 	factors []rlz.Factor // reused across Appends
 	scratch []byte
 	closed  bool
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 // NewWriter starts an archive on w using the given dictionary text and
@@ -108,18 +95,17 @@ func NewWriterFromDictionary(w io.Writer, dict *rlz.Dictionary, codec rlz.PairCo
 
 func newWriter(w io.Writer, dict *rlz.Dictionary, dictData []byte, codec rlz.PairCodec) (*Writer, error) {
 	sw := &Writer{
-		w:     countingWriter{w: w},
+		w:     container.Writer{W: w},
 		dict:  dict,
 		codec: codec,
 		m:     docmap.New(),
 	}
-	var hdr []byte
-	hdr = append(hdr, headerMagic...)
 	v := byte(version)
 	if codec.Pos == rlz.PosP {
 		v = versionP
 	}
-	hdr = append(hdr, v, byte(codec.Pos), byte(codec.Len))
+	hdr := container.RLZ.AppendHeader(nil, v)
+	hdr = append(hdr, byte(codec.Pos), byte(codec.Len))
 	hdr = coding.PutUvarint64(hdr, uint64(len(dictData)))
 	hdr = append(hdr, dictData...)
 	if _, err := sw.w.Write(hdr); err != nil {
@@ -208,11 +194,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	mapOff := w.w.n
-	var tail []byte
-	tail = w.m.Marshal(tail)
-	tail = coding.PutU64(tail, uint64(mapOff))
-	tail = append(tail, footerMagic...)
+	tail := container.RLZ.AppendFooter(w.m.Marshal(nil), w.w.N)
 	if _, err := w.w.Write(tail); err != nil {
 		return fmt.Errorf("store: writing footer: %w", err)
 	}
@@ -233,7 +215,7 @@ func (w *Writer) Close() error {
 // by a sync.Once.
 type Reader struct {
 	r            io.ReaderAt
-	view         slicer // r's zero-copy capability, nil when it has none
+	view         container.Slicer // r's zero-copy capability, nil when it has none
 	dict         *rlz.Dictionary
 	codec        rlz.PairCodec
 	m            *docmap.Map
@@ -245,46 +227,26 @@ type Reader struct {
 // Open reads an archive's header, dictionary and document map from r,
 // which must cover size bytes.
 func Open(r io.ReaderAt, size int64) (*Reader, error) {
-	// Footer.
-	if size < footerSize {
-		return nil, fmt.Errorf("%w: %d bytes is smaller than a footer", ErrCorruptArchive, size)
-	}
-	foot := make([]byte, footerSize)
-	if _, err := r.ReadAt(foot, size-footerSize); err != nil {
-		return nil, fmt.Errorf("store: reading footer: %w", err)
-	}
-	if string(foot[8:]) != footerMagic {
-		return nil, fmt.Errorf("%w: bad footer magic", ErrCorruptArchive)
-	}
-	mapOff64, _ := coding.U64(foot)
-	mapOff := int64(mapOff64)
-	if mapOff < 0 || mapOff > size-footerSize {
-		return nil, fmt.Errorf("%w: docmap offset %d out of range", ErrCorruptArchive, mapOff)
+	_, mapOff, mapBytes, err := container.RLZ.Open(r, size)
+	if err != nil {
+		return nil, err
 	}
 
-	// Header: magic, version, codec, dictionary.
-	hdrProbe := make([]byte, 4+3+coding.MaxVByteLen64)
-	if int64(len(hdrProbe)) > size {
-		hdrProbe = hdrProbe[:size]
-	}
-	if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), hdrProbe); err != nil {
+	// Codec and dictionary. The frame leaves at least a footer's bytes
+	// after the header, room for the codec and a whole vbyte.
+	var hdrProbe [2 + coding.MaxVByteLen64]byte
+	if _, err := r.ReadAt(hdrProbe[:], container.HeaderSize); err != nil {
 		return nil, fmt.Errorf("store: reading header: %w", err)
 	}
-	if string(hdrProbe[:4]) != headerMagic {
-		return nil, fmt.Errorf("%w: bad header magic", ErrCorruptArchive)
-	}
-	if v := hdrProbe[4]; v != version && v != versionP {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptArchive, hdrProbe[4])
-	}
-	codec, err := rlz.CodecByName(string(hdrProbe[5:7]))
+	codec, err := rlz.CodecByName(string(hdrProbe[:2]))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptArchive, err)
 	}
-	dictLen64, k, err := coding.Uvarint64(hdrProbe[7:])
+	dictLen64, k, err := coding.Uvarint64(hdrProbe[2:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: dictionary length: %v", ErrCorruptArchive, err)
 	}
-	dictStart := int64(7 + k)
+	dictStart := int64(container.HeaderSize + 2 + k)
 	dictLen := int64(dictLen64)
 	if dictLen <= 0 || dictStart+dictLen > mapOff {
 		return nil, fmt.Errorf("%w: dictionary extent [%d,%d) outside payload", ErrCorruptArchive, dictStart, dictStart+dictLen)
@@ -300,11 +262,6 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 		return nil, err
 	}
 
-	// Document map.
-	mapBytes := make([]byte, size-footerSize-mapOff)
-	if _, err := r.ReadAt(mapBytes, mapOff); err != nil {
-		return nil, fmt.Errorf("store: reading document map: %w", err)
-	}
 	m, _, err := docmap.Unmarshal(mapBytes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptArchive, err)
@@ -313,7 +270,7 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	if int64(m.Total()) != mapOff-payloadStart {
 		return nil, fmt.Errorf("%w: docmap covers %d bytes, payload is %d", ErrCorruptArchive, m.Total(), mapOff-payloadStart)
 	}
-	view, _ := r.(slicer)
+	view, _ := r.(container.Slicer)
 	return &Reader{
 		r:            r,
 		view:         view,
@@ -371,13 +328,6 @@ func (r *Reader) Extent(id int) (off, n int64, err error) {
 		return 0, 0, err
 	}
 	return r.payloadStart + int64(o), int64(l), nil
-}
-
-// slicer is the zero-copy capability of a memory-mapped backing store
-// (internal/mmapio.Mapping satisfies it); duck-typed so this package
-// stays independent of how the caller produced its ReaderAt.
-type slicer interface {
-	Slice(off, n int64) ([]byte, error)
 }
 
 // recPool holds the buffers records are staged in when the backing store
