@@ -103,8 +103,9 @@ func cmdAppend(args []string) error {
 // a larger one first when the drained bytes' -dict budget is at least
 // twice the newest dictionary. -adapt lets the pass learn a new
 // dictionary generation (-evict and -gain tune what it evicts and when
-// it adopts); -upgrade-stale also rewrites RLZ segments built against
-// older generations.
+// it adopts). Each pass also re-encodes RLZ segments built against older
+// generations, oldest first, up to the raw bytes it drains;
+// -upgrade-stale lifts that cap and re-encodes all of them.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	dir := fs.String("a", "", "collection directory (required)")
@@ -115,7 +116,7 @@ func cmdCompact(args []string) error {
 	adapt := fs.Bool("adapt", false, "learn: evict cold dictionary regions and re-sample from the drained documents, adopting the result when the trial gain clears -gain")
 	evict := fs.Float64("evict", 0, "fraction of dictionary regions an adaptive re-sample evicts, coldest first (0 means 0.25)")
 	gain := fs.Float64("gain", 0, "relative encoded-byte saving required to adopt an adaptive dictionary (0 means 0.02; negative adopts always)")
-	upgradeStale := fs.Bool("upgrade-stale", false, "also rewrite RLZ segments built against older dictionary generations, retiring them")
+	upgradeStale := fs.Bool("upgrade-stale", false, "rewrite every RLZ segment built against an older dictionary generation, not only as many as the drained raw bytes cover, retiring those generations")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -167,9 +168,18 @@ func cmdCompact(args []string) error {
 	} else if res.Dict != 0 {
 		dictNote = fmt.Sprintf(", dictionary %d", res.Dict)
 	}
-	fmt.Printf("%s: compacted %d segments into %d (%d docs, %d -> %d bytes, %.2f%%%s), generation %d\n",
-		*dir, res.Compacted, len(res.NewSegments), res.Docs, res.BytesBefore, res.BytesAfter, ratio, dictNote, res.Generation)
+	fmt.Printf("%s: compacted %d segments into %d (%d docs, %d -> %d bytes, %.2f%%%s%s), generation %d\n",
+		*dir, res.Compacted, len(res.NewSegments), res.Docs, res.BytesBefore, res.BytesAfter, ratio, dictNote, upgradeNote(res), res.Generation)
 	return nil
+}
+
+// upgradeNote reports the stale-generation segments a compaction
+// re-encoded, or nothing when it re-encoded none.
+func upgradeNote(res collection.CompactResult) string {
+	if res.Upgraded == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", %d segments (%d document bytes) moved to dictionary %d", res.Upgraded, res.BytesUpgraded, res.Dict)
 }
 
 // cmdGC removes files in the collection directory superseded by the

@@ -36,8 +36,9 @@
 // ids stable forever); compact drains raw segments into RLZ archives
 // against a shared sampled dictionary (-adapt re-samples that
 // dictionary's cold regions and adopts the result when a trial gains
-// enough; -upgrade-stale also rewrites segments built against older
-// dictionary generations); gc removes superseded files.
+// enough) and re-encodes segments built against older dictionary
+// generations, as many as the raw bytes it drains cover (-upgrade-stale:
+// all of them); gc removes superseded files.
 // Reading commands open a collection directory like any archive.
 //
 // To serve an archive hot over HTTP, see cmd/rlzd.
@@ -126,7 +127,8 @@ func usage() {
              seals the open segment and rewrites raw segments as RLZ; -adapt
              re-samples the dictionary's cold regions from the drained documents
              and adopts the result when a trial saves -gain of the encoded bytes;
-             -upgrade-stale also rewrites RLZ segments of older dictionaries
+             it re-encodes RLZ segments of older dictionaries up to the raw
+             bytes it drains, and -upgrade-stale re-encodes all of them
   rlz gc     -a DIR
              removes files superseded by the current generation`)
 }

@@ -211,6 +211,9 @@ func autoCompact(ctx context.Context, col *collection.Collection, after int, eve
 			if res.Relearned {
 				note = fmt.Sprintf(", adopted dictionary %d", res.Dict)
 			}
+			if res.Upgraded > 0 {
+				note += fmt.Sprintf(", %d segments (%d document bytes) moved to dictionary %d", res.Upgraded, res.BytesUpgraded, res.Dict)
+			}
 			log.Printf("rlzd: auto-compacted %d segments (%d docs, %d -> %d bytes%s), generation %d",
 				res.Compacted, res.Docs, res.BytesBefore, res.BytesAfter, note, res.Generation)
 		}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 
 	"rlz/internal/blockstore"
 	"rlz/internal/lz77"
@@ -38,7 +37,9 @@ type Options struct {
 	PreparedDict *rlz.Dictionary
 	// Heat optionally accumulates dictionary-region usage from every
 	// factorization this build performs (sequential and parallel paths
-	// alike; Observe is atomic, so all workers share the accumulator).
+	// alike; parallel workers count in their own rlz.HeatTally, flushed
+	// into Heat when the build's pipeline closes, so a concurrent reader
+	// of Heat sees a running parallel build's usage only at its end).
 	// Compaction feeds this into adaptive re-sampling to rank hot/cold
 	// dictionary regions. It does not change the archive bytes.
 	Heat *rlz.RegionHeat
@@ -164,11 +165,13 @@ func Build(w io.Writer, src DocSource, opts Options) (BuildResult, error) {
 const buildBuffer = 64 << 10
 
 // rlzWorker is what one parallel-build worker keeps between documents:
-// its engine, the factor slice and the buffer a record is assembled in.
+// its engine, the factor slice, the buffer a record is assembled in and
+// its share of Options.Heat.
 type rlzWorker struct {
 	fz      *rlz.Factorizer
 	factors []rlz.Factor
 	rec     []byte
+	heat    *rlz.HeatTally
 }
 
 func build(aw Writer, src DocSource, opts Options) (BuildResult, error) {
@@ -177,23 +180,34 @@ func build(aw Writer, src DocSource, opts Options) (BuildResult, error) {
 	if rw, ok := aw.(rlzWriter); ok && opts.workers() > 1 {
 		// RLZ fast path: the dictionary is immutable during the build, so
 		// factorize+encode parallelizes per document. Each pipeline worker
-		// runs its own rlzWorker (drawn from a pool, since the ordered
+		// runs its own rlzWorker (drawn from a free list, since the ordered
 		// pipeline shares one work closure) over the shared dictionary
-		// index and k-gram ladder.
+		// index and k-gram ladder. A worker counts heat in its own tally;
+		// the tallies reach opts.Heat once, when the pipeline has closed.
 		dict, codec := rw.Dictionary(), rw.Codec()
-		pool := sync.Pool{New: func() any { return &rlzWorker{fz: rlz.NewFactorizer(dict, rlz.FactorizerOptions{})} }}
-		pipe := pipeline.NewOrdered(opts.workers(),
+		workers := make([]rlzWorker, opts.workers())
+		free := make(chan *rlzWorker, len(workers))
+		for i := range workers {
+			free <- &workers[i]
+		}
+		pipe := pipeline.NewOrdered(len(workers),
 			func(doc []byte) ([]byte, error) {
-				w := pool.Get().(*rlzWorker)
+				w := <-free
+				if w.fz == nil {
+					w.fz = rlz.NewFactorizer(dict, rlz.FactorizerOptions{})
+					if opts.Heat != nil {
+						w.heat = opts.Heat.NewTally()
+					}
+				}
 				w.factors = w.fz.Factorize(doc, w.factors[:0])
-				if opts.Heat != nil {
-					opts.Heat.Observe(w.factors)
+				if w.heat != nil {
+					w.heat.Observe(w.factors)
 				}
 				// The record outlives this call (it waits its turn to be
 				// committed), so it is the one thing allocated per document.
 				w.rec = codec.Encode(w.rec[:0], w.factors)
 				rec := bytes.Clone(w.rec)
-				pool.Put(w)
+				free <- w
 				return rec, nil
 			},
 			func(rec []byte) error {
@@ -216,7 +230,13 @@ func build(aw Writer, src DocSource, opts Options) (BuildResult, error) {
 				break // pipeline failed; Close reports the first error
 			}
 		}
-		if err := pipe.Close(); err != nil {
+		err := pipe.Close()
+		for i := range workers {
+			if workers[i].heat != nil {
+				workers[i].heat.Flush()
+			}
+		}
+		if err != nil {
 			return res, err
 		}
 		if srcErr != nil {

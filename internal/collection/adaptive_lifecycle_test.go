@@ -326,16 +326,19 @@ func TestCompactFaultMatrixDictPublish(t *testing.T) {
 // satellite leak fix: before dictionary versioning, the one prepared
 // dictionary lived for the process lifetime; with generations the cache
 // must shrink as generations retire, or a long-running daemon pins
-// every suffix array it ever built. Each round appends drifted
-// documents, forces adoption of a new generation, then runs the
-// follow-up UpgradeStale pass that drains the previous generation's
-// segments. The cache must hold only the newest dictionary after both.
+// every suffix array it ever built. Each round appends equal-sized
+// drifted documents and forces adoption of a new generation; from the
+// third round on, the same compaction converges the segment left stale
+// by the adoption two rounds back (its raw bytes cover that segment's),
+// retiring that generation. The cache holds only the newest dictionary
+// throughout, the manifest the two newest generations, and a final
+// UpgradeStale pass leaves one.
 func TestPreparedDictCacheReleased(t *testing.T) {
 	c, dir := newCollection(t, nil)
 	var all [][]byte
 	const rounds = 4
 	for round := 0; round < rounds; round++ {
-		docs := driftedDocs(round, 20)
+		docs := grownDocs(round, 20, 512)
 		appendAll(t, c, len(all), docs)
 		all = append(all, docs...)
 		res, err := c.Compact(CompactOptions{Adapt: true, MinRatioGain: -1000})
@@ -346,44 +349,46 @@ func TestPreparedDictCacheReleased(t *testing.T) {
 			t.Fatalf("round %d: dict=%d relearned=%v, want adopted generation %d",
 				round, res.Dict, res.Relearned, round+1)
 		}
+		// Staleness is judged as the compaction starts: round r finds
+		// only round r-2's segment on an older generation than the
+		// newest (round r-1's).
+		if want := min(1, max(round-1, 0)); res.Upgraded != want {
+			t.Fatalf("round %d: %d segments upgraded, want %d", round, res.Upgraded, want)
+		}
 		// Only the newest generation is a factorization target: adopting
-		// one releases its predecessor's prepared state at once, before
-		// any upgrade pass drains the predecessor's segments.
+		// one releases its predecessor's prepared state at once, and
+		// retiring one releases nothing that was still prepared.
 		if n := c.preparedDictCount(); n > 1 {
-			t.Fatalf("round %d: %d prepared dictionaries cached after adoption, want 1", round, n)
+			t.Fatalf("round %d: %d prepared dictionaries cached, want 1", round, n)
 		}
-		// Adoption leaves the previous generation's segments stale; the
-		// upgrade pass rebuilds them against the new dictionary, retiring
-		// the old one — file, manifest entry, and prepared state.
-		if round > 0 {
-			up, err := c.Compact(CompactOptions{UpgradeStale: true})
-			if err != nil {
-				t.Fatalf("round %d upgrade: %v", round, err)
-			}
-			if up.Compacted == 0 || up.Relearned {
-				t.Fatalf("round %d upgrade: %+v, want stale segments rebuilt without a new generation", round, up)
-			}
+		want := []uint64{uint64(round), uint64(round + 1)}
+		if round == 0 {
+			want = want[1:]
 		}
-		if n := c.preparedDictCount(); n > 1 {
-			t.Fatalf("round %d: %d prepared dictionaries cached, want 1 (retired generations must release)", round, n)
-		}
-		man, err := ReadManifest(filepath.Join(dir, ManifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(man.Dicts) != 1 || man.Dicts[0].ID != uint64(round+1) {
-			t.Fatalf("round %d: manifest dicts %+v, want only generation %d", round, man.Dicts, round+1)
+		if got := manifestDictIDs(t, dir); !slices.Equal(got, want) {
+			t.Fatalf("round %d: manifest dicts %v, want %v", round, got, want)
 		}
 		checkDocs(t, c, all, nil)
 	}
-	// Retired generations' files are gone from disk too.
-	entries, err := os.ReadDir(dir)
+	// With nothing raw left, UpgradeStale converges the two segments
+	// still on the generation before the newest (the last round's
+	// predecessor and the segment converged onto it) and retires it.
+	up, err := c.Compact(CompactOptions{UpgradeStale: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "dict-") && e.Name() != dictFileName(rounds) {
-			t.Errorf("retired dictionary file %s not removed", e.Name())
-		}
+	if up.Upgraded != 2 || up.Relearned {
+		t.Fatalf("upgrade pass %+v, want the two stale segments rebuilt without a new generation", up)
+	}
+	if n := c.preparedDictCount(); n > 1 {
+		t.Fatalf("%d prepared dictionaries cached after the upgrade pass, want 1", n)
+	}
+	if got := manifestDictIDs(t, dir); !slices.Equal(got, []uint64{rounds}) {
+		t.Fatalf("manifest dicts after the upgrade pass %v, want only generation %d", got, rounds)
+	}
+	checkDocs(t, c, all, nil)
+	// Retired generations' files are gone from disk too.
+	if got := dictFiles(t, dir); !slices.Equal(got, []string{dictFileName(rounds)}) {
+		t.Errorf("dictionary files %v, want only %s", got, dictFileName(rounds))
 	}
 }

@@ -640,6 +640,11 @@ func TestCompactAllTombstoned(t *testing.T) {
 	}
 	all := append(append([][]byte{}, docs...), docs...)
 	checkDocs(t, c, all, deleted)
+	// The placeholder segment is stale now; with nothing raw to drain, a
+	// compaction leaves it alone, although it holds 0 document bytes.
+	if res, err := c.Compact(CompactOptions{}); err != nil || res.Compacted != 0 {
+		t.Fatalf("compaction with nothing raw: %+v, %v, want nothing done", res, err)
+	}
 }
 
 // TestCompactionReleasesDescriptors: superseded segment readers and

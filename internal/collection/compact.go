@@ -1,10 +1,12 @@
 package collection
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"rlz/internal/archive"
 	"rlz/internal/faultfs"
@@ -48,15 +50,18 @@ type CompactOptions struct {
 	// show in the trial to be adopted (0 selects 0.02, i.e. 2% smaller;
 	// negative adopts unconditionally).
 	MinRatioGain float64
-	// UpgradeStale additionally rewrites RLZ segments built against
-	// non-current dictionary generations, so retired dictionaries drain
-	// to zero references (and their files and prepared in-memory state
-	// are released). Without it, compaction only drains raw segments and
-	// old generations stay readable against their recorded dictionaries
-	// indefinitely. Staleness is judged against the newest generation as
-	// the compaction starts: when the same pass adopts a new dictionary,
-	// segments built against the previously-current one become stale and
-	// drain on the next UpgradeStale pass, not this one.
+	// UpgradeStale lifts the cap on convergence. Every compaction also
+	// re-encodes RLZ segments built against a generation older than the
+	// newest, oldest generation first (then in id order), whole segments
+	// only, stopping before their document bytes pass the raw bytes it
+	// drains: convergence costs at most as much as the ingest driving it,
+	// and a compaction with nothing raw to drain converges nothing. With
+	// UpgradeStale every stale segment is re-encoded now — what an idle
+	// collection needs to retire its old dictionaries. Staleness is
+	// judged against the newest generation as the compaction starts:
+	// when the same pass adopts a new dictionary, segments built against
+	// the previously-current one become stale and converge on a later
+	// pass, not this one.
 	UpgradeStale bool
 	// Workers bounds build concurrency; 0 means GOMAXPROCS.
 	Workers int
@@ -82,25 +87,40 @@ type CompactResult struct {
 	// reports whether this compaction adopted it as a new generation.
 	Dict      uint64 `json:"dict_id,omitempty"`
 	Relearned bool   `json:"dict_relearned,omitempty"`
+	// Upgraded counts the stale-generation RLZ segments among the
+	// Compacted ones, re-encoded against Dict; BytesUpgraded is their
+	// document bytes as recorded when they were built.
+	Upgraded      int   `json:"segments_upgraded"`
+	BytesUpgraded int64 `json:"bytes_upgraded"`
 }
 
-// run is one maximal run of consecutive raw segments to be drained into
-// a single RLZ segment.
+// run is one maximal run of consecutive compactable segments to be
+// drained into a single RLZ segment.
 type run struct {
 	lo, hi int // segment indices [lo, hi)
 	start  int // global id of the run's first document
 	docs   int
 	seq    uint64 // sequence number of the replacement segment
 	segs   []archive.Reader
+	raws   []int64 // each segment's manifest Raw, parallel to segs
 	bytes  int64
+	// stale and staleBytes count the run's stale-generation RLZ
+	// segments and their manifest Raw.
+	stale      int
+	staleBytes int64
 }
 
 // Compact drains the append path into the paper's format: the open
-// segment is sealed, every maximal run of consecutive raw segments is
-// rewritten as one RLZ archive factorized against the shared prepared
-// dictionary, a new generation is published, and the superseded files
-// are removed. Document ids and bytes are preserved exactly; tombstoned
-// documents are stored as empty (their ids still return not-found).
+// segment is sealed, every maximal run of consecutive compactable
+// segments is rewritten as one RLZ archive factorized against the shared
+// prepared dictionary, a new generation is published, and the
+// superseded files are removed. Compactable are the raw segments and,
+// up to their document bytes (all of them with opts.UpgradeStale), RLZ
+// segments of an older dictionary generation (see
+// CompactOptions.UpgradeStale); a generation no segment references any
+// more is retired in the same publish. Document ids and bytes are
+// preserved exactly; tombstoned documents are stored as empty (their ids
+// still return not-found).
 //
 // The expensive build runs without the write lock, so appends and
 // deletes proceed concurrently; only the manifest swaps at either end
@@ -232,6 +252,8 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 		// close once the older views drain.
 		members = splice(members, r.lo, r.hi, fresh[i])
 		res.Compacted += r.hi - r.lo
+		res.Upgraded += r.stale
+		res.BytesUpgraded += r.staleBytes
 		res.Docs += r.docs
 		res.BytesBefore += r.bytes
 		res.NewSegments = append(res.NewSegments, seg.Path)
@@ -316,42 +338,69 @@ func (c *Collection) Compact(opts CompactOptions) (CompactResult, error) {
 
 // findRuns collects the maximal runs of consecutive compactable segments
 // and allocates each replacement's sequence number. A raw segment is
-// always compactable; with upgrade set, RLZ segments built against a
-// non-current dictionary generation are too (staleness is judged against
-// the manifest's newest dictionary id — 0 when no dictionary exists
-// yet). The allocation is persisted only by the final publish: a crash
-// in between leaves a .tmp or a fully renamed orphan under a
-// not-yet-persisted sequence number — both unreferenced by the manifest,
-// skipped by the open-segment allocator, overwritable by a retried
-// compaction, and removed by gc.
+// always compactable. An RLZ segment is stale when it was built against
+// a generation other than the manifest's newest (0 when no dictionary
+// exists yet); stale segments are compactable oldest generation first,
+// then in id order, for as long as their manifest Raw bytes fit in the
+// raw segments' (none when no raw segment drains, not even an empty
+// one) — all of them with upgrade set. A stale segment the cap
+// leaves out splits the runs around it. The allocation is persisted only
+// by the final publish: a crash in between leaves a .tmp or a fully
+// renamed orphan under a not-yet-persisted sequence number — both
+// unreferenced by the manifest, skipped by the open-segment allocator,
+// overwritable by a retried compaction, and removed by gc.
 func findRuns(v *view, man *Manifest, nextSeq *uint64, upgrade bool) []run {
 	newest := uint64(0)
 	if len(man.Dicts) > 0 {
 		newest = man.Dicts[len(man.Dicts)-1].ID
 	}
 	segs := v.sealed()
-	compactable := func(i int) bool {
+	take := make([]bool, len(segs))
+	draining := false // any raw segment: without one, nothing converges
+	var budget int64
+	var stale []int
+	for i := range segs {
 		switch segs[i].r.Stats().Backend {
 		case archive.Raw:
-			return true
+			take[i], draining = true, true
+			budget += man.Segments[i].Raw
 		case archive.RLZ:
-			return upgrade && i < len(man.Segments) && man.Segments[i].Dict != newest
+			if man.Segments[i].Dict != newest {
+				stale = append(stale, i)
+			}
 		}
-		return false
 	}
+	slices.SortStableFunc(stale, func(a, b int) int {
+		return cmp.Compare(man.Segments[a].Dict, man.Segments[b].Dict)
+	})
+	for _, i := range stale {
+		if !upgrade {
+			if !draining || man.Segments[i].Raw > budget {
+				break
+			}
+			budget -= man.Segments[i].Raw
+		}
+		take[i] = true
+	}
+
 	var runs []run
 	i := 0
 	for i < len(segs) {
-		if !compactable(i) {
+		if !take[i] {
 			i++
 			continue
 		}
 		r := run{lo: i, start: v.set.Start(i)}
-		for i < len(segs) && compactable(i) {
+		for i < len(segs) && take[i] {
 			sr := segs[i].r
 			r.docs += sr.NumDocs()
 			r.bytes += sr.Size()
 			r.segs = append(r.segs, sr)
+			r.raws = append(r.raws, man.Segments[i].Raw)
+			if sr.Stats().Backend == archive.RLZ {
+				r.stale++
+				r.staleBytes += man.Segments[i].Raw
+			}
 			i++
 		}
 		r.hi = i

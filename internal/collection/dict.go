@@ -117,9 +117,10 @@ func (c *Collection) preparedDictCount() int {
 //  2. No dictionary yet: a fresh even sample over the pending documents
 //     becomes generation 1 (or the unversioned placeholder when every
 //     pending document is empty).
-//  3. Growth: the budget is what a fresh sample over the pending
-//     documents would hold (opts.DictSize, else 1% of their bytes with a
-//     4 KiB floor, see archive.DictBudget; never more than the pending
+//  3. Growth: the budget is what a fresh sample over the drained
+//     documents — the raw ones and the stale-generation ones converging
+//     with them — would hold (opts.DictSize, else 1% of their bytes with
+//     a 4 KiB floor, see archive.DictBudget; never more than the drained
 //     bytes themselves). When the newest generation is at most half of
 //     it, a fresh even sample becomes a new generation, so a collection
 //     that outgrows its first sample is never factorized against a
@@ -267,24 +268,48 @@ func (c *Collection) adaptCandidate(latest *Dict, runs []run, tomb map[int]struc
 
 // drainedBytes sums the bytes of the documents the runs drain,
 // tombstones excluded: the collection size a fresh sample over them
-// measures. A raw segment's extents are its documents, so only a stale
-// RLZ segment (an UpgradeStale run) is decoded.
+// measures, exact because rlz.EvenSampler places its windows by it. A
+// segment's manifest Raw is its document bytes as built (documents
+// tombstoned by then were stored empty), so only the documents
+// tombstoned since are measured and subtracted: by extent in a raw
+// segment, by decoding in an RLZ one. A segment whose Raw is 0 is
+// measured document by document.
 func drainedBytes(runs []run, tomb map[int]struct{}) (int64, error) {
 	var total int64
 	var buf []byte
-	err := eachDoc(runs, tomb, func(sr archive.Reader, local int) error {
-		var n int64
-		var err error
+	docLen := func(sr archive.Reader, local int) (int64, error) {
 		if sr.Stats().Backend == archive.Raw {
-			_, n, err = sr.Extent(local)
-		} else {
-			buf, err = sr.GetAppend(buf[:0], local)
-			n = int64(len(buf))
+			_, n, err := sr.Extent(local)
+			return n, err
 		}
-		total += n
-		return err
-	})
-	return total, err
+		var err error
+		buf, err = sr.GetAppend(buf[:0], local)
+		return int64(len(buf)), err
+	}
+	for i := range runs {
+		id := runs[i].start
+		for j, sr := range runs[i].segs {
+			raw := runs[i].raws[j]
+			total += raw
+			for local := 0; local < sr.NumDocs(); local, id = local+1, id+1 {
+				// With Raw known, only tombstoned documents are measured
+				// (and subtracted); without it, only live ones (and added).
+				_, dead := tomb[id]
+				if dead != (raw > 0) {
+					continue
+				}
+				n, err := docLen(sr, local)
+				if err != nil {
+					return 0, fmt.Errorf("collection: reading document %d for compaction: %w", id, err)
+				}
+				if dead {
+					n = -n
+				}
+				total += n
+			}
+		}
+	}
+	return total, nil
 }
 
 // sampleFresh even-samples budget bytes from the runs' documents, which

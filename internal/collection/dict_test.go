@@ -58,10 +58,12 @@ func compactOnce(t *testing.T, c *Collection, base int, docs [][]byte, opts Comp
 
 // TestCompactionGrowsDictionary: a small first compaction samples a
 // small generation 1; a compaction over 200× its bytes finds generation 1
-// under half its budget and samples a generation at least twice the size.
-// Every earlier document still reads byte-identical, and a later
-// UpgradeStale pass drains generation 1 and deletes its file without
-// growing again.
+// under half its budget and samples a generation at least twice the size,
+// leaving generation 1's segment alone (it was not stale when that
+// compaction started). Every earlier document still reads byte-identical,
+// and the next compaction, draining as many raw bytes as generation 1's
+// segment holds, converges that segment and deletes generation 1's file
+// without growing again.
 func TestCompactionGrowsDictionary(t *testing.T) {
 	small := driftedDocs(0, 20)
 	bulk := grownDocs(1, 64, 16<<10) // 1 MiB, ≥ 200× the first compaction
@@ -70,8 +72,8 @@ func TestCompactionGrowsDictionary(t *testing.T) {
 		t.Fatalf("first compaction %+v, want generation 1", res)
 	}
 	res := compactOnce(t, c, len(small), bulk, CompactOptions{})
-	if res.Dict != 2 || !res.Relearned {
-		t.Fatalf("bulk compaction %+v, want a grown generation 2", res)
+	if res.Dict != 2 || !res.Relearned || res.Upgraded != 0 {
+		t.Fatalf("bulk compaction %+v, want a grown generation 2 and nothing upgraded", res)
 	}
 	g1, g2 := dictFileSize(t, dir, 1), dictFileSize(t, dir, 2)
 	if g2 < 2*g1 {
@@ -83,17 +85,19 @@ func TestCompactionGrowsDictionary(t *testing.T) {
 	all := append(append([][]byte{}, small...), bulk...)
 	checkDocs(t, c, all, nil)
 
-	up, err := c.Compact(CompactOptions{UpgradeStale: true})
-	if err != nil {
-		t.Fatal(err)
+	var smallBytes int
+	for _, d := range small {
+		smallBytes += len(d)
 	}
-	if up.Compacted != 1 || up.Relearned || up.Dict != 2 {
-		t.Fatalf("upgrade pass %+v, want generation 1's segment rebuilt against generation 2", up)
+	fresh := grownDocs(2, 1, smallBytes)
+	up := compactOnce(t, c, len(all), fresh, CompactOptions{})
+	if up.Upgraded != 1 || up.Compacted != 2 || up.Relearned || up.Dict != 2 {
+		t.Fatalf("next compaction %+v, want generation 1's segment rebuilt against generation 2 beside the raw one", up)
 	}
 	if got := dictFiles(t, dir); len(got) != 1 || got[0] != dictFileName(2) {
-		t.Fatalf("dictionary files after the upgrade pass: %v, want only %s", got, dictFileName(2))
+		t.Fatalf("dictionary files after convergence: %v, want only %s", got, dictFileName(2))
 	}
-	checkDocs(t, c, all, nil)
+	checkDocs(t, c, append(all, fresh...), nil)
 }
 
 // TestEqualCompactionsKeepOneDictionary: k compactions of equal size

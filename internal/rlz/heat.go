@@ -18,11 +18,12 @@ const DefaultRegionSize = 1024
 // the span overlaps by one, so long template matches and dense short
 // matches both register where the dictionary is earning its bytes.
 //
-// Observe uses atomic adds and is safe for concurrent use: a parallel
-// compaction build feeds one shared RegionHeat from every worker.
-// Accessors read the counters atomically and may run concurrently with
-// Observe; they see a live snapshot, which is exactly what the stats
-// surface wants.
+// Observe uses atomic adds and is safe for concurrent use; a parallel
+// compaction build instead gives each worker a HeatTally and flushes
+// them all when the build's pipeline closes. Accessors read the counters
+// atomically and may run concurrently with Observe and Flush; they see a
+// live snapshot, which is what the stats surface wants (behind a running
+// parallel build by the tallies not yet flushed).
 type RegionHeat struct {
 	regionSize int
 	dictLen    int
@@ -53,8 +54,9 @@ func NewRegionHeat(dictLen, regionSize int) *RegionHeat {
 // the totals (they reference no dictionary position). Factors reaching
 // past the dictionary length (corrupt input) are clipped, not dropped.
 //
-// The two totals are tallied locally and added once per call: every
-// build worker would otherwise hit their one cache line once per factor.
+// The two totals are tallied locally and added once per call; a
+// goroutine observing many documents keeps a HeatTally instead, so it
+// touches the shared counters once in all.
 func (h *RegionHeat) Observe(factors []Factor) {
 	var copies, literals int64
 	for _, f := range factors {
@@ -63,20 +65,67 @@ func (h *RegionHeat) Observe(factors []Factor) {
 			continue
 		}
 		copies++
-		lo := int(f.Pos) / h.regionSize
-		hi := (int(f.Pos) + int(f.Len) - 1) / h.regionSize
-		if lo >= len(h.counts) {
-			continue
-		}
-		if hi >= len(h.counts) {
-			hi = len(h.counts) - 1
-		}
+		lo, hi := h.span(f)
 		for r := lo; r <= hi; r++ {
 			atomic.AddInt64(&h.counts[r], 1)
 		}
 	}
 	h.copies.Add(copies)
 	h.literals.Add(literals)
+}
+
+// span returns the regions [lo, hi] copy factor f overlaps, clipped to
+// the dictionary: empty (hi < lo) when f starts past the last region.
+func (h *RegionHeat) span(f Factor) (lo, hi int) {
+	lo = int(f.Pos) / h.regionSize
+	hi = (int(f.Pos) + int(f.Len) - 1) / h.regionSize
+	return lo, min(hi, len(h.counts)-1)
+}
+
+// HeatTally is one goroutine's share of a RegionHeat: plain counters
+// over the same regions, added into it by Flush. A parallel build gives
+// each worker one, so workers never contend on the shared counters'
+// cache lines; the flushed counts equal what Observe would have left,
+// since a sum does not depend on its order. Until Flush, the shared
+// accumulator does not see the tally's observations.
+type HeatTally struct {
+	h                *RegionHeat
+	counts           []int64
+	copies, literals int64
+}
+
+// NewTally returns an empty tally that flushes into h.
+func (h *RegionHeat) NewTally() *HeatTally {
+	return &HeatTally{h: h, counts: make([]int64, len(h.counts))}
+}
+
+// Observe records one document's factors, as RegionHeat.Observe does.
+// A tally is not safe for concurrent use.
+func (t *HeatTally) Observe(factors []Factor) {
+	for _, f := range factors {
+		if f.Len == 0 {
+			t.literals++
+			continue
+		}
+		t.copies++
+		lo, hi := t.h.span(f)
+		for r := lo; r <= hi; r++ {
+			t.counts[r]++
+		}
+	}
+}
+
+// Flush adds the tally into its RegionHeat and empties it.
+func (t *HeatTally) Flush() {
+	for r, n := range t.counts {
+		if n != 0 {
+			atomic.AddInt64(&t.h.counts[r], n)
+			t.counts[r] = 0
+		}
+	}
+	t.h.copies.Add(t.copies)
+	t.h.literals.Add(t.literals)
+	t.copies, t.literals = 0, 0
 }
 
 // RegionSize returns the scoring granularity in bytes.

@@ -81,10 +81,11 @@ func TestRegionHeatColdestRegionsDeterministic(t *testing.T) {
 }
 
 // TestRegionHeatConcurrentObserve pins that parallel build workers can
-// share one accumulator: four goroutines observing known factor lists
-// (copies spanning one to three regions, literals, many factors per call)
-// must leave both totals and every region count exactly where one
-// goroutine observing the same lists leaves them.
+// share one accumulator, directly or through a HeatTally each: four
+// goroutines observing known factor lists (copies spanning one to three
+// regions, literals, many factors per call) must leave both totals and
+// every region count exactly where one goroutine observing the same
+// lists leaves them. A tally flushed twice adds nothing the second time.
 func TestRegionHeatConcurrentObserve(t *testing.T) {
 	const workers, calls, perCall = 4, 300, 40
 	lists := make([][][]Factor, workers)
@@ -110,27 +111,38 @@ func TestRegionHeatConcurrentObserve(t *testing.T) {
 		}
 	}
 
-	h := NewRegionHeat(16<<10, 1024)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, fs := range lists[w] {
-				h.Observe(fs)
+	for _, tallied := range []bool{false, true} {
+		h := NewRegionHeat(16<<10, 1024)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if !tallied {
+					for _, fs := range lists[w] {
+						h.Observe(fs)
+					}
+					return
+				}
+				tally := h.NewTally()
+				for _, fs := range lists[w] {
+					tally.Observe(fs)
+				}
+				tally.Flush()
+				tally.Flush()
+			}(w)
+		}
+		wg.Wait()
+		if total := int64(workers * calls * perCall); h.Copies()+h.Literals() != total || h.Literals() != total/5 {
+			t.Errorf("tallied=%v: Copies/Literals = %d/%d over %d factors, a fifth of them literals", tallied, h.Copies(), h.Literals(), total)
+		}
+		if h.Copies() != want.Copies() || h.Literals() != want.Literals() {
+			t.Errorf("tallied=%v: Copies/Literals = %d/%d, sequential %d/%d", tallied, h.Copies(), h.Literals(), want.Copies(), want.Literals())
+		}
+		for r := 0; r < h.Regions(); r++ {
+			if h.Count(r) != want.Count(r) {
+				t.Errorf("tallied=%v: region %d count = %d, sequential %d", tallied, r, h.Count(r), want.Count(r))
 			}
-		}(w)
-	}
-	wg.Wait()
-	if total := int64(workers * calls * perCall); h.Copies()+h.Literals() != total || h.Literals() != total/5 {
-		t.Errorf("Copies/Literals = %d/%d over %d factors, a fifth of them literals", h.Copies(), h.Literals(), total)
-	}
-	if h.Copies() != want.Copies() || h.Literals() != want.Literals() {
-		t.Errorf("Copies/Literals = %d/%d, sequential %d/%d", h.Copies(), h.Literals(), want.Copies(), want.Literals())
-	}
-	for r := 0; r < h.Regions(); r++ {
-		if h.Count(r) != want.Count(r) {
-			t.Errorf("region %d count = %d, sequential %d", r, h.Count(r), want.Count(r))
 		}
 	}
 }
